@@ -13,7 +13,7 @@ check-symmetry / check-constant
 scenario
     List, dump, or self-test the bundled scenario files.
 
-Exit codes: 0 success, 1 a check failed, 2 usage error, 3 evaluation error.
+Exit codes: 0 success, 1 a check failed, 2 usage error, 3 evaluation or numerical error.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .errors import (
     NotOnManifoldError,
     SpecFileError,
 )
-from .lagrangian import sode_solve_at
+from .lagrangian import sode_solve, sode_solve_at
 from .nonholonomic import (
     PointDynamics,
     classify_at,
@@ -49,7 +49,7 @@ from .symmetry import (
     check_inf_symmetry,
     check_symmetry,
 )
-from .systems import consistency_at
+from .systems import consistency_at, solve_at
 
 SCENARIOS = ("example1", "relparticle-L1", "relparticle-L2", "rosenberg")
 
@@ -135,11 +135,7 @@ def _build_point(spec, assignments):
     if spec.constraints is None:
         return x
     if not free:
-        if not spec.constraints.is_on(x):
-            vals = spec.constraints.values(x)
-            raise NotOnManifoldError(
-                f"point violates the constraints: max |phi| = {np.max(np.abs(vals)):.3e}"
-            )
+        spec.constraints.require_on(x)
         return x
     lifted, ok, _ = spec.constraints.lift(x, free)
     if not ok:
@@ -258,29 +254,28 @@ def _make_field(spec, x0, tols):
         except BaseNotRegularError:
             if spec.model is None:
                 raise
-            loose = linalg.Tolerances(
-                rank_factor=tols.rank_factor,
-                img_factor=tols.img_factor,
-                on_manifold=1e-4,
-            )
             probe = sode_solve_at(spec.model, spec.constraints, x0,
-                                  forces=spec.forces, tols=loose)
+                                  forces=spec.forces, tols=tols)
             if not probe.unique:
                 raise InconsistentSystemError(
                     "the second-order solution is not unique; cannot integrate"
                 )
 
             def field_fn(x):
-                return sode_solve_at(spec.model, spec.constraints, x,
-                                     forces=spec.forces, tols=loose).x0
+                return sode_solve(spec.model, spec.constraints, x,
+                                  forces=spec.forces, tols=tols).x0
 
             return field_fn, None, "second-order"
         dyn = PointDynamics(spec.gnh, tols)
         return dyn.field, dyn.multipliers, "constrained"
 
     def field_fn(x):
-        b = spec.system.A_at(x)
-        return np.linalg.solve(b, spec.system.f_at(x))
+        sol = solve_at(spec.system, x, tols=tols)
+        if not sol.consistent or sol.kernel.dim > 0:
+            raise InconsistentSystemError(
+                f"A(x) v = f(x) has no unique solution (residual {sol.residual:.3e})"
+            )
+        return sol.x0
 
     return field_fn, None, "explicit"
 
@@ -683,7 +678,8 @@ def main(argv=None):
     except SpecFileError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return _USAGE
-    except LinsingError as exc:
+    except (LinsingError, np.linalg.LinAlgError) as exc:
+        # LinAlgError subclasses ValueError, but it is a numerical failure
         sys.stderr.write(f"error: {exc}\n")
         return _EVAL
     except ValueError as exc:

@@ -16,10 +16,6 @@ from .errors import ProjectionDivergenceError, ShapeError
 
 __all__ = ["Trajectory", "integrate", "monitor", "MonitorResult"]
 
-PROJECTION_TARGET = 1e-10
-PROJECTION_MAX_ITER = 20
-ON_MANIFOLD_TOL = 1e-8
-
 
 @dataclass
 class Trajectory:
@@ -74,9 +70,8 @@ def integrate(field_fn, x0, t1, dt, project=None, t0=0.0, multiplier_fn=None):
     ----------
     field_fn : callable(ndarray) -> ndarray
     project : SubmanifoldSpec, optional
-        When given, each step is Gauss-Newton projected back onto {phi = 0}
-        (target 1e-10, at most 20 iterations); the seed itself is pre-projected
-        if it violates the constraints beyond 1e-8.
+        When given, each step, and a seed off M, is Gauss-Newton projected back
+        onto {phi = 0} under the default tolerance policy.
     multiplier_fn : callable(ndarray) -> ndarray, optional
         Recorded at every stored state (so u(t) can be inspected afterwards).
     """
@@ -89,15 +84,15 @@ def integrate(field_fn, x0, t1, dt, project=None, t0=0.0, multiplier_fn=None):
     if steps < 1:
         raise ValueError("time span shorter than one step")
 
-    if project is not None and not project.is_on(x, ON_MANIFOLD_TOL):
-        x, ok, _ = project.project(x, PROJECTION_TARGET, PROJECTION_MAX_ITER)
+    if project is not None and not project.is_on(x):
+        x, ok, _ = project.project(x)
         if not ok:
             raise ProjectionDivergenceError("seed projection failed to converge", -1)
 
-    def _project(y, step_index):
+    def _project(y):
         if project is None:
             return y, True
-        y2, ok, _ = project.project(y, PROJECTION_TARGET, PROJECTION_MAX_ITER)
+        y2, ok, _ = project.project(y)
         return y2, ok
 
     n = x.shape[0]
@@ -109,13 +104,13 @@ def integrate(field_fn, x0, t1, dt, project=None, t0=0.0, multiplier_fn=None):
 
     for i in range(steps):
         y = _rk4_step(field_fn, x, dt)
-        y, ok = _project(y, i)
+        y, ok = _project(y)
         if not ok:
             # retry the interval with four quarter steps, then give up
             y = x
             for _ in range(4):
                 y = _rk4_step(field_fn, y, dt / 4.0)
-                y, ok = _project(y, i)
+                y, ok = _project(y)
                 if not ok:
                     raise ProjectionDivergenceError(
                         "post-step projection diverged", i

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import InconsistentSystemError, MaxRankViolatedError, NotOnManifoldError, ShapeError
+from .errors import InconsistentSystemError, MaxRankViolatedError, ShapeError
 from .expressions import Const, ExpressionField, Var, add, derivative, mul, neg, parse, sub
 from .nonholonomic import ForceFrame, GeneralizedNonholonomicSystem, SubmanifoldSpec
 from .systems import LinearlySingularSystem
@@ -30,6 +30,7 @@ __all__ = [
     "chetaev_frame",
     "nonholonomic_lagrangian",
     "sode_solve_at",
+    "sode_solve",
     "SodeSolution",
 ]
 
@@ -211,11 +212,15 @@ def sode_solve_at(model, phi, x, forces=None, tols=linalg.DEFAULT_TOLERANCES):
     """
     if not isinstance(phi, SubmanifoldSpec):
         phi = SubmanifoldSpec(phi)
+    phi.require_on(x, tols.on_manifold)
+    return sode_solve(model, phi, x, forces, tols)
+
+
+def sode_solve(model, phi, x, forces=None, tols=linalg.DEFAULT_TOLERANCES):
+    """`sode_solve_at` without its on-manifold check (RK stage points lie off M)."""
+    if not isinstance(phi, SubmanifoldSpec):
+        phi = SubmanifoldSpec(phi)
     x = np.asarray(x, dtype=float)
-    if not phi.is_on(x, tols.on_manifold):
-        raise NotOnManifoldError(
-            f"point violates the constraints: max |phi| = {np.max(np.abs(phi.values(x))):.3e}"
-        )
     if forces is None:
         forces = chetaev_frame(model, phi, tols=tols)
     n = model.nq

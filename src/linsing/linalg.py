@@ -77,7 +77,7 @@ def rank(mat, tols=DEFAULT_TOLERANCES):
     if s.size == 0:
         return 0
     tol = max(mat.shape) * float(s[0]) * tols.rank_factor
-    return int(np.sum(s > tol))
+    return int(np.count_nonzero(s > tol))
 
 
 @dataclass
@@ -108,7 +108,7 @@ def kernel_basis(mat, tols=DEFAULT_TOLERANCES):
         return SubspaceBasis(_fix_signs(np.eye(n)))
     _, s, vt = _svd(mat)
     tol = max(mat.shape) * (float(s[0]) if s.size else 0.0) * tols.rank_factor
-    r = int(np.sum(s > tol))
+    r = int(np.count_nonzero(s > tol))
     return SubspaceBasis(_fix_signs(vt[r:].T))
 
 
@@ -119,7 +119,7 @@ def cokernel_basis(mat, tols=DEFAULT_TOLERANCES):
         return SubspaceBasis(_fix_signs(np.eye(mat.shape[0])))
     u, s, _ = _svd(mat)
     tol = max(mat.shape) * (float(s[0]) if s.size else 0.0) * tols.rank_factor
-    r = int(np.sum(s > tol))
+    r = int(np.count_nonzero(s > tol))
     return SubspaceBasis(_fix_signs(u[:, r:]))
 
 
@@ -147,7 +147,7 @@ def solve_affine(mat, b, tols=DEFAULT_TOLERANCES):
     u, s, vt = _svd(mat)
     smax = float(s[0]) if s.size else 0.0
     tol = max(mat.shape) * smax * tols.rank_factor
-    r = int(np.sum(s > tol))
+    r = int(np.count_nonzero(s > tol))
     coeff = (u[:, :r].T @ b) / s[:r] if r else np.zeros(0)
     x0 = vt[:r].T @ coeff
     kern = SubspaceBasis(_fix_signs(vt[r:].T))

@@ -3,7 +3,8 @@ M = {phi = 0}, and a frame of constraint-force directions.
 
 The quotient bundle never gets materialized: everything runs through the
 transported frame Gamma_mu = B^{-1} Delta_mu, the pairing matrix
-D = dphi . Gamma, and span residuals.
+D = dphi . Gamma, and span residuals. `PointDynamics` is the one evaluator of the
+constrained field; the *_at functions check that the point is on M, then call it.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .errors import (
@@ -59,23 +59,23 @@ class SubmanifoldSpec:
     def jacobian(self, x):
         return self.phi.jacobian_at(x)
 
-    def is_on(self, x, tol=1e-8):
+    def is_on(self, x, tol=linalg.DEFAULT_TOLERANCES.on_manifold):
         return float(np.max(np.abs(self.values(x)))) <= tol
 
-    def project(self, x, target=1e-10, max_iter=20):
-        """Gauss-Newton projection onto M; returns (point, converged, iterations)."""
-        x = np.asarray(x, dtype=float).copy()
-        for it in range(max_iter):
-            vals = self.values(x)
-            if float(np.max(np.abs(vals))) <= target:
-                return x, True, it
-            j = self.jacobian(x)
-            step, *_ = np.linalg.lstsq(j, vals, rcond=None)
-            x = x - step
-        vals = self.values(x)
-        return x, float(np.max(np.abs(vals))) <= target, max_iter
+    def require_on(self, x, tol=linalg.DEFAULT_TOLERANCES.on_manifold):
+        """Raise NotOnManifoldError unless x lies on M within `tol`."""
+        worst = float(np.max(np.abs(self.values(x))))
+        if worst > tol:
+            raise NotOnManifoldError(
+                f"point violates the constraints: max |phi| = {worst:.3e}"
+            )
 
-    def lift(self, x, free_indices, target=1e-10, max_iter=50):
+    def project(self, x, target=linalg.DEFAULT_TOLERANCES.projection_target, max_iter=20):
+        """Gauss-Newton projection onto M; returns (point, converged, iterations)."""
+        return self.lift(x, range(len(x)), target, max_iter)
+
+    def lift(self, x, free_indices, target=linalg.DEFAULT_TOLERANCES.projection_target,
+             max_iter=50):
         """Newton-solve phi = 0 over the listed coordinates, holding the rest fixed."""
         x = np.asarray(x, dtype=float).copy()
         free = list(free_indices)
@@ -149,14 +149,6 @@ class GeneralizedNonholonomicSystem:
         return self.forces.m
 
 
-def _require_on_manifold(gnh, x, tols):
-    if not gnh.constraints.is_on(x, tols.on_manifold):
-        vals = gnh.constraints.values(x)
-        raise NotOnManifoldError(
-            f"point violates the constraints: max |phi| = {np.max(np.abs(vals)):.3e}"
-        )
-
-
 def _regular_base_matrix(gnh, x, tols):
     b = gnh.base.A_at(x)
     if gnh.base.k != gnh.base.n or linalg.rank(b, tols) < gnh.base.n:
@@ -167,13 +159,16 @@ def _regular_base_matrix(gnh, x, tols):
     return b
 
 
+def _require_independent(gamma, m, tols):
+    if linalg.rank(gamma, tols) < m:
+        raise FrameDegenerateError("transported force frame is linearly dependent")
+
+
 def H_frame_at(gnh, x, tols=linalg.DEFAULT_TOLERANCES):
     """Transported frame Gamma_mu = B(x)^{-1} Delta_mu(x), columns of an n x m array."""
-    _require_on_manifold(gnh, x, tols)
-    b = _regular_base_matrix(gnh, x, tols)
-    gamma = np.linalg.solve(b, gnh.forces.at(x))
-    if linalg.rank(gamma, tols) < gnh.m:
-        raise FrameDegenerateError("transported force frame is linearly dependent")
+    gnh.constraints.require_on(x, tols.on_manifold)
+    gamma = PointDynamics(gnh, tols).frame(x)
+    _require_independent(gamma, gnh.m, tols)
     return gamma
 
 
@@ -218,23 +213,13 @@ def multipliers_at(gnh, x, y_at, tols=linalg.DEFAULT_TOLERANCES):
     Unique when D is square invertible; otherwise the minimum-norm solution is
     returned with `gauged` set. Raises InconsistentSystemError when no u exists.
     """
-    d = D_matrix_at(gnh, x, tols)
-    rhs = -(gnh.constraints.jacobian(x) @ np.asarray(y_at, dtype=float))
-    sol = linalg.solve_affine(d, rhs, tols)
-    if not sol.consistent:
-        raise InconsistentSystemError(
-            f"no multiplier solves the tangency condition (residual {sol.residual:.3e})"
-        )
-    return MultiplierResult(sol.x0, sol.kernel.dim > 0, sol.residual)
+    return constrained_field_at(gnh, x, y_at, tols)[1]
 
 
 def constrained_field_at(gnh, x, y_at=None, tols=linalg.DEFAULT_TOLERANCES):
     """Value of the constrained dynamics X = Y + Gamma u at a point of M."""
-    if y_at is None:
-        y_at = unconstrained_solution_at(gnh, x, tols)
-    gamma = H_frame_at(gnh, x, tols)
-    mult = multipliers_at(gnh, x, y_at, tols)
-    return np.asarray(y_at, dtype=float) + gamma @ mult.u, mult
+    gnh.constraints.require_on(x, tols.on_manifold)
+    return PointDynamics(gnh, tols).evaluate(x, y_at)
 
 
 def projectors_at(gnh, x, tols=linalg.DEFAULT_TOLERANCES):
@@ -246,14 +231,18 @@ def projectors_at(gnh, x, tols=linalg.DEFAULT_TOLERANCES):
 
 def unconstrained_solution_at(gnh, x, tols=linalg.DEFAULT_TOLERANCES):
     """Y(x) = B(x)^{-1} g(x) for a regular base."""
-    b = _regular_base_matrix(gnh, x, tols)
-    return np.linalg.solve(b, gnh.base.f_at(x))
+    return PointDynamics(gnh, tols).unconstrained(x)
 
 
 class PointDynamics:
-    """Fast pointwise evaluation of the constrained dynamics for integration.
+    """The one evaluator of Y = B^{-1} g, Gamma = B^{-1} Delta, D = dphi . Gamma,
+    the multipliers u of D u = -dphi . Y and X = Y + Gamma u, under `tols`.
 
-    Caches compiled expression fields and prefactors constant matrices once.
+    Once, here: a constant base's rank. Per call: a varying base's rank, then
+    D u = -dphi . Y by `linalg.solve_affine` (gauged minimum-norm u when D is
+    singular, InconsistentSystemError when no u exists), and, only when that
+    solve is gauged or inconsistent, the frame's rank (FrameDegenerateError; a
+    dependent frame forces rank D < m). Points are not checked against M.
     """
 
     def __init__(self, gnh, tols=linalg.DEFAULT_TOLERANCES):
@@ -261,39 +250,52 @@ class PointDynamics:
         self.tols = tols
         self._b_const = None
         if gnh.base.A.is_constant:
-            b = gnh.base.A(np.zeros(gnh.n))
-            if gnh.base.k == gnh.base.n and linalg.rank(b, tols) == gnh.n:
-                self._b_const = scipy.linalg.lu_factor(b)
-            else:
-                raise BaseNotRegularError("constant base morphism is singular")
+            self._b_const = _regular_base_matrix(gnh, np.zeros(gnh.n), tols)
         self._jphi = gnh.constraints.phi.jacobian_field()
+        self._last = None  # (bytes of x, field_and_multipliers(x)) of the last solve
 
-    def _solve_base(self, x, rhs):
+    def _base(self, x):
         if self._b_const is not None:
-            return scipy.linalg.lu_solve(self._b_const, rhs)
-        b = self.gnh.base.A_at(x)
-        return np.linalg.solve(b, rhs)
+            return self._b_const
+        return _regular_base_matrix(self.gnh, x, self.tols)
 
     def unconstrained(self, x):
-        return self._solve_base(x, self.gnh.base.f_at(x))
+        return np.linalg.solve(self._base(x), self.gnh.base.f_at(x))
+
+    def frame(self, x):
+        """Gamma = B^{-1} Delta at x, without the rank check of H_frame_at."""
+        return np.linalg.solve(self._base(x), self.gnh.forces.at(x))
+
+    def evaluate(self, x, y=None):
+        """(X, MultiplierResult) at x; Y is B^{-1} g unless `y` is given."""
+        y = self.unconstrained(x) if y is None else np.asarray(y, dtype=float)
+        gamma = self.frame(x)
+        jphi = self._jphi(x)
+        sol = linalg.solve_affine(jphi @ gamma, -(jphi @ y), self.tols)
+        gauged = sol.kernel.dim > 0
+        if gauged or not sol.consistent:
+            _require_independent(gamma, self.gnh.m, self.tols)
+        if not sol.consistent:
+            raise InconsistentSystemError(
+                f"no multiplier solves the tangency condition (residual {sol.residual:.3e})"
+            )
+        return y + gamma @ sol.x0, MultiplierResult(sol.x0, gauged, sol.residual)
 
     def field_and_multipliers(self, x):
-        y = self.unconstrained(x)
-        gamma = self._solve_base(x, self.gnh.forces.at(x))
-        jphi = self._jphi(x)
-        d = jphi @ gamma
-        rhs = -(jphi @ y)
-        if d.shape[0] == d.shape[1]:
-            try:
-                u = np.linalg.solve(d, rhs)
-            except np.linalg.LinAlgError:
-                u = np.linalg.lstsq(d, rhs, rcond=None)[0]
-        else:
-            u = np.linalg.lstsq(d, rhs, rcond=None)[0]
-        return y + gamma @ u, u
+        xf, mult = self.evaluate(x)
+        return xf, mult.u
+
+    def _memo(self, x):
+        # `integrate` records u at each stored state, which is where the next
+        # RK4 step evaluates k1: one solve serves both. Points are compared by
+        # value, bit for bit, which costs far less than np.array_equal.
+        key = np.asarray(x, dtype=float).tobytes()
+        if self._last is None or self._last[0] != key:
+            self._last = (key, self.field_and_multipliers(x))
+        return self._last[1]
 
     def field(self, x):
-        return self.field_and_multipliers(x)[0]
+        return self._memo(x)[0]
 
     def multipliers(self, x):
-        return self.field_and_multipliers(x)[1]
+        return self._memo(x)[1]

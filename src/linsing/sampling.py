@@ -7,6 +7,8 @@ from scipy.stats import qmc
 
 __all__ = ["halton_box", "on_manifold_sample"]
 
+_OVERSAMPLE = 3  # box points drawn per requested on-manifold point
+
 
 def halton_box(variables, box, count, default_range=(-1.0, 1.0)):
     """`count` Halton points in the per-variable box (unscrambled: reruns match).
@@ -22,18 +24,17 @@ def halton_box(variables, box, count, default_range=(-1.0, 1.0)):
     return lo + unit * (hi - lo)
 
 
-def on_manifold_sample(constraints, variables, box, count, oversample=3,
-                       tol=1e-8):
+def on_manifold_sample(constraints, variables, box, count):
     """Quasi-random points projected onto M = {phi = 0}.
 
-    Draws `oversample * count` box points, Gauss-Newton projects each, and
-    keeps the first `count` that converge. Deterministic for fixed inputs.
+    Draws `_OVERSAMPLE * count` box points, Gauss-Newton projects each, and keeps
+    the first `count` that converge onto M. Deterministic for fixed inputs.
     """
-    raw = halton_box(variables, box, oversample * count)
+    raw = halton_box(variables, box, _OVERSAMPLE * count)
     kept = []
     for row in raw:
         point, ok, _ = constraints.project(row)
-        if ok and constraints.is_on(point, tol):
+        if ok and constraints.is_on(point):
             kept.append(point)
             if len(kept) == count:
                 break

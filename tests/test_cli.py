@@ -1,5 +1,6 @@
 import numpy as np
 
+from linsing import cli
 from linsing.cli import main
 
 BAD_SYMMETRY_SPEC = """
@@ -118,6 +119,53 @@ def test_simulate_writes_csv(tmp_path, capsys):
     assert len(lines) == 12
     first = np.array([float(v) for v in lines[1].split(",")])
     assert np.allclose(first[1:7], [0.0, 1.0, 0.0, 2.0, 3.0, 2.0])
+
+
+def test_simulate_second_order_mode(tmp_path, capsys):
+    # relparticle-L1 has a singular Lagrangian: the run goes through the
+    # stacked second-order solve, and with U = 0 the motion is a straight line
+    out_csv = tmp_path / "traj.csv"
+    code, out, _ = _run(
+        capsys, "simulate", "--scenario", "relparticle-L1",
+        "--x0", "q1=0.1,q2=0.2,q3=-0.3,q4=0.4,q2'=0.3,q3'=-0.2,q4'=0.1",
+        "--t1", "0.5", "--dt", "0.01", "--out", str(out_csv), "--quiet-time",
+    )
+    assert code == 0
+    assert "mode: second-order" in out
+    rows = [[float(v) for v in line.split(",")]
+            for line in out_csv.read_text().splitlines()[1:]]
+    q0, v0 = np.array(rows[0][1:5]), np.array(rows[0][5:9])
+    last = np.array(rows[-1])
+    assert last[0] == 0.5
+    assert np.max(np.abs(last[1:5] - (q0 + 0.5 * v0))) <= 1e-8
+    assert np.max(np.abs(last[5:9] - v0)) <= 1e-8
+
+
+def test_simulate_singular_explicit_system_is_an_evaluation_error(tmp_path, capsys):
+    path = tmp_path / "singular.lss"
+    path.write_text("[vars]\nnames = x, y\n\n[system]\nA = 1, 0; 0, 0\nf = 1, 0\n")
+    code, _, err = _run(
+        capsys, "simulate", "--spec", str(path), "--x0", "x=0,y=0",
+        "--t1", "1", "--dt", "0.1",
+    )
+    assert code == 3
+    assert "no unique solution" in err
+
+
+def test_numerical_failures_exit_3(monkeypatch, capsys):
+    def singular(args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, "cmd_analyze", singular)
+    code, _, err = _run(capsys, "analyze", "--scenario", "example1")
+    assert code == 3 and "Singular matrix" in err
+
+    def bad_value(args):
+        raise ValueError("not a number")
+
+    monkeypatch.setattr(cli, "cmd_analyze", bad_value)
+    code, _, err = _run(capsys, "analyze", "--scenario", "example1")
+    assert code == 2 and "not a number" in err
 
 
 def test_simulate_usage_errors(capsys):

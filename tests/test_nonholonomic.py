@@ -9,6 +9,7 @@ from linsing.errors import (
     NotOnManifoldError,
     ShapeError,
 )
+from linsing.dynamics import integrate
 from linsing.expressions import ExpressionField
 from linsing.nonholonomic import (
     ForceFrame,
@@ -143,6 +144,25 @@ def test_point_dynamics_matches_direct_path():
         assert np.allclose(pd.unconstrained(p), unconstrained_solution_at(gnh, p))
 
 
+def test_integrate_reuses_the_k1_solve_for_the_multipliers():
+    gnh = _example_flow(a=2.0)
+    pd = PointDynamics(gnh)
+    calls = []
+    solve = pd.field_and_multipliers
+
+    def counted(x):
+        calls.append(x)
+        return solve(x)
+
+    pd.field_and_multipliers = counted
+    steps = 10
+    traj = integrate(pd.field, np.array([0.3, 2.0]), 1.0, 1.0 / steps,
+                     project=gnh.constraints, multiplier_fn=pd.multipliers)
+    assert traj.steps == steps
+    assert len(calls) == 4 * steps + 1  # k1..k4 per step, plus u at the seed
+    assert np.allclose(traj.multipliers[:, 0], -2.0)
+
+
 # ---------------------------------------------------------- error taxonomy
 
 def test_off_manifold_points_are_rejected():
@@ -181,6 +201,9 @@ def test_degenerate_force_frame_raises():
     )
     with pytest.raises(FrameDegenerateError):
         H_frame_at(gnh, np.array([1.0, 2.0]))
+    # the evaluator checks the frame only once D comes back singular
+    with pytest.raises(FrameDegenerateError):
+        constrained_field_at(gnh, np.array([1.0, 2.0]))
 
 
 def test_tangency_condition_can_be_unsolvable():
@@ -198,6 +221,9 @@ def test_tangency_condition_can_be_unsolvable():
     # the same geometry breaks the splitting T_xM ⊕ H_x
     with pytest.raises(NotComplementaryError):
         projectors_at(gnh, p)
+    # the integrator's evaluator refuses too, instead of a least-squares u
+    with pytest.raises(InconsistentSystemError):
+        PointDynamics(gnh).field(p)
 
 
 def test_surjective_but_not_injective_classification():
@@ -220,6 +246,8 @@ def test_surjective_but_not_injective_classification():
     # any representative still produces a field tangent to M
     x_dot, _ = constrained_field_at(gnh, p)
     assert abs(gnh.constraints.jacobian(p) @ x_dot) < 1e-12
+    # the integrator's evaluator picks the same gauged representative
+    assert np.array_equal(PointDynamics(gnh).multipliers(p), mult.u)
 
 
 def test_injective_but_not_surjective_classification():
