@@ -66,6 +66,9 @@ def _rk4_step(field_fn, x, dt):
 def integrate(field_fn, x0, t1, dt, project=None, t0=0.0, multiplier_fn=None):
     """Integrate x' = field_fn(x) from t0 to t1 on a uniform grid of step dt.
 
+    `dt` must divide `t1 - t0` (to a relative 1e-9); otherwise ValueError, so the
+    grid always ends at t1.
+
     Parameters
     ----------
     field_fn : callable(ndarray) -> ndarray
@@ -80,9 +83,12 @@ def integrate(field_fn, x0, t1, dt, project=None, t0=0.0, multiplier_fn=None):
     if t1 <= t0:
         raise ValueError("t1 must exceed t0")
     x = np.asarray(x0, dtype=float).copy()
-    steps = int(round((t1 - t0) / dt))
+    span = t1 - t0
+    steps = int(round(span / dt))
     if steps < 1:
         raise ValueError("time span shorter than one step")
+    if abs(steps * dt - span) > 1e-9 * span:
+        raise ValueError(f"dt = {dt!r} does not divide the time span {span!r}")
 
     if project is not None and not project.is_on(x):
         x, ok, _ = project.project(x)

@@ -4,6 +4,10 @@ The grammar is deliberately tiny (arithmetic, powers, eight named functions) but
 identifiers allow trailing apostrophes so velocity coordinates can be written x', y'.
 Differentiation is closed over the node set; `abs` differentiates to `sign`, which is
 defined to be 0 at 0.
+
+Expressions are DAGs: derivatives share nodes with their source. `derivative` and
+`free_variables` visit each shared node once per call, and `compile_exprs` computes
+each structurally equal subtree once per evaluation, with bit-identical arithmetic.
 """
 
 from __future__ import annotations
@@ -431,27 +435,44 @@ def evaluate(e, env):
 # ------------------------------------------------------ symbolic derivative
 
 def derivative(e, var):
-    """Exact partial derivative with respect to the variable named `var`."""
+    """Exact partial derivative with respect to the variable named `var`.
+
+    `e` is walked as a DAG: a node shared by several parents is differentiated
+    once per call, and its derivative is shared the same way.
+    """
+    memo = {}  # id(node) -> derivative; every key is a node kept alive by `e`
+
+    def d(node):
+        out = memo.get(id(node))
+        if out is None:
+            out = memo[id(node)] = _derivative_node(node, var, d)
+        return out
+
+    return d(e)
+
+
+def _derivative_node(e, var, d):
+    """Derivative of one node; `d` differentiates its children."""
     if isinstance(e, Const):
         return Const(0.0)
     if isinstance(e, Var):
         return Const(1.0 if e.name == var else 0.0)
     if isinstance(e, Add):
-        return add(derivative(e.a, var), derivative(e.b, var))
+        return add(d(e.a), d(e.b))
     if isinstance(e, Sub):
-        return sub(derivative(e.a, var), derivative(e.b, var))
+        return sub(d(e.a), d(e.b))
     if isinstance(e, Mul):
-        return add(mul(derivative(e.a, var), e.b), mul(e.a, derivative(e.b, var)))
+        return add(mul(d(e.a), e.b), mul(e.a, d(e.b)))
     if isinstance(e, Div):
         return div(
-            sub(mul(derivative(e.a, var), e.b), mul(e.a, derivative(e.b, var))),
+            sub(mul(d(e.a), e.b), mul(e.a, d(e.b))),
             mul(e.b, e.b),
         )
     if isinstance(e, Neg):
-        return neg(derivative(e.a, var))
+        return neg(d(e.a))
     if isinstance(e, Pow):
-        du = derivative(e.base, var)
-        dw = derivative(e.exponent, var)
+        du = d(e.base)
+        dw = d(e.exponent)
         if isinstance(e.exponent, Const):
             c = e.exponent.value
             return mul(mul(Const(c), pow_(e.base, Const(c - 1.0))), du)
@@ -462,7 +483,7 @@ def derivative(e, var):
         )
     if isinstance(e, Call):
         u = e.arg
-        du = derivative(u, var)
+        du = d(u)
         if e.fn == "sqrt":
             return div(du, mul(Const(2.0), Call("sqrt", u)))
         if e.fn == "sin":
@@ -485,11 +506,15 @@ def derivative(e, var):
 
 
 def free_variables(e):
-    """Set of variable names appearing in the expression."""
+    """Set of variable names appearing in the expression (each shared node visited once)."""
     out = set()
+    seen = set()  # ids of visited nodes, all kept alive by `e`
     stack = [e]
     while stack:
         node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
         if isinstance(node, Var):
             out.add(node.name)
         elif isinstance(node, (Add, Sub, Mul, Div)):
@@ -628,37 +653,79 @@ def eval_dual(e, variables, point):
 
 # ------------------------------------------------------------------- codegen
 
-def _render(e, idx):
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return f"_x[{idx[e.name]}]"
-    if isinstance(e, Add):
-        return f"({_render(e.a, idx)} + {_render(e.b, idx)})"
-    if isinstance(e, Sub):
-        return f"({_render(e.a, idx)} - {_render(e.b, idx)})"
-    if isinstance(e, Mul):
-        return f"({_render(e.a, idx)} * {_render(e.b, idx)})"
-    if isinstance(e, Div):
-        return f"({_render(e.a, idx)} / {_render(e.b, idx)})"
-    if isinstance(e, Neg):
-        return f"(-{_render(e.a, idx)})"
-    if isinstance(e, Pow):
-        return f"_pow({_render(e.base, idx)}, {_render(e.exponent, idx)})"
-    if isinstance(e, Call):
-        return f"_fn_{e.fn}({_render(e.arg, idx)})"
-    raise TypeError(f"not an expression node: {e!r}")
+_BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 
 
 def compile_exprs(exprs, variables):
     """Compile a flat list of expressions into one fast callable seq -> list[float].
 
+    The expressions are compiled as one DAG: structurally equal subtrees get one
+    value number, and a non-leaf one used more than once is computed once per
+    call into a local. Every operation stays the same IEEE operation on the same
+    operands, so results are bit-identical to computing each tree in full.
+
     On any arithmetic fault the slow tree evaluator re-runs to produce a precise
     DomainEvalError naming the subexpression.
     """
     idx = {name: i for i, name in enumerate(variables)}
-    body = ", ".join(_render(e, idx) for e in exprs) if exprs else ""
-    src = f"def _compiled(_x):\n    return [{body}]\n"
+    number_of = {}  # id(node) -> value number; keys are nodes kept alive by `exprs`
+    number_by_key = {}  # (type, payload, child numbers) -> value number
+    texts = []  # value number -> source text, or the `_tN` local holding it
+    uses = []  # value number -> references from parents and top-level entries
+    lines = []
+
+    def number(node):
+        k = number_of.get(id(node))
+        if k is not None:
+            return k
+        if isinstance(node, Const):
+            # repr, not the float: 0.0 == -0.0 and they hash equal
+            key = (Const, repr(node.value), ())
+        elif isinstance(node, Var):
+            key = (Var, node.name, ())
+        elif isinstance(node, Call):
+            key = (Call, node.fn, (number(node.arg),))
+        elif isinstance(node, Neg):
+            key = (Neg, None, (number(node.a),))
+        elif isinstance(node, Pow):
+            key = (Pow, None, (number(node.base), number(node.exponent)))
+        elif type(node) in _BINARY_OPS:
+            key = (type(node), None, (number(node.a), number(node.b)))
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        k = number_by_key.get(key)
+        if k is None:
+            k = number_by_key[key] = len(uses)
+            uses.append(0)
+            for child in key[2]:
+                uses[child] += 1
+        number_of[id(node)] = k
+        return k
+
+    roots = [number(e) for e in exprs]
+    for k in roots:
+        uses[k] += 1
+    # numbers are allocated in post-order, so each local precedes its first use
+    for k, (kind, payload, kids) in enumerate(number_by_key):
+        args = [texts[c] for c in kids]
+        if kind is Const:
+            text = payload
+        elif kind is Var:
+            text = f"_x[{idx[payload]}]"
+        elif kind is Call:
+            text = f"_fn_{payload}({args[0]})"
+        elif kind is Neg:
+            text = f"(-{args[0]})"
+        elif kind is Pow:
+            text = f"_pow({args[0]}, {args[1]})"
+        else:
+            text = f"({args[0]} {_BINARY_OPS[kind]} {args[1]})"
+        if kids and uses[k] > 1:
+            lines.append(f"    _t{k} = {text}\n")
+            text = f"_t{k}"
+        texts.append(text)
+    body = ", ".join(texts[k] for k in roots)
+    src = "def _compiled(_x):\n" + "".join(lines) + f"    return [{body}]\n"
     ns = {"_pow": math.pow}
     for fname, impl in FUNCTIONS.items():
         ns[f"_fn_{fname}"] = impl

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import qmc
 
 __all__ = ["halton_box", "on_manifold_sample"]
 
@@ -19,9 +18,36 @@ def halton_box(variables, box, count, default_range=(-1.0, 1.0)):
     names = list(variables)
     lo = np.array([(box or {}).get(v, default_range)[0] for v in names])
     hi = np.array([(box or {}).get(v, default_range)[1] for v in names])
-    sampler = qmc.Halton(d=len(names), scramble=False)
-    unit = sampler.random(count)
-    return lo + unit * (hi - lo)
+    return lo + _halton_unit(len(names), count) * (hi - lo)
+
+
+def _halton_unit(d, n):
+    """First `n` points of the unscrambled `d`-dimensional Halton sequence.
+
+    Coordinate j is the radical inverse of the indices 0, 1, ..., n-1 in the
+    j-th prime base, summed digit by digit from the least significant one, the
+    order scipy's `qmc.Halton(d, scramble=False)` uses, so the points match it
+    bit for bit.
+    """
+    out = np.zeros((n, d))
+    for j, base in enumerate(_first_primes(d)):
+        q = np.arange(n)
+        f = 1.0 / base
+        while np.any(q > 0):
+            out[:, j] += (q % base) * f
+            q //= base
+            f /= base
+    return out
+
+
+def _first_primes(d):
+    primes = []
+    k = 2
+    while len(primes) < d:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
 
 
 def on_manifold_sample(constraints, variables, box, count):

@@ -252,3 +252,14 @@ def test_scenario_list_dump_and_selftest(capsys):
     assert "ok: true" in out
     code, _, err = _run(capsys, "scenario")
     assert code == 2 and "one of" in err
+
+
+def test_simulate_rejects_a_step_that_does_not_divide_t1(tmp_path, capsys):
+    path = tmp_path / "decay.lss"
+    path.write_text("[vars]\nnames = x\n\n[system]\nA = 1\nf = -x\n")
+    code, out, err = _run(
+        capsys, "simulate", "--spec", str(path), "--x0", "x=1",
+        "--t1", "1", "--dt", "0.3",
+    )
+    assert code == 2 and out == ""
+    assert "does not divide" in err

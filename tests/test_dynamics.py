@@ -164,3 +164,8 @@ def test_trajectory_steps_property():
         np.zeros(3),
     )
     assert t.steps == 2
+
+
+def test_step_that_does_not_divide_the_span_is_rejected():
+    with pytest.raises(ValueError, match="does not divide"):
+        integrate(lambda x: -x, np.array([1.0]), 1.0, 0.3)

@@ -11,12 +11,18 @@ from linsing.errors import (
     ShapeError,
     UndeclaredVariableError,
 )
+from linsing import expressions
 from linsing.expressions import (
+    Add,
+    Call,
     Const,
     ExpressionField,
+    Mul,
+    Sub,
     Var,
     add,
     call,
+    compile_exprs,
     derivative,
     div,
     eval_dual,
@@ -353,3 +359,59 @@ def test_partial_fields_cover_all_variables():
     pt = np.array([2.0, 5.0])
     assert np.allclose(parts[0](pt), [5.0, 0.0])
     assert np.allclose(parts[1](pt), [2.0, 1.0])
+
+
+def test_compiled_field_computes_a_shared_subtree_once(monkeypatch):
+    calls = []
+
+    def counting_sqrt(u):
+        calls.append(u)
+        return math.sqrt(u)
+
+    monkeypatch.setitem(expressions.FUNCTIONS, "sqrt", counting_sqrt)
+    # four separately parsed copies of one sqrt(...) subtree
+    f = ExpressionField.vector(
+        ["sqrt(x*x + 1)", "y*sqrt(x*x + 1)", "sqrt(x*x + 1)/y", "sqrt(x*x + 1) + x"],
+        ("x", "y"),
+    )
+    out = f(np.array([2.0, 3.0]))
+    assert len(calls) == 1
+    r = math.sqrt(5.0)
+    assert list(out) == [r, 3.0 * r, r / 3.0, r + 2.0]
+    f(np.array([2.0, 3.0]))
+    assert len(calls) == 2
+
+
+def test_compiled_keeps_signed_zero_constants_apart():
+    # raw nodes: the folding constructors would turn both products into 0
+    run = compile_exprs(
+        [Mul(Var("x"), Const(0.0)), Mul(Var("x"), Const(-0.0))], ("x",)
+    )
+    a, b = run(np.array([1.0]))
+    assert math.copysign(1.0, a) == 1.0
+    assert math.copysign(1.0, b) == -1.0
+
+
+def test_compiled_shared_subtrees_match_tree_walk_bit_for_bit():
+    for e, variables, point in expression_corpus(150, seed=91):
+        # raw nodes, so that `e` is one object shared by all three entries
+        exprs = [e, Add(e, e), Mul(e, Call("sin", e))]
+        run = compile_exprs(exprs, variables)
+        env = dict(zip(variables, point))
+        try:
+            expected = [evaluate(x, env) for x in exprs]
+        except DomainEvalError:
+            with pytest.raises(DomainEvalError):
+                run(point)
+            continue
+        got = run(point)
+        assert [v.hex() for v in got] == [v.hex() for v in expected], to_text(e)
+
+
+def test_fault_in_a_shared_subtree_names_it():
+    s = Call("sqrt", Sub(Var("x"), Const(2.0)))
+    f = ExpressionField([Add(s, Var("y")), Mul(s, s), s], ("x", "y"), (3,))
+    assert np.array_equal(f(np.array([6.0, 1.0])), [3.0, 4.0, 2.0])
+    with pytest.raises(DomainEvalError) as err:
+        f(np.array([1.0, 1.0]))
+    assert "sqrt(x - 2)" in str(err.value)
