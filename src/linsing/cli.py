@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 a check failed, 2 usage error, 3 evaluation or numerica
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from importlib import resources
@@ -83,14 +84,12 @@ def _load_spec(args):
 
 def _tolerances(args):
     kwargs = {}
-    if getattr(args, "tol_rank", None) is not None:
-        if args.tol_rank <= 0:
-            raise _UsageError("--tol-rank must be positive")
-        kwargs["rank_factor"] = args.tol_rank
-    if getattr(args, "tol_img", None) is not None:
-        if args.tol_img <= 0:
-            raise _UsageError("--tol-img must be positive")
-        kwargs["img_factor"] = args.tol_img
+    for flag, key in (("tol_rank", "rank_factor"), ("tol_img", "img_factor")):
+        value = getattr(args, flag, None)
+        if value is not None:
+            if not 0.0 < value < math.inf:
+                raise _UsageError(f"--{flag.replace('_', '-')} must be positive and finite")
+            kwargs[key] = value
     return linalg.Tolerances(**kwargs)
 
 
@@ -120,6 +119,8 @@ def _parse_assignments(text, spec):
                 out[key] = float(evaluate(parse(expanded, []), {}))
             except LinsingError as exc:
                 raise _UsageError(f"bad value for {key!r}: {exc}") from exc
+        if not math.isfinite(out[key]):
+            raise _UsageError(f"bad value for {key!r}: {value} is not finite")
     return out
 
 
@@ -167,7 +168,7 @@ def _default_points(spec, count, on_m=True):
 def _point_doc(spec, x, tols):
     doc = {"at": np.asarray(x, dtype=float)}
     if spec.constraints is not None:
-        doc["phi_residual"] = float(np.max(np.abs(spec.constraints.values(x))))
+        doc["phi_residual"] = spec.constraints.residual(x)
     if spec.gnh is not None:
         try:
             cls = classify_at(spec.gnh, x, tols)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ProjectionDivergenceError, ShapeError
+from .errors import NonFiniteError, ProjectionDivergenceError, ShapeError
 
 __all__ = ["Trajectory", "integrate", "monitor", "MonitorResult"]
 
@@ -67,14 +67,17 @@ def integrate(field_fn, x0, t1, dt, project=None, t0=0.0, multiplier_fn=None):
     """Integrate x' = field_fn(x) from t0 to t1 on a uniform grid of step dt.
 
     `dt` must divide `t1 - t0` (to a relative 1e-9); otherwise ValueError, so the
-    grid always ends at t1.
+    grid always ends at t1. No non-finite state is stored: a step that overflows,
+    or a field that raises NonFiniteError, raises NonFiniteError naming the step
+    and its start time. numpy's floating-point warnings are off while stepping,
+    since that check reports what they would.
 
     Parameters
     ----------
     field_fn : callable(ndarray) -> ndarray
     project : SubmanifoldSpec, optional
         When given, each step, and a seed off M, is Gauss-Newton projected back
-        onto {phi = 0} under the default tolerance policy.
+        onto {phi = 0}.
     multiplier_fn : callable(ndarray) -> ndarray, optional
         Recorded at every stored state (so u(t) can be inspected afterwards).
     """
@@ -95,7 +98,15 @@ def integrate(field_fn, x0, t1, dt, project=None, t0=0.0, multiplier_fn=None):
         if not ok:
             raise ProjectionDivergenceError("seed projection failed to converge", -1)
 
-    def _project(y):
+    def _step(y, h, i):
+        try:
+            y = _rk4_step(field_fn, y, h)
+            if not np.isfinite(y).all():
+                raise NonFiniteError("the state overflowed")
+        except NonFiniteError as exc:
+            raise NonFiniteError(
+                f"non-finite value in step {i} from t = {t0 + i * dt:.6g}: {exc}"
+            ) from exc
         if project is None:
             return y, True
         y2, ok, _ = project.project(y)
@@ -105,32 +116,28 @@ def integrate(field_fn, x0, t1, dt, project=None, t0=0.0, multiplier_fn=None):
     states = np.empty((steps + 1, n))
     states[0] = x
     mults = []
-    if multiplier_fn is not None:
-        mults.append(np.atleast_1d(np.asarray(multiplier_fn(x), dtype=float)))
-
-    for i in range(steps):
-        y = _rk4_step(field_fn, x, dt)
-        y, ok = _project(y)
-        if not ok:
-            # retry the interval with four quarter steps, then give up
-            y = x
-            for _ in range(4):
-                y = _rk4_step(field_fn, y, dt / 4.0)
-                y, ok = _project(y)
-                if not ok:
-                    raise ProjectionDivergenceError(
-                        "post-step projection diverged", i
-                    )
-        x = y
-        states[i + 1] = x
+    with np.errstate(all="ignore"):
         if multiplier_fn is not None:
             mults.append(np.atleast_1d(np.asarray(multiplier_fn(x), dtype=float)))
+        for i in range(steps):
+            y, ok = _step(x, dt, i)
+            if not ok:
+                # retry the interval with four quarter steps, then give up
+                y = x
+                for _ in range(4):
+                    y, ok = _step(y, dt / 4.0, i)
+                    if not ok:
+                        raise ProjectionDivergenceError(
+                            "post-step projection diverged", i
+                        )
+            x = y
+            states[i + 1] = x
+            if multiplier_fn is not None:
+                mults.append(np.atleast_1d(np.asarray(multiplier_fn(x), dtype=float)))
 
     times = t0 + dt * np.arange(steps + 1)
     if project is not None:
-        drift = np.array(
-            [float(np.max(np.abs(project.values(s)))) for s in states]
-        )
+        drift = np.array([project.residual(s) for s in states])
     else:
         drift = np.zeros(steps + 1)
     multipliers = (

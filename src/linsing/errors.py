@@ -60,6 +60,10 @@ class InconsistentSystemError(LinsingError):
     """The linear problem has no solution at the requested point."""
 
 
+class NonFiniteError(LinsingError):
+    """A value overflowed or became NaN: a state, a field value or a residual."""
+
+
 class NotOnManifoldError(LinsingError):
     """The evaluation point does not satisfy the submanifold equations."""
 

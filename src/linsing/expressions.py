@@ -117,16 +117,14 @@ def _is_const(e, v=None):
     return isinstance(e, Const) and (v is None or e.value == v)
 
 
-def const(v):
-    return Const(float(v))
-
-
 def _try_fold(node):
-    """Fold a node whose children are all constants; keep it if evaluation faults."""
+    """Fold a node whose children are all constants; keep it if evaluation faults
+    or overflows (a constant is always finite)."""
     try:
-        return Const(evaluate(node, {}))
+        value = evaluate(node, {})
     except (DomainEvalError, OverflowError):
         return node
+    return Const(value) if math.isfinite(value) else node
 
 
 def add(a, b):
@@ -297,7 +295,10 @@ class _Parser:
     def parse_base(self):
         tok = self.advance()
         if tok.kind == "NUM":
-            return Const(float(tok.text))
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ExprSyntaxError(f"number {tok.text} is out of range", tok.offset)
+            return Const(value)
         if tok.kind == "IDENT":
             nxt = self.peek()
             if nxt.kind == "OP" and nxt.text == "(":
@@ -880,11 +881,6 @@ class ExpressionField:
         for i in range(r):
             rows.append(", ".join(to_text(e) for e in self.entries[i * c : (i + 1) * c]))
         return "[" + "; ".join(rows) + "]"
-
-
-def jacobian(field, point):
-    """Jacobian matrix of a vector ExpressionField at a point."""
-    return field.jacobian_at(point)
 
 
 def fd_jacobian(field, point, rel_step=1e-6):

@@ -212,7 +212,7 @@ def sode_solve_at(model, phi, x, forces=None, tols=linalg.DEFAULT_TOLERANCES):
     """
     if not isinstance(phi, SubmanifoldSpec):
         phi = SubmanifoldSpec(phi)
-    phi.require_on(x, tols.on_manifold)
+    phi.require_on(x)
     return sode_solve(model, phi, x, forces, tols)
 
 

@@ -10,30 +10,36 @@ vector's first non-negligible component made positive).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .errors import NotComplementaryError, ShapeError
+from .errors import NonFiniteError, NotComplementaryError, ShapeError
 
 RANK_FACTOR_DEFAULT = 1e-10
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Global tolerance policy; CLI flags override the two factors."""
+    """Global tolerance policy; CLI flags override the two factors.
+
+    The on-manifold test (max |phi| <= on_manifold) and the Gauss-Newton
+    projection target are fixed.
+    """
 
     rank_factor: float = RANK_FACTOR_DEFAULT
     img_factor: float | None = None  # None: derive from the matrix at hand
-    on_manifold: float = 1e-8
-    projection_target: float = 1e-10
+    on_manifold: ClassVar[float] = 1e-8
+    projection_target: ClassVar[float] = 1e-10
 
     def rank_tol(self, mat, smax=None):
         mat = np.asarray(mat, dtype=float)
         if mat.size == 0:
             return 0.0
         if smax is None:
-            smax = float(np.linalg.svd(mat, compute_uv=False)[0]) if min(mat.shape) else 0.0
+            smax = float(np.linalg.svd(mat, compute_uv=False)[0])
         return max(mat.shape) * smax * self.rank_factor
 
     def img_tol(self, mat, b, smax=None):
@@ -44,16 +50,29 @@ class Tolerances:
 DEFAULT_TOLERANCES = Tolerances()
 
 
-def _svd(mat):
+def _svd_rank(mat, tols, compute_uv=True):
+    """SVD of a matrix and its numerical rank under `tols`: ((u, s, vt), r), or
+    (s, r) without `compute_uv`. The one place a rank is decided."""
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2:
         raise ShapeError(f"expected a matrix, got shape {mat.shape}")
-    if mat.shape[0] == 0 or mat.shape[1] == 0:
-        u = np.zeros((mat.shape[0], 0))
+    if mat.size == 0:
         s = np.zeros(0)
-        vt = np.zeros((0, mat.shape[1]))
-        return u, s, vt
-    return np.linalg.svd(mat, full_matrices=True)
+        if not compute_uv:
+            return s, 0
+        return (np.zeros((mat.shape[0], 0)), s, np.zeros((0, mat.shape[1]))), 0
+    try:
+        svd = np.linalg.svd(mat, full_matrices=True, compute_uv=compute_uv)
+    except np.linalg.LinAlgError:
+        if np.isfinite(mat).all():
+            raise
+        smax = math.nan  # LAPACK rejects NaN entries
+    else:
+        s = svd[1] if compute_uv else svd
+        smax = float(s[0])
+    if not math.isfinite(smax):
+        raise NonFiniteError(f"a {mat.shape[0]}x{mat.shape[1]} matrix has non-finite entries")
+    return svd, int(np.count_nonzero(s > tols.rank_tol(mat, smax)))
 
 
 def _fix_signs(columns):
@@ -70,14 +89,7 @@ def _fix_signs(columns):
 
 def rank(mat, tols=DEFAULT_TOLERANCES):
     """Numerical rank by singular values above the policy tolerance."""
-    mat = np.asarray(mat, dtype=float)
-    if mat.size == 0:
-        return 0
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s.size == 0:
-        return 0
-    tol = max(mat.shape) * float(s[0]) * tols.rank_factor
-    return int(np.count_nonzero(s > tol))
+    return _svd_rank(mat, tols, compute_uv=False)[1]
 
 
 @dataclass
@@ -103,12 +115,9 @@ class SubspaceBasis:
 def kernel_basis(mat, tols=DEFAULT_TOLERANCES):
     """Right null space of `mat` in the deterministic gauge."""
     mat = np.asarray(mat, dtype=float)
-    n = mat.shape[1]
     if mat.shape[0] == 0:
-        return SubspaceBasis(_fix_signs(np.eye(n)))
-    _, s, vt = _svd(mat)
-    tol = max(mat.shape) * (float(s[0]) if s.size else 0.0) * tols.rank_factor
-    r = int(np.count_nonzero(s > tol))
+        return SubspaceBasis(_fix_signs(np.eye(mat.shape[1])))
+    (_, _, vt), r = _svd_rank(mat, tols)
     return SubspaceBasis(_fix_signs(vt[r:].T))
 
 
@@ -117,9 +126,7 @@ def cokernel_basis(mat, tols=DEFAULT_TOLERANCES):
     mat = np.asarray(mat, dtype=float)
     if mat.shape[1] == 0:
         return SubspaceBasis(_fix_signs(np.eye(mat.shape[0])))
-    u, s, _ = _svd(mat)
-    tol = max(mat.shape) * (float(s[0]) if s.size else 0.0) * tols.rank_factor
-    r = int(np.count_nonzero(s > tol))
+    (u, _, _), r = _svd_rank(mat, tols)
     return SubspaceBasis(_fix_signs(u[:, r:]))
 
 
@@ -135,7 +142,11 @@ class AffineSolutionSet:
 
 
 def solve_affine(mat, b, tols=DEFAULT_TOLERANCES):
-    """Minimum-norm least-squares solve with kernel basis and consistency verdict."""
+    """Minimum-norm least-squares solve with kernel basis and consistency verdict.
+
+    Raises NonFiniteError when `mat`, the norm of `b` or the residual is not
+    finite.
+    """
     mat = np.asarray(mat, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
     if mat.shape[0] != b.shape[0]:
@@ -144,16 +155,18 @@ def solve_affine(mat, b, tols=DEFAULT_TOLERANCES):
     if mat.shape[0] == 0:
         x0 = np.zeros(n)
         return AffineSolutionSet(x0, SubspaceBasis(_fix_signs(np.eye(n))), 0.0, True, 0.0)
-    u, s, vt = _svd(mat)
-    smax = float(s[0]) if s.size else 0.0
-    tol = max(mat.shape) * smax * tols.rank_factor
-    r = int(np.count_nonzero(s > tol))
+    (u, s, vt), r = _svd_rank(mat, tols)
+    tol_img = tols.img_tol(mat, b, smax=float(s[0]) if s.size else 0.0)
+    if not tol_img < math.inf:
+        raise NonFiniteError("a linear solve has a non-finite right-hand side")
     coeff = (u[:, :r].T @ b) / s[:r] if r else np.zeros(0)
     x0 = vt[:r].T @ coeff
     kern = SubspaceBasis(_fix_signs(vt[r:].T))
     residual = float(np.linalg.norm(mat @ x0 - b))
-    tol_img = tols.img_tol(mat, b, smax=smax)
-    return AffineSolutionSet(x0, kern, residual, residual <= tol_img, tol_img)
+    consistent = residual <= tol_img
+    if not (consistent or math.isfinite(residual)):
+        raise NonFiniteError(f"a linear solve has a non-finite residual ({residual})")
+    return AffineSolutionSet(x0, kern, residual, consistent, tol_img)
 
 
 def complement_projectors(first, second, tols=DEFAULT_TOLERANCES):

@@ -59,35 +59,43 @@ class SubmanifoldSpec:
     def jacobian(self, x):
         return self.phi.jacobian_at(x)
 
-    def is_on(self, x, tol=linalg.DEFAULT_TOLERANCES.on_manifold):
-        return float(np.max(np.abs(self.values(x)))) <= tol
+    def residual(self, x):
+        """Distance to M as the on-manifold test measures it: max |phi(x)|."""
+        return _max_abs(self.values(x))
 
-    def require_on(self, x, tol=linalg.DEFAULT_TOLERANCES.on_manifold):
-        """Raise NotOnManifoldError unless x lies on M within `tol`."""
-        worst = float(np.max(np.abs(self.values(x))))
-        if worst > tol:
+    def is_on(self, x):
+        return self.residual(x) <= linalg.Tolerances.on_manifold
+
+    def require_on(self, x):
+        """Raise NotOnManifoldError unless x lies on M."""
+        worst = self.residual(x)
+        if worst > linalg.Tolerances.on_manifold:
             raise NotOnManifoldError(
                 f"point violates the constraints: max |phi| = {worst:.3e}"
             )
 
-    def project(self, x, target=linalg.DEFAULT_TOLERANCES.projection_target, max_iter=20):
+    def project(self, x):
         """Gauss-Newton projection onto M; returns (point, converged, iterations)."""
-        return self.lift(x, range(len(x)), target, max_iter)
+        return self.lift(x, range(len(x)), 20)
 
-    def lift(self, x, free_indices, target=linalg.DEFAULT_TOLERANCES.projection_target,
-             max_iter=50):
-        """Newton-solve phi = 0 over the listed coordinates, holding the rest fixed."""
+    def lift(self, x, free_indices, max_iter=50):
+        """Newton-solve phi = 0 over the listed coordinates, holding the rest fixed,
+        to max |phi| <= Tolerances.projection_target."""
+        target = linalg.Tolerances.projection_target
         x = np.asarray(x, dtype=float).copy()
         free = list(free_indices)
         for it in range(max_iter):
             vals = self.values(x)
-            if float(np.max(np.abs(vals))) <= target:
+            if _max_abs(vals) <= target:
                 return x, True, it
             j = self.jacobian(x)[:, free]
             step, *_ = np.linalg.lstsq(j, vals, rcond=None)
             x[free] = x[free] - step
-        vals = self.values(x)
-        return x, float(np.max(np.abs(vals))) <= target, max_iter
+        return x, self.residual(x) <= target, max_iter
+
+
+def _max_abs(values):
+    return float(np.max(np.abs(values)))
 
 
 class ForceFrame:
@@ -166,7 +174,7 @@ def _require_independent(gamma, m, tols):
 
 def H_frame_at(gnh, x, tols=linalg.DEFAULT_TOLERANCES):
     """Transported frame Gamma_mu = B(x)^{-1} Delta_mu(x), columns of an n x m array."""
-    gnh.constraints.require_on(x, tols.on_manifold)
+    gnh.constraints.require_on(x)
     gamma = PointDynamics(gnh, tols).frame(x)
     _require_independent(gamma, gnh.m, tols)
     return gamma
@@ -218,7 +226,7 @@ def multipliers_at(gnh, x, y_at, tols=linalg.DEFAULT_TOLERANCES):
 
 def constrained_field_at(gnh, x, y_at=None, tols=linalg.DEFAULT_TOLERANCES):
     """Value of the constrained dynamics X = Y + Gamma u at a point of M."""
-    gnh.constraints.require_on(x, tols.on_manifold)
+    gnh.constraints.require_on(x)
     return PointDynamics(gnh, tols).evaluate(x, y_at)
 
 

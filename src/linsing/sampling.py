@@ -9,16 +9,15 @@ __all__ = ["halton_box", "on_manifold_sample"]
 _OVERSAMPLE = 3  # box points drawn per requested on-manifold point
 
 
-def halton_box(variables, box, count, default_range=(-1.0, 1.0)):
+def halton_box(variables, box, count):
     """`count` Halton points in the per-variable box (unscrambled: reruns match).
 
-    `box` maps variable name -> (lo, hi); variables not listed use
-    `default_range`.
+    `box` maps variable name -> (lo, hi); variables not listed use (-1, 1).
     """
-    names = list(variables)
-    lo = np.array([(box or {}).get(v, default_range)[0] for v in names])
-    hi = np.array([(box or {}).get(v, default_range)[1] for v in names])
-    return lo + _halton_unit(len(names), count) * (hi - lo)
+    ranges = [(box or {}).get(v, (-1.0, 1.0)) for v in variables]
+    lo = np.array([r[0] for r in ranges])
+    hi = np.array([r[1] for r in ranges])
+    return lo + _halton_unit(len(ranges), count) * (hi - lo)
 
 
 def _halton_unit(d, n):
@@ -60,7 +59,7 @@ def on_manifold_sample(constraints, variables, box, count):
     kept = []
     for row in raw:
         point, ok, _ = constraints.project(row)
-        if ok and constraints.is_on(point):
+        if ok:
             kept.append(point)
             if len(kept) == count:
                 break

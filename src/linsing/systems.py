@@ -86,10 +86,9 @@ class ConsistencyResult:
 
 
 def consistency_at(sys, x, tols=linalg.DEFAULT_TOLERANCES):
-    """Does f(x) lie in the image of A(x)?"""
-    a = sys.A_at(x)
-    sol = linalg.solve_affine(a, sys.f_at(x), tols)
-    return ConsistencyResult(sol.consistent, sol.residual, linalg.rank(a, tols), sol)
+    """Does f(x) lie in the image of A(x)? rank_A comes from the same solve."""
+    sol = linalg.solve_affine(sys.A_at(x), sys.f_at(x), tols)
+    return ConsistencyResult(sol.consistent, sol.residual, sys.n - sol.kernel.dim, sol)
 
 
 def primary_constraint_values(sys, x, tols=linalg.DEFAULT_TOLERANCES):
@@ -206,10 +205,9 @@ def constraint_algorithm_sample(sys, seeds, max_levels=None, tols=linalg.DEFAULT
     for si, seed in enumerate(seeds):
         seed = np.asarray(seed, dtype=float)
         a = sys.A_at(seed)
-        rank_a = linalg.rank(a, tols)
-        level0_ranks.setdefault(rank_a, []).append(si)
-
         sol = linalg.solve_affine(a, sys.f_at(seed), tols)
+        rank_a = sys.n - sol.kernel.dim
+        level0_ranks.setdefault(rank_a, []).append(si)
         if not sol.consistent:
             seed_results.append(SeedClassification(seed, False, 0, 0, rank_a))
             continue

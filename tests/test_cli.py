@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 
 from linsing import cli
@@ -81,6 +83,12 @@ def test_analyze_rejects_unknown_flags_and_points(capsys):
         "--tol-rank", "-1",
     )
     assert code == 2 and "positive" in err
+    for flag in ("--tol-rank", "--tol-img"):
+        for value in ("nan", "inf"):
+            code, _, err = _run(
+                capsys, "analyze", "--scenario", "example1", "--at", "x=1", flag, value,
+            )
+            assert code == 2 and f"{flag} must be positive and finite" in err
 
 
 def test_analyze_off_manifold_point_is_an_evaluation_error(capsys):
@@ -263,3 +271,36 @@ def test_simulate_rejects_a_step_that_does_not_divide_t1(tmp_path, capsys):
     )
     assert code == 2 and out == ""
     assert "does not divide" in err
+
+
+def test_overflowing_constants_are_reported_not_crashed_on(tmp_path, capsys):
+    # a literal that overflows is a spec error; a product that overflows is
+    # an evaluation error; neither may end in a traceback
+    for text, want_code, want_msg in (
+        ("1e400*x", 2, "number 1e400 is out of range (byte offset 0)"),
+        ("1e308*10*x", 3, "non-finite right-hand side"),
+    ):
+        path = tmp_path / "big.lss"
+        path.write_text(f"[vars]\nnames = x\n\n[system]\nA = 1\nf = {text}\n")
+        code, out, err = _run(capsys, "analyze", "--spec", str(path), "--at", "x=1")
+        assert code == want_code and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert want_msg in err
+    for value in ("1e400", "1e308*10", "nan"):
+        code, _, err = _run(capsys, "analyze", "--scenario", "example1", "--at", f"x={value}")
+        assert code == 2 and f"bad value for 'x': {value} is not finite" in err
+
+
+def test_simulate_blow_up_is_a_non_finite_error(tmp_path, capsys):
+    path = tmp_path / "cubic.lss"
+    path.write_text("[vars]\nnames = x\n\n[system]\nA = 1\nf = x*x*x\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a leaked numpy RuntimeWarning fails here
+        code, out, err = _run(
+            capsys, "simulate", "--spec", str(path), "--x0", "x=1",
+            "--t1", "2", "--dt", "0.01",
+        )
+    assert code == 3 and out == ""
+    assert err.startswith("error: non-finite value in step 51 from t = 0.51")
+    assert "Warning" not in err
+

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from linsing.dynamics import Trajectory, integrate, monitor
-from linsing.errors import ProjectionDivergenceError, ShapeError
+from linsing.errors import NonFiniteError, ProjectionDivergenceError, ShapeError
 from linsing.expressions import ExpressionField
 from linsing.nonholonomic import SubmanifoldSpec
 
@@ -169,3 +169,17 @@ def test_trajectory_steps_property():
 def test_step_that_does_not_divide_the_span_is_rejected():
     with pytest.raises(ValueError, match="does not divide"):
         integrate(lambda x: -x, np.array([1.0]), 1.0, 0.3)
+
+
+def test_a_blow_up_stops_with_a_non_finite_error_naming_the_step():
+    # x' = x^3 from x = 1 blows up at t = 1/2; no inf state is ever stored
+    with pytest.raises(NonFiniteError) as err:
+        integrate(lambda x: x**3, np.array([1.0]), 2.0, 0.01)
+    assert str(err.value) == "non-finite value in step 51 from t = 0.51: the state overflowed"
+
+    def solver_field(x):
+        raise NonFiniteError("a linear solve has a non-finite right-hand side")
+
+    with pytest.raises(NonFiniteError) as err:
+        integrate(solver_field, np.array([1.0]), 1.0, 0.5)
+    assert "in step 0 from t = 0: a linear solve" in str(err.value)

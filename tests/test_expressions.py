@@ -89,6 +89,21 @@ def test_syntax_error_carries_byte_offset():
     assert err.value.offset == 0
 
 
+def test_overflowing_number_is_a_syntax_error_at_its_offset():
+    with pytest.raises(ExprSyntaxError) as err:
+        parse("2*x + 1e400")
+    assert err.value.offset == 6
+    assert "out of range" in str(err.value)
+
+
+def test_constant_folding_never_makes_a_non_finite_constant():
+    e = parse("1e308*10*x", ["x"])
+    assert isinstance(e, Mul) and isinstance(e.a, Mul)  # 1e308*10 stays unfolded
+    field = ExpressionField.scalar(e, ("x",))
+    assert field(np.array([1.0])) == math.inf  # compiles: no bare name `inf`
+    assert isinstance(parse("1e300*10"), Const)  # finite products still fold
+
+
 def test_offsets_count_bytes_not_characters():
     # "π" encodes to two bytes; the stray "$" after it sits at byte 4
     with pytest.raises(ExprSyntaxError) as err:

@@ -7,10 +7,16 @@ Degenerate configurations are constructed exactly (integer bases, literal
 column copies) so both rank routes sit far from their thresholds.
 """
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from linsing.errors import NotComplementaryError, ShapeError
+from linsing.errors import NonFiniteError, NotComplementaryError, ShapeError
+from linsing.expressions import ExpressionField
 from linsing.linalg import (
     DEFAULT_TOLERANCES,
     SubspaceBasis,
@@ -25,6 +31,9 @@ from linsing.linalg import (
     solve_affine,
     subspace_classify,
 )
+from linsing.nonholonomic import SubmanifoldSpec
+from linsing.sampling import halton_box
+from linsing.systems import LinearlySingularSystem, consistency_at
 
 
 # --------------------------------------------------------------- rank/kernel
@@ -364,3 +373,64 @@ def test_tolerance_accessors():
         2 * 2.0 * 1e-10 * (1.0 + 5.0)
     )
     assert DEFAULT_TOLERANCES.on_manifold == 1e-8
+
+
+def test_tolerance_knobs_are_the_two_factors():
+    assert [f.name for f in dataclasses.fields(Tolerances)] == ["rank_factor", "img_factor"]
+    assert Tolerances.projection_target == 1e-10
+    for method in (SubmanifoldSpec.is_on, SubmanifoldSpec.require_on, SubmanifoldSpec.project):
+        assert list(inspect.signature(method).parameters) == ["self", "x"]
+    assert list(inspect.signature(halton_box).parameters) == ["variables", "box", "count"]
+
+
+# Singular values are planted log-uniformly in [1e-8, 1e8]; none lies within
+# this relative distance of the cutoff, which leaves the values-only SVD of
+# `rank` and the full SVD of the other routes room to differ in the last bits.
+_CUTOFF_MARGIN = 1e-4
+
+
+@st.composite
+def planted_rank_problems(draw):
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    logs = draw(st.lists(st.floats(-8.0, 8.0), min_size=min(k, n), max_size=min(k, n)))
+    s = np.sort(10.0 ** np.array(logs))[::-1]
+    cutoff = max(k, n) * s[0] * DEFAULT_TOLERANCES.rank_factor
+    assume(np.all(np.abs(s - cutoff) >= _CUTOFF_MARGIN * cutoff))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = np.linalg.qr(rng.normal(size=(k, k)))[0][:, : s.size]
+    v = np.linalg.qr(rng.normal(size=(n, n)))[0][:, : s.size]
+    return (u * s) @ v.T, rng.normal(size=k), int(np.count_nonzero(s > cutoff))
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_rank_problems())
+def test_every_route_decides_the_planted_rank(problem):
+    a, b, r = problem
+    k, n = a.shape
+    assert rank(a) == r
+    assert n - kernel_basis(a).dim == r
+    assert k - cokernel_basis(a).dim == r
+    assert n - solve_affine(a, b).kernel.dim == r
+    names = tuple(f"x{i}" for i in range(n))
+    system = LinearlySingularSystem(
+        ExpressionField.constant_matrix(a, names),
+        ExpressionField.vector([str(v) for v in b], names),
+    )
+    res = consistency_at(system, np.zeros(n))
+    assert res.rank_A == r
+    assert res.rank_A + res.solution.kernel.dim == n
+
+
+def test_non_finite_input_is_a_non_finite_error():
+    with pytest.raises(NonFiniteError):
+        rank(np.array([[1.0, np.nan], [0.0, 1.0]]))
+    with pytest.raises(NonFiniteError):
+        kernel_basis(np.array([[1.0, np.inf]]))
+    with pytest.raises(NonFiniteError):
+        solve_affine(np.eye(2), np.array([np.inf, 0.0]))
+    with pytest.raises(NonFiniteError):
+        solve_affine(np.eye(2), np.array([np.nan, 0.0]))
+    # a right-hand side whose norm overflows cannot be judged against tol_img
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+        solve_affine(np.eye(2), np.array([1e300, 1e300]))
