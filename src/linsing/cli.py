@@ -43,7 +43,7 @@ from .nonholonomic import (
     projectors_at,
     unconstrained_solution_at,
 )
-from .specfile import _substitute_tokens, load, loads, parse_param_overrides
+from .specfile import constant_value, load, loads, parse_box, parse_param_overrides
 from .symmetry import (
     check_constant_descent,
     check_descent,
@@ -112,11 +112,8 @@ def _parse_assignments(text, spec):
         try:
             out[key] = float(value)
         except ValueError:
-            from .expressions import evaluate, parse
-
-            expanded = _substitute_tokens(value, spec.params)
             try:
-                out[key] = float(evaluate(parse(expanded, []), {}))
+                out[key] = constant_value(value, spec.params)
             except LinsingError as exc:
                 raise _UsageError(f"bad value for {key!r}: {exc}") from exc
         if not math.isfinite(out[key]):
@@ -151,9 +148,9 @@ def _build_point(spec, assignments):
     return lifted
 
 
-def _default_points(spec, count, on_m=True):
+def _default_points(spec, count):
     box = spec.box
-    if spec.constraints is not None and on_m:
+    if spec.constraints is not None:
         pts = sampling.on_manifold_sample(spec.constraints, spec.variables, box,
                                           count)
         if len(pts) < count:
@@ -281,6 +278,45 @@ def _make_field(spec, x0, tols):
     return field_fn, None, "explicit"
 
 
+# Bounds a self-test simulation must meet: drift off M, and deviation of each
+# [constant] monitor from its value at x0.
+_DRIFT_BOUND = 1e-8
+_MONITOR_BOUND = 1e-6
+
+
+def simulate_report(spec, x0, t1, dt, tols, out=None, timed=False):
+    """(doc, ok) of one run; ok when drift and monitors are within the bounds above."""
+    field_fn, mult_fn, mode = _make_field(spec, x0, tols)
+    t_start = time.perf_counter()
+    traj = integrate(field_fn, x0, t1, dt, project=spec.constraints,
+                     multiplier_fn=mult_fn)
+    elapsed = time.perf_counter() - t_start
+    doc = {
+        "command": "simulate",
+        "input": spec.name,
+        "mode": mode,
+        "x0": x0,
+        "t1": float(t1),
+        "dt": float(dt),
+        "steps": traj.steps,
+        "drift_max": float(np.max(traj.drift)) if spec.constraints else 0.0,
+    }
+    ok = doc["drift_max"] <= _DRIFT_BOUND
+    if spec.constants:
+        mons = {}
+        for name in sorted(spec.constants):
+            res = monitor(traj, spec.constants[name], name)
+            mons[name] = res.max_abs_deviation
+            ok = ok and res.max_abs_deviation <= _MONITOR_BOUND
+        doc["monitor_deviation"] = mons
+    if out:
+        traj.write_csv(out)
+        doc["out"] = out
+    if timed:
+        doc["wall_seconds"] = round(elapsed, 3)
+    return doc, ok
+
+
 def cmd_simulate(args):
     spec = _load_spec(args)
     tols = _tolerances(args)
@@ -291,70 +327,22 @@ def cmd_simulate(args):
     if not args.x0:
         raise _UsageError("--x0 is required")
     x0 = _build_point(spec, _parse_assignments(args.x0, spec))
-    field_fn, mult_fn, mode = _make_field(spec, x0, tols)
-    t_start = time.perf_counter()
-    traj = integrate(field_fn, x0, args.t1, args.dt, project=spec.constraints,
-                     multiplier_fn=mult_fn)
-    elapsed = time.perf_counter() - t_start
-    doc = {
-        "command": "simulate",
-        "input": spec.name,
-        "mode": mode,
-        "x0": x0,
-        "t1": float(args.t1),
-        "dt": float(args.dt),
-        "steps": traj.steps,
-        "drift_max": float(np.max(traj.drift)) if spec.constraints else 0.0,
-    }
-    if spec.constants:
-        mons = {}
-        for name in sorted(spec.constants):
-            res = monitor(traj, spec.constants[name], name)
-            mons[name] = res.max_abs_deviation
-        doc["monitor_deviation"] = mons
-    if args.out:
-        traj.write_csv(args.out)
-        doc["out"] = args.out
-    if not args.quiet_time:
-        doc["wall_seconds"] = round(elapsed, 3)
+    doc, _ = simulate_report(spec, x0, args.t1, args.dt, tols, out=args.out,
+                             timed=not args.quiet_time)
     sys.stdout.write(report.render(doc))
-    return 0
+    return 0  # simulate reports drift and monitors; it does not judge them
 
 
-def _box_override(spec, text):
-    if not text:
-        return spec.box
-    box = dict(spec.box or {})
-    for piece in text.split(","):
-        piece = piece.strip()
-        parts = piece.split(":")
-        if len(parts) != 3:
-            raise _UsageError(f"bad --box entry {piece!r} (expected name:lo:hi)")
-        name = parts[0].strip()
-        if name not in spec.variables:
-            raise _UsageError(f"--box names unknown variable {name!r}")
-        try:
-            lo, hi = float(parts[1]), float(parts[2])
-        except ValueError as exc:
-            raise _UsageError(f"bad --box bounds in {piece!r}") from exc
-        if not lo < hi:
-            raise _UsageError(f"empty --box range in {piece!r}")
-        box[name] = (lo, hi)
-    return box
-
-
-def cmd_check_symmetry(args):
-    spec = _load_spec(args)
-    tols = _tolerances(args)
+def symmetry_report(spec, tols, points, tol=1e-8, box=None):
+    """(doc, ok) of check-symmetry: the base candidate, and its descent to M."""
     if spec.symmetry is None:
         raise _UsageError("the spec has no [symmetry] section")
-    box = _box_override(spec, args.box)
-    pts = sampling.halton_box(spec.variables, box, args.points)
+    box = box or spec.box
+    pts = sampling.halton_box(spec.variables, box, points)
     if spec.symmetry.kind == "finite":
-        chk = check_symmetry(spec.system, spec.symmetry, pts, tol=args.tol,
-                             tols=tols)
+        chk = check_symmetry(spec.system, spec.symmetry, pts, tol=tol, tols=tols)
     else:
-        chk = check_inf_symmetry(spec.system, spec.symmetry, pts, tol=args.tol)
+        chk = check_inf_symmetry(spec.system, spec.symmetry, pts, tol=tol)
     doc = {
         "command": "check-symmetry",
         "input": spec.name,
@@ -367,13 +355,12 @@ def cmd_check_symmetry(args):
     ok = chk.passed
     if spec.gnh is not None:
         m_pts = sampling.on_manifold_sample(spec.constraints, spec.variables,
-                                            box, max(1, args.points // 4))
+                                            box, max(1, points // 4))
         if len(m_pts) == 0:
             raise NotOnManifoldError(
                 "no sample point projected onto the constraint set"
             )
-        dsc = check_descent(spec.gnh, spec.symmetry, m_pts, tol=args.tol,
-                            tols=tols)
+        dsc = check_descent(spec.gnh, spec.symmetry, m_pts, tol=tol, tols=tols)
         doc.update(
             descent_point_count=len(m_pts),
             tangent_to_M=dsc.tangent_to_M,
@@ -384,18 +371,27 @@ def cmd_check_symmetry(args):
         )
         ok = ok and dsc.descends
     doc["passed"] = ok
+    return doc, ok
+
+
+def cmd_check_symmetry(args):
+    spec = _load_spec(args)
+    tols = _tolerances(args)
+    box = None
+    if args.box:
+        box = {**(spec.box or {}), **parse_box(args.box, spec.variables, label="--box")}
+    doc, ok = symmetry_report(spec, tols, args.points, tol=args.tol, box=box)
     sys.stdout.write(report.render(doc))
     return 0 if ok else 1
 
 
-def cmd_check_constant(args):
-    spec = _load_spec(args)
-    tols = _tolerances(args)
+def constant_report(spec, tols, points, tol=1e-8):
+    """(doc, ok) of check-constant: is each [constant] conserved by the flow on M."""
     if not spec.constants:
         raise _UsageError("the spec has no [constant] section")
     if spec.gnh is None:
         raise _UsageError("check-constant needs [constraints] (a constrained flow)")
-    pts = _default_points(spec, args.points)
+    pts = _default_points(spec, points)
     base_regular = True
     try:
         unconstrained_solution_at(spec.gnh, pts[0], tols)
@@ -411,8 +407,7 @@ def cmd_check_constant(args):
     for name in sorted(spec.constants):
         h = spec.constants[name]
         if base_regular:
-            res = check_constant_descent(spec.gnh, h, pts, tol=args.tol,
-                                         tols=tols)
+            res = check_constant_descent(spec.gnh, h, pts, tol=tol, tols=tols)
             doc[name] = {
                 "base_conserved": res.base_conserved,
                 "Gamma_h_max": res.max_Gamma_h,
@@ -428,145 +423,39 @@ def cmd_check_constant(args):
                 sol = sode_solve_at(spec.model, spec.constraints, x,
                                     forces=spec.forces, tols=tols)
                 worst = max(worst, abs(float(dh(x) @ sol.x0)))
-            conserved = worst <= args.tol
+            conserved = worst <= tol
             doc[name] = {"constrained_conserved": conserved, "X_h_max": worst}
             ok = ok and conserved
     doc["passed"] = ok
+    return doc, ok
+
+
+def cmd_check_constant(args):
+    doc, ok = constant_report(_load_spec(args), _tolerances(args), args.points,
+                              tol=args.tol)
     sys.stdout.write(report.render(doc))
     return 0 if ok else 1
 
 
-# ----------------------------------------------------------------- self-tests
+def _self_test(name):
+    """Report of the checks a bundled scenario declares, run by the commands' code.
 
-def _selftest_example1():
-    spec = loads(scenario_text("example1"), name="example1")
-    a = 2.0
-    checks = {}
-    worst_x = worst_p = 0.0
-    regular = True
-    for xx in np.linspace(-2.0, 2.0, 20):
-        pt = np.array([xx, a])
-        cls = classify_at(spec.gnh, pt)
-        regular = regular and cls.regular and np.allclose(cls.d_matrix, [[1.0]])
-        xf, _ = constrained_field_at(spec.gnh, pt)
-        worst_x = max(worst_x, float(np.max(np.abs(xf - np.array([1 - a * xx, 0.0])))))
-        p, _ = projectors_at(spec.gnh, pt)
-        worst_p = max(worst_p, float(np.max(np.abs(p @ np.array([0.0, 1.0]) - np.array([-xx, 0.0])))))
-    checks["regular_and_D"] = regular
-    checks["field_error"] = worst_x
-    checks["projector_error"] = worst_p
-    pts = sampling.halton_box(spec.variables, spec.box, 100)
-    chk = check_inf_symmetry(spec.system, spec.symmetry, pts)
-    m_pts = [np.array([xx, a]) for xx in np.linspace(-2.0, 2.0, 10)]
-    dsc = check_descent(spec.gnh, spec.symmetry, m_pts)
-    restr = 0.0
-    for pt in m_pts:
-        v = spec.symmetry.base(pt)
-        restr = max(restr, float(np.max(np.abs(v - np.array([1 - a * pt[0], 0.0])))))
-    checks["symmetry_residual"] = max(chk.r_f, chk.r_A)
-    checks["descends"] = dsc.descends
-    checks["restriction_error"] = restr
-    ok = (
-        regular
-        and worst_x <= 1e-9
-        and worst_p <= 1e-9
-        and chk.passed
-        and dsc.descends
-        and restr <= 1e-8
-    )
-    return ok, checks
-
-
-def _selftest_rosenberg():
-    spec = loads(scenario_text("rosenberg"), name="rosenberg")
-    x = _build_point(spec, {"x": 0.0, "y": 1.0, "z": 0.0, "x'": 2.0, "y'": 3.0})
-    checks = {"lifted_point": x}
-    xf, mult = constrained_field_at(spec.gnh, x)
-    expected = np.array([2.0, 3.0, 2.0, -3.0, 0.0, 3.0])
-    checks["field_error"] = float(np.max(np.abs(xf - expected)))
-    checks["multiplier_error"] = float(abs(mult.u[0] + 3.0))
-    dyn = PointDynamics(spec.gnh)
-    traj = integrate(dyn.field, x, 1.0, 1e-3, project=spec.constraints,
-                     multiplier_fn=dyn.multipliers)
-    drift = float(np.max(traj.drift))
-    checks["drift_max"] = drift
-    worst_mon = 0.0
-    for name in sorted(spec.constants):
-        worst_mon = max(worst_mon, monitor(traj, spec.constants[name], name).max_abs_deviation)
-    checks["monitor_deviation_max"] = worst_mon
-    ok = (
-        checks["field_error"] <= 1e-9
-        and checks["multiplier_error"] <= 1e-9
-        and drift <= 1e-8
-        and worst_mon <= 1e-6
-    )
-    return ok, checks
-
-
-def _selftest_relparticle_l2():
-    spec_u = loads(scenario_text("relparticle-L2"), name="relparticle-L2",
-                   param_overrides={"U": "q1"})
-    pts = sampling.on_manifold_sample(spec_u.constraints, spec_u.variables,
-                                      spec_u.box, 20)
-    worst = 0.0
-    for x in pts:
-        _, mult = constrained_field_at(spec_u.gnh, x)
-        lam = mult.u[0] * spec_u.report_scale
-        worst = max(worst, abs(lam - (-x[4])))
-    checks = {"multiplier_identity_error": worst}
-    spec0 = loads(scenario_text("relparticle-L2"), name="relparticle-L2")
-    x0 = _build_point(spec0, {"q1": 0.0, "q2": 0.0, "q3": 0.0, "q4": 0.0,
-                              "q2'": 0.3, "q3'": -0.2, "q4'": 0.1})
-    dyn = PointDynamics(spec0.gnh)
-    traj = integrate(dyn.field, x0, 1.0, 1e-3, project=spec0.constraints,
-                     multiplier_fn=dyn.multipliers)
-    end = traj.states[-1]
-    straight = x0.copy()
-    straight[:4] += x0[4:]  # t1 = 1
-    checks["straight_line_error"] = float(np.max(np.abs(end - straight)))
-    checks["metric_drift"] = monitor(traj, spec0.constants["metric"], "metric").max_abs_deviation
-    ok = (
-        worst <= 1e-9
-        and checks["straight_line_error"] <= 1e-8
-        and checks["metric_drift"] <= 1e-8
-    )
-    return ok, checks
-
-
-def _selftest_relparticle_l1():
-    spec0 = loads(scenario_text("relparticle-L1"), name="relparticle-L1")
-    pts = sampling.on_manifold_sample(spec0.constraints, spec0.variables,
-                                      spec0.box, 20)
-    rank_ok = True
-    for x in pts:
-        rank_ok = rank_ok and linalg.rank(spec0.system.A_at(x)) == 6
-    checks = {"omega_rank_6": rank_ok}
-    spec_u = loads(scenario_text("relparticle-L1"), name="relparticle-L1",
-                   param_overrides={"U": "k*q1", "k": "1"})
-    inconsistent = True
-    for x in pts:
-        inconsistent = inconsistent and not consistency_at(spec_u.system, x).consistent
-    checks["potential_inconsistent"] = inconsistent
-    spec2 = loads(scenario_text("relparticle-L2"), name="relparticle-L2")
-    dyn2 = PointDynamics(spec2.gnh)
-    worst = 0.0
-    unique = True
-    for x in pts:
-        sol = sode_solve_at(spec0.model, spec0.constraints, x, forces=spec0.forces)
-        unique = unique and sol.unique
-        worst = max(worst, float(np.max(np.abs(sol.x0 - dyn2.field(x)))))
-    checks["sode_unique"] = unique
-    checks["free_field_match_error"] = worst
-    ok = rank_ok and inconsistent and unique and worst <= 1e-8
-    return ok, checks
-
-
-_SELFTESTS = {
-    "example1": _selftest_example1,
-    "relparticle-L1": _selftest_relparticle_l1,
-    "relparticle-L2": _selftest_relparticle_l2,
-    "rosenberg": _selftest_rosenberg,
-}
+    check-symmetry when it has [symmetry], check-constant when it has
+    [constant] and [constraints], each at 50 points; then a 100-step simulate
+    from a sampled point, judged by the drift and monitor bounds.
+    """
+    spec = loads(scenario_text(name), name=name)
+    tols = linalg.DEFAULT_TOLERANCES
+    reports = {}
+    if spec.symmetry is not None:
+        reports["check_symmetry"] = symmetry_report(spec, tols, 50)
+    if spec.constants and spec.constraints is not None:
+        reports["check_constant"] = constant_report(spec, tols, 50)
+    x0 = _default_points(spec, 1)[0]
+    reports["simulate"] = simulate_report(spec, x0, 1.0, 0.01, tols)
+    doc = {key: sub for key, (sub, _) in reports.items()}
+    doc["ok"] = all(ok for _, ok in reports.values())
+    return doc
 
 
 def cmd_scenario(args):
@@ -579,20 +468,10 @@ def cmd_scenario(args):
         return 0
     if args.self_test is not None:
         names = SCENARIOS if args.self_test == "all" else (args.self_test,)
-        doc = {}
-        all_ok = True
-        for name in names:
-            if name not in _SELFTESTS:
-                raise _UsageError(
-                    f"unknown scenario {name!r}; available: {', '.join(SCENARIOS)}"
-                )
-            ok, checks = _SELFTESTS[name]()
-            checks["ok"] = ok
-            doc[name] = checks
-            all_ok = all_ok and ok
-        doc["all_ok"] = all_ok
+        doc = {name: _self_test(name) for name in names}
+        doc["all_ok"] = all(doc[name]["ok"] for name in names)
         sys.stdout.write(report.render(doc))
-        return 0 if all_ok else 1
+        return 0 if doc["all_ok"] else 1
     raise _UsageError("scenario needs one of --list, --dump NAME, --self-test NAME|all")
 
 
@@ -659,7 +538,7 @@ def build_parser():
     p.add_argument("--dump", metavar="NAME", help="print a scenario file")
     p.add_argument("--self-test", dest="self_test", metavar="NAME|all",
                    nargs="?", const="all",
-                   help="run built-in checks (default: all scenarios)")
+                   help="run the checks each scenario declares (default: all)")
     p.set_defaults(func=cmd_scenario)
 
     return parser

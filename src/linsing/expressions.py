@@ -735,12 +735,16 @@ def compile_exprs(exprs, variables):
     names = list(variables)
 
     def runner(point):
+        if isinstance(point, np.ndarray):
+            # Python floats: x/0 raises ZeroDivisionError where numpy scalars
+            # would return inf with a RuntimeWarning
+            point = point.tolist()
         try:
             return fast(point)
         except (ValueError, ZeroDivisionError, OverflowError):
-            env = {name: point[i] for i, name in enumerate(names)}
-            out = [evaluate(e, env) for e in exprs]
-            return out  # pragma: no cover - only reached if fast path misfired
+            # the tree walk re-runs the fault and raises DomainEvalError naming it
+            env = dict(zip(names, point))
+            return [evaluate(e, env) for e in exprs]
 
     return runner
 

@@ -46,7 +46,8 @@ from .nonholonomic import ForceFrame, GeneralizedNonholonomicSystem, Submanifold
 from .symmetry import SymmetryCandidate, finite_candidate, infinitesimal_candidate
 from .systems import LinearlySingularSystem, identity_system, make_system
 
-__all__ = ["SpecFile", "load", "loads", "parse_param_overrides"]
+__all__ = ["SpecFile", "constant_value", "load", "loads", "parse_box",
+           "parse_param_overrides"]
 
 _SECTIONS = (
     "params",
@@ -255,34 +256,36 @@ def _check_reserved(section, entry, names, params):
                                 f"variable name {n!r} collides with a parameter")
 
 
-def _constant_number(section, entry):
-    try:
-        return float(evaluate(parse(entry.value, []), {}))
-    except LinsingError as exc:
-        raise SpecFileError(section, entry.line,
-                            f"expected a constant number: {exc}") from exc
+def constant_value(text, params):
+    """Value of a constant expression such as ``2*a`` after substituting `params`.
+
+    Raises LinsingError (syntax, a name that is not a parameter, a domain fault)
+    when the text is not a constant number.
+    """
+    return float(evaluate(parse(_substitute_tokens(text, params), []), {}))
 
 
-def _parse_box(section, entry, variables):
+def parse_box(text, variables, label="box", section="", line=0):
+    """``name:lo:hi,...`` -> {name: (lo, hi)}; messages call the input `label`."""
     box = {}
-    for piece in entry.value.split(","):
+    for piece in text.split(","):
         piece = piece.strip()
         parts = piece.split(":")
         if len(parts) != 3:
-            raise SpecFileError(section, entry.line,
-                                f"box entry {piece!r} is not name:lo:hi")
+            raise SpecFileError(section, line,
+                                f"{label} entry {piece!r} is not name:lo:hi")
         name = parts[0].strip()
         if name not in variables:
-            raise SpecFileError(section, entry.line,
-                                f"box names unknown variable {name!r}")
+            raise SpecFileError(section, line,
+                                f"{label} names unknown variable {name!r}")
         try:
             lo, hi = float(parts[1]), float(parts[2])
         except ValueError as exc:
-            raise SpecFileError(section, entry.line,
-                                f"bad box bounds in {piece!r}") from exc
+            raise SpecFileError(section, line,
+                                f"bad {label} bounds in {piece!r}") from exc
         if not lo < hi:
-            raise SpecFileError(section, entry.line,
-                                f"empty box range in {piece!r}")
+            raise SpecFileError(section, line,
+                                f"empty {label} range in {piece!r}")
         box[name] = (lo, hi)
     return box
 
@@ -373,8 +376,12 @@ def loads(text, name="", param_overrides=None):
         phi = _vector_field("constraints", expand(sec["phi"]), variables)
         spec.constraints = SubmanifoldSpec(phi)
         if "report_scale" in sec:
-            spec.report_scale = _constant_number("constraints",
-                                                 expand(sec["report_scale"]))
+            entry = sec["report_scale"]
+            try:
+                spec.report_scale = constant_value(entry.value, params)
+            except LinsingError as exc:
+                raise SpecFileError("constraints", entry.line,
+                                    f"expected a constant number: {exc}") from exc
         extra = set(sec) - {"phi", "report_scale"}
         if extra:
             k = sorted(extra)[0]
@@ -445,7 +452,8 @@ def loads(text, name="", param_overrides=None):
         else:
             raise SpecFileError("symmetry", 0, "missing V or psi/Phi")
         if "box" in sec:
-            spec.box = _parse_box("symmetry", sec["box"], variables)
+            spec.box = parse_box(sec["box"].value, variables,
+                                 section="symmetry", line=sec["box"].line)
         extra = set(sec) - {"V", "Lambda", "psi", "Phi", "box"}
         if extra:
             k = sorted(extra)[0]

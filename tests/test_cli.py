@@ -262,6 +262,46 @@ def test_scenario_list_dump_and_selftest(capsys):
     assert code == 2 and "one of" in err
 
 
+def test_scenario_self_test_runs_the_declared_checks(capsys):
+    code, out, err = _run(capsys, "scenario", "--self-test", "all")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "all_ok: true"
+    for name in cli.SCENARIOS:
+        block = lines.index(f"{name}:")
+        assert lines[block + 1] == "  check_constant:"
+        for key in ("check_symmetry", "simulate"):
+            assert f"  {key}:" in lines[block:]
+        assert "  ok: true" in lines[block:]
+    assert out.count("    passed: true") == 8
+    assert out.count("    command: simulate") == 4
+    assert "passed: false" not in out and "ok: false" not in out
+    _, again, _ = _run(capsys, "scenario", "--self-test", "all")
+    assert again == out
+
+
+def test_scenario_self_test_fails_on_a_bad_candidate(monkeypatch, capsys):
+    text = cli.scenario_text
+    monkeypatch.setattr(
+        cli, "scenario_text",
+        lambda name: BAD_SYMMETRY_SPEC if name == "example1" else text(name),
+    )
+    code, out, _ = _run(capsys, "scenario", "--self-test", "example1")
+    assert code == 1
+    assert "descends: false" in out
+    assert "  ok: false" in out and "all_ok: false" in out
+
+
+def test_analyze_names_a_division_by_zero(tmp_path, capsys):
+    path = tmp_path / "inverse.lss"
+    path.write_text("[vars]\nnames = x\n\n[system]\nA = 1\nf = 1/x\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, "analyze", "--spec", str(path), "--at", "x=0")
+    assert code == 3 and out == ""
+    assert err == "error: division by zero in subexpression '1/x'\n"
+
+
 def test_simulate_rejects_a_step_that_does_not_divide_t1(tmp_path, capsys):
     path = tmp_path / "decay.lss"
     path.write_text("[vars]\nnames = x\n\n[system]\nA = 1\nf = -x\n")

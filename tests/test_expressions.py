@@ -430,3 +430,7 @@ def test_fault_in_a_shared_subtree_names_it():
     with pytest.raises(DomainEvalError) as err:
         f(np.array([1.0, 1.0]))
     assert "sqrt(x - 2)" in str(err.value)
+    # at an ndarray point a division by zero is a fault, not inf and a warning
+    with pytest.raises(DomainEvalError) as err:
+        ExpressionField.vector(["1/x"], ("x",))(np.array([0.0]))
+    assert "division by zero in subexpression '1/x'" in str(err.value)

@@ -1,4 +1,6 @@
+import ast
 import types
+from pathlib import Path
 
 import linsing
 
@@ -11,3 +13,16 @@ def test_public_names_resolve_and_are_not_modules():
     for name in ("DEFAULT_TOLERANCES", "NonFiniteError", "integrate", "solve_affine"):
         assert name in linsing.__all__
     assert "errors" not in linsing.__all__ and "__version__" not in linsing.__all__
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    offenders = []
+    for path in sorted(Path(linsing.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("linsing"):
+                continue
+            offenders += [f"{path.name}: {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+    assert offenders == []
