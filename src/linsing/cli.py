@@ -35,7 +35,7 @@ from .errors import (
     NotOnManifoldError,
     SpecFileError,
 )
-from .lagrangian import sode_solve, sode_solve_at
+from .lagrangian import sode_solve_at
 from .nonholonomic import (
     PointDynamics,
     classify_at,
@@ -50,7 +50,7 @@ from .symmetry import (
     check_inf_symmetry,
     check_symmetry,
 )
-from .systems import consistency_at, solve_at
+from .systems import consistency_at
 
 SCENARIOS = ("example1", "relparticle-L1", "relparticle-L2", "rosenberg")
 
@@ -218,10 +218,8 @@ def _singular_point_doc(spec, x, tols, doc):
         except InconsistentSystemError:
             doc["sode_consistent"] = False
         else:
-            doc["sode_consistent"] = True
-            doc["sode_unique"] = sol.unique
-            doc["X"] = sol.x0
-            doc["sode_kernel_dim"] = sol.kernel.dim
+            doc.update(sode_consistent=True, sode_unique=sol.unique, X=sol.x0, u=sol.u,
+                       sode_kernel_dim=sol.kernel.dim)
     return doc
 
 
@@ -245,37 +243,22 @@ def cmd_analyze(args):
 
 
 def _make_field(spec, x0, tols):
-    """(field_fn, multiplier_fn, mode) for integration, choosing the solve path."""
+    """(field_fn, multiplier_fn, mode) for integration; the base's regularity at x0
+    names the mode, and a singular Lagrangian base adds the second-order rows."""
+    mode = "explicit" if spec.gnh is None else "constrained"
     if spec.gnh is not None:
         try:
             unconstrained_solution_at(spec.gnh, x0, tols)
         except BaseNotRegularError:
             if spec.model is None:
                 raise
-            probe = sode_solve_at(spec.model, spec.constraints, x0,
-                                  forces=spec.forces, tols=tols)
-            if not probe.unique:
-                raise InconsistentSystemError(
-                    "the second-order solution is not unique; cannot integrate"
-                )
-
-            def field_fn(x):
-                return sode_solve(spec.model, spec.constraints, x,
-                                  forces=spec.forces, tols=tols).x0
-
-            return field_fn, None, "second-order"
-        dyn = PointDynamics(spec.gnh, tols)
-        return dyn.field, dyn.multipliers, "constrained"
-
-    def field_fn(x):
-        sol = solve_at(spec.system, x, tols=tols)
-        if not sol.consistent or sol.kernel.dim > 0:
-            raise InconsistentSystemError(
-                f"A(x) v = f(x) has no unique solution (residual {sol.residual:.3e})"
-            )
-        return sol.x0
-
-    return field_fn, None, "explicit"
+            mode = "second-order"
+    dyn = PointDynamics(spec.system if spec.gnh is None else spec.gnh, tols,
+                        second_order=mode == "second-order")
+    if mode == "second-order" and not sode_solve_at(
+            spec.model, spec.constraints, x0, forces=spec.forces, tols=tols).unique:
+        raise InconsistentSystemError("the second-order solution is not unique; cannot integrate")
+    return dyn.field, dyn.multipliers, mode
 
 
 # Bounds a self-test simulation must meet: drift off M, and deviation of each
@@ -392,11 +375,8 @@ def constant_report(spec, tols, points, tol=1e-8):
     if spec.gnh is None:
         raise _UsageError("check-constant needs [constraints] (a constrained flow)")
     pts = _default_points(spec, points)
-    base_regular = True
-    try:
-        unconstrained_solution_at(spec.gnh, pts[0], tols)
-    except BaseNotRegularError:
-        base_regular = False
+    field_fn, _, mode = _make_field(spec, pts[0], tols)
+    base_regular = mode == "constrained"
     doc = {
         "command": "check-constant",
         "input": spec.name,
@@ -418,11 +398,7 @@ def constant_report(spec, tols, points, tol=1e-8):
             ok = ok and res.constrained_conserved
         else:
             dh = h.gradient()
-            worst = 0.0
-            for x in pts:
-                sol = sode_solve_at(spec.model, spec.constraints, x,
-                                    forces=spec.forces, tols=tols)
-                worst = max(worst, abs(float(dh(x) @ sol.x0)))
+            worst = max(abs(float(dh(x) @ field_fn(x))) for x in pts)
             conserved = worst <= tol
             doc[name] = {"constrained_conserved": conserved, "X_h_max": worst}
             ok = ok and conserved

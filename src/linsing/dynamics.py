@@ -97,6 +97,9 @@ def integrate(field_fn, x0, t1, dt, project=None, t0=0.0, multiplier_fn=None):
         x, ok, _ = project.project(x)
         if not ok:
             raise ProjectionDivergenceError("seed projection failed to converge", -1)
+    drift = np.zeros(steps + 1)
+    if project is not None:
+        drift[0] = project.residual(x)
 
     def _step(y, h, i):
         try:
@@ -108,9 +111,9 @@ def integrate(field_fn, x0, t1, dt, project=None, t0=0.0, multiplier_fn=None):
                 f"non-finite value in step {i} from t = {t0 + i * dt:.6g}: {exc}"
             ) from exc
         if project is None:
-            return y, True
-        y2, ok, _ = project.project(y)
-        return y2, ok
+            return y, True, 0.0
+        proj = project.project(y)
+        return proj[0], proj[1], proj.residual
 
     n = x.shape[0]
     states = np.empty((steps + 1, n))
@@ -120,26 +123,23 @@ def integrate(field_fn, x0, t1, dt, project=None, t0=0.0, multiplier_fn=None):
         if multiplier_fn is not None:
             mults.append(np.atleast_1d(np.asarray(multiplier_fn(x), dtype=float)))
         for i in range(steps):
-            y, ok = _step(x, dt, i)
+            y, ok, res = _step(x, dt, i)
             if not ok:
                 # retry the interval with four quarter steps, then give up
                 y = x
                 for _ in range(4):
-                    y, ok = _step(y, dt / 4.0, i)
+                    y, ok, res = _step(y, dt / 4.0, i)
                     if not ok:
                         raise ProjectionDivergenceError(
                             "post-step projection diverged", i
                         )
             x = y
             states[i + 1] = x
+            drift[i + 1] = res
             if multiplier_fn is not None:
                 mults.append(np.atleast_1d(np.asarray(multiplier_fn(x), dtype=float)))
 
     times = t0 + dt * np.arange(steps + 1)
-    if project is not None:
-        drift = np.array([project.residual(s) for s in states])
-    else:
-        drift = np.zeros(steps + 1)
     multipliers = (
         np.vstack(mults) if multiplier_fn is not None else np.zeros((steps + 1, 0))
     )

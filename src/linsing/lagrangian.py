@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import InconsistentSystemError, MaxRankViolatedError, ShapeError
+from .errors import MaxRankViolatedError, ShapeError
 from .expressions import Const, ExpressionField, Var, add, derivative, mul, neg, parse, sub
-from .nonholonomic import ForceFrame, GeneralizedNonholonomicSystem, SubmanifoldSpec
+from .nonholonomic import ForceFrame, GeneralizedNonholonomicSystem, PointDynamics, SubmanifoldSpec
 from .systems import LinearlySingularSystem
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "chetaev_frame",
     "nonholonomic_lagrangian",
     "sode_solve_at",
-    "sode_solve",
     "SodeSolution",
 ]
 
@@ -193,51 +192,21 @@ def nonholonomic_lagrangian(model, phi, forces=None, check_points=None,
 @dataclass
 class SodeSolution:
     x0: np.ndarray
-    kernel: linalg.SubspaceBasis
+    kernel: linalg.SubspaceBasis  # in (X, u), of the X solution set's dimension
     residual: float
     unique: bool
+    u: np.ndarray  # force multipliers, the minimum-norm ones when not unique
 
 
 def sode_solve_at(model, phi, x, forces=None, tols=linalg.DEFAULT_TOLERANCES):
     """Solve the constrained equation at x for singular (or regular) Lagrangians.
 
-    Stacks three row groups and solves by least squares:
-      * force-relaxed rows  C^T A(x) X = C^T dE(x), where the columns of C span
-        the complement of the force directions (so A X - dE may fall in their span),
-      * tangency rows       dphi(x) X = 0,
-      * second-order rows   (q-components of X) = v.
-
+    `PointDynamics` with second-order rows: one bordered solve of the base rows
+    A X - Delta u = dE, the tangency rows dphi X = 0 and the rows X_q = v.
     Raises NotOnManifoldError off M and InconsistentSystemError when the stacked
-    problem is infeasible; `unique` reports whether the kernel is trivial.
+    problem is infeasible; `unique` reports whether X is determined.
     """
-    if not isinstance(phi, SubmanifoldSpec):
-        phi = SubmanifoldSpec(phi)
-    phi.require_on(x)
-    return sode_solve(model, phi, x, forces, tols)
-
-
-def sode_solve(model, phi, x, forces=None, tols=linalg.DEFAULT_TOLERANCES):
-    """`sode_solve_at` without its on-manifold check (RK stage points lie off M)."""
-    if not isinstance(phi, SubmanifoldSpec):
-        phi = SubmanifoldSpec(phi)
-    x = np.asarray(x, dtype=float)
-    if forces is None:
-        forces = chetaev_frame(model, phi, tols=tols)
-    n = model.nq
-    a_mat = model.omega_matrix_field()(x)
-    f_vec = model.energy_field.gradient()(x)
-    delta = forces.at(x)
-    comp = linalg.cokernel_basis(delta, tols)  # complement of span Delta in the fibre
-    relaxed_rows = comp.vectors.T @ a_mat
-    relaxed_rhs = comp.vectors.T @ f_vec
-    tangency = phi.jacobian(x)
-    sode_rows = np.hstack([np.eye(n), np.zeros((n, n))])
-    sode_rhs = x[n:]
-    stacked = np.vstack([relaxed_rows, tangency, sode_rows])
-    rhs = np.concatenate([relaxed_rhs, np.zeros(tangency.shape[0]), sode_rhs])
-    sol = linalg.solve_affine(stacked, rhs, tols)
-    if not sol.consistent:
-        raise InconsistentSystemError(
-            f"no second-order solution through this point (residual {sol.residual:.3e})"
-        )
-    return SodeSolution(sol.x0, sol.kernel, sol.residual, sol.kernel.dim == 0)
+    gnh = nonholonomic_lagrangian(model, phi, forces, tols=tols)
+    gnh.constraints.require_on(x)
+    xf, u, sol = PointDynamics(gnh, tols, second_order=True).solve(x)
+    return SodeSolution(xf, sol.kernel, sol.residual, sol.kernel.dim == 0, u)

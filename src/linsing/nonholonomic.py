@@ -1,10 +1,12 @@
 """Generalized nonholonomic systems: a base pair (B, g), a constraint submanifold
 M = {phi = 0}, and a frame of constraint-force directions.
 
-The quotient bundle never gets materialized: everything runs through the
-transported frame Gamma_mu = B^{-1} Delta_mu, the pairing matrix
-D = dphi . Gamma, and span residuals. `PointDynamics` is the one evaluator of the
-constrained field; the *_at functions check that the point is on M, then call it.
+The quotient bundle never gets materialized: the flow comes from one bordered
+solve of the base rows, the tangency rows and the unknowns (X, u), and the
+classification from the transported frame Gamma_mu = B^{-1} Delta_mu, the
+pairing matrix D = dphi . Gamma, and span residuals. `PointDynamics` is the one
+evaluator of the flow in every mode; the *_at functions check that the point is
+on M first.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .systems import LinearlySingularSystem
 
 __all__ = [
     "SubmanifoldSpec",
+    "Projection",
     "ForceFrame",
     "GeneralizedNonholonomicSystem",
     "H_frame_at",
@@ -75,23 +78,32 @@ class SubmanifoldSpec:
             )
 
     def project(self, x):
-        """Gauss-Newton projection onto M; returns (point, converged, iterations)."""
+        """Gauss-Newton projection onto M; returns a Projection."""
         return self.lift(x, range(len(x)), 20)
 
     def lift(self, x, free_indices, max_iter=50):
         """Newton-solve phi = 0 over the listed coordinates, holding the rest fixed,
-        to max |phi| <= Tolerances.projection_target."""
+        to max |phi| <= Tolerances.projection_target; returns a Projection."""
         target = linalg.Tolerances.projection_target
         x = np.asarray(x, dtype=float).copy()
         free = list(free_indices)
-        for it in range(max_iter):
+        for it in range(max_iter + 1):
             vals = self.values(x)
-            if _max_abs(vals) <= target:
-                return x, True, it
+            worst = _max_abs(vals)
+            if worst <= target or it == max_iter:
+                return Projection(x, worst <= target, it, worst)
             j = self.jacobian(x)[:, free]
             step, *_ = np.linalg.lstsq(j, vals, rcond=None)
             x[free] = x[free] - step
-        return x, self.residual(x) <= target, max_iter
+
+
+class Projection(tuple):
+    """(point, converged, iterations), with `residual`: max |phi| at the point."""
+
+    def __new__(cls, point, converged, iterations, residual):
+        self = super().__new__(cls, (point, converged, iterations))
+        self.residual = residual
+        return self
 
 
 def _max_abs(values):
@@ -175,7 +187,7 @@ def _require_independent(gamma, m, tols):
 def H_frame_at(gnh, x, tols=linalg.DEFAULT_TOLERANCES):
     """Transported frame Gamma_mu = B(x)^{-1} Delta_mu(x), columns of an n x m array."""
     gnh.constraints.require_on(x)
-    gamma = PointDynamics(gnh, tols).frame(x)
+    gamma = np.linalg.solve(_regular_base_matrix(gnh, x, tols), gnh.forces.at(x))
     _require_independent(gamma, gnh.m, tols)
     return gamma
 
@@ -225,9 +237,11 @@ def multipliers_at(gnh, x, y_at, tols=linalg.DEFAULT_TOLERANCES):
 
 
 def constrained_field_at(gnh, x, y_at=None, tols=linalg.DEFAULT_TOLERANCES):
-    """Value of the constrained dynamics X = Y + Gamma u at a point of M."""
+    """(X, MultiplierResult) of the constrained dynamics X = Y + Gamma u at a point
+    of M; Y is B^{-1} g unless `y_at` is given."""
     gnh.constraints.require_on(x)
-    return PointDynamics(gnh, tols).evaluate(x, y_at)
+    xf, u, sol = PointDynamics(gnh, tols).solve(x, y_at)
+    return xf, MultiplierResult(u, sol.kernel.dim > 0, sol.residual)
 
 
 def projectors_at(gnh, x, tols=linalg.DEFAULT_TOLERANCES):
@@ -239,59 +253,89 @@ def projectors_at(gnh, x, tols=linalg.DEFAULT_TOLERANCES):
 
 def unconstrained_solution_at(gnh, x, tols=linalg.DEFAULT_TOLERANCES):
     """Y(x) = B(x)^{-1} g(x) for a regular base."""
-    return PointDynamics(gnh, tols).unconstrained(x)
+    return np.linalg.solve(_regular_base_matrix(gnh, x, tols), gnh.base.f_at(x))
 
 
 class PointDynamics:
-    """The one evaluator of Y = B^{-1} g, Gamma = B^{-1} Delta, D = dphi . Gamma,
-    the multipliers u of D u = -dphi . Y and X = Y + Gamma u, under `tols`.
+    """The one evaluator of the flow: X and the multipliers u at a point, the
+    minimum-norm solution of the bordered (saddle-point) system
 
-    Once, here: a constant base's rank. Per call: a varying base's rank, then
-    D u = -dphi . Y by `linalg.solve_affine` (gauged minimum-norm u when D is
-    singular, InconsistentSystemError when no u exists), and, only when that
-    solve is gauged or inconsistent, the frame's rank (FrameDegenerateError; a
-    dependent frame forces rank D < m). Points are not checked against M.
-    """
+        [ A      -Delta ] [X]   [ g ]   base rows (B Y in place of g when Y is given)
+        [ dphi    0     ] [u] = [ 0 ]   tangency rows, when there are constraints
+        [ I  0    0     ]       [ v ]   second-order rows X_q = v, with `second_order`
 
-    def __init__(self, gnh, tols=linalg.DEFAULT_TOLERANCES):
-        self.gnh = gnh
-        self.tols = tols
-        self._b_const = None
-        if gnh.base.A.is_constant:
-            self._b_const = _regular_base_matrix(gnh, np.zeros(gnh.n), tols)
-        self._jphi = gnh.constraints.phi.jacobian_field()
+    of a GeneralizedNonholonomicSystem, or the base rows alone of a
+    LinearlySingularSystem (an explicit flow). One `linalg.solve_affine` per
+    evaluation: of that matrix, or of its Schur complement D = dphi . B^{-1} Delta
+    for a constant base, checked regular and inverted once. A rank-deficient
+    system gives the minimum-norm u, with X following, once the frame's rank is
+    checked; no solution, or no unique one for an explicit flow, raises
+    InconsistentSystemError. Points are not checked against M, nor is a varying
+    base's rank."""
+
+    def __init__(self, system, tols=linalg.DEFAULT_TOLERANCES, second_order=False):
+        gnh = system if isinstance(system, GeneralizedNonholonomicSystem) else None
+        self.gnh, self.tols = gnh, tols
+        self._sys = base = system if gnh is None else gnh.base
+        k, n = base.k, base.n
+        a, m = (0, 0) if gnh is None else (gnh.a, gnh.m)
+        s = n // 2 if second_order else 0
+        self._rows = (k, n, a, s)
+        self._mat, self._rhs = np.zeros((k + a + s, n + m)), np.zeros(k + a + s)
+        self._mat[k + a:, :s] = np.eye(s)
+        self._a_const = base.A.is_constant
+        if self._a_const:
+            self._mat[:k, :n] = base.A_at(np.zeros(n))
+        self._b_inv = None
+        if gnh is not None and not second_order and self._a_const:
+            self._b_inv = np.linalg.inv(_regular_base_matrix(gnh, np.zeros(n), tols))
+        self._jphi = None if gnh is None else gnh.constraints.phi.jacobian_field()
+        self._no_solution = (
+            "A(x) v = f(x) has no unique solution" if gnh is None
+            else "no second-order solution through this point" if second_order
+            else "no multiplier solves the tangency condition")
         self._last = None  # (bytes of x, field_and_multipliers(x)) of the last solve
 
-    def _base(self, x):
-        if self._b_const is not None:
-            return self._b_const
-        return _regular_base_matrix(self.gnh, x, self.tols)
-
     def unconstrained(self, x):
-        return np.linalg.solve(self._base(x), self.gnh.base.f_at(x))
+        return unconstrained_solution_at(self.gnh, x, self.tols)
 
-    def frame(self, x):
-        """Gamma = B^{-1} Delta at x, without the rank check of H_frame_at."""
-        return np.linalg.solve(self._base(x), self.gnh.forces.at(x))
+    def solve(self, x, y=None):
+        """(X, u, sol) at x, `sol` the solve's AffineSolutionSet (in (X, u) if bordered)."""
+        x = np.asarray(x, dtype=float)
+        gnh, (k, n, a, s) = self.gnh, self._rows
+        if self._b_inv is not None:
+            gamma = self._b_inv @ gnh.forces.at(x)
+            y = self._b_inv @ gnh.base.f_at(x) if y is None else np.asarray(y, dtype=float)
+            jphi = self._jphi(x)
+            sol = linalg.solve_affine(jphi @ gamma, -(jphi @ y), self.tols)
+            self._check(sol, gamma)
+            return y + gamma @ sol.x0, sol.x0, sol
+        mat, rhs = self._mat, self._rhs
+        if not self._a_const:
+            mat[:k, :n] = self._sys.A_at(x)
+        rhs[:k] = self._sys.f_at(x) if y is None else mat[:k, :n] @ np.asarray(y, dtype=float)
+        if gnh is not None:
+            mat[:k, n:] = -gnh.forces.at(x)
+            mat[k:k + a, :n] = self._jphi(x)
+            rhs[k + a:] = x[n - s:]
+        sol = linalg.solve_affine(mat, rhs, self.tols)
+        self._check(sol, -mat[:k, n:])
+        z = sol.x0
+        if sol.kernel.dim > 0:  # the minimum-norm u over z + K c, and X with it
+            ker = sol.kernel.vectors
+            z = z + ker @ linalg.solve_affine(ker[n:], -z[n:], self.tols).x0
+        return z[:n], z[n:], sol
 
-    def evaluate(self, x, y=None):
-        """(X, MultiplierResult) at x; Y is B^{-1} g unless `y` is given."""
-        y = self.unconstrained(x) if y is None else np.asarray(y, dtype=float)
-        gamma = self.frame(x)
-        jphi = self._jphi(x)
-        sol = linalg.solve_affine(jphi @ gamma, -(jphi @ y), self.tols)
-        gauged = sol.kernel.dim > 0
-        if gauged or not sol.consistent:
-            _require_independent(gamma, self.gnh.m, self.tols)
-        if not sol.consistent:
-            raise InconsistentSystemError(
-                f"no multiplier solves the tangency condition (residual {sol.residual:.3e})"
-            )
-        return y + gamma @ sol.x0, MultiplierResult(sol.x0, gauged, sol.residual)
+    def _check(self, sol, frame):
+        # a dependent frame forces a rank-deficient system: check it only then
+        if sol.kernel.dim > 0 or not sol.consistent:
+            if self.gnh is not None:
+                _require_independent(frame, self.gnh.m, self.tols)
+            if self.gnh is None or not sol.consistent:
+                raise InconsistentSystemError(f"{self._no_solution} (residual {sol.residual:.3e})")
 
     def field_and_multipliers(self, x):
-        xf, mult = self.evaluate(x)
-        return xf, mult.u
+        return self.solve(x)[:2]
 
     def _memo(self, x):
         # `integrate` records u at each stored state, which is where the next

@@ -344,3 +344,19 @@ def test_criterion_8_infrastructure(tmp_path, capsys):
     assert worst_rel <= 1e-6
     assert 12.0 <= ratio <= 20.0
     assert stable
+
+
+def test_singular_lagrangian_on_the_mass_shell_has_the_regular_multiplier():
+    # the square-root Lagrangian with U = q1 is inconsistent on its own
+    # (criterion 5); with the shell constraint and its Chetaev force it is a
+    # regular system whose multiplier is the quadratic model's
+    spec_l1 = _scenario("relparticle-L1", U="q1")
+    spec_l2 = _scenario("relparticle-L2", U="q1")
+    dyn_l2 = PointDynamics(spec_l2.gnh)
+    worst = 0.0
+    for x in _mass_shell_points(50):
+        sol = sode_solve_at(spec_l1.model, spec_l1.constraints, x,
+                            forces=spec_l1.forces)
+        assert sol.unique
+        worst = max(worst, float(np.max(np.abs(sol.u - dyn_l2.multipliers(x)))))
+    assert worst <= 1e-10

@@ -1,0 +1,204 @@
+"""The flow evaluator against two independent routes, and its cost per evaluation.
+
+`PointDynamics` solves one system per evaluation: the Schur complement
+D u = -dphi . Y for a constant base, the bordered system in (X, u) otherwise.
+The two reference routes, which the package itself does not use:
+  * `_schur_oracle`: Y and Gamma by LU solves with B, then D u = -dphi . Y and
+    X = Y + Gamma u;
+  * `_cokernel_oracle`: the second-order solve, with the base rows relaxed
+    along span Delta by a cokernel basis, stacked with the tangency rows and
+    X_q = v; u is read off the base rows' residual, A X - dE = Delta u.
+"""
+
+import collections
+
+import numpy as np
+import pytest
+
+from test_acceptance import _knife_edge_points, _mass_shell_points, _scenario
+
+from linsing import linalg
+from linsing.expressions import ExpressionField
+from linsing.lagrangian import sode_solve_at
+from linsing.nonholonomic import (
+    ForceFrame,
+    GeneralizedNonholonomicSystem,
+    PointDynamics,
+    SubmanifoldSpec,
+    constrained_field_at,
+    multipliers_at,
+)
+from linsing.sampling import on_manifold_sample
+from linsing.specfile import loads
+from linsing.systems import make_system
+
+# position-dependent mass: the base B varies, so the bordered matrix is solved
+VARYING_BASE_SPEC = """
+[vars]
+q = x, y, z
+
+[lagrangian]
+L = ((1 + x^2)*x'^2 + y'^2 + z'^2)/2 - y
+
+[constraints]
+phi = z' - y*x'
+"""
+
+EXPLICIT_SPEC = """
+[vars]
+names = x, y
+
+[system]
+A = 2, x; 0.5, 1 + y^2
+f = -y, x
+"""
+
+
+def _schur_oracle(gnh, x):
+    b = gnh.base.A_at(x)
+    y = np.linalg.solve(b, gnh.base.f_at(x))
+    gamma = np.linalg.solve(b, gnh.forces.at(x))
+    jphi = gnh.constraints.jacobian(x)
+    sol = linalg.solve_affine(jphi @ gamma, -(jphi @ y))
+    assert sol.consistent
+    return y + gamma @ sol.x0, sol.x0
+
+
+def _cokernel_oracle(spec, x):
+    n = spec.model.nq
+    a_mat = spec.system.A_at(x)
+    g = spec.system.f_at(x)
+    delta = spec.forces.at(x)
+    comp = linalg.cokernel_basis(delta).vectors
+    stacked = np.vstack([comp.T @ a_mat, spec.constraints.jacobian(x),
+                         np.hstack([np.eye(n), np.zeros((n, n))])])
+    rhs = np.concatenate([comp.T @ g, np.zeros(spec.constraints.codim), x[n:]])
+    sol = linalg.solve_affine(stacked, rhs)
+    assert sol.consistent and sol.kernel.dim == 0
+    u = np.linalg.lstsq(delta, a_mat @ sol.x0 - g, rcond=None)[0]
+    return sol.x0, u
+
+
+def _assert_close(got, want, rel=1e-12):
+    assert np.max(np.abs(got - want)) <= rel * max(1.0, float(np.max(np.abs(want))))
+
+
+def _sample(spec, count=20):
+    pts = on_manifold_sample(spec.constraints, spec.variables, spec.box, count)
+    assert len(pts) == count
+    return list(pts)
+
+
+def _varying_base_points(count):
+    rng = np.random.default_rng(17)
+    pts = []
+    for _ in range(count):
+        x, y, z, vx, vy = rng.uniform(-1.5, 1.5, size=5)
+        pts.append(np.array([x, y, z, vx, vy, y * vx]))
+    return pts
+
+
+@pytest.mark.parametrize("name,overrides", [
+    ("example1", {}), ("rosenberg", {}), ("relparticle-L2", {}),
+    ("relparticle-L2", {"U": "q1"}),
+])
+def test_constrained_mode_matches_the_schur_route(name, overrides):
+    spec = _scenario(name, **overrides)
+    dyn = PointDynamics(spec.gnh)
+    for x in _sample(spec):
+        xf, u = dyn.field_and_multipliers(x)
+        want_x, want_u = _schur_oracle(spec.gnh, x)
+        _assert_close(xf, want_x)
+        _assert_close(u, want_u)
+
+
+def test_bordered_solve_of_a_varying_base_matches_the_schur_route():
+    spec = loads(VARYING_BASE_SPEC)
+    assert not spec.system.A.is_constant
+    dyn = PointDynamics(spec.gnh)
+    for x in _varying_base_points(20):
+        xf, u = dyn.field_and_multipliers(x)
+        want_x, want_u = _schur_oracle(spec.gnh, x)
+        _assert_close(xf, want_x)
+        _assert_close(u, want_u)
+        # the bordered second-order rows change nothing for a regular base
+        sode = sode_solve_at(spec.model, spec.constraints, x, forces=spec.forces)
+        assert sode.unique
+        _assert_close(sode.x0, want_x)
+        _assert_close(sode.u, want_u)
+        _assert_close(sode.x0, _cokernel_oracle(spec, x)[0])
+
+
+@pytest.mark.parametrize("overrides", [{}, {"U": "q1"}])
+def test_second_order_mode_matches_the_cokernel_route(overrides):
+    spec = _scenario("relparticle-L1", **overrides)
+    dyn = PointDynamics(spec.gnh, second_order=True)
+    for x in _sample(spec) + _mass_shell_points(10):
+        xf, u = dyn.field_and_multipliers(x)
+        want_x, want_u = _cokernel_oracle(spec, x)
+        _assert_close(xf, want_x)
+        _assert_close(u, want_u)
+        sode = sode_solve_at(spec.model, spec.constraints, x, forces=spec.forces)
+        assert sode.unique and sode.kernel.dim == 0
+        assert np.array_equal(sode.x0, xf) and np.array_equal(sode.u, u)
+
+
+def _two_force_system(a_text):
+    # D = dphi . B^-1 Delta has rank 1 of 2: u is gauged to its minimum norm
+    v = ("x", "y")
+    base = make_system(ExpressionField.matrix(a_text, v), ExpressionField.vector(["1", "y"], v))
+    forces = ForceFrame([ExpressionField.vector(["x", "1"], v),
+                         ExpressionField.vector(["0", "1"], v)])
+    return GeneralizedNonholonomicSystem(
+        base, SubmanifoldSpec(ExpressionField.vector(["y - 2"], v)), forces)
+
+
+@pytest.mark.parametrize("a_text", [
+    [["1", "0"], ["0", "1"]],         # constant: the Schur complement
+    [["1", "0"], ["0", "1 + x^2"]],   # varying: the bordered matrix
+])
+def test_gauged_multipliers_are_the_minimum_norm_representative(a_text):
+    gnh = _two_force_system(a_text)
+    for x1 in (-0.7, 0.5, 1.3):
+        p = np.array([x1, 2.0])
+        xf, mult = constrained_field_at(gnh, p)
+        assert mult.gauged
+        want_x, want_u = _schur_oracle(gnh, p)
+        _assert_close(mult.u, want_u)
+        _assert_close(xf, want_x)
+        assert np.array_equal(multipliers_at(gnh, p, None).u, mult.u)
+
+
+def _counting(monkeypatch):
+    calls = collections.Counter()
+    for name in ("svd", "solve"):
+        orig = getattr(np.linalg, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["constrained", "constrained-varying-base",
+                                  "second-order", "explicit"])
+def test_one_svd_and_no_solve_per_evaluation(mode, monkeypatch):
+    if mode == "constrained":
+        dyn = PointDynamics(_scenario("rosenberg").gnh)
+        points = _knife_edge_points(5)
+    elif mode == "constrained-varying-base":
+        dyn = PointDynamics(loads(VARYING_BASE_SPEC).gnh)
+        points = _varying_base_points(5)
+    elif mode == "second-order":
+        dyn = PointDynamics(_scenario("relparticle-L1").gnh, second_order=True)
+        points = _mass_shell_points(5)
+    else:
+        dyn = PointDynamics(loads(EXPLICIT_SPEC).system)
+        points = [np.array([0.3, -0.2]), np.array([1.5, 2.0])]
+    calls = _counting(monkeypatch)
+    for x in points:
+        calls.clear()
+        dyn.field_and_multipliers(x)
+        assert calls == {"svd": 1}

@@ -344,3 +344,21 @@ def test_simulate_blow_up_is_a_non_finite_error(tmp_path, capsys):
     assert err.startswith("error: non-finite value in step 51 from t = 0.51")
     assert "Warning" not in err
 
+
+
+def test_second_order_mode_reports_multipliers(tmp_path, capsys):
+    out_csv = tmp_path / "traj.csv"
+    code, _, _ = _run(
+        capsys, "simulate", "--scenario", "relparticle-L1", "--param", "U=q1",
+        "--x0", "q1=0.1,q2=0.2,q3=-0.3,q4=0.4,q2'=0.3,q3'=-0.2,q4'=0.1",
+        "--t1", "0.1", "--dt", "0.01", "--out", str(out_csv), "--quiet-time",
+    )
+    assert code == 0
+    lines = out_csv.read_text().splitlines()
+    assert lines[0] == "t,x1,x2,x3,x4,x5,x6,x7,x8,u1,drift"
+    assert all(len(line.split(",")) == 11 for line in lines[1:])
+    code, out, _ = _run(capsys, "analyze", "--scenario", "relparticle-L1",
+                        "--points", "2")
+    assert code == 0
+    assert out.count("sode_consistent: true") == 2
+    assert out.count("\n  u: [") == 2

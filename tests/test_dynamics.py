@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from linsing.cli import scenario_text
 from linsing.dynamics import Trajectory, integrate, monitor
 from linsing.errors import NonFiniteError, ProjectionDivergenceError, ShapeError
 from linsing.expressions import ExpressionField
 from linsing.nonholonomic import SubmanifoldSpec
+from linsing.nonholonomic import PointDynamics, Projection
+from linsing.specfile import loads
 
 
 def test_fourth_order_convergence_on_logistic_flow():
@@ -183,3 +186,34 @@ def test_a_blow_up_stops_with_a_non_finite_error_naming_the_step():
     with pytest.raises(NonFiniteError) as err:
         integrate(solver_field, np.array([1.0]), 1.0, 0.5)
     assert "in step 0 from t = 0: a linear solve" in str(err.value)
+
+
+def test_drift_is_the_projection_residual_through_a_retry():
+    spec = loads(scenario_text("rosenberg"), name="rosenberg")
+
+    class FailsOnce(SubmanifoldSpec):
+        """Reports the third projection as diverged, forcing a quarter-step retry."""
+
+        calls = 0
+        residual_calls = 0
+
+        def project(self, x):
+            res = super().project(x)
+            self.calls += 1
+            if self.calls == 3:
+                return Projection(res[0], False, res[2], res.residual)
+            return res
+
+        def residual(self, x):
+            self.residual_calls += 1
+            return super().residual(x)
+
+    manifold = FailsOnce(spec.constraints.phi)
+    dyn = PointDynamics(spec.gnh)
+    x0 = np.array([0.0, 1.0, 0.0, 2.0, 3.0, 2.0])
+    traj = integrate(dyn.field, x0, 0.05, 0.01, project=manifold,
+                     multiplier_fn=dyn.multipliers)
+    assert manifold.calls == 5 + 4  # one projection per step, four for the retry
+    assert manifold.residual_calls == 2  # the seed's on-M test and its drift
+    for state, drift in zip(traj.states, traj.drift):
+        assert drift == spec.constraints.residual(state)
