@@ -35,20 +35,14 @@ from .errors import (
     NotOnManifoldError,
     SpecFileError,
 )
-from .lagrangian import sode_solve_at
-from .nonholonomic import (
-    PointDynamics,
-    classify_at,
-    constrained_field_at,
-    projectors_at,
-    unconstrained_solution_at,
-)
+from .nonholonomic import PointDynamics
 from .specfile import constant_value, load, loads, parse_box, parse_param_overrides
 from .symmetry import (
-    check_constant_descent,
     check_descent,
     check_inf_symmetry,
     check_symmetry,
+    constant_descent,
+    flow_samples,
 )
 from .systems import consistency_at
 
@@ -162,18 +156,17 @@ def _default_points(spec, count):
     return sampling.halton_box(spec.variables, box, count)
 
 
-def _point_doc(spec, x, tols):
+def _point_doc(spec, x, tols, evaluator):
     doc = {"at": np.asarray(x, dtype=float)}
     if spec.constraints is not None:
         doc["phi_residual"] = spec.constraints.residual(x)
     if spec.gnh is not None:
+        spec.constraints.require_on(x)
         try:
-            cls = classify_at(spec.gnh, x, tols)
+            pa = evaluator(False).analysis(x)
         except BaseNotRegularError:
-            return _singular_point_doc(spec, x, tols, doc)
-        y = unconstrained_solution_at(spec.gnh, x, tols)
-        xfield, mult = constrained_field_at(spec.gnh, x, y, tols)
-        p, _ = projectors_at(spec.gnh, x, tols)
+            return _singular_point_doc(spec, x, tols, doc, evaluator)
+        cls, y, mult = pa.classification, pa.y, pa.multipliers
         doc.update(
             base_regular=True,
             D=cls.d_matrix,
@@ -183,9 +176,9 @@ def _point_doc(spec, x, tols):
             regular=cls.regular,
             Y=y,
             u=mult.u,
-            X=xfield,
+            X=pa.field,
             multiplier_gauged=mult.gauged,
-            projector_residual=float(np.max(np.abs(p @ y - xfield))),
+            projector_residual=float(np.max(np.abs(pa.projectors[0] @ y - pa.field))),
         )
         if spec.report_scale != 1.0:
             doc["u_scaled"] = mult.u * spec.report_scale
@@ -202,7 +195,7 @@ def _point_doc(spec, x, tols):
     return doc
 
 
-def _singular_point_doc(spec, x, tols, doc):
+def _singular_point_doc(spec, x, tols, doc, evaluator):
     res = consistency_at(spec.system, x, tols)
     doc.update(
         base_regular=False,
@@ -213,12 +206,11 @@ def _singular_point_doc(spec, x, tols, doc):
     )
     if spec.model is not None and spec.constraints is not None:
         try:
-            sol = sode_solve_at(spec.model, spec.constraints, x,
-                                forces=spec.forces, tols=tols)
+            xf, u, sol = evaluator(True).solve(x)
         except InconsistentSystemError:
             doc["sode_consistent"] = False
         else:
-            doc.update(sode_consistent=True, sode_unique=sol.unique, X=sol.x0, u=sol.u,
+            doc.update(sode_consistent=True, sode_unique=sol.kernel.dim == 0, X=xf, u=u,
                        sode_kernel_dim=sol.kernel.dim)
     return doc
 
@@ -230,6 +222,14 @@ def cmd_analyze(args):
         points = [_build_point(spec, _parse_assignments(a, spec)) for a in args.at]
     else:
         points = list(_default_points(spec, args.points))
+    dyns = {}
+
+    def evaluator(second_order):
+        """The command's PointDynamics of one mode, built on first use."""
+        if second_order not in dyns:
+            dyns[second_order] = PointDynamics(spec.gnh, tols, second_order=second_order)
+        return dyns[second_order]
+
     doc = {
         "command": "analyze",
         "input": spec.name,
@@ -237,28 +237,29 @@ def cmd_analyze(args):
         "point_count": len(points),
     }
     for i, x in enumerate(points):
-        doc[f"point_{i:03d}"] = _point_doc(spec, x, tols)
+        doc[f"point_{i:03d}"] = _point_doc(spec, x, tols, evaluator)
     sys.stdout.write(report.render(doc))
     return 0
 
 
 def _make_field(spec, x0, tols):
-    """(field_fn, multiplier_fn, mode) for integration; the base's regularity at x0
-    names the mode, and a singular Lagrangian base adds the second-order rows."""
-    mode = "explicit" if spec.gnh is None else "constrained"
-    if spec.gnh is not None:
-        try:
-            unconstrained_solution_at(spec.gnh, x0, tols)
-        except BaseNotRegularError:
-            if spec.model is None:
-                raise
-            mode = "second-order"
-    dyn = PointDynamics(spec.system if spec.gnh is None else spec.gnh, tols,
-                        second_order=mode == "second-order")
-    if mode == "second-order" and not sode_solve_at(
-            spec.model, spec.constraints, x0, forces=spec.forces, tols=tols).unique:
+    """(evaluator, mode) of a command's flow; the base's regularity at x0 names the
+    mode, and a singular Lagrangian base adds the second-order rows."""
+    if spec.gnh is None:
+        return PointDynamics(spec.system, tols), "explicit"
+    try:
+        dyn = PointDynamics(spec.gnh, tols)
+        dyn.unconstrained(x0)
+    except BaseNotRegularError:
+        if spec.model is None:
+            raise
+    else:
+        return dyn, "constrained"
+    dyn = PointDynamics(spec.gnh, tols, second_order=True)
+    spec.constraints.require_on(x0)
+    if dyn.solve(x0)[2].kernel.dim > 0:
         raise InconsistentSystemError("the second-order solution is not unique; cannot integrate")
-    return dyn.field, dyn.multipliers, mode
+    return dyn, "second-order"
 
 
 # Bounds a self-test simulation must meet: drift off M, and deviation of each
@@ -269,10 +270,10 @@ _MONITOR_BOUND = 1e-6
 
 def simulate_report(spec, x0, t1, dt, tols, out=None, timed=False):
     """(doc, ok) of one run; ok when drift and monitors are within the bounds above."""
-    field_fn, mult_fn, mode = _make_field(spec, x0, tols)
+    dyn, mode = _make_field(spec, x0, tols)
     t_start = time.perf_counter()
-    traj = integrate(field_fn, x0, t1, dt, project=spec.constraints,
-                     multiplier_fn=mult_fn)
+    traj = integrate(dyn.field, x0, t1, dt, project=spec.constraints,
+                     multiplier_fn=dyn.multipliers)
     elapsed = time.perf_counter() - t_start
     doc = {
         "command": "simulate",
@@ -375,8 +376,9 @@ def constant_report(spec, tols, points, tol=1e-8):
     if spec.gnh is None:
         raise _UsageError("check-constant needs [constraints] (a constrained flow)")
     pts = _default_points(spec, points)
-    field_fn, _, mode = _make_field(spec, pts[0], tols)
+    dyn, mode = _make_field(spec, pts[0], tols)
     base_regular = mode == "constrained"
+    flows = flow_samples(dyn, pts) if base_regular else None
     doc = {
         "command": "check-constant",
         "input": spec.name,
@@ -387,7 +389,7 @@ def constant_report(spec, tols, points, tol=1e-8):
     for name in sorted(spec.constants):
         h = spec.constants[name]
         if base_regular:
-            res = check_constant_descent(spec.gnh, h, pts, tol=tol, tols=tols)
+            res = constant_descent(h, pts, flows, tol=tol)
             doc[name] = {
                 "base_conserved": res.base_conserved,
                 "Gamma_h_max": res.max_Gamma_h,
@@ -398,7 +400,7 @@ def constant_report(spec, tols, points, tol=1e-8):
             ok = ok and res.constrained_conserved
         else:
             dh = h.gradient()
-            worst = max(abs(float(dh(x) @ field_fn(x))) for x in pts)
+            worst = max(abs(float(dh(x) @ dyn.field(x))) for x in pts)
             conserved = worst <= tol
             doc[name] = {"constrained_conserved": conserved, "X_h_max": worst}
             ok = ok and conserved

@@ -25,14 +25,17 @@ RANK_FACTOR_DEFAULT = 1e-10
 class Tolerances:
     """Global tolerance policy; CLI flags override the two factors.
 
-    The on-manifold test (max |phi| <= on_manifold) and the Gauss-Newton
-    projection target are fixed.
+    The on-manifold test (max |phi| <= on_manifold), the Gauss-Newton
+    projection target and its rounding floor are fixed: a projection also
+    stops once max |phi| <= projection_rounding * eps * max_r sum_i
+    |dphi_r/dx_i| |x_i|, the size of the rounding error in phi(x) itself.
     """
 
     rank_factor: float = RANK_FACTOR_DEFAULT
     img_factor: float | None = None  # None: derive from the matrix at hand
     on_manifold: ClassVar[float] = 1e-8
     projection_target: ClassVar[float] = 1e-10
+    projection_rounding: ClassVar[float] = 8.0
 
     def rank_tol(self, mat, smax=None):
         mat = np.asarray(mat, dtype=float)

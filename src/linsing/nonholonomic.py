@@ -83,8 +83,11 @@ class SubmanifoldSpec:
 
     def lift(self, x, free_indices, max_iter=50):
         """Newton-solve phi = 0 over the listed coordinates, holding the rest fixed,
-        to max |phi| <= Tolerances.projection_target; returns a Projection."""
+        to max |phi| <= Tolerances.projection_target, or to the rounding floor of
+        phi at x when that is larger (measured with the Jacobian each step
+        computes); returns a Projection."""
         target = linalg.Tolerances.projection_target
+        rounding = linalg.Tolerances.projection_rounding * np.finfo(float).eps
         x = np.asarray(x, dtype=float).copy()
         free = list(free_indices)
         for it in range(max_iter + 1):
@@ -92,8 +95,10 @@ class SubmanifoldSpec:
             worst = _max_abs(vals)
             if worst <= target or it == max_iter:
                 return Projection(x, worst <= target, it, worst)
-            j = self.jacobian(x)[:, free]
-            step, *_ = np.linalg.lstsq(j, vals, rcond=None)
+            j = self.jacobian(x)
+            if worst <= rounding * float(np.max(np.abs(j) @ np.abs(x))):
+                return Projection(x, True, it, worst)
+            step, *_ = np.linalg.lstsq(j[:, free], vals, rcond=None)
             x[free] = x[free] - step
 
 
@@ -184,12 +189,16 @@ def _require_independent(gamma, m, tols):
         raise FrameDegenerateError("transported force frame is linearly dependent")
 
 
+def _transported_frame(gnh, b, x, tols):
+    gamma = np.linalg.solve(b, gnh.forces.at(x))
+    _require_independent(gamma, gnh.m, tols)
+    return gamma
+
+
 def H_frame_at(gnh, x, tols=linalg.DEFAULT_TOLERANCES):
     """Transported frame Gamma_mu = B(x)^{-1} Delta_mu(x), columns of an n x m array."""
     gnh.constraints.require_on(x)
-    gamma = np.linalg.solve(_regular_base_matrix(gnh, x, tols), gnh.forces.at(x))
-    _require_independent(gamma, gnh.m, tols)
-    return gamma
+    return _transported_frame(gnh, _regular_base_matrix(gnh, x, tols), x, tols)
 
 
 def D_matrix_at(gnh, x, tols=linalg.DEFAULT_TOLERANCES):
@@ -207,9 +216,7 @@ class PointClassification:
     regular: bool
 
 
-def classify_at(gnh, x, tols=linalg.DEFAULT_TOLERANCES):
-    """Regularity of the restricted problem at x via ranks of the D-matrix."""
-    d = D_matrix_at(gnh, x, tols)
+def _classify(gnh, d, tols):
     r = linalg.rank(d, tols)
     return PointClassification(
         d_matrix=d,
@@ -220,11 +227,20 @@ def classify_at(gnh, x, tols=linalg.DEFAULT_TOLERANCES):
     )
 
 
+def classify_at(gnh, x, tols=linalg.DEFAULT_TOLERANCES):
+    """Regularity of the restricted problem at x via ranks of the D-matrix."""
+    return _classify(gnh, D_matrix_at(gnh, x, tols), tols)
+
+
 @dataclass
 class MultiplierResult:
     u: np.ndarray
     gauged: bool  # True when the solution is the minimum-norm representative
     residual: float
+
+
+def _multiplier_result(u, sol):
+    return MultiplierResult(u, sol.kernel.dim > 0, sol.residual)
 
 
 def multipliers_at(gnh, x, y_at, tols=linalg.DEFAULT_TOLERANCES):
@@ -241,19 +257,37 @@ def constrained_field_at(gnh, x, y_at=None, tols=linalg.DEFAULT_TOLERANCES):
     of M; Y is B^{-1} g unless `y_at` is given."""
     gnh.constraints.require_on(x)
     xf, u, sol = PointDynamics(gnh, tols).solve(x, y_at)
-    return xf, MultiplierResult(u, sol.kernel.dim > 0, sol.residual)
+    return xf, _multiplier_result(u, sol)
+
+
+def _projectors(jphi, gamma, tols):
+    return linalg.complement_projectors(linalg.kernel_basis(jphi, tols), gamma, tols)
 
 
 def projectors_at(gnh, x, tols=linalg.DEFAULT_TOLERANCES):
     """Oblique projectors (P onto T_xM along H_x, Q = I - P)."""
     gamma = H_frame_at(gnh, x, tols)
-    tm = linalg.kernel_basis(gnh.constraints.jacobian(x), tols)
-    return linalg.complement_projectors(tm, gamma, tols)
+    return _projectors(gnh.constraints.jacobian(x), gamma, tols)
+
+
+def _unconstrained(gnh, b, x):
+    return np.linalg.solve(b, gnh.base.f_at(x))
 
 
 def unconstrained_solution_at(gnh, x, tols=linalg.DEFAULT_TOLERANCES):
     """Y(x) = B(x)^{-1} g(x) for a regular base."""
-    return np.linalg.solve(_regular_base_matrix(gnh, x, tols), gnh.base.f_at(x))
+    return _unconstrained(gnh, _regular_base_matrix(gnh, x, tols), x)
+
+
+@dataclass
+class PointAnalysis:
+    """What `PointDynamics.analysis` finds at a point of M with a regular base."""
+
+    classification: PointClassification
+    y: np.ndarray  # Y = B^{-1} g
+    field: np.ndarray  # X = Y + Gamma u
+    multipliers: MultiplierResult
+    projectors: tuple  # (P onto T_xM along H_x, Q = I - P)
 
 
 class PointDynamics:
@@ -271,7 +305,7 @@ class PointDynamics:
     system gives the minimum-norm u, with X following, once the frame's rank is
     checked; no solution, or no unique one for an explicit flow, raises
     InconsistentSystemError. Points are not checked against M, nor is a varying
-    base's rank."""
+    base's rank, except by `unconstrained` and `analysis`."""
 
     def __init__(self, system, tols=linalg.DEFAULT_TOLERANCES, second_order=False):
         gnh = system if isinstance(system, GeneralizedNonholonomicSystem) else None
@@ -286,9 +320,10 @@ class PointDynamics:
         self._a_const = base.A.is_constant
         if self._a_const:
             self._mat[:k, :n] = base.A_at(np.zeros(n))
-        self._b_inv = None
+        self._b = self._b_inv = None
         if gnh is not None and not second_order and self._a_const:
-            self._b_inv = np.linalg.inv(_regular_base_matrix(gnh, np.zeros(n), tols))
+            self._b = _regular_base_matrix(gnh, np.zeros(n), tols)
+            self._b_inv = np.linalg.inv(self._b)
         self._jphi = None if gnh is None else gnh.constraints.phi.jacobian_field()
         self._no_solution = (
             "A(x) v = f(x) has no unique solution" if gnh is None
@@ -296,8 +331,30 @@ class PointDynamics:
             else "no multiplier solves the tangency condition")
         self._last = None  # (bytes of x, field_and_multipliers(x)) of the last solve
 
+    def _base_matrix(self, x):
+        """B(x), checked regular: for a constant base in the first-order modes
+        once, at construction; otherwise at every call."""
+        if self._b is not None:
+            return self._b
+        return _regular_base_matrix(self.gnh, x, self.tols)
+
     def unconstrained(self, x):
-        return unconstrained_solution_at(self.gnh, x, self.tols)
+        """Y = B^{-1} g at x, the base checked regular (see `_base_matrix`)."""
+        return _unconstrained(self.gnh, self._base_matrix(x), x)
+
+    def analysis(self, x):
+        """PointAnalysis at x, which the caller has checked lies on M: the base
+        checked regular (see `_base_matrix`), Gamma = B^{-1} Delta solved once
+        for D and the projectors, Y once, and X and u from one `solve`."""
+        gnh, tols = self.gnh, self.tols
+        b = self._base_matrix(x)
+        gamma = _transported_frame(gnh, b, x, tols)
+        jphi = gnh.constraints.jacobian(x)
+        cls = _classify(gnh, jphi @ gamma, tols)
+        y = _unconstrained(gnh, b, x)
+        xf, u, sol = self.solve(x, y)
+        return PointAnalysis(cls, y, xf, _multiplier_result(u, sol),
+                             _projectors(jphi, gamma, tols))
 
     def solve(self, x, y=None):
         """(X, u, sol) at x, `sol` the solve's AffineSolutionSet (in (X, u) if bordered)."""

@@ -18,7 +18,7 @@ import numpy as np
 from . import linalg
 from .errors import ShapeError
 from .expressions import Const, ExpressionField, Var, add, derivative, mul
-from .nonholonomic import constrained_field_at, unconstrained_solution_at
+from .nonholonomic import PointDynamics
 
 __all__ = [
     "SymmetryCandidate",
@@ -29,6 +29,8 @@ __all__ = [
     "check_inf_symmetry",
     "check_descent",
     "check_constant_descent",
+    "flow_samples",
+    "constant_descent",
 ]
 
 
@@ -111,33 +113,40 @@ def check_symmetry(sys, cand, points, tol=1e-8, tols=linalg.DEFAULT_TOLERANCES):
     return SymmetryCheck(r_f, r_a, r_f <= tol and r_a <= tol, tol)
 
 
-def _directional_matrix_derivative(mat_field, x, v):
-    """(D_V mat)(x): entry-wise directional derivative along the vector v."""
-    out = np.zeros(mat_field.shape)
-    for j, pf in enumerate(mat_field.partial_fields()):
-        out += pf(x) * v[j]
-    return out
+def _directional_field(mat_field, v_field):
+    """D_V of a matrix field as one matrix field: each entry is the sum over the
+    variables, in order, of d(entry)/dx_j * V_j, with each V_j that is the
+    constant 0 left out (its terms are exact zeros)."""
+    terms = [(name, ve) for name, ve in zip(mat_field.variables, v_field.entries)
+             if not (isinstance(ve, Const) and ve.value == 0.0)]
+    entries = []
+    for e in mat_field.entries:
+        acc = Const(0.0)
+        for name, ve in terms:
+            acc = add(acc, mul(derivative(e, name), ve))
+        entries.append(acc)
+    return ExpressionField(entries, mat_field.variables, mat_field.shape)
 
 
 def check_inf_symmetry(sys, cand, points, tol=1e-8):
-    """Residuals of the linearized symmetry conditions over the sample points."""
+    """Residuals of the linearized symmetry conditions over the sample points.
+
+    D_V A is built once per call, as one matrix field (see `_directional_field`),
+    and A is evaluated once per point.
+    """
     if cand.kind != "infinitesimal":
         raise ShapeError("check_inf_symmetry needs an infinitesimal candidate")
     jf = sys.f.jacobian_field()
     jv = cand.base.jacobian_field()
+    dva = _directional_field(sys.A, cand.base)
     r_f = 0.0
     r_a = 0.0
-    a_constant = sys.A.is_constant
     for x in points:
         v = cand.base(x)
         lam = cand.fibre(x)
         r_f = max(r_f, float(np.max(np.abs(jf(x) @ v - lam @ sys.f_at(x)))))
-        dva = (
-            np.zeros((sys.k, sys.n))
-            if a_constant
-            else _directional_matrix_derivative(sys.A, x, v)
-        )
-        resid = dva + sys.A_at(x) @ jv(x) - lam @ sys.A_at(x)
+        a = sys.A_at(x)
+        resid = dva(x) + a @ jv(x) - lam @ a
         r_a = max(r_a, float(np.max(np.abs(resid))))
     return SymmetryCheck(r_f, r_a, r_f <= tol and r_a <= tol, tol)
 
@@ -199,27 +208,25 @@ class ConstantDescentCheck:
     tol: float
 
 
-def check_constant_descent(gnh, h, points_on_m, y_field=None, tol=1e-8,
-                           tols=linalg.DEFAULT_TOLERANCES):
-    """Descent test for a conserved quantity h of the unconstrained dynamics.
+def flow_samples(dyn, points_on_m, y_field=None):
+    """(Y, X) at each point of M through one PointDynamics: the point checked on
+    M once, Y = B^{-1} g (or `y_field(x)`) and X from one solve."""
+    require_on = dyn.gnh.constraints.require_on
+    out = []
+    for x in points_on_m:
+        require_on(x)
+        y = np.asarray(y_field(x), dtype=float) if callable(y_field) else dyn.unconstrained(x)
+        out.append((y, dyn.solve(x, y)[0]))
+    return out
 
-    Computes Y.h, (Y - X).h and X.h over the sample; when h is conserved for Y,
-    conservation for the constrained X is equivalent to (Y - X).h = 0, and the
-    `consistent` flag verifies that equivalence numerically.
-    """
-    if h.shape != ():
-        raise ShapeError("h must be a scalar field")
+
+def constant_descent(h, points_on_m, flows, tol=1e-8):
+    """ConstantDescentCheck of a scalar field h from the `flow_samples` pairs."""
     dh = h.gradient()
     max_yh = 0.0
     max_gh = 0.0
     max_xh = 0.0
-    for x in points_on_m:
-        y = (
-            np.asarray(y_field(x), dtype=float)
-            if callable(y_field)
-            else unconstrained_solution_at(gnh, x, tols)
-        )
-        xfield, _ = constrained_field_at(gnh, x, y, tols)
+    for x, (y, xfield) in zip(points_on_m, flows):
         g = dh(x)
         max_yh = max(max_yh, abs(float(g @ y)))
         max_gh = max(max_gh, abs(float(g @ (y - xfield))))
@@ -231,3 +238,19 @@ def check_constant_descent(gnh, h, points_on_m, y_field=None, tol=1e-8,
     return ConstantDescentCheck(
         base_ok, gamma_ok, constrained_ok, max_yh, max_gh, max_xh, consistent, tol
     )
+
+
+def check_constant_descent(gnh, h, points_on_m, y_field=None, tol=1e-8,
+                           tols=linalg.DEFAULT_TOLERANCES):
+    """Descent test for a conserved quantity h of the unconstrained dynamics.
+
+    Computes Y.h, (Y - X).h and X.h over the sample; when h is conserved for Y,
+    conservation for the constrained X is equivalent to (Y - X).h = 0, and the
+    `consistent` flag verifies that equivalence numerically. Y and X are
+    computed once per point, through one PointDynamics (a constant base's rank
+    is checked once, a varying base's at every point), by `flow_samples`.
+    """
+    if h.shape != ():
+        raise ShapeError("h must be a scalar field")
+    flows = flow_samples(PointDynamics(gnh, tols), points_on_m, y_field)
+    return constant_descent(h, points_on_m, flows, tol)

@@ -362,3 +362,16 @@ def test_second_order_mode_reports_multipliers(tmp_path, capsys):
     assert code == 0
     assert out.count("sode_consistent: true") == 2
     assert out.count("\n  u: [") == 2
+
+
+def test_projection_stops_at_the_rounding_floor_of_large_states(capsys):
+    # at x' = 1e6 the rounding error of phi = z' - y*x' exceeds 1e-10: the
+    # projection accepts max |phi| at the floor measured from its Jacobian
+    code, out, err = _run(
+        capsys, "simulate", "--scenario", "rosenberg",
+        "--x0", "x=0,y=1,z=0,x'=1e6,y'=1", "--t1", "0.01", "--dt", "1e-3",
+        "--quiet-time",
+    )
+    assert code == 0 and err == ""
+    drift = float(out.split("drift_max: ")[1].split("\n")[0])
+    assert 0.0 < drift <= 1e-8

@@ -1,0 +1,55 @@
+"""Mutated spec files through the check commands: an exit code, never a traceback.
+
+Each example is a bundled `.lss` text with bytes deleted, bytes inserted or a
+fragment of another bundled text spliced in. Whatever the text has become, the
+check commands must end with one of the documented exit codes (0 success,
+1 a check failed, 2 usage error, 3 evaluation error).
+"""
+
+import warnings
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from linsing.cli import SCENARIOS, main, scenario_text
+
+TEXTS = [scenario_text(name).encode("utf-8") for name in SCENARIOS]
+COMMANDS = (
+    ("analyze", "--points", "2"),
+    ("check-constant", "--points", "3"),
+    ("check-symmetry", "--points", "3"),
+)
+
+
+@st.composite
+def mutated_specs(draw):
+    text = draw(st.sampled_from(TEXTS))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text)))
+        kind = draw(st.sampled_from(("delete", "insert", "splice")))
+        if kind == "delete":
+            end = draw(st.integers(at, min(len(text), at + 24)))
+            text = text[:at] + text[end:]
+        elif kind == "insert":
+            text = text[:at] + draw(st.binary(min_size=1, max_size=6)) + text[at:]
+        else:
+            other = draw(st.sampled_from(TEXTS))
+            start = draw(st.integers(0, len(other)))
+            end = draw(st.integers(start, min(len(other), start + 60)))
+            text = text[:at] + other[start:end] + text[at:]
+    return text
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(text=mutated_specs())
+def test_mutated_specs_end_in_an_exit_code(text, tmp_path, capsys):
+    path = tmp_path / "mutated.lss"
+    path.write_bytes(text)
+    for cmd, *flags in COMMANDS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([cmd, "--spec", str(path), *flags])
+        capsys.readouterr()
+        assert code in (0, 1, 2, 3), (cmd, text)

@@ -273,3 +273,45 @@ def test_constant_descent_on_knife_edge_velocities():
     assert not res.gamma_derivative_small
     assert not res.constrained_conserved
     assert res.consistent
+
+
+# ------------------------------------------------ D_V A as one directional field
+
+def _reference_directional_derivative(mat_field, x, v):
+    """(D_V A)(x) as sum_j (dA/dx_j)(x) * V_j(x), one partial field per variable."""
+    out = np.zeros(mat_field.shape)
+    for j, pf in enumerate(mat_field.partial_fields()):
+        out += pf(x) * v[j]
+    return out
+
+
+@pytest.mark.parametrize("a_rows,v_exprs", [
+    ([["1 + x^2"]], ["x/(1 + x^2)"]),
+    ([["1 + x^2", "x*y"], ["sin(y)", "2 + y^2*x"]], ["x/(1 + x^2)", "exp(-y)*x"]),
+    ([["1 + x^2", "x*y"], ["sin(y)", "2 + y^2*x"]], ["0", "y^2 - x"]),
+    ([["1 + x^2", "x*y"], ["sin(y)", "2 + y^2*x"]], ["1", "0"]),
+    # three terms: the order of the sum shows in the last bits
+    ([["x*y + z^2", "exp(x*z)", "y"], ["sin(y)*x", "1 + x^2*y*z", "z*x"],
+      ["x", "y*z", "2 + x^2"]],
+     ["x/(1 + x^2)", "exp(-y)*x", "cos(z)*y"]),
+])
+def test_directional_field_equals_the_sum_of_partials_bit_for_bit(a_rows, v_exprs):
+    from linsing.symmetry import _directional_field
+
+    variables = ("x", "y", "z")[:len(v_exprs)]
+    a = ExpressionField.matrix(a_rows, variables)
+    v = ExpressionField.vector(v_exprs, variables)
+    dva = _directional_field(a, v)
+    rng = np.random.default_rng(3)
+    pts = [rng.uniform(-2.0, 2.0, size=len(variables)) for _ in range(25)]
+    for x in pts:
+        want = _reference_directional_derivative(a, x, v(x))
+        # equal as numbers: a skipped zero term may only flip the sign of a zero
+        assert np.array_equal(dva(x), want)
+    # and so the A-residual of the linearized check is unchanged
+    sys = make_system(a, ExpressionField.vector(["x"] * len(a_rows), variables))
+    cand = infinitesimal_candidate(v)
+    r_a = max(float(np.max(np.abs(
+        _reference_directional_derivative(a, x, v(x)) + a(x) @ v.jacobian_at(x)
+        - cand.fibre(x) @ a(x)))) for x in pts)
+    assert check_inf_symmetry(sys, cand, pts, tol=1e9).r_A == r_a
