@@ -164,8 +164,9 @@ def _point_doc(spec, x, tols, evaluator):
         spec.constraints.require_on(x)
         try:
             pa = evaluator(False).analysis(x)
-        except BaseNotRegularError:
-            return _singular_point_doc(spec, x, tols, doc, evaluator)
+        except BaseNotRegularError as exc:
+            res = exc.consistency or consistency_at(spec.system, x, tols)
+            return _singular_point_doc(spec, x, res, doc, evaluator)
         cls, y, mult = pa.classification, pa.y, pa.multipliers
         doc.update(
             base_regular=True,
@@ -195,8 +196,7 @@ def _point_doc(spec, x, tols, evaluator):
     return doc
 
 
-def _singular_point_doc(spec, x, tols, doc, evaluator):
-    res = consistency_at(spec.system, x, tols)
+def _singular_point_doc(spec, x, res, doc, evaluator):
     doc.update(
         base_regular=False,
         rank_base=res.rank_A,

@@ -41,7 +41,15 @@ class NotComplementaryError(LinsingError):
 
 
 class BaseNotRegularError(LinsingError):
-    """The base morphism is not a pointwise isomorphism where one is required."""
+    """The base morphism is not a pointwise isomorphism where one is required.
+
+    `consistency`, when set, is the ConsistencyResult of A(x) v = f(x) at the
+    point, from the factorization that found the base singular.
+    """
+
+    def __init__(self, message, consistency=None):
+        super().__init__(message)
+        self.consistency = consistency
 
 
 class FrameDegenerateError(LinsingError):

@@ -657,16 +657,13 @@ def eval_dual(e, variables, point):
 _BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 
 
-def compile_exprs(exprs, variables):
-    """Compile a flat list of expressions into one fast callable seq -> list[float].
+def _compiled_source(exprs, variables):
+    """Source of `def _compiled(_x)`, returning the list of the expressions' values.
 
-    The expressions are compiled as one DAG: structurally equal subtrees get one
+    The expressions are numbered as one DAG: structurally equal subtrees get one
     value number, and a non-leaf one used more than once is computed once per
-    call into a local. Every operation stays the same IEEE operation on the same
-    operands, so results are bit-identical to computing each tree in full.
-
-    On any arithmetic fault the slow tree evaluator re-runs to produce a precise
-    DomainEvalError naming the subexpression.
+    call into a local. `_x[i]` is the value of variable i; the operators and the
+    `_fn_*` and `_pow` names are bound by the namespace the source runs in.
     """
     idx = {name: i for i, name in enumerate(variables)}
     number_of = {}  # id(node) -> value number; keys are nodes kept alive by `exprs`
@@ -726,12 +723,30 @@ def compile_exprs(exprs, variables):
             text = f"_t{k}"
         texts.append(text)
     body = ", ".join(texts[k] for k in roots)
-    src = "def _compiled(_x):\n" + "".join(lines) + f"    return [{body}]\n"
+    return "def _compiled(_x):\n" + "".join(lines) + f"    return [{body}]\n"
+
+
+def _define(src, namespace):
+    exec(src, namespace)  # noqa: S102 - source is generated from our own AST
+    return namespace["_compiled"]
+
+
+def compile_exprs(exprs, variables):
+    """Compile a flat list of expressions into one fast callable seq -> list[float].
+
+    The expressions are compiled as one DAG (see `_compiled_source`). Every
+    operation stays the same IEEE operation on the same operands, so results are
+    bit-identical to computing each tree in full.
+
+    On any arithmetic fault the slow tree evaluator re-runs to produce a precise
+    DomainEvalError naming the subexpression. The runner's `source` attribute
+    holds the generated code, which `compile_rows` runs over arrays.
+    """
+    src = _compiled_source(exprs, variables)
     ns = {"_pow": math.pow}
     for fname, impl in FUNCTIONS.items():
         ns[f"_fn_{fname}"] = impl
-    exec(src, ns)  # noqa: S102 - source is generated from our own AST
-    fast = ns["_compiled"]
+    fast = _define(src, ns)
     names = list(variables)
 
     def runner(point):
@@ -746,7 +761,60 @@ def compile_exprs(exprs, variables):
             env = dict(zip(names, point))
             return [evaluate(e, env) for e in exprs]
 
+    runner.source = src
     return runner
+
+
+def _over_column(fn):
+    """`fn` applied to each value of a column (or to a single float), through
+    the same Python function the scalar runner calls."""
+
+    def mapped(*args):
+        if not any(isinstance(a, np.ndarray) for a in args):
+            return fn(*args)
+        cols = np.broadcast_arrays(*args)
+        return np.fromiter(map(fn, *(c.tolist() for c in cols)), float, cols[0].size)
+
+    return mapped
+
+
+def _row_namespace():
+    # numpy ufuncs only where they are the same IEEE operation as the scalar
+    # runner's: the arithmetic operators, negation, sqrt and abs
+    ns = {f"_fn_{fname}": _over_column(impl) for fname, impl in FUNCTIONS.items()}
+    ns.update(_pow=_over_column(math.pow), _fn_sqrt=np.sqrt, _fn_abs=np.abs)
+    return ns
+
+
+def compile_rows(runner):
+    """Vectorised target of a `compile_exprs` runner: an (N, n) array of points
+    -> an (N, m) array whose row i is bit for bit `runner(points[i])`.
+
+    The runner's source runs once over columns of values. Where the scalar
+    runner raises (a division by zero, an overflow, a domain fault), numpy would
+    go on with an inf or a NaN that a later operation can hide, so any
+    floating-point exception in the vectorised run sends every row through the
+    scalar runner, in row order: a DomainEvalError names the subexpression as
+    before. Rows whose point or value is not finite also take the scalar runner.
+    """
+    fast = _define(runner.source, _row_namespace())
+
+    def rows(points):
+        points = np.asarray(points, dtype=float)
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+                values = fast(np.ascontiguousarray(points.T))
+        except (ValueError, ArithmeticError):
+            return np.array([runner(p) for p in points], dtype=float).reshape(len(points), -1)
+        out = np.empty((len(points), len(values)))
+        for j, v in enumerate(values):
+            out[:, j] = v
+        redo = ~(np.isfinite(points).all(axis=1) & np.isfinite(out).all(axis=1))
+        for i in np.flatnonzero(redo):
+            out[i] = runner(points[i])
+        return out
+
+    return rows
 
 
 # ---------------------------------------------------------- expression fields
@@ -772,6 +840,7 @@ class ExpressionField:
             if extra:
                 raise UndeclaredVariableError(sorted(extra)[0])
         self._runner = None
+        self._rows = None
         self._jac = None
         self._grad = None
         self._hess = None
@@ -813,14 +882,28 @@ class ExpressionField:
     def is_constant(self):
         return all(isinstance(e, Const) for e in self.entries)
 
-    def __call__(self, point):
+    def _scalar_runner(self):
         if self._runner is None:
             self._runner = compile_exprs(list(self.entries), self.variables)
-        vals = self._runner(point)
+        return self._runner
+
+    def __call__(self, point):
+        vals = (self._runner or self._scalar_runner())(point)
         if self.shape == ():
             return vals[0]
         out = np.array(vals, dtype=float)
         return out.reshape(self.shape) if len(self.shape) == 2 else out
+
+    def rows(self, points):
+        """Values at each row of an (N, n) array of points, as an (N, *shape)
+        array; row i is bit for bit the field at points[i] (see `compile_rows`).
+        A batch of one row takes the scalar runner."""
+        points = np.asarray(points, dtype=float)
+        if len(points) == 1:
+            return np.asarray(self(points[0]), dtype=float)[None]
+        if self._rows is None:
+            self._rows = compile_rows(self._scalar_runner())
+        return self._rows(points).reshape((len(points),) + self.shape)
 
     # -- calculus ------------------------------------------------------------
     def partial(self, var):

@@ -20,11 +20,12 @@ from .errors import (
     BaseNotRegularError,
     FrameDegenerateError,
     InconsistentSystemError,
+    NonFiniteError,
     NotOnManifoldError,
     ShapeError,
 )
 from .expressions import ExpressionField
-from .systems import LinearlySingularSystem
+from .systems import ConsistencyResult, LinearlySingularSystem
 
 __all__ = [
     "SubmanifoldSpec",
@@ -78,32 +79,85 @@ class SubmanifoldSpec:
             )
 
     def project(self, x):
-        """Gauss-Newton projection onto M; returns a Projection."""
-        return self.lift(x, range(len(x)), 20)
+        """Gauss-Newton projection of one point onto M; returns a Projection."""
+        return self.lift(x, range(len(x)), linalg.Tolerances.projection_iterations)
 
     def lift(self, x, free_indices, max_iter=50):
-        """Newton-solve phi = 0 over the listed coordinates, holding the rest fixed,
-        to max |phi| <= Tolerances.projection_target, or to the rounding floor of
-        phi at x when that is larger (measured with the Jacobian each step
-        computes); returns a Projection."""
+        """Gauss-Newton solve of phi = 0 over the listed coordinates, holding the
+        rest fixed, for one point or for each row of an (N, n) batch; returns a
+        Projection (of arrays, one entry per row, for a batch).
+
+        A row stops at max |phi| <= Tolerances.projection_target, at the
+        rounding floor of phi there when that is larger (measured with the
+        Jacobian each step computes), or after `max_iter` steps. Each iteration
+        evaluates phi and its Jacobian once over the rows still moving and takes
+        their minimum-norm steps together (`linalg.min_norm_rows`, singular
+        values cut by the default `Tolerances.rank_tol`). A non-finite value of
+        phi or of its Jacobian at a row that must move raises NonFiniteError.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            return Projection(*self._gauss_newton(x, free_indices, max_iter, self.phi.rows(x)))
+        vals = self.values(x)
+        worst = _max_abs(vals)
+        if worst <= linalg.Tolerances.projection_target:  # every step of `integrate`
+            return Projection(x.copy(), True, 0, worst)
+        point, ok, its, res = self._gauss_newton(x[None], free_indices, max_iter, vals[None])
+        return Projection(point[0], bool(ok[0]), int(its[0]), float(res[0]))
+
+    def _gauss_newton(self, x, free_indices, max_iter, vals):
+        """(points, converged, iterations, residuals) of `lift` on the rows of x,
+        `vals` holding phi at them."""
         target = linalg.Tolerances.projection_target
         rounding = linalg.Tolerances.projection_rounding * np.finfo(float).eps
-        x = np.asarray(x, dtype=float).copy()
-        free = list(free_indices)
+        jac_field = self.phi.jacobian_field()
+        free = np.asarray(list(free_indices), dtype=int)
+        x = x.copy()
+        converged = np.zeros(len(x), dtype=bool)
+        iterations = np.zeros(len(x), dtype=int)
+        residual = np.zeros(len(x))
+        active = np.arange(len(x))  # the rows still moving, in row order
         for it in range(max_iter + 1):
-            vals = self.values(x)
-            worst = _max_abs(vals)
-            if worst <= target or it == max_iter:
-                return Projection(x, worst <= target, it, worst)
-            j = self.jacobian(x)
-            if worst <= rounding * float(np.max(np.abs(j) @ np.abs(x))):
-                return Projection(x, True, it, worst)
-            step, *_ = np.linalg.lstsq(j[:, free], vals, rcond=None)
-            x[free] = x[free] - step
+            worst = np.max(np.abs(vals), axis=1)
+            done = worst <= target
+            if it < max_iter and not done.all():
+                move = np.flatnonzero(~done)
+                xm = x[active[move]]
+                jac = jac_field.rows(xm)
+                if not (np.isfinite(jac).all() and np.isfinite(worst[move]).all()):
+                    raise NonFiniteError("the projection onto M met a non-finite "
+                                         "constraint value or derivative")
+                floor = rounding * np.max(np.abs(jac) @ np.abs(xm)[:, :, None], axis=(1, 2))
+                at_floor = worst[move] <= floor
+                done[move[at_floor]] = True
+                jac = jac[~at_floor]
+            stop = done if it < max_iter else np.ones_like(done)
+            converged[active[done]] = True
+            iterations[active[stop]] = it
+            residual[active[stop]] = worst[stop]
+            if stop.all():
+                break
+            active, vals, worst = active[~stop], vals[~stop], worst[~stop]
+            cells = np.ix_(active, free)
+            with np.errstate(over="ignore", invalid="ignore"):  # the next check reports it
+                steps = linalg.min_norm_rows(jac[:, :, free], vals)
+                x[cells] = x[cells] - steps
+            # a zero step (a Jacobian of rank 0) leaves its row in place, so each
+            # later iteration would repeat this one up to the cap: end it there
+            still = steps.any(axis=1)
+            if not still.all():
+                iterations[active[~still]] = max_iter
+                residual[active[~still]] = worst[~still]
+                active = active[still]
+                if not active.size:
+                    break
+            vals = self.phi.rows(x[active])
+        return x, converged, iterations, residual
 
 
 class Projection(tuple):
-    """(point, converged, iterations), with `residual`: max |phi| at the point."""
+    """(point, converged, iterations), with `residual`: max |phi| at the point;
+    for a batch, each holds one entry per row."""
 
     def __new__(cls, point, converged, iterations, residual):
         self = super().__new__(cls, (point, converged, iterations))
@@ -174,13 +228,14 @@ class GeneralizedNonholonomicSystem:
         return self.forces.m
 
 
+_BASE_SINGULAR = ("base morphism is not invertible at this point; "
+                  "use the linearly singular solve path instead")
+
+
 def _regular_base_matrix(gnh, x, tols):
     b = gnh.base.A_at(x)
     if gnh.base.k != gnh.base.n or linalg.rank(b, tols) < gnh.base.n:
-        raise BaseNotRegularError(
-            "base morphism is not invertible at this point; "
-            "use the linearly singular solve path instead"
-        )
+        raise BaseNotRegularError(_BASE_SINGULAR)
     return b
 
 
@@ -331,27 +386,34 @@ class PointDynamics:
             else "no multiplier solves the tangency condition")
         self._last = None  # (bytes of x, field_and_multipliers(x)) of the last solve
 
-    def _base_matrix(self, x):
-        """B(x), checked regular: for a constant base in the first-order modes
-        once, at construction; otherwise at every call."""
-        if self._b is not None:
-            return self._b
-        return _regular_base_matrix(self.gnh, x, self.tols)
-
     def unconstrained(self, x):
-        """Y = B^{-1} g at x, the base checked regular (see `_base_matrix`)."""
-        return _unconstrained(self.gnh, self._base_matrix(x), x)
+        """Y = B^{-1} g at x, the base checked regular: for a constant base in
+        the first-order modes once, at construction; otherwise at every call."""
+        b = self._b if self._b is not None else _regular_base_matrix(self.gnh, x, self.tols)
+        return _unconstrained(self.gnh, b, x)
 
     def analysis(self, x):
-        """PointAnalysis at x, which the caller has checked lies on M: the base
-        checked regular (see `_base_matrix`), Gamma = B^{-1} Delta solved once
-        for D and the projectors, Y once, and X and u from one `solve`."""
+        """PointAnalysis at x, which the caller has checked lies on M.
+
+        A constant base was checked regular at construction. A varying one is
+        evaluated and factored once, by the solve of B v = g whose rank decides
+        its regularity; a singular one raises BaseNotRegularError carrying that
+        solve as its `consistency`. Gamma = B^{-1} Delta is solved once for D
+        and the projectors, Y once, and X and u come from one `solve`."""
         gnh, tols = self.gnh, self.tols
-        b = self._base_matrix(x)
+        g = gnh.base.f_at(x)
+        b = self._b
+        if b is None:
+            b = gnh.base.A_at(x)
+            sol = linalg.solve_affine(b, g, tols)
+            rank = gnh.base.n - sol.kernel.dim
+            if gnh.base.k != gnh.base.n or rank < gnh.base.n:
+                raise BaseNotRegularError(
+                    _BASE_SINGULAR, ConsistencyResult(sol.consistent, sol.residual, rank, sol))
         gamma = _transported_frame(gnh, b, x, tols)
         jphi = gnh.constraints.jacobian(x)
         cls = _classify(gnh, jphi @ gamma, tols)
-        y = _unconstrained(gnh, b, x)
+        y = np.linalg.solve(b, g)
         xf, u, sol = self.solve(x, y)
         return PointAnalysis(cls, y, xf, _multiplier_result(u, sol),
                              _projectors(jphi, gamma, tols))

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import linalg
+
 __all__ = ["halton_box", "on_manifold_sample"]
 
 _OVERSAMPLE = 3  # box points drawn per requested on-manifold point
@@ -52,15 +54,20 @@ def _first_primes(d):
 def on_manifold_sample(constraints, variables, box, count):
     """Quasi-random points projected onto M = {phi = 0}.
 
-    Draws `_OVERSAMPLE * count` box points, Gauss-Newton projects each, and keeps
-    the first `count` that converge onto M. Deterministic for fixed inputs.
+    Of `_OVERSAMPLE * count` box points, in order, keeps the first `count`
+    that the Gauss-Newton projection brings onto M. The first `count` points
+    are projected as one batch, then one batch per shortfall from the points
+    that follow, so exactly the points a one-at-a-time loop would project are
+    projected. Deterministic for fixed inputs.
     """
     raw = halton_box(variables, box, _OVERSAMPLE * count)
+    free = range(len(variables))
+    iterations = linalg.Tolerances.projection_iterations
     kept = []
-    for row in raw:
-        point, ok, _ = constraints.project(row)
-        if ok:
-            kept.append(point)
-            if len(kept) == count:
-                break
+    start = 0
+    while len(kept) < count and start < len(raw):
+        batch = raw[start:start + count - len(kept)]
+        start += len(batch)
+        points, ok, _ = constraints.lift(batch, free, iterations)
+        kept.extend(points[ok])
     return np.array(kept)

@@ -11,12 +11,13 @@ field lifts to the tangent bundle by the complete lift (V, DV.u)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .errors import ShapeError
+from .errors import NonFiniteError, ShapeError
 from .expressions import Const, ExpressionField, Var, add, derivative, mul
 from .nonholonomic import PointDynamics
 
@@ -82,6 +83,21 @@ def euler_flow_candidate(cand, eps):
     return SymmetryCandidate("finite", base, fibre)
 
 
+def _residual_errors():
+    """numpy's overflow and invalid-value warnings off: `_worst` reports a
+    non-finite residual as an error instead."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+def _worst(current, values, name):
+    """max(current, max |values|); a non-finite value raises NonFiniteError
+    (a max fold would drop a NaN and report the residual as 0)."""
+    value = float(np.max(np.abs(values)))
+    if not math.isfinite(value):
+        raise NonFiniteError(f"the residual {name} is not finite ({value})")
+    return max(current, value)
+
+
 @dataclass
 class SymmetryCheck:
     r_f: float
@@ -97,19 +113,17 @@ def check_symmetry(sys, cand, points, tol=1e-8, tols=linalg.DEFAULT_TOLERANCES):
     r_f = 0.0
     r_a = 0.0
     jpsi = cand.base.jacobian_field()
-    for x in points:
-        y = cand.base(x)
-        dpsi = jpsi(x)
-        if linalg.rank(dpsi, tols) < sys.n:
-            raise ShapeError("base map is not invertible at a sample point")
-        phi_m = cand.fibre(x)
-        if linalg.rank(phi_m, tols) < sys.k:
-            raise ShapeError("fibre map is not invertible at a sample point")
-        r_f = max(r_f, float(np.max(np.abs(sys.f_at(y) - phi_m @ sys.f_at(x)))))
-        r_a = max(
-            r_a,
-            float(np.max(np.abs(sys.A_at(y) @ dpsi - phi_m @ sys.A_at(x)))),
-        )
+    with _residual_errors():
+        for x in points:
+            y = cand.base(x)
+            dpsi = jpsi(x)
+            if linalg.rank(dpsi, tols) < sys.n:
+                raise ShapeError("base map is not invertible at a sample point")
+            phi_m = cand.fibre(x)
+            if linalg.rank(phi_m, tols) < sys.k:
+                raise ShapeError("fibre map is not invertible at a sample point")
+            r_f = _worst(r_f, sys.f_at(y) - phi_m @ sys.f_at(x), "r_f")
+            r_a = _worst(r_a, sys.A_at(y) @ dpsi - phi_m @ sys.A_at(x), "r_A")
     return SymmetryCheck(r_f, r_a, r_f <= tol and r_a <= tol, tol)
 
 
@@ -131,23 +145,22 @@ def _directional_field(mat_field, v_field):
 def check_inf_symmetry(sys, cand, points, tol=1e-8):
     """Residuals of the linearized symmetry conditions over the sample points.
 
-    D_V A is built once per call, as one matrix field (see `_directional_field`),
-    and A is evaluated once per point.
+    D_V f and D_V A are built once per call, each as one field (see
+    `_directional_field`), and A is evaluated once per point.
     """
     if cand.kind != "infinitesimal":
         raise ShapeError("check_inf_symmetry needs an infinitesimal candidate")
-    jf = sys.f.jacobian_field()
+    dvf = _directional_field(sys.f, cand.base)
     jv = cand.base.jacobian_field()
     dva = _directional_field(sys.A, cand.base)
     r_f = 0.0
     r_a = 0.0
-    for x in points:
-        v = cand.base(x)
-        lam = cand.fibre(x)
-        r_f = max(r_f, float(np.max(np.abs(jf(x) @ v - lam @ sys.f_at(x)))))
-        a = sys.A_at(x)
-        resid = dva(x) + a @ jv(x) - lam @ a
-        r_a = max(r_a, float(np.max(np.abs(resid))))
+    with _residual_errors():
+        for x in points:
+            lam = cand.fibre(x)
+            a = sys.A_at(x)
+            r_f = _worst(r_f, dvf(x) - lam @ sys.f_at(x), "r_f")
+            r_a = _worst(r_a, dva(x) + a @ jv(x) - lam @ a, "r_A")
     return SymmetryCheck(r_f, r_a, r_f <= tol and r_a <= tol, tol)
 
 
@@ -170,27 +183,27 @@ def check_descent(gnh, cand, points_on_m, tol=1e-8, tols=linalg.DEFAULT_TOLERANC
     """
     tang = 0.0
     force = 0.0
-    for x in points_on_m:
-        if cand.kind == "finite":
-            y = cand.base(x)
-            tang = max(tang, float(np.max(np.abs(gnh.constraints.values(y)))))
-            target = gnh.forces.at(y)
-            moved = cand.fibre(x) @ gnh.forces.at(x)
-        else:
-            v = cand.base(x)
-            jphi = gnh.constraints.jacobian(x)
-            tang = max(tang, float(np.max(np.abs(jphi @ v))))
-            # Lie-type derivative of each force section along (V, Lambda)
-            lam = cand.fibre(x)
-            target = gnh.forces.at(x)
-            cols = []
-            for cfield in gnh.forces.columns:
-                dcol = cfield.jacobian_field()(x) @ v
-                cols.append(lam @ cfield(x) - dcol)
-            moved = np.column_stack(cols)
-        for j in range(moved.shape[1]):
-            sol = linalg.solve_affine(target, moved[:, j], tols)
-            force = max(force, sol.residual)
+    with _residual_errors():
+        for x in points_on_m:
+            if cand.kind == "finite":
+                y = cand.base(x)
+                tang = _worst(tang, gnh.constraints.values(y), "tangency_residual")
+                target = gnh.forces.at(y)
+                moved = cand.fibre(x) @ gnh.forces.at(x)
+            else:
+                v = cand.base(x)
+                tang = _worst(tang, gnh.constraints.jacobian(x) @ v, "tangency_residual")
+                # Lie-type derivative of each force section along (V, Lambda)
+                lam = cand.fibre(x)
+                target = gnh.forces.at(x)
+                cols = []
+                for cfield in gnh.forces.columns:
+                    dcol = cfield.jacobian_field()(x) @ v
+                    cols.append(lam @ cfield(x) - dcol)
+                moved = np.column_stack(cols)
+            for j in range(moved.shape[1]):
+                sol = linalg.solve_affine(target, moved[:, j], tols)
+                force = _worst(force, sol.residual, "force_residual")
     tangent = tang <= tol
     preserves = force <= tol
     return DescentCheck(tangent, preserves, tangent and preserves, tang, force, tol)
@@ -226,11 +239,12 @@ def constant_descent(h, points_on_m, flows, tol=1e-8):
     max_yh = 0.0
     max_gh = 0.0
     max_xh = 0.0
-    for x, (y, xfield) in zip(points_on_m, flows):
-        g = dh(x)
-        max_yh = max(max_yh, abs(float(g @ y)))
-        max_gh = max(max_gh, abs(float(g @ (y - xfield))))
-        max_xh = max(max_xh, abs(float(g @ xfield)))
+    with _residual_errors():
+        for x, (y, xfield) in zip(points_on_m, flows):
+            g = dh(x)
+            max_yh = _worst(max_yh, g @ y, "Y_h")
+            max_gh = _worst(max_gh, g @ (y - xfield), "Gamma_h")
+            max_xh = _worst(max_xh, g @ xfield, "X_h")
     base_ok = max_yh <= tol
     gamma_ok = max_gh <= tol
     constrained_ok = max_xh <= tol

@@ -171,6 +171,23 @@ def test_analyze_builds_one_evaluator_per_mode(name, modes, monkeypatch, capsys)
     assert built == modes
 
 
+@pytest.mark.parametrize("name,singular,svds", [
+    # the base SVD (it decides the rank and the consistency report together)
+    # and the second-order solve at each singular point
+    ("relparticle-L1", True, 10 + 10),
+    # a regular varying base: the base SVD in place of the rank test, then the
+    # frame, D and projector ranks and the bordered solve, as before
+    ("relparticle-L2", False, 51),
+])
+def test_analyze_factors_a_varying_base_once_per_point(name, singular, svds,
+                                                       monkeypatch, capsys):
+    calls = _count_svds(monkeypatch)
+    code = cli.main(["analyze", "--scenario", name, "--points", "10"])
+    out = capsys.readouterr().out
+    assert code == 0 and out.count("base_regular: false") == (10 if singular else 0)
+    assert calls["svd"] == svds
+
+
 def test_check_symmetry_takes_no_partial_derivative_fields(monkeypatch, capsys):
     taken = []
     orig = ExpressionField.partial_fields

@@ -346,6 +346,19 @@ def test_simulate_blow_up_is_a_non_finite_error(tmp_path, capsys):
 
 
 
+def test_a_non_finite_symmetry_residual_fails_the_check(tmp_path, capsys):
+    # V overflows: its Jacobian holds inf, so r_f is inf and r_A is NaN, which a
+    # max fold would drop and report as 0 with the check passed
+    path = tmp_path / "overflow.lss"
+    path.write_text("[vars]\nnames = x, y\n\n[system]\nf = 1, y\n\n"
+                    "[symmetry]\nV = 1e308*10*x, 0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a leaked numpy RuntimeWarning fails here
+        code, out, err = _run(capsys, "check-symmetry", "--spec", str(path), "--points", "20")
+    assert code == 3 and out == ""
+    assert err.startswith("error: the residual r_f is not finite")
+
+
 def test_second_order_mode_reports_multipliers(tmp_path, capsys):
     out_csv = tmp_path / "traj.csv"
     code, _, _ = _run(

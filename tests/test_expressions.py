@@ -23,6 +23,7 @@ from linsing.expressions import (
     add,
     call,
     compile_exprs,
+    compile_rows,
     derivative,
     div,
     eval_dual,
@@ -434,3 +435,68 @@ def test_fault_in_a_shared_subtree_names_it():
     with pytest.raises(DomainEvalError) as err:
         ExpressionField.vector(["1/x"], ("x",))(np.array([0.0]))
     assert "division by zero in subexpression '1/x'" in str(err.value)
+
+
+# ------------------------------------------------------------ vectorised target
+
+def test_vectorised_target_matches_the_scalar_runner_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for e, variables, point in expression_corpus(150, seed=91):
+        # shared subtrees, a constant entry and a bare variable entry
+        exprs = [e, Add(e, e), Mul(e, Call("sin", e)), Const(2.5), Var(variables[0])]
+        run = compile_exprs(exprs, variables)
+        pts = np.vstack([point, rng.uniform(-3.0, 3.0, size=(6, len(variables)))])
+        got = compile_rows(run)(pts)
+        assert got.shape == (len(pts), len(exprs))
+        for p, row in zip(pts, got):
+            assert [v.hex() for v in run(p)] == [float(v).hex() for v in row], to_text(e)
+
+
+@pytest.mark.parametrize("text", [
+    "sqrt(x - 2)",
+    "1/x",
+    "sign(1/x)",  # numpy alone would give sign(inf) = 1 and hide the fault
+    "1/(1/x)",
+    "log(x)",
+    "exp(1000*x)",
+    "(x - 1)^0.5",
+])
+def test_vectorised_target_raises_the_scalar_fault_of_the_first_faulting_row(text):
+    f = ExpressionField.vector([text, "x + y"], ("x", "y"))
+    pts = np.array([[3.0, 1.0], [0.0, 2.0], [-1.0, 3.0], [4.0, 0.5]])
+    first = None
+    for p in pts:
+        try:
+            f(p)
+        except DomainEvalError as exc:
+            first = str(exc)
+            break
+    assert first is not None
+    with pytest.raises(DomainEvalError) as err:
+        f.rows(pts)
+    assert str(err.value) == first
+
+
+def test_vectorised_target_keeps_legitimate_infinities_and_non_finite_points():
+    f = ExpressionField.vector(["1e308*10*x", "sign(x/y)"], ("x", "y"))
+    pts = np.array([[1.0, 1.0], [0.0, 2.0], [-1.0, 3.0], [math.inf, 1.0]])
+    want = np.array([f(p) for p in pts])
+    assert np.isinf(want[0, 0]) and np.isnan(want[1, 0])
+    np.testing.assert_array_equal(f.rows(pts), want)
+    # the scalar runner raises at inf/0, where numpy would return inf silently
+    with pytest.raises(DomainEvalError):
+        f.rows(np.array([[1.0, 1.0], [math.inf, 0.0]]))
+
+
+def test_field_rows_have_the_field_shape_and_one_row_takes_the_scalar_runner():
+    v = ("x", "y")
+    fields = [ExpressionField.scalar("x*y", v), ExpressionField.vector(["x", "sin(y)"], v),
+              ExpressionField.matrix([["x", "1"], ["y^3", "x/2"]], v)]
+    pts = np.array([[0.5, -1.25], [2.0, 3.0], [-0.75, 0.1]])
+    for f in fields:
+        got = f.rows(pts)
+        assert got.shape == (3,) + f.shape
+        for p, row in zip(pts, got):
+            assert np.array_equal(row, f(p))
+        assert f.rows(pts[:1]).shape == (1,) + f.shape
+        assert f.rows(pts[:0]).shape == (0,) + f.shape

@@ -1,16 +1,21 @@
+import collections
+
 import numpy as np
 import pytest
 
+from linsing import cli
 from linsing.errors import (
     BaseNotRegularError,
     FrameDegenerateError,
     InconsistentSystemError,
+    NonFiniteError,
     NotComplementaryError,
     NotOnManifoldError,
     ShapeError,
 )
 from linsing.dynamics import integrate
 from linsing.expressions import ExpressionField
+from linsing.linalg import Tolerances
 from linsing.nonholonomic import (
     ForceFrame,
     GeneralizedNonholonomicSystem,
@@ -24,6 +29,8 @@ from linsing.nonholonomic import (
     projectors_at,
     unconstrained_solution_at,
 )
+from linsing.sampling import halton_box, on_manifold_sample
+from linsing.specfile import loads
 from linsing.systems import identity_system, make_system
 
 V = ("x", "y")
@@ -68,6 +75,129 @@ def test_lift_solves_for_chosen_coordinates():
     assert np.allclose(x, [2.0, 4.0], atol=1e-10)
     # fixed coordinates stay put
     assert x[0] == 2.0
+
+
+# --------------------------------------------------- batch Gauss-Newton lift
+
+def _lstsq_lift(m, x, free, max_iter):
+    """The one-point Gauss-Newton loop with numpy's lstsq step (its own rank
+    cut-off, eps * max(M, N) * s_max): the reference for the batch lift."""
+    target = Tolerances.projection_target
+    rounding = Tolerances.projection_rounding * np.finfo(float).eps
+    x = np.asarray(x, dtype=float).copy()
+    for it in range(max_iter + 1):
+        vals = m.values(x)
+        worst = float(np.max(np.abs(vals)))
+        if worst <= target or it == max_iter:
+            return x, worst <= target, it, worst
+        j = m.jacobian(x)
+        if worst <= rounding * float(np.max(np.abs(j) @ np.abs(x))):
+            return x, True, it, worst
+        x[free] = x[free] - np.linalg.lstsq(j[:, free], vals, rcond=None)[0]
+
+
+def _free(n, which):
+    # all coordinates (sampling), and subsets like the ones `--at` lifts solve for
+    return {"all": list(range(n)), "last": [n - 1], "back half": list(range(n // 2, n))}[which]
+
+
+@pytest.mark.parametrize("which", ["all", "last", "back half"])
+@pytest.mark.parametrize("name", cli.SCENARIOS)
+def test_batch_lift_matches_the_lstsq_loop_bit_for_bit(name, which):
+    spec = loads(cli.scenario_text(name), name=name)
+    free = _free(len(spec.variables), which)
+    raw = halton_box(spec.variables, spec.box, 120)
+    got = spec.constraints.lift(raw, free, 50)
+    for i, row in enumerate(raw):
+        point, ok, it, res = _lstsq_lift(spec.constraints, row, free, 50)
+        assert np.array_equal(got[0][i], point), i
+        assert (got[1][i], got[2][i], got.residual[i]) == (ok, it, res), i
+        one = spec.constraints.lift(row, free, 50)
+        assert np.array_equal(one[0], point) and (one[1], one[2], one.residual) == (ok, it, res)
+
+
+def test_batch_lift_ends_a_row_with_a_zero_step_as_the_loop_would():
+    # relparticle-L1 with q1' = 0, the start `--x0` lifts take: dphi/dq1' = 2 q1'
+    # is 0, so the step is 0 and the loop repeats itself up to the cap
+    spec = loads(cli.scenario_text("relparticle-L1"), name="relparticle-L1")
+    raw = halton_box(spec.variables, spec.box, 6)
+    raw[::2, 4] = 0.0
+    got = spec.constraints.lift(raw, [4], 50)
+    for i, row in enumerate(raw):
+        point, ok, it, res = _lstsq_lift(spec.constraints, row, [4], 50)
+        assert np.array_equal(got[0][i], point)
+        assert (got[1][i], got[2][i], got.residual[i]) == (ok, it, res)
+        assert (it, ok) == ((50, False) if i % 2 == 0 else (it, True))
+
+
+TWO_CONSTRAINTS = ["x^2 + y^2 + z^2 - 1", "x*y - z/4"]
+# rank 1 everywhere: the second constraint is twice the first
+DEPENDENT_CONSTRAINTS = ["x^2 + y^2 - 1", "2*x^2 + 2*y^2 - 2"]
+
+
+@pytest.mark.parametrize("phi,which", [
+    (TWO_CONSTRAINTS, "all"), (TWO_CONSTRAINTS, "back half"), (DEPENDENT_CONSTRAINTS, "all"),
+])
+def test_batch_lift_with_several_constraints_agrees_with_the_lstsq_loop(phi, which):
+    variables = ("x", "y", "z")
+    m = SubmanifoldSpec(ExpressionField.vector(phi, variables))
+    free = _free(3, which)
+    raw = halton_box(variables, {v: (-2.0, 2.0) for v in variables}, 150)
+    got = m.lift(raw, free, 50)
+    quick = 0
+    for i, row in enumerate(raw):
+        point, ok, it, _ = _lstsq_lift(m, row, free, 50)
+        # the SVD step differs from lstsq's in the last bits, which a row that
+        # wanders for many steps amplifies: only the verdicts are compared there
+        assert got[1][i] == ok, i
+        if ok:
+            assert m.residual(got[0][i]) <= Tolerances.projection_target
+        if ok and it <= 10:
+            quick += 1
+            assert got[2][i] == it
+            assert np.allclose(got[0][i], point, rtol=0.0, atol=1e-12)
+    assert quick >= 50
+
+
+def test_projection_of_a_non_finite_constraint_value_is_a_typed_error():
+    m = SubmanifoldSpec(ExpressionField.vector(["1e308*10*x - y"], V))
+    with pytest.raises(NonFiniteError):
+        m.project(np.array([1.0, 0.0]))
+    with pytest.raises(NonFiniteError):
+        m.lift(np.array([[0.5, 0.5], [1.0, 0.0]]), [0, 1], 20)
+
+
+def test_sampler_projects_in_batches_without_lstsq(monkeypatch):
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("lstsq called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", forbidden)
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
+    monkeypatch.setattr(SubmanifoldSpec, "lift", counted("batches", SubmanifoldSpec.lift))
+    monkeypatch.setattr(SubmanifoldSpec, "project", counted("project", SubmanifoldSpec.project))
+    rosenberg = loads(cli.scenario_text("rosenberg"), name="rosenberg")
+    variables = ("x", "y", "z")
+    two = SubmanifoldSpec(ExpressionField.vector(TWO_CONSTRAINTS, variables))
+    cap = Tolerances.projection_iterations + 1
+    for m, names, box, kind in ((rosenberg.constraints, rosenberg.variables, rosenberg.box, "qr"),
+                                (two, variables, {v: (-2.0, 2.0) for v in variables}, "svd")):
+        counts.clear()
+        pts = on_manifold_sample(m, names, box, 200)
+        assert len(pts) == 200
+        assert counts["project"] == 0
+        # one factorization call per iteration of a batch: QR for one
+        # constraint, a stacked SVD for several
+        assert 0 < counts[kind] <= cap * counts["batches"]
+        assert counts["svd" if kind == "qr" else "qr"] == 0
 
 
 def test_force_frame_validation():

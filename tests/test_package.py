@@ -26,3 +26,17 @@ def test_no_module_imports_a_private_name_from_a_sibling():
             offenders += [f"{path.name}: {alias.name}" for alias in node.names
                           if alias.name.startswith("_")]
     assert offenders == []
+
+
+def test_every_rank_cut_off_comes_from_the_tolerance_policy():
+    # numpy's lstsq, pinv and matrix_rank each pick their own singular-value
+    # cut-off; linsing's ranks are decided by `Tolerances.rank_tol` alone
+    offenders = []
+    for path in sorted(Path(linsing.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {getattr(node, "attr", None), getattr(node, "id", None)}
+            if isinstance(node, ast.alias):
+                names.add(node.name)
+            offenders += [f"{path.name}:{getattr(node, 'lineno', '?')}: {n}"
+                          for n in sorted(names & {"lstsq", "pinv", "matrix_rank"})]
+    assert offenders == []

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from linsing.errors import ShapeError
+from linsing.errors import NonFiniteError, ShapeError
 from linsing.expressions import ExpressionField
+from linsing.linalg import DEFAULT_TOLERANCES
 from linsing.nonholonomic import (
     ForceFrame,
     GeneralizedNonholonomicSystem,
@@ -13,10 +14,12 @@ from linsing.nonholonomic import (
     unconstrained_solution_at,
 )
 from linsing.symmetry import (
+    _directional_field,
     check_constant_descent,
     check_descent,
     check_inf_symmetry,
     check_symmetry,
+    constant_descent,
     euler_flow_candidate,
     finite_candidate,
     infinitesimal_candidate,
@@ -285,7 +288,7 @@ def _reference_directional_derivative(mat_field, x, v):
     return out
 
 
-@pytest.mark.parametrize("a_rows,v_exprs", [
+DIRECTIONAL_CASES = [
     ([["1 + x^2"]], ["x/(1 + x^2)"]),
     ([["1 + x^2", "x*y"], ["sin(y)", "2 + y^2*x"]], ["x/(1 + x^2)", "exp(-y)*x"]),
     ([["1 + x^2", "x*y"], ["sin(y)", "2 + y^2*x"]], ["0", "y^2 - x"]),
@@ -294,10 +297,11 @@ def _reference_directional_derivative(mat_field, x, v):
     ([["x*y + z^2", "exp(x*z)", "y"], ["sin(y)*x", "1 + x^2*y*z", "z*x"],
       ["x", "y*z", "2 + x^2"]],
      ["x/(1 + x^2)", "exp(-y)*x", "cos(z)*y"]),
-])
-def test_directional_field_equals_the_sum_of_partials_bit_for_bit(a_rows, v_exprs):
-    from linsing.symmetry import _directional_field
+]
 
+
+@pytest.mark.parametrize("a_rows,v_exprs", DIRECTIONAL_CASES)
+def test_directional_field_equals_the_sum_of_partials_bit_for_bit(a_rows, v_exprs):
     variables = ("x", "y", "z")[:len(v_exprs)]
     a = ExpressionField.matrix(a_rows, variables)
     v = ExpressionField.vector(v_exprs, variables)
@@ -315,3 +319,41 @@ def test_directional_field_equals_the_sum_of_partials_bit_for_bit(a_rows, v_expr
         _reference_directional_derivative(a, x, v(x)) + a(x) @ v.jacobian_at(x)
         - cand.fibre(x) @ a(x)))) for x in pts)
     assert check_inf_symmetry(sys, cand, pts, tol=1e9).r_A == r_a
+
+
+@pytest.mark.parametrize("a_rows,v_exprs", DIRECTIONAL_CASES)
+def test_directional_field_of_f_matches_its_jacobian_applied_to_v(a_rows, v_exprs):
+    # D_V f as check_inf_symmetry now forms it, against Df(x) @ V(x) as it did
+    variables = ("x", "y", "z")[:len(v_exprs)]
+    f = ExpressionField.vector([e for row in a_rows for e in row], variables)
+    v = ExpressionField.vector(v_exprs, variables)
+    dvf = _directional_field(f, v)
+    jf = f.jacobian_field()
+    one_term = sum(e != "0" for e in v_exprs) == 1
+    rng = np.random.default_rng(5)
+    for _ in range(25):
+        x = rng.uniform(-2.0, 2.0, size=len(variables))
+        got = dvf(x)
+        assert np.array_equal(got, _reference_directional_derivative(f, x, v(x)))
+        if one_term:
+            assert np.array_equal(got, jf(x) @ v(x))
+        else:
+            # a matrix-vector product may sum (and fuse) in another order
+            assert np.allclose(got, jf(x) @ v(x), rtol=1e-15, atol=1e-15)
+
+
+def test_residual_folds_reject_non_finite_values():
+    sys = _planar_flow()
+    pts = [np.array([0.5, 1.0]), np.array([1.0, 2.0])]
+    nan_v = infinitesimal_candidate(ExpressionField.vector(["1e308*10*x", "0"], V2))
+    with pytest.raises(NonFiniteError, match="r_f"):
+        check_inf_symmetry(sys, nan_v, pts)
+    overflowing = identity_system(ExpressionField.vector(["1", "y*1e300*1e10"], V2))
+    shift = finite_candidate(ExpressionField.vector(["x + 1", "y"], V2),
+                             ExpressionField.matrix([["1", "0"], ["0", "1"]], V2))
+    with pytest.raises(NonFiniteError, match="r_f"):  # inf - inf
+        check_symmetry(overflowing, shift, pts, tols=DEFAULT_TOLERANCES)
+    h = ExpressionField.scalar("x", V2)
+    flows = [(np.array([math.nan, 0.0]), np.zeros(2))] * 2
+    with pytest.raises(NonFiniteError, match="Y_h"):
+        constant_descent(h, pts, flows)
