@@ -76,13 +76,22 @@ def _load_spec(args):
     raise _UsageError("one of --scenario or --spec is required")
 
 
+def _check_flags(args):
+    """A --points that is not a positive count, or a --tol, --tol-rank or
+    --tol-img that is not positive and finite, is a usage error."""
+    if getattr(args, "points", 1) < 1:
+        raise _UsageError("--points must be a positive integer")
+    for flag in ("tol", "tol_rank", "tol_img"):
+        value = getattr(args, flag, None)
+        if value is not None and not 0.0 < value < math.inf:
+            raise _UsageError(f"--{flag.replace('_', '-')} must be positive and finite")
+
+
 def _tolerances(args):
     kwargs = {}
     for flag, key in (("tol_rank", "rank_factor"), ("tol_img", "img_factor")):
         value = getattr(args, flag, None)
         if value is not None:
-            if not 0.0 < value < math.inf:
-                raise _UsageError(f"--{flag.replace('_', '-')} must be positive and finite")
             kwargs[key] = value
     return linalg.Tolerances(**kwargs)
 
@@ -529,6 +538,7 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_flags(args)
         return args.func(args)
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

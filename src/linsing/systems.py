@@ -1,20 +1,21 @@
 """Linearly singular differential equations A(x) x' = f(x).
 
 A is a k x n matrix of expressions over the state variables, f a k-vector.
-Consistency at a point means f(x) lies in the image of A(x); the sampled
-constraint algorithm classifies seed points by the first level at which the
-tangency-augmented problem becomes infeasible.
+Consistency at a point means f(x) lies in the image of A(x). The constraint
+algorithm differentiates A(x) x' - f(x) along solutions into a derivative array
+and, at each seed point, reports the level at which it has no solution, or the
+differentiation index and a consistent x' once it adds no more constraints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .errors import ShapeError
-from .expressions import Const, ExpressionField, add, mul
+from .expressions import Const, ExpressionField, Var, add, mul, sub
 
 __all__ = [
     "LinearlySingularSystem",
@@ -114,33 +115,7 @@ def solve_at(sys, x, extra_rows=None, extra_rhs=None, tols=linalg.DEFAULT_TOLERA
     return linalg.solve_affine(a, b, tols)
 
 
-# ------------------------------------------------- sampled constraint algorithm
-
-@dataclass
-class StackedConstraint:
-    """One scalar constraint discovered by the algorithm.
-
-    `psi` is a symbolic representation in the cokernel gauge frozen at the
-    originating point (exact for constant-A systems, exact at that point in
-    general); `evaluator` is the pointwise, gauge-deterministic function used
-    by the algorithm itself.
-    """
-
-    level: int
-    psi: ExpressionField  # scalar
-    seed_index: int
-    cokernel_index: int
-    evaluator: object = field(repr=False, default=None)
-    gradient_at_seed: np.ndarray | None = field(repr=False, default=None)
-
-
-@dataclass
-class ConstraintStack:
-    constraints: list
-
-    def values(self, x):
-        return np.array([c.psi(x) for c in self.constraints])
-
+# ------------------------------------------ derivative-array constraint algorithm
 
 @dataclass
 class SeedClassification:
@@ -149,154 +124,99 @@ class SeedClassification:
     failure_level: int | None
     levels_run: int
     rank_A: int
+    index: int | None  # smallest level whose array fixes x'; None if none run did
+    velocity: np.ndarray | None  # an x' solving the last level run; None on failure
 
 
 @dataclass
 class ConstraintAlgorithmResult:
-    stack: ConstraintStack
     seeds: list
     warnings: list
     converged: bool
     max_levels: int
 
 
-def _frozen_gauge_psi(sys, w):
-    """Symbolic psi = <w, f> with the cokernel vector w frozen as constants."""
-    expr = Const(0.0)
-    for wi, fe in zip(w, sys.f.entries):
-        expr = add(expr, mul(Const(float(wi)), fe))
-    return ExpressionField([expr], sys.variables, ())
+def _dot(exprs, names):
+    total = Const(0.0)
+    for e, name in zip(exprs, names):
+        total = add(total, mul(e, Var(name)))
+    return total
 
 
-def _level0_gradient(sys, x, w, x0):
-    """Exact gradient of psi_w(y) = <w(y), f(y)> at a consistent point x.
+class _DerivativeArray:
+    """G_0 = A(x) x' - f(x) and G_k = D_t G_(k-1), D_t = sum_j sum_i x^(j+1)_i
+    d/dx^(j)_i; level k (G_0..G_k over x, ..., x^(k+1)) is built on first use.
+    x^(j) is named `name^(j)`, which no state name (such as q1') can be."""
 
-    Uses d psi . delta = w^T (Df . delta - (D_delta A) x0), valid for any
-    particular solution x0 of A(x) v = f(x); the choice drops out because
-    w^T (D_delta A) k = 0 for kernel vectors k.
-    """
-    jf = sys.f.jacobian_field()(x)
-    row = w @ jf
-    for j, pa in enumerate(sys.A.partial_fields()):
-        row[j] -= float(w @ (pa(x) @ x0))
-    return row
+    def __init__(self, sys):
+        self.state, self.block = list(sys.variables), sys.k
+        self.names = self.state + [f"{v}^(1)" for v in self.state]
+        a, n = sys.A.entries, sys.n
+        self.equations = [sub(_dot(a[i * n:(i + 1) * n], self.names[n:]), fi)
+                          for i, fi in enumerate(sys.f.entries)]
+        self.levels = []
+
+    def level(self, k):
+        """SubmanifoldSpec of G_0..G_k = 0."""
+        from .nonholonomic import SubmanifoldSpec  # nonholonomic imports this module
+        while len(self.levels) <= k:
+            if self.levels:
+                # D_t of the last block sums the rows of the previous Jacobian
+                jac = self.levels[-1].phi.jacobian_field().entries
+                width, n = len(self.names), len(self.state)
+                self.names += [f"{v}^({width // n})" for v in self.state]
+                last = range(len(self.equations) - self.block, len(self.equations))
+                self.equations += [_dot(jac[r * width:(r + 1) * width], self.names[n:])
+                                   for r in last]
+            shape = (len(self.equations),)
+            self.levels.append(SubmanifoldSpec(ExpressionField(self.equations, self.names, shape)))
+        return self.levels[k]
+
+
+def _classify_seed(sys, array, seed, max_levels, tols):
+    """SeedClassification of one seed, and whether its constraints settled."""
+    seed = np.asarray(seed, dtype=float)
+    n, level0 = sys.n, consistency_at(sys, seed, tols)
+    z, found, index = level0.solution.x0, 0, None  # found: constraints on x (c_k)
+    for k in range(max_levels + 1):
+        spec = array.level(k)
+        point, ok, _ = spec.lift(np.concatenate([seed, z]), range(n, n + len(z)))
+        if not ok:
+            return SeedClassification(seed, False, k, k, level0.rank_A, index, None), True
+        jac = spec.jacobian(point)
+        rank_deriv = linalg.rank(jac[:, n:], tols)
+        if index is None and rank_deriv - linalg.rank(jac[:, 2 * n:], tols) == n:
+            index = k
+        found, before = linalg.rank(jac, tols) - rank_deriv, found
+        if found <= before:
+            break
+        z = np.concatenate([point[n:], np.zeros(n)])
+    verdict = SeedClassification(seed, True, None, k, level0.rank_A, index, point[n:2 * n])
+    return verdict, found <= before
 
 
 def constraint_algorithm_sample(sys, seeds, max_levels=None, tols=linalg.DEFAULT_TOLERANCES):
-    """Run the tangency recursion pointwise over a set of seed points.
+    """Run the derivative-array constraint algorithm at each seed point.
 
-    Level 0 checks f(x) ∈ Im A(x). Each later level stacks the gradients of all
-    constraints found so far on top of A(x) and re-solves; a seed is labeled
-    with the first level at which the stacked problem becomes infeasible, or
-    marked as surviving once no new (rank-increasing) constraints appear.
-
-    Returns a ConstraintAlgorithmResult with the shared constraint stack (in
-    the gauge of the first constraint-producing seed), per-seed labels, rank
-    instability warnings and a convergence flag.
+    Level k holds x at the seed and solves G_0..G_k = 0 over the derivative
+    variables (`SubmanifoldSpec.lift`, from the minimum-norm x' at level 0, then
+    from the previous solution with zeros appended); a lift that does not
+    converge is the seed's failure level. The seed survives at the first level
+    where c_k = rank dG - rank d_(x', ..., x^(k+1))G, the number of independent
+    constraints on x, stops growing (c_(-1) = 0). A seed not settled by
+    `max_levels` (default n + 1) survives but clears `converged` and warns.
     """
-    if max_levels is None:
-        max_levels = sys.n + 1
-    stack_entries = []
-    seed_results = []
-    warnings = []
-    converged = True
-    level0_ranks = {}
-
+    max_levels = sys.n + 1 if max_levels is None else max_levels
+    array = _DerivativeArray(sys)
+    seed_results, warnings, level0_ranks = [], [], {}
     for si, seed in enumerate(seeds):
-        seed = np.asarray(seed, dtype=float)
-        a = sys.A_at(seed)
-        sol = linalg.solve_affine(a, sys.f_at(seed), tols)
-        rank_a = sys.n - sol.kernel.dim
-        level0_ranks.setdefault(rank_a, []).append(si)
-        if not sol.consistent:
-            seed_results.append(SeedClassification(seed, False, 0, 0, rank_a))
-            continue
-
-        # accumulated tangency rows at this seed
-        rows = np.zeros((0, sys.n))
-        stack_is_mine = not stack_entries or all(e.seed_index == si for e in stack_entries)
-        w0 = linalg.cokernel_basis(a, tols)
-        for ci in range(w0.dim):
-            w = w0.vectors[:, ci].copy()
-            grad = _level0_gradient(sys, seed, w, sol.x0)
-            rows = np.vstack([rows, grad.reshape(1, -1)])
-
-            def ev0(y, _w=w, _sys=sys, _tols=tols):
-                # pointwise gauge: recompute the cokernel at y, keep the
-                # component best aligned with the frozen direction
-                wy = linalg.cokernel_basis(_sys.A_at(y), _tols)
-                if wy.dim == 0:
-                    return 0.0
-                proj = wy.vectors @ (wy.vectors.T @ _w)
-                nrm = np.linalg.norm(proj)
-                if nrm < 1e-12:
-                    return float(np.linalg.norm(wy.vectors.T @ _sys.f_at(y)))
-                return float((proj / nrm) @ _sys.f_at(y))
-
-            if stack_is_mine:
-                stack_entries.append(
-                    StackedConstraint(0, _frozen_gauge_psi(sys, w), si, ci, ev0, grad)
-                )
-
-        if w0.dim == 0:
-            # regular (or at least surjective) point: nothing to add
-            seed_results.append(SeedClassification(seed, True, None, 0, rank_a))
-            continue
-
-        survives = None
-        failure_level = None
-        level = 0
-        while level < max_levels:
-            level += 1
-            stacked = np.vstack([a, rows])
-            rhs = np.concatenate([sys.f_at(seed), np.zeros(rows.shape[0])])
-            sol_l = linalg.solve_affine(stacked, rhs, tols)
-            if not sol_l.consistent:
-                survives = False
-                failure_level = level
-                break
-            # candidate new constraints: cokernel directions of the stacked
-            # matrix whose induced constraint function adds gradient rank
-            wl = linalg.cokernel_basis(stacked, tols)
-            base_rank = linalg.rank(rows, tols) if rows.size else 0
-            added = False
-            for ci in range(wl.dim):
-                wfull = wl.vectors[:, ci]
-                w_a = wfull[: sys.k]
-                if np.linalg.norm(w_a) <= 1e-12:
-                    continue  # pairs only the synthetic rows: no new function
-                # the induced constraint function is y -> <w_a, f(y)> up to the
-                # row block (constant covectors, zero rhs); its gradient at the
-                # seed comes from the same exact level-0 identity
-                grad = _level0_gradient(sys, seed, w_a, sol_l.x0)
-                trial = np.vstack([rows, grad.reshape(1, -1)])
-                if linalg.rank(trial, tols) > base_rank:
-                    rows = trial
-                    base_rank += 1
-                    added = True
-
-                    def ev_l(y, _wa=w_a.copy(), _sys=sys):
-                        return float(_wa @ _sys.f_at(y))
-
-                    if stack_is_mine:
-                        stack_entries.append(
-                            StackedConstraint(level, _frozen_gauge_psi(sys, w_a), si, ci, ev_l, grad)
-                        )
-            if not added:
-                survives = True
-                break
-        if survives is None:
-            converged = False
-            warnings.append(
-                f"seed {si}: constraint recursion still producing rows at level {max_levels}"
-            )
-            survives = True  # not disproven; flagged through `converged`
-        seed_results.append(SeedClassification(seed, survives, failure_level, level, rank_a))
-
+        verdict, settled = _classify_seed(sys, array, seed, max_levels, tols)
+        seed_results.append(verdict)
+        level0_ranks.setdefault(verdict.rank_A, []).append(si)
+        if not settled:
+            warnings.append(f"seed {si}: constraints still growing at level {max_levels}")
+    converged = not warnings
     if len(level0_ranks) > 1:
         detail = ", ".join(f"rank {r} at seeds {ix}" for r, ix in sorted(level0_ranks.items()))
         warnings.append(f"rank of A varies across seeds at level 0: {detail}")
-
-    return ConstraintAlgorithmResult(
-        ConstraintStack(stack_entries), seed_results, warnings, converged, max_levels
-    )
+    return ConstraintAlgorithmResult(seed_results, warnings, converged, max_levels)

@@ -1,6 +1,7 @@
 import warnings
 
 import numpy as np
+import pytest
 
 from linsing import cli
 from linsing.cli import main
@@ -89,6 +90,35 @@ def test_analyze_rejects_unknown_flags_and_points(capsys):
                 capsys, "analyze", "--scenario", "example1", "--at", "x=1", flag, value,
             )
             assert code == 2 and f"{flag} must be positive and finite" in err
+
+
+@pytest.mark.parametrize("cmd, scenario", [
+    ("analyze", "example1"), ("check-symmetry", "example1"), ("check-constant", "rosenberg"),
+])
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_points_must_be_positive(capsys, cmd, scenario, points):
+    # zero points used to pass check-symmetry, crash check-constant, and a
+    # negative count leaked a numpy error
+    code, out, err = _run(capsys, cmd, "--scenario", scenario, "--points", points)
+    assert code == 2 and out == ""
+    assert "--points must be a positive integer" in err
+
+
+@pytest.mark.parametrize("cmd, scenario", [
+    ("check-symmetry", "example1"), ("check-constant", "rosenberg"),
+])
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
+def test_tol_must_be_positive_and_finite(capsys, cmd, scenario, tol):
+    code, out, err = _run(capsys, cmd, "--scenario", scenario, "--tol", tol)
+    assert code == 2 and out == ""
+    assert "--tol must be positive and finite" in err
+
+
+def test_one_point_is_a_valid_sample(capsys):
+    for cmd, scenario in (("check-symmetry", "example1"), ("check-constant", "rosenberg"),
+                          ("analyze", "example1")):
+        code, out, _ = _run(capsys, cmd, "--scenario", scenario, "--points", "1")
+        assert code == 0 and "point_count: 1" in out
 
 
 def test_analyze_off_manifold_point_is_an_evaluation_error(capsys):

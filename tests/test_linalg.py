@@ -10,6 +10,7 @@ column copies) so both rank routes sit far from their thresholds.
 import dataclasses
 import inspect
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -420,6 +421,46 @@ def test_every_route_decides_the_planted_rank(problem):
     res = consistency_at(system, np.zeros(n))
     assert res.rank_A == r
     assert res.rank_A + res.solution.kernel.dim == n
+
+
+@st.composite
+def near_cutoff_problems(draw):
+    """A largest singular value of 10^e and the others planted within two
+    decades of the rank cutoff, on either side of it, none within
+    _CUTOFF_MARGIN of it."""
+    k = draw(st.integers(2, 6))
+    n = draw(st.integers(2, 6))
+    smax = 10.0 ** draw(st.floats(-3.0, 3.0))
+    cutoff = max(k, n) * smax * DEFAULT_TOLERANCES.rank_factor
+    logs = draw(st.lists(st.floats(-2.0, 2.0), min_size=min(k, n) - 1, max_size=min(k, n) - 1))
+    s = np.concatenate([[smax], np.sort(cutoff * 10.0 ** np.array(logs))[::-1]])
+    assume(np.all(np.abs(s - cutoff) >= _CUTOFF_MARGIN * cutoff))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = np.linalg.qr(rng.normal(size=(k, k)))[0][:, : s.size]
+    v = np.linalg.qr(rng.normal(size=(n, n)))[0][:, : s.size]
+    return (u * s) @ v.T, rng.normal(size=k)
+
+
+def _oracle_rank(a):
+    """Singular values of the float matrix at 50 digits counted above the
+    policy's cutoff, max(k, n) * sigma_max * rank_factor, taken at 50 digits."""
+    with mpmath.workdps(50):
+        s = mpmath.svd_r(mpmath.matrix(a.tolist()), compute_uv=False)
+        values = [s[i] for i in range(len(s))]
+        cutoff = max(a.shape) * max(values) * mpmath.mpf(DEFAULT_TOLERANCES.rank_factor)
+        return sum(1 for v in values if v > cutoff)
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_cutoff_problems())
+def test_rank_routes_agree_with_a_high_precision_oracle(problem):
+    a, b = problem
+    k, n = a.shape
+    r = _oracle_rank(a)
+    assert rank(a) == r
+    assert n - kernel_basis(a).dim == r
+    assert k - cokernel_basis(a).dim == r
+    assert n - solve_affine(a, b).kernel.dim == r
 
 
 def test_non_finite_input_is_a_non_finite_error():

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from linsing.cli import scenario_text
 from linsing.errors import ShapeError
 from linsing.expressions import ExpressionField
 from linsing.linalg import DEFAULT_TOLERANCES
+from linsing.nonholonomic import SubmanifoldSpec
+from linsing.sampling import on_manifold_sample
+from linsing.specfile import loads
 from linsing.systems import (
     consistency_at,
     constraint_algorithm_sample,
@@ -104,7 +108,7 @@ def test_solve_at_extra_rows():
     assert np.allclose(hom.x0, [1.0, 0.0])
 
 
-# ----------------------------------------------- sampled constraint algorithm
+# ------------------------------------------ derivative-array constraint algorithm
 
 def test_constraint_algorithm_on_the_toy_system():
     sys = _toy()
@@ -124,25 +128,19 @@ def test_constraint_algorithm_on_the_toy_system():
     for i in (2, 4):
         assert not by_seed[i].survives
         assert by_seed[i].failure_level == 0
-
-    # one discovered constraint, vanishing exactly on the diagonal
-    assert len(res.stack.constraints) == 1
-    c = res.stack.constraints[0]
-    assert c.level == 0
-    assert abs(abs(c.psi(np.array([3.0, 1.0]))) - 2.0) < 1e-12
-    assert abs(c.psi(np.array([3.0, 3.0]))) < 1e-12
-    # constant-A system: the frozen-gauge symbol and the pointwise evaluator
-    # are the same function
-    y = np.array([0.7, -0.4])
-    assert abs(abs(c.evaluator(y)) - abs(c.psi(y))) < 1e-12
+    # x' = 1 and y' = x' once the constraint x = y is differentiated
+    for i in (0, 1, 3):
+        assert by_seed[i].index == 1
+        assert np.allclose(by_seed[i].velocity, [1.0, 1.0])
 
 
-def test_regular_system_yields_empty_stack():
+def test_regular_system_settles_at_level_zero():
     sys = identity_system(ExpressionField.vector(["y", "-x"], ("x", "y")))
     res = constraint_algorithm_sample(sys, [np.array([1.0, 2.0])])
     assert res.converged
-    assert res.stack.constraints == []
     assert res.seeds[0].survives and res.seeds[0].levels_run == 0
+    assert res.seeds[0].index == 0
+    assert np.allclose(res.seeds[0].velocity, [2.0, -1.0])
 
 
 def test_rank_instability_warning():
@@ -155,35 +153,75 @@ def test_rank_instability_warning():
     assert any("rank of A varies" in w for w in res.warnings)
 
 
-def test_level0_gradient_matches_finite_differences():
-    # A varies along the degenerate direction, so the exact gradient picks up
-    # the (D_delta A) x0 correction; compare against central differences of
-    # the pointwise (gauge-aligned) constraint evaluator.
+def test_varying_A_verdicts():
+    # A varies along the degenerate direction: G_0 forces x = 1 and x' = y,
+    # G_1 forces y = 0, and G_2 fixes y' = 0
     A = ExpressionField.matrix([["1", "0"], ["x", "0"]], ("x", "y"))
     f = ExpressionField.vector(["y", "x*y + x - 1"], ("x", "y"))
     sys = make_system(A, f)
-    seed = np.array([1.0, 0.7])
-    assert consistency_at(sys, seed).consistent
+    seeds = [np.array([1.0, 0.7]), np.array([1.0, 0.0]), np.array([2.0, 0.5])]
+    assert consistency_at(sys, seeds[0]).consistent
 
-    res = constraint_algorithm_sample(sys, [seed])
-    assert len(res.stack.constraints) >= 1
-    c = res.stack.constraints[0]
-    grad = c.gradient_at_seed
-    # analytic: psi = +-(x - 1)/sqrt(1 + x^2) so |d psi| = (1/sqrt(2), 0)
-    assert abs(abs(grad[0]) - 1.0 / np.sqrt(2.0)) < 1e-12
-    assert abs(grad[1]) < 1e-12
-    h = 1e-6
-    for j in range(2):
-        dp = seed.copy()
-        dm = seed.copy()
-        dp[j] += h
-        dm[j] -= h
-        fd = (c.evaluator(dp) - c.evaluator(dm)) / (2 * h)
-        assert abs(fd - grad[j]) < 1e-6
+    res = constraint_algorithm_sample(sys, seeds)
+    assert res.converged
+    assert [s.survives for s in res.seeds] == [False, True, False]
+    assert [s.failure_level for s in res.seeds] == [1, None, 0]
+    assert [s.levels_run for s in res.seeds] == [1, 2, 0]
+    assert res.seeds[1].index == 2 and np.allclose(res.seeds[1].velocity, [0.0, 0.0])
 
-    # the frozen-gauge symbol alone would miss the correction term
-    w_df = c.psi.gradient()(seed)
-    assert abs(w_df[0] - grad[0]) > 0.1  # genuinely different functions
+
+def _pendulum():
+    """Cartesian pendulum: unit rod, tension l, g = 9.81; index 3."""
+    names = ("x", "y", "vx", "vy", "l")
+    A = ExpressionField.constant_matrix(np.diag([1.0, 1.0, 1.0, 1.0, 0.0]), names)
+    f = ExpressionField.vector(["vx", "vy", "-l*x", "-l*y - 9.81", "x^2 + y^2 - 1"], names)
+    return make_system(A, f)
+
+
+def test_pendulum_verdicts_and_levels_built_on_demand(monkeypatch):
+    built = []  # codimension of each level's SubmanifoldSpec, in build order
+    post_init = SubmanifoldSpec.__post_init__
+
+    def counted(self):
+        built.append(self.codim)
+        post_init(self)
+
+    monkeypatch.setattr(SubmanifoldSpec, "__post_init__", counted)
+    sys = _pendulum()
+    seeds = [
+        np.array([1.0, 0.0, 0.0, 0.5, 0.25]),  # on the final manifold
+        np.array([1.0, 0.0, 0.0, 0.0, 0.0]),   # on the final manifold
+        np.array([1.0, 0.0, 1.0, 0.0, 0.0]),   # on M0 only: x vx + y vy != 0
+        np.array([1.0, 0.0, 0.0, 0.0, 1.0]),   # on M1, not M2: tension wrong
+        np.array([2.0, 0.0, 0.0, 0.0, 0.0]),   # off M0
+    ]
+    res = constraint_algorithm_sample(sys, seeds)
+    assert res.converged and res.warnings == []
+    for s in res.seeds[:2]:
+        assert s.survives and s.failure_level is None
+        assert s.levels_run == 3 and s.index == 3 and s.rank_A == 4
+        assert np.allclose(sys.A_at(s.seed) @ s.velocity, sys.f_at(s.seed), atol=1e-12)
+    # l' = -3 g vy
+    assert abs(res.seeds[0].velocity[4] - (-14.715)) < 1e-9
+    assert [s.failure_level for s in res.seeds[2:]] == [1, 2, 0]
+    assert not any(s.survives for s in res.seeds[2:])
+    assert all(s.velocity is None and s.index is None for s in res.seeds[2:])
+    # levels 0..3 are built, one block of 5 equations each, not up to the cap
+    assert res.max_levels == 6
+    assert built == [5, 10, 15, 20]
+
+
+def test_relparticle_L1_verdicts():
+    # omega-hat has rank 6 of 8; a potential in q1 leaves dE outside its image
+    # on the mass shell, while U = 0 gives dE = 0
+    for overrides, survives in (({"U": "q1"}, False), ({}, True)):
+        spec = loads(scenario_text("relparticle-L1"), param_overrides=overrides)
+        seeds = on_manifold_sample(spec.constraints, spec.variables, spec.box, 3)
+        res = constraint_algorithm_sample(spec.system, seeds)
+        assert res.converged and len(res.seeds) == 3
+        for s in res.seeds:
+            assert s.rank_A == 6 and s.survives == survives
+            assert s.failure_level == (None if survives else 0)
 
 
 def test_max_levels_cutoff_flags_non_convergence():
