@@ -313,10 +313,10 @@ def simulate_report(spec, x0, t1, dt, tols, out=None, timed=False):
 def cmd_simulate(args):
     spec = _load_spec(args)
     tols = _tolerances(args)
-    if args.dt is None or args.dt <= 0.0:
-        raise _UsageError("--dt must be a positive number")
-    if args.t1 is None or args.t1 <= 0.0:
-        raise _UsageError("--t1 must be a positive number")
+    for flag in ("dt", "t1"):
+        value = getattr(args, flag)
+        if value is None or not 0.0 < value < math.inf:
+            raise _UsageError(f"--{flag} must be positive and finite")
     if not args.x0:
         raise _UsageError("--x0 is required")
     x0 = _build_point(spec, _parse_assignments(args.x0, spec))
@@ -495,8 +495,8 @@ def build_parser():
     _add_spec_flags(p)
     p.add_argument("--x0", metavar="NAME=VAL,...",
                    help="initial state (missing coordinates lifted onto M)")
-    p.add_argument("--t1", type=float, help="final time (> 0)")
-    p.add_argument("--dt", type=float, help="step size (> 0)")
+    p.add_argument("--t1", type=float, help="final time (> 0, finite)")
+    p.add_argument("--dt", type=float, help="step size (> 0, finite)")
     p.add_argument("--out", help="CSV output path")
     p.add_argument("--quiet-time", action="store_true", dest="quiet_time",
                    help="omit the wall-clock line (for byte-stable output)")

@@ -8,6 +8,7 @@ the run aborts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,11 +67,12 @@ def _rk4_step(field_fn, x, dt):
 def integrate(field_fn, x0, t1, dt, project=None, t0=0.0, multiplier_fn=None):
     """Integrate x' = field_fn(x) from t0 to t1 on a uniform grid of step dt.
 
-    `dt` must divide `t1 - t0` (to a relative 1e-9); otherwise ValueError, so the
-    grid always ends at t1. No non-finite state is stored: a step that overflows,
-    or a field that raises NonFiniteError, raises NonFiniteError naming the step
-    and its start time. numpy's floating-point warnings are off while stepping,
-    since that check reports what they would.
+    `t0`, `t1` and `dt` must be finite and `dt` must divide `t1 - t0` (to a
+    relative 1e-9); otherwise ValueError, so the grid always ends at t1. No
+    non-finite state is stored: a step that overflows, or a field that raises
+    NonFiniteError, raises NonFiniteError naming the step and its start time.
+    numpy's floating-point warnings are off while stepping, since that check
+    reports what they would.
 
     Parameters
     ----------
@@ -81,6 +83,8 @@ def integrate(field_fn, x0, t1, dt, project=None, t0=0.0, multiplier_fn=None):
     multiplier_fn : callable(ndarray) -> ndarray, optional
         Recorded at every stored state (so u(t) can be inspected afterwards).
     """
+    if not (math.isfinite(t0) and math.isfinite(t1) and math.isfinite(dt)):
+        raise ValueError("t0, t1 and dt must be finite")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if t1 <= t0:
@@ -154,10 +158,12 @@ class MonitorResult:
 
 
 def monitor(traj, h, name=None):
-    """Deviation of a scalar expression field along the trajectory from its seed value."""
+    """Deviation of a scalar expression field along the trajectory from its seed
+    value. The series is evaluated over all states in one batch (`rows`), bit for
+    bit the value at each state."""
     if h.shape != ():
         raise ShapeError("monitors must be scalar fields")
-    series = np.array([h(s) for s in traj.states])
+    series = h.rows(traj.states)
     dev = float(np.max(np.abs(series - series[0])))
     result = MonitorResult(name or h.pretty(), series, dev)
     traj.monitors[result.name] = result

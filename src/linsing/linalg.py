@@ -41,17 +41,26 @@ class Tolerances:
 
     def rank_tol(self, mat, smax=None):
         """Singular-value cut-off of a matrix, or of each matrix of a stack
-        (`smax` then holds each matrix's largest singular value)."""
-        mat = np.asarray(mat, dtype=float)
+        (`smax` then holds each matrix's largest singular value). With `smax`
+        given, `mat` must be an array."""
+        if smax is None:
+            mat = np.asarray(mat, dtype=float)
+            if mat.size:
+                smax = float(np.linalg.svd(mat, compute_uv=False)[0])
         if mat.size == 0:
             return 0.0
-        if smax is None:
-            smax = float(np.linalg.svd(mat, compute_uv=False)[0])
         return max(mat.shape[-2:]) * smax * self.rank_factor
 
     def img_tol(self, mat, b, smax=None):
         base = self.img_factor if self.img_factor is not None else self.rank_tol(mat, smax)
-        return base * (1.0 + float(np.linalg.norm(b)))
+        return base * (1.0 + _norm(b))
+
+
+def _norm(v):
+    """Euclidean norm of an array's entries: numpy's `linalg.norm` computes
+    exactly sqrt(v . v) for real input, so the two agree bit for bit."""
+    v = np.asarray(v, dtype=float).ravel()
+    return math.sqrt(v.dot(v))
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -79,7 +88,8 @@ def _svd_rank(mat, tols, compute_uv=True):
         smax = float(s[0])
     if not math.isfinite(smax):
         raise NonFiniteError(f"a {mat.shape[0]}x{mat.shape[1]} matrix has non-finite entries")
-    return svd, int(np.count_nonzero(s > tols.rank_tol(mat, smax)))
+    cut = tols.rank_tol(mat, smax)
+    return svd, sum(v > cut for v in s.tolist())
 
 
 def _fix_signs(columns):
@@ -168,8 +178,9 @@ def solve_affine(mat, b, tols=DEFAULT_TOLERANCES):
         raise NonFiniteError("a linear solve has a non-finite right-hand side")
     coeff = (u[:, :r].T @ b) / s[:r] if r else np.zeros(0)
     x0 = vt[:r].T @ coeff
-    kern = SubspaceBasis(_fix_signs(vt[r:].T))
-    residual = float(np.linalg.norm(mat @ x0 - b))
+    kern = vt[r:].T
+    kern = SubspaceBasis(_fix_signs(kern) if r < n else kern)
+    residual = _norm(mat @ x0 - b)
     consistent = residual <= tol_img
     if not (consistent or math.isfinite(residual)):
         raise NonFiniteError(f"a linear solve has a non-finite residual ({residual})")

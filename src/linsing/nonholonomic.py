@@ -11,6 +11,7 @@ on M first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ from .errors import (
     NotOnManifoldError,
     ShapeError,
 )
-from .expressions import ExpressionField
+from .expressions import ExpressionField, compile_exprs
 from .systems import ConsistencyResult, LinearlySingularSystem
 
 __all__ = [
@@ -345,6 +346,32 @@ class PointAnalysis:
     projectors: tuple  # (P onto T_xM along H_x, Q = I - P)
 
 
+def _fused_kernel(fields):
+    """(runner, buffer, views) of one evaluation: one `compile_exprs` runner over
+    the entries of `fields` in their order, the buffer its values are written
+    to, and a fixed view of the buffer per field, shaped like the field (None
+    for a None field). A ForceFrame's entries go column by column, the order
+    `ForceFrame.at` evaluates them in, and its view is k x m. Entries shared
+    between fields are computed once, and a DomainEvalError names the first
+    faulting entry in this order, as separate field calls would."""
+    entries, layout = [], []
+    for fld in fields:
+        if fld is None:
+            layout.append(None)
+        elif isinstance(fld, ForceFrame):
+            layout.append((len(entries), (fld.k, fld.m), "F"))
+            entries += [e for c in fld.columns for e in c.entries]
+        else:
+            layout.append((len(entries), fld.shape, "C"))
+            entries += fld.entries
+    runner = compile_exprs(entries, next(f for f in fields if f is not None).variables)
+    buf = np.empty(len(entries))
+    views = [None if at is None
+             else buf[at[0]:at[0] + math.prod(at[1])].reshape(at[1], order=at[2])
+             for at in layout]
+    return runner, buf, views
+
+
 class PointDynamics:
     """The one evaluator of the flow: X and the multipliers u at a point, the
     minimum-norm solution of the bordered (saddle-point) system
@@ -354,9 +381,11 @@ class PointDynamics:
         [ I  0    0     ]       [ v ]   second-order rows X_q = v, with `second_order`
 
     of a GeneralizedNonholonomicSystem, or the base rows alone of a
-    LinearlySingularSystem (an explicit flow). One `linalg.solve_affine` per
-    evaluation: of that matrix, or of its Schur complement D = dphi . B^{-1} Delta
-    for a constant base, checked regular and inverted once. A rank-deficient
+    LinearlySingularSystem (an explicit flow). Each evaluation is one call of a
+    compiled kernel over every entry it reads (a varying A, the forces, f and
+    dphi) and one `linalg.solve_affine`: of that matrix, or of its Schur
+    complement D = dphi . B^{-1} Delta for a constant base, checked regular and
+    inverted once. A rank-deficient
     system gives the minimum-norm u, with X following, once the frame's rank is
     checked; no solution, or no unique one for an explicit flow, raises
     InconsistentSystemError. Points are not checked against M, nor is a varying
@@ -365,21 +394,28 @@ class PointDynamics:
     def __init__(self, system, tols=linalg.DEFAULT_TOLERANCES, second_order=False):
         gnh = system if isinstance(system, GeneralizedNonholonomicSystem) else None
         self.gnh, self.tols = gnh, tols
-        self._sys = base = system if gnh is None else gnh.base
+        base = system if gnh is None else gnh.base
         k, n = base.k, base.n
         a, m = (0, 0) if gnh is None else (gnh.a, gnh.m)
         s = n // 2 if second_order else 0
         self._rows = (k, n, a, s)
         self._mat, self._rhs = np.zeros((k + a + s, n + m)), np.zeros(k + a + s)
         self._mat[k + a:, :s] = np.eye(s)
-        self._a_const = base.A.is_constant
-        if self._a_const:
+        a_const = base.A.is_constant
+        if a_const:
             self._mat[:k, :n] = base.A_at(np.zeros(n))
         self._b = self._b_inv = None
-        if gnh is not None and not second_order and self._a_const:
+        if gnh is not None and not second_order and a_const:
             self._b = _regular_base_matrix(gnh, np.zeros(n), tols)
             self._b_inv = np.linalg.inv(self._b)
-        self._jphi = None if gnh is None else gnh.constraints.phi.jacobian_field()
+        jphi = None if gnh is None else gnh.constraints.phi.jacobian_field()
+        # the fields in the order each path reads them: forces, f, dphi for the
+        # Schur complement; A (varying only), f, forces, dphi for the bordered
+        # matrix. Their kernel is compiled by the first solve.
+        self._fields = ((gnh.forces, base.f, jphi) if self._b_inv is not None
+                        else (None if a_const else base.A, base.f,
+                              None if gnh is None else gnh.forces, jphi))
+        self._kernel = None
         self._no_solution = (
             "A(x) v = f(x) has no unique solution" if gnh is None
             else "no second-order solution through this point" if second_order
@@ -421,21 +457,25 @@ class PointDynamics:
     def solve(self, x, y=None):
         """(X, u, sol) at x, `sol` the solve's AffineSolutionSet (in (X, u) if bordered)."""
         x = np.asarray(x, dtype=float)
-        gnh, (k, n, a, s) = self.gnh, self._rows
+        if self._kernel is None:
+            self._kernel, self._vals, self._views = _fused_kernel(self._fields)
+        (k, n, a, s), views = self._rows, self._views
+        self._vals[:] = self._kernel(x)  # nothing below keeps a view of it
         if self._b_inv is not None:
-            gamma = self._b_inv @ gnh.forces.at(x)
-            y = self._b_inv @ gnh.base.f_at(x) if y is None else np.asarray(y, dtype=float)
-            jphi = self._jphi(x)
+            frame, f, jphi = views
+            gamma = self._b_inv @ frame
+            y = self._b_inv @ f if y is None else np.asarray(y, dtype=float)
             sol = linalg.solve_affine(jphi @ gamma, -(jphi @ y), self.tols)
             self._check(sol, gamma)
             return y + gamma @ sol.x0, sol.x0, sol
         mat, rhs = self._mat, self._rhs
-        if not self._a_const:
-            mat[:k, :n] = self._sys.A_at(x)
-        rhs[:k] = self._sys.f_at(x) if y is None else mat[:k, :n] @ np.asarray(y, dtype=float)
-        if gnh is not None:
-            mat[:k, n:] = -gnh.forces.at(x)
-            mat[k:k + a, :n] = self._jphi(x)
+        a_x, f, frame, jphi = views
+        if a_x is not None:
+            mat[:k, :n] = a_x
+        rhs[:k] = f if y is None else mat[:k, :n] @ np.asarray(y, dtype=float)
+        if frame is not None:
+            np.negative(frame, out=mat[:k, n:])
+            mat[k:k + a, :n] = jphi
             rhs[k + a:] = x[n - s:]
         sol = linalg.solve_affine(mat, rhs, self.tols)
         self._check(sol, -mat[:k, n:])

@@ -18,6 +18,7 @@ import pytest
 from test_acceptance import _knife_edge_points, _mass_shell_points, _scenario
 
 from linsing import linalg
+from linsing.errors import DomainEvalError
 from linsing.expressions import ExpressionField
 from linsing.lagrangian import sode_solve_at
 from linsing.nonholonomic import (
@@ -169,6 +170,21 @@ def test_gauged_multipliers_are_the_minimum_norm_representative(a_text):
         assert np.array_equal(multipliers_at(gnh, p, None).u, mult.u)
 
 
+def test_schur_path_is_the_arithmetic_of_separate_field_calls_bit_for_bit():
+    # two force columns: the kernel's frame is a column-major view of its buffer
+    gnh = _two_force_system([["2", "0.3"], ["0.1", "1.7"]])
+    dyn = PointDynamics(gnh)
+    b_inv = np.linalg.inv(gnh.base.A_at(np.zeros(2)))
+    for x1 in (-0.7, 0.5, 1.3):
+        p = np.array([x1, 2.0])
+        gamma = b_inv @ gnh.forces.at(p)
+        y = b_inv @ gnh.base.f_at(p)
+        jphi = gnh.constraints.jacobian(p)
+        sol = linalg.solve_affine(jphi @ gamma, -(jphi @ y))
+        xf, u, _ = dyn.solve(p)
+        assert np.array_equal(xf, y + gamma @ sol.x0) and np.array_equal(u, sol.x0)
+
+
 def _counting(monkeypatch):
     calls = collections.Counter()
     for name in ("svd", "solve"):
@@ -182,23 +198,101 @@ def _counting(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("mode", ["constrained", "constrained-varying-base",
-                                  "second-order", "explicit"])
-def test_one_svd_and_no_solve_per_evaluation(mode, monkeypatch):
+MODES = ["constrained", "constrained-varying-base", "second-order", "explicit"]
+
+
+def _mode(mode):
+    """(evaluator, its system, sample points) of one flow mode."""
     if mode == "constrained":
-        dyn = PointDynamics(_scenario("rosenberg").gnh)
-        points = _knife_edge_points(5)
-    elif mode == "constrained-varying-base":
-        dyn = PointDynamics(loads(VARYING_BASE_SPEC).gnh)
-        points = _varying_base_points(5)
-    elif mode == "second-order":
-        dyn = PointDynamics(_scenario("relparticle-L1").gnh, second_order=True)
-        points = _mass_shell_points(5)
-    else:
-        dyn = PointDynamics(loads(EXPLICIT_SPEC).system)
-        points = [np.array([0.3, -0.2]), np.array([1.5, 2.0])]
+        gnh = _scenario("rosenberg").gnh
+        return PointDynamics(gnh), gnh, _knife_edge_points(5)
+    if mode == "constrained-varying-base":
+        gnh = loads(VARYING_BASE_SPEC).gnh
+        return PointDynamics(gnh), gnh, _varying_base_points(5)
+    if mode == "second-order":
+        gnh = _scenario("relparticle-L1").gnh
+        return PointDynamics(gnh, second_order=True), gnh, _mass_shell_points(5)
+    system = loads(EXPLICIT_SPEC).system
+    return PointDynamics(system), system, [np.array([0.3, -0.2]), np.array([1.5, 2.0])]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_one_svd_and_no_solve_per_evaluation(mode, monkeypatch):
+    dyn, _, points = _mode(mode)
     calls = _counting(monkeypatch)
     for x in points:
         calls.clear()
         dyn.field_and_multipliers(x)
         assert calls == {"svd": 1}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_one_kernel_call_and_no_field_call_per_evaluation(mode, monkeypatch):
+    dyn, system, points = _mode(mode)
+    gnh = system if isinstance(system, GeneralizedNonholonomicSystem) else None
+    base = system if gnh is None else gnh.base
+    calls = collections.Counter()
+    dyn.solve(points[0])  # compiles the kernel
+    kernel = dyn._kernel
+
+    def counted_kernel(point):
+        calls["kernel"] += 1
+        return kernel(point)
+
+    def no_field_call(field, point):
+        raise AssertionError("a field was evaluated outside the kernel")
+
+    dyn._kernel = counted_kernel
+    for x in points:
+        # the kernel holds bit for bit each field's values, in the path's read
+        # order: forces (column by column), f, dphi for the Schur complement;
+        # a varying A, f, forces, dphi for the bordered matrix
+        forces = dphi = a_mat = None
+        if gnh is not None:
+            forces, dphi = gnh.forces.at(x).T, gnh.constraints.jacobian(x)
+        if not base.A.is_constant:
+            a_mat = base.A_at(x)
+        parts = ([forces, base.f_at(x), dphi] if mode == "constrained"
+                 else [a_mat, base.f_at(x), forces, dphi])
+        want = np.concatenate([p.ravel() for p in parts if p is not None])
+        with monkeypatch.context() as patch:
+            patch.setattr(ExpressionField, "__call__", no_field_call)
+            calls.clear()
+            xf, u, _ = dyn.solve(x)
+        assert calls == {"kernel": 1}
+        assert dyn._vals.tobytes() == want.tobytes()
+        # nothing returned aliases the kernel's buffer
+        assert not np.shares_memory(xf, dyn._vals) and not np.shares_memory(u, dyn._vals)
+
+
+def _faulting_system(a_text, forces_text, f_text):
+    v = ("x", "y")
+    base = make_system(ExpressionField.matrix(a_text, v), ExpressionField.vector(f_text, v))
+    forces = ForceFrame([ExpressionField.vector(forces_text, v)])
+    return GeneralizedNonholonomicSystem(
+        base, SubmanifoldSpec(ExpressionField.vector(["y - 2"], v)), forces)
+
+
+@pytest.mark.parametrize("a_text", [
+    [["1", "0"], ["0", "1"]],         # constant: the Schur complement
+    [["1", "0"], ["0", "1 + x^2"]],   # varying: the bordered matrix
+])
+@pytest.mark.parametrize("forces_text, f_text", [
+    (["1/x", "1"], ["1", "y"]),       # a force column holds 1/x
+    (["x", "1"], ["1/x", "y"]),       # f holds 1/x
+])
+def test_a_fault_names_its_subexpression_on_both_paths(a_text, forces_text, f_text):
+    dyn = PointDynamics(_faulting_system(a_text, forces_text, f_text))
+    with pytest.raises(DomainEvalError, match=r"division by zero in subexpression '1/x'"):
+        dyn.solve(np.array([0.0, 2.0]))
+
+
+@pytest.mark.parametrize("a_text, named", [
+    ([["1", "0"], ["0", "1"]], "1/x"),             # Schur: forces are read before f
+    ([["1", "0"], ["0", "1 + x^2"]], "log(x)"),    # bordered: f is read before forces
+])
+def test_the_first_fault_in_read_order_is_named(a_text, named):
+    dyn = PointDynamics(_faulting_system(a_text, ["1/x", "1"], ["log(x)", "y"]))
+    with pytest.raises(DomainEvalError) as err:
+        dyn.solve(np.array([0.0, 2.0]))
+    assert err.value.subexpression == named

@@ -223,6 +223,19 @@ def test_simulate_usage_errors(capsys):
     assert code == 2 and "--x0" in err
 
 
+@pytest.mark.parametrize("flag", ["--t1", "--dt"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_simulate_times_must_be_finite(capsys, flag, value):
+    # --t1 inf ended in an OverflowError traceback with exit 1, and a NaN in
+    # Python's "cannot convert float NaN to integer"
+    times = {"--t1": "1", "--dt": "0.1", flag: value}
+    code, out, err = _run(capsys, "simulate", "--scenario", "rosenberg",
+                          "--x0", "x=0,y=1,z=0,x'=1,y'=1",
+                          *(arg for pair in times.items() for arg in pair))
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} must be positive and finite\n"
+
+
 def test_check_symmetry_passes_on_example1(capsys):
     code, out, _ = _run(
         capsys, "check-symmetry", "--scenario", "example1", "--points", "60"

@@ -48,6 +48,14 @@ def test_step_validation():
         integrate(f, np.array([1.0]), 0.0, 0.1)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("which", ["t0", "t1", "dt"])
+def test_non_finite_times_are_rejected(which, bad):
+    times = {"t0": 0.0, "t1": 1.0, "dt": 0.1, which: bad}
+    with pytest.raises(ValueError, match="must be finite"):
+        integrate(lambda x: x, np.array([1.0]), times["t1"], times["dt"], t0=times["t0"])
+
+
 def test_projection_keeps_states_on_circle():
     circle = SubmanifoldSpec(
         ExpressionField.vector(["x^2 + y^2 - 1"], ("x", "y"))
@@ -155,6 +163,18 @@ def test_monitor_tracks_deviation_from_seed_value():
 
     with pytest.raises(ShapeError):
         monitor(traj, ExpressionField.vector(["x"], ("x", "y")))
+
+
+def test_monitor_series_is_the_value_at_each_state_bit_for_bit():
+    spec = loads(scenario_text("rosenberg"))
+    dyn = PointDynamics(spec.gnh)
+    x0 = np.array([0.3, -0.4, 0.1, 1.2, -0.7, -0.4 * 1.2])
+    traj = integrate(dyn.field, x0, 0.5, 1e-3, project=spec.constraints)
+    assert sorted(spec.constants) == ["plane", "px", "twist", "vy"]
+    for name, h in spec.constants.items():
+        series = monitor(traj, h, name).series
+        want = np.array([h(s) for s in traj.states])
+        assert series.shape == want.shape and series.tobytes() == want.tobytes()
 
 
 def test_trajectory_steps_property():

@@ -412,7 +412,14 @@ def test_every_route_decides_the_planted_rank(problem):
     assert rank(a) == r
     assert n - kernel_basis(a).dim == r
     assert k - cokernel_basis(a).dim == r
-    assert n - solve_affine(a, b).kernel.dim == r
+    sol = solve_affine(a, b)
+    assert n - sol.kernel.dim == r
+    # the norms are sqrt(v . v), bit for bit numpy's linalg.norm
+    smax = np.linalg.svd(a, full_matrices=True)[1][0]
+    assert sol.residual == float(np.linalg.norm(a @ sol.x0 - b))
+    assert sol.tol_used == DEFAULT_TOLERANCES.rank_tol(a, smax) * (1.0 + float(np.linalg.norm(b)))
+    if r == n:
+        assert sol.kernel.vectors.shape == (n, 0)
     names = tuple(f"x{i}" for i in range(n))
     system = LinearlySingularSystem(
         ExpressionField.constant_matrix(a, names),
