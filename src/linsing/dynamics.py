@@ -48,9 +48,12 @@ class Trajectory:
         fh = open(target, "w", newline="\n") if own else target
         try:
             fh.write(",".join(header) + "\n")
-            for i, t in enumerate(self.times):
-                row = [t, *self.states[i], *self.multipliers[i], self.drift[i]]
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            cols = (self.times, self.states, self.multipliers, self.drift)
+            # rows as Python floats a block at a time: all of a long
+            # trajectory's would take about five times its arrays' memory
+            for start in range(0, len(self.times), 1024):
+                block = np.column_stack([c[start:start + 1024] for c in cols]).tolist()
+                fh.writelines(",".join(f"{v:.17g}" for v in row) + "\n" for row in block)
         finally:
             if own:
                 fh.close()

@@ -6,11 +6,22 @@ tol_rank = max(rows, cols) * sigma_max * rank_factor, and image-membership
 decisions use tol_img = tol_rank * (1 + ||b||_2). Null-space bases come out of
 the SVD in a deterministic gauge (descending singular values, each basis
 vector's first non-negligible component made positive).
+
+A 1x1 matrix [[d]] (the Schur complement D of a system with one constraint)
+is factored in closed form, u = sign(d), s = |d|, vt = 1, when
+sqrt(tiny)/eps <= |d| <= eps/sqrt(tiny), about 6.7e-139 to 1.5e138. That is
+the range in which LAPACK's SVD (gesdd) does not rescale the matrix, and
+unscaled it returns exactly these factors, so the closed form is the SVD bit
+for bit. Outside it (zero, subnormal, huge, NaN or inf entries) LAPACK runs
+as for any other matrix. `solve_affine` then solves a 1x1 system on Python
+floats with the IEEE operations of the general path: products summed from
++0 as numpy's matmul sums them, and the residual as sqrt(r * r).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -65,10 +76,17 @@ def _norm(v):
 
 DEFAULT_TOLERANCES = Tolerances()
 
+# LAPACK's gesdd rescales a matrix whose largest |entry| lies outside
+# [sqrt(tiny)/eps, eps/sqrt(tiny)] (its smlnum and bignum); a 1x1 inside it
+# factors exactly as u = sign(d), s = |d|, vt = 1
+_UNSCALED_MIN = math.sqrt(sys.float_info.min) / sys.float_info.epsilon
+_UNSCALED_MAX = 1.0 / _UNSCALED_MIN
+
 
 def _svd_rank(mat, tols, compute_uv=True):
     """SVD of a matrix and its numerical rank under `tols`: ((u, s, vt), r), or
-    (s, r) without `compute_uv`. The one place a rank is decided."""
+    (s, r) without `compute_uv`. The one place a rank is decided. A 1x1 matrix
+    within LAPACK's unscaled range takes the closed form, the same factors."""
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2:
         raise ShapeError(f"expected a matrix, got shape {mat.shape}")
@@ -77,15 +95,20 @@ def _svd_rank(mat, tols, compute_uv=True):
         if not compute_uv:
             return s, 0
         return (np.zeros((mat.shape[0], 0)), s, np.zeros((0, mat.shape[1]))), 0
-    try:
-        svd = np.linalg.svd(mat, full_matrices=True, compute_uv=compute_uv)
-    except np.linalg.LinAlgError:
-        if np.isfinite(mat).all():
-            raise
-        smax = math.nan  # LAPACK rejects NaN entries
+    if mat.shape == (1, 1) and _UNSCALED_MIN <= abs(d := mat.item()) <= _UNSCALED_MAX:
+        smax = abs(d)
+        s = np.array([smax])
+        svd = (np.array([[math.copysign(1.0, d)]]), s, np.array([[1.0]])) if compute_uv else s
     else:
-        s = svd[1] if compute_uv else svd
-        smax = float(s[0])
+        try:
+            svd = np.linalg.svd(mat, full_matrices=True, compute_uv=compute_uv)
+        except np.linalg.LinAlgError:
+            if np.isfinite(mat).all():
+                raise
+            smax = math.nan  # LAPACK rejects NaN entries
+        else:
+            s = svd[1] if compute_uv else svd
+            smax = float(s[0])
     if not math.isfinite(smax):
         raise NonFiniteError(f"a {mat.shape[0]}x{mat.shape[1]} matrix has non-finite entries")
     cut = tols.rank_tol(mat, smax)
@@ -176,11 +199,19 @@ def solve_affine(mat, b, tols=DEFAULT_TOLERANCES):
     tol_img = tols.img_tol(mat, b, smax=float(s[0]) if s.size else 0.0)
     if not tol_img < math.inf:
         raise NonFiniteError("a linear solve has a non-finite right-hand side")
-    coeff = (u[:, :r].T @ b) / s[:r] if r else np.zeros(0)
-    x0 = vt[:r].T @ coeff
+    if mat.shape == (1, 1):
+        # the general path's operations on floats: each product of x0 is added
+        # to +0 as matmul does (so u * b = -0 gives +0), and the norm stays
+        # sqrt(r * r), which differs from |r| where r * r underflows
+        x = 0.0 + vt.item() * ((0.0 + u.item() * b.item()) / s.item()) if r else 0.0
+        res = mat.item() * x - b.item()
+        x0, residual = np.array([x]), math.sqrt(res * res)
+    else:
+        coeff = (u[:, :r].T @ b) / s[:r] if r else np.zeros(0)
+        x0 = vt[:r].T @ coeff
+        residual = _norm(mat @ x0 - b)
     kern = vt[r:].T
     kern = SubspaceBasis(_fix_signs(kern) if r < n else kern)
-    residual = _norm(mat @ x0 - b)
     consistent = residual <= tol_img
     if not (consistent or math.isfinite(residual)):
         raise NonFiniteError(f"a linear solve has a non-finite residual ({residual})")

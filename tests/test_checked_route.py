@@ -3,8 +3,8 @@
 `check-constant` and `analyze` build one `PointDynamics` per flow mode and
 reuse it at every point; their numbers must equal, bit for bit, the checked
 `*_at` routes, which build everything afresh per call and serve here as the
-reference. Counters pin the mechanism: evaluators built, SVDs taken, partial
-derivative fields compiled.
+reference. Counters pin the mechanism: evaluators built, rank decisions made,
+partial derivative fields compiled.
 """
 
 import collections
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from test_acceptance import _scenario
-from test_bordered import VARYING_BASE_SPEC, _varying_base_points
+from test_bordered import VARYING_BASE_SPEC, _counting, _varying_base_points
 
 from linsing import cli
 from linsing.expressions import ExpressionField
@@ -136,25 +136,13 @@ def _count_evaluators(monkeypatch):
     return built
 
 
-def _count_svds(monkeypatch):
-    calls = collections.Counter()
-    orig = np.linalg.svd
-
-    def counted(*args, **kwargs):
-        calls["svd"] += 1
-        return orig(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
-    return calls
-
-
 def test_check_constant_builds_one_evaluator_and_one_svd_per_point(monkeypatch, capsys):
     built = _count_evaluators(monkeypatch)
-    calls = _count_svds(monkeypatch)
+    calls = _counting(monkeypatch)
     code = cli.main(["check-constant", "--scenario", "rosenberg", "--points", "50"])
     assert code == 0 and "passed: true" in capsys.readouterr().out
     assert built == {False: 1}
-    assert calls["svd"] <= 50 + 2
+    assert calls["rank"] <= 50 + 2
 
 
 @pytest.mark.parametrize("name,modes", [
@@ -181,11 +169,11 @@ def test_analyze_builds_one_evaluator_per_mode(name, modes, monkeypatch, capsys)
 ])
 def test_analyze_factors_a_varying_base_once_per_point(name, singular, svds,
                                                        monkeypatch, capsys):
-    calls = _count_svds(monkeypatch)
+    calls = _counting(monkeypatch)
     code = cli.main(["analyze", "--scenario", name, "--points", "10"])
     out = capsys.readouterr().out
     assert code == 0 and out.count("base_regular: false") == (10 if singular else 0)
-    assert calls["svd"] == svds
+    assert calls["rank"] == svds
 
 
 def test_check_symmetry_takes_no_partial_derivative_fields(monkeypatch, capsys):

@@ -9,6 +9,8 @@ column copies) so both rank routes sit far from their thresholds.
 
 import dataclasses
 import inspect
+import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from linsing import linalg
 from linsing.errors import NonFiniteError, NotComplementaryError, ShapeError
 from linsing.expressions import ExpressionField
 from linsing.linalg import (
@@ -482,3 +485,85 @@ def test_non_finite_input_is_a_non_finite_error():
     # a right-hand side whose norm overflows cannot be judged against tol_img
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
         solve_affine(np.eye(2), np.array([1e300, 1e300]))
+
+
+# ------------------------------------------------------ 1x1 closed form
+
+def _nudged(edge, ulps):
+    for _ in range(abs(ulps)):
+        edge = math.nextafter(edge, math.inf if ulps > 0 else 0.0)
+    return edge
+
+
+# LAPACK's gesdd leaves a matrix unscaled when its largest |entry| lies in
+# [smlnum, bignum]: about 6.7e-139 and 1.5e138
+_SMLNUM = math.sqrt(2.2250738585072014e-308) / 2.220446049250313e-16
+_BIGNUM = 1.0 / _SMLNUM
+_signs = st.sampled_from([-1.0, 1.0])
+_in_range = st.builds(lambda sign, e: sign * 10.0 ** e, _signs, st.floats(-137.0, 137.0))
+_edges = st.builds(lambda sign, edge, ulps: sign * _nudged(edge, ulps), _signs,
+                   st.sampled_from([_SMLNUM, _BIGNUM]), st.integers(-3, 3))
+# zero, subnormal and out-of-range entries, which LAPACK rescales; the bands
+# next to the edges hold the magnitudes where it returns s one ulp below |d|
+_rescaled = st.builds(lambda sign, mag: sign * mag, _signs, st.one_of(
+    st.just(0.0), st.floats(5e-324, _SMLNUM, exclude_max=True),
+    st.floats(6e-139, _SMLNUM, exclude_max=True),
+    st.floats(_BIGNUM, 1.7e138, exclude_min=True), st.floats(_BIGNUM, 1.7e308, exclude_min=True)))
+_non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+_tolerances = st.one_of(
+    st.just(DEFAULT_TOLERANCES),
+    st.builds(lambda f: Tolerances(img_factor=f), st.floats(1e-12, 1.0)),
+    # rank_factor >= 1 cuts every singular value: rank 0, kernel [[1]]
+    st.builds(lambda f: Tolerances(rank_factor=f), st.floats(1.0, 4.0)),
+)
+
+
+def _lapack_solve(d, b, tols):
+    """solve_affine's general arithmetic on numpy's SVD of [[d]]: the factors,
+    rank, x0, residual, verdict, tol_img and kernel, or None where it raises
+    NonFiniteError."""
+    mat, rhs = np.array([[d]]), np.array([b])
+    if not math.isfinite(d):
+        return None
+    u, s, vt = np.linalg.svd(mat)
+    r = int(s[0] > tols.rank_tol(mat, float(s[0])))
+    tol_img = tols.img_tol(mat, rhs, float(s[0]))
+    x0 = vt[:r].T @ ((u[:, :r].T @ rhs) / s[:r])
+    residual = float(np.linalg.norm(mat @ x0 - rhs))
+    consistent = residual <= tol_img
+    if not tol_img < math.inf or not (consistent or math.isfinite(residual)):
+        return None
+    kernel = np.abs(vt[r:].T)  # the gauge: a 1-vector's one entry made positive
+    return (u, s, vt), r, x0, residual, consistent, tol_img, kernel
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(_in_range, _edges, _rescaled, _non_finite),
+       st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False),
+                 _non_finite),
+       _tolerances)
+def test_1x1_closed_form_matches_lapack_and_the_general_solve(d, b, tols):
+    mat = np.array([[d]])
+    with np.errstate(all="ignore"):
+        expected = _lapack_solve(d, b, tols)
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            if expected is None:
+                with pytest.raises(NonFiniteError):
+                    solve_affine(mat, np.array([b]), tols)
+                return
+            factors, r = linalg._svd_rank(mat, tols)
+            values, r_values = linalg._svd_rank(mat, tols, compute_uv=False)
+            sol = solve_affine(mat, np.array([b]), tols)
+    # LAPACK runs exactly where it rescales a 1x1
+    assert (svd.call_count == 0) == (_SMLNUM <= abs(d) <= _BIGNUM)
+    lapack, rank_, x0, residual, consistent, tol_img, kernel = expected
+    assert all(_same_bits(f, g) for f, g in zip(factors, lapack))
+    assert _same_bits(values, lapack[1]) and r == r_values == rank_
+    assert _same_bits(sol.x0, x0) and _same_bits(sol.residual, residual)
+    assert sol.consistent == consistent and _same_bits(sol.tol_used, tol_img)
+    assert _same_bits(sol.kernel.vectors, kernel)
