@@ -60,13 +60,6 @@ from .nonholonomic import (
     GeneralizedNonholonomicSystem,
     PointDynamics,
     SubmanifoldSpec,
-    D_matrix_at,
-    H_frame_at,
-    classify_at,
-    constrained_field_at,
-    multipliers_at,
-    projectors_at,
-    unconstrained_solution_at,
 )
 from .lagrangian import (
     LagrangianModel,
@@ -75,12 +68,10 @@ from .lagrangian import (
     chetaev_frame,
     nonholonomic_lagrangian,
     regularity_of_L,
-    sode_solve_at,
 )
 from .dynamics import Trajectory, integrate, monitor
 from .symmetry import (
     SymmetryCandidate,
-    check_constant_descent,
     check_descent,
     check_inf_symmetry,
     check_symmetry,

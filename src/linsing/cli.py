@@ -43,6 +43,7 @@ from .symmetry import (
     check_symmetry,
     constant_descent,
     flow_samples,
+    max_rate,
 )
 from .systems import consistency_at
 
@@ -387,7 +388,8 @@ def constant_report(spec, tols, points, tol=1e-8):
     pts = _default_points(spec, points)
     dyn, mode = _make_field(spec, pts[0], tols)
     base_regular = mode == "constrained"
-    flows = flow_samples(dyn, pts) if base_regular else None
+    # (Y, X) at each point on a regular base; the second-order X alone otherwise
+    flows = flow_samples(dyn, pts) if base_regular else [dyn.field(x) for x in pts]
     doc = {
         "command": "check-constant",
         "input": spec.name,
@@ -408,8 +410,7 @@ def constant_report(spec, tols, points, tol=1e-8):
             }
             ok = ok and res.constrained_conserved
         else:
-            dh = h.gradient()
-            worst = max(abs(float(dh(x) @ dyn.field(x))) for x in pts)
+            worst = max_rate(h, pts, flows)
             conserved = worst <= tol
             doc[name] = {"constrained_conserved": conserved, "X_h_max": worst}
             ok = ok and conserved

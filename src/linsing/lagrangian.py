@@ -19,7 +19,7 @@ import numpy as np
 from . import linalg
 from .errors import MaxRankViolatedError, ShapeError
 from .expressions import Const, ExpressionField, Var, add, derivative, mul, neg, parse, sub
-from .nonholonomic import ForceFrame, GeneralizedNonholonomicSystem, PointDynamics, SubmanifoldSpec
+from .nonholonomic import ForceFrame, GeneralizedNonholonomicSystem, SubmanifoldSpec
 from .systems import LinearlySingularSystem
 
 __all__ = [
@@ -29,8 +29,6 @@ __all__ = [
     "regularity_of_L",
     "chetaev_frame",
     "nonholonomic_lagrangian",
-    "sode_solve_at",
-    "SodeSolution",
 ]
 
 
@@ -187,26 +185,3 @@ def nonholonomic_lagrangian(model, phi, forces=None, check_points=None,
     return GeneralizedNonholonomicSystem(
         base=build_lagrangian_system(model), constraints=phi, forces=forces
     )
-
-
-@dataclass
-class SodeSolution:
-    x0: np.ndarray
-    kernel: linalg.SubspaceBasis  # in (X, u), of the X solution set's dimension
-    residual: float
-    unique: bool
-    u: np.ndarray  # force multipliers, the minimum-norm ones when not unique
-
-
-def sode_solve_at(model, phi, x, forces=None, tols=linalg.DEFAULT_TOLERANCES):
-    """Solve the constrained equation at x for singular (or regular) Lagrangians.
-
-    `PointDynamics` with second-order rows: one bordered solve of the base rows
-    A X - Delta u = dE, the tangency rows dphi X = 0 and the rows X_q = v.
-    Raises NotOnManifoldError off M and InconsistentSystemError when the stacked
-    problem is infeasible; `unique` reports whether X is determined.
-    """
-    gnh = nonholonomic_lagrangian(model, phi, forces, tols=tols)
-    gnh.constraints.require_on(x)
-    xf, u, sol = PointDynamics(gnh, tols, second_order=True).solve(x)
-    return SodeSolution(xf, sol.kernel, sol.residual, sol.kernel.dim == 0, u)

@@ -5,8 +5,7 @@ The quotient bundle never gets materialized: the flow comes from one bordered
 solve of the base rows, the tangency rows and the unknowns (X, u), and the
 classification from the transported frame Gamma_mu = B^{-1} Delta_mu, the
 pairing matrix D = dphi . Gamma, and span residuals. `PointDynamics` is the one
-evaluator of the flow in every mode; the *_at functions check that the point is
-on M first.
+evaluator of the flow and of these quantities in every mode.
 """
 
 from __future__ import annotations
@@ -33,13 +32,6 @@ __all__ = [
     "Projection",
     "ForceFrame",
     "GeneralizedNonholonomicSystem",
-    "H_frame_at",
-    "D_matrix_at",
-    "classify_at",
-    "multipliers_at",
-    "constrained_field_at",
-    "projectors_at",
-    "unconstrained_solution_at",
     "PointDynamics",
 ]
 
@@ -245,24 +237,6 @@ def _require_independent(gamma, m, tols):
         raise FrameDegenerateError("transported force frame is linearly dependent")
 
 
-def _transported_frame(gnh, b, x, tols):
-    gamma = np.linalg.solve(b, gnh.forces.at(x))
-    _require_independent(gamma, gnh.m, tols)
-    return gamma
-
-
-def H_frame_at(gnh, x, tols=linalg.DEFAULT_TOLERANCES):
-    """Transported frame Gamma_mu = B(x)^{-1} Delta_mu(x), columns of an n x m array."""
-    gnh.constraints.require_on(x)
-    return _transported_frame(gnh, _regular_base_matrix(gnh, x, tols), x, tols)
-
-
-def D_matrix_at(gnh, x, tols=linalg.DEFAULT_TOLERANCES):
-    """Pairing D[alpha, mu] = dphi^alpha . Gamma_mu (an a x m matrix)."""
-    gamma = H_frame_at(gnh, x, tols)
-    return gnh.constraints.jacobian(x) @ gamma
-
-
 @dataclass
 class PointClassification:
     d_matrix: np.ndarray
@@ -272,67 +246,11 @@ class PointClassification:
     regular: bool
 
 
-def _classify(gnh, d, tols):
-    r = linalg.rank(d, tols)
-    return PointClassification(
-        d_matrix=d,
-        rank_d=r,
-        surjective=(r == gnh.a),
-        injective=(r == gnh.m),
-        regular=(gnh.a == gnh.m and r == gnh.a),
-    )
-
-
-def classify_at(gnh, x, tols=linalg.DEFAULT_TOLERANCES):
-    """Regularity of the restricted problem at x via ranks of the D-matrix."""
-    return _classify(gnh, D_matrix_at(gnh, x, tols), tols)
-
-
 @dataclass
 class MultiplierResult:
     u: np.ndarray
     gauged: bool  # True when the solution is the minimum-norm representative
     residual: float
-
-
-def _multiplier_result(u, sol):
-    return MultiplierResult(u, sol.kernel.dim > 0, sol.residual)
-
-
-def multipliers_at(gnh, x, y_at, tols=linalg.DEFAULT_TOLERANCES):
-    """Solve D u = -dphi . Y for the constraint multipliers at x.
-
-    Unique when D is square invertible; otherwise the minimum-norm solution is
-    returned with `gauged` set. Raises InconsistentSystemError when no u exists.
-    """
-    return constrained_field_at(gnh, x, y_at, tols)[1]
-
-
-def constrained_field_at(gnh, x, y_at=None, tols=linalg.DEFAULT_TOLERANCES):
-    """(X, MultiplierResult) of the constrained dynamics X = Y + Gamma u at a point
-    of M; Y is B^{-1} g unless `y_at` is given."""
-    gnh.constraints.require_on(x)
-    xf, u, sol = PointDynamics(gnh, tols).solve(x, y_at)
-    return xf, _multiplier_result(u, sol)
-
-
-def _projectors(jphi, gamma, tols):
-    return linalg.complement_projectors(linalg.kernel_basis(jphi, tols), gamma, tols)
-
-
-def projectors_at(gnh, x, tols=linalg.DEFAULT_TOLERANCES):
-    """Oblique projectors (P onto T_xM along H_x, Q = I - P)."""
-    gamma = H_frame_at(gnh, x, tols)
-    return _projectors(gnh.constraints.jacobian(x), gamma, tols)
-
-
-def _unconstrained(gnh, b, x):
-    return np.linalg.solve(b, gnh.base.f_at(x))
-
-
-def unconstrained_solution_at(gnh, x, tols=linalg.DEFAULT_TOLERANCES):
-    """Y(x) = B(x)^{-1} g(x) for a regular base."""
-    return _unconstrained(gnh, _regular_base_matrix(gnh, x, tols), x)
 
 
 @dataclass
@@ -376,7 +294,7 @@ class PointDynamics:
     """The one evaluator of the flow: X and the multipliers u at a point, the
     minimum-norm solution of the bordered (saddle-point) system
 
-        [ A      -Delta ] [X]   [ g ]   base rows (B Y in place of g when Y is given)
+        [ A      -Delta ] [X]   [ g ]   base rows
         [ dphi    0     ] [u] = [ 0 ]   tangency rows, when there are constraints
         [ I  0    0     ]       [ v ]   second-order rows X_q = v, with `second_order`
 
@@ -388,8 +306,10 @@ class PointDynamics:
     inverted once. A rank-deficient
     system gives the minimum-norm u, with X following, once the frame's rank is
     checked; no solution, or no unique one for an explicit flow, raises
-    InconsistentSystemError. Points are not checked against M, nor is a varying
-    base's rank, except by `unconstrained` and `analysis`."""
+    InconsistentSystemError. Points are not checked against M: the caller
+    checks them. `analysis` and `flow` report the X and u that `solve`
+    computes; for a constant base they read Gamma and Y from the same kernel
+    evaluation."""
 
     def __init__(self, system, tols=linalg.DEFAULT_TOLERANCES, second_order=False):
         gnh = system if isinstance(system, GeneralizedNonholonomicSystem) else None
@@ -404,14 +324,13 @@ class PointDynamics:
         a_const = base.A.is_constant
         if a_const:
             self._mat[:k, :n] = base.A_at(np.zeros(n))
-        self._b = self._b_inv = None
+        self._b_inv = None
         if gnh is not None and not second_order and a_const:
-            self._b = _regular_base_matrix(gnh, np.zeros(n), tols)
-            self._b_inv = np.linalg.inv(self._b)
+            self._b_inv = np.linalg.inv(_regular_base_matrix(gnh, np.zeros(n), tols))
         jphi = None if gnh is None else gnh.constraints.phi.jacobian_field()
         # the fields in the order each path reads them: forces, f, dphi for the
         # Schur complement; A (varying only), f, forces, dphi for the bordered
-        # matrix. Their kernel is compiled by the first solve.
+        # matrix. Their kernel is compiled by the first evaluation.
         self._fields = ((gnh.forces, base.f, jphi) if self._b_inv is not None
                         else (None if a_const else base.A, base.f,
                               None if gnh is None else gnh.forces, jphi))
@@ -423,56 +342,71 @@ class PointDynamics:
         self._last = None  # (bytes of x, field_and_multipliers(x)) of the last solve
 
     def unconstrained(self, x):
-        """Y = B^{-1} g at x, the base checked regular: for a constant base in
-        the first-order modes once, at construction; otherwise at every call."""
-        b = self._b if self._b is not None else _regular_base_matrix(self.gnh, x, self.tols)
-        return _unconstrained(self.gnh, b, x)
+        """Y = B^{-1} g at x. A constant base in the first-order modes was checked
+        regular at construction, and Y comes from one kernel evaluation; any
+        other base is read field by field and checked regular at every call."""
+        if self._b_inv is not None:
+            return self._schur(x)[1]
+        b = _regular_base_matrix(self.gnh, x, self.tols)
+        return np.linalg.solve(b, self.gnh.base.f_at(x))
+
+    def flow(self, x):
+        """(Y, X) at x: from one kernel evaluation for a constant base in the
+        first-order modes, otherwise as `unconstrained` and `solve` give them."""
+        if self._b_inv is None:
+            return self.unconstrained(x), self.solve(x)[0]
+        gamma, y, jphi = self._schur(x)
+        return y, self._schur_solve(jphi @ gamma, gamma, y, jphi)[0]
 
     def analysis(self, x):
         """PointAnalysis at x, which the caller has checked lies on M.
 
-        A constant base was checked regular at construction. A varying one is
-        evaluated and factored once, by the solve of B v = g whose rank decides
-        its regularity; a singular one raises BaseNotRegularError carrying that
-        solve as its `consistency`. Gamma = B^{-1} Delta is solved once for D
-        and the projectors, Y once, and X and u come from one `solve`."""
+        A constant base was checked regular at construction. One kernel
+        evaluation gives Gamma = B^{-1} Delta and Y = B^{-1} g, and the one
+        solve of D u = -dphi . Y that `solve` makes gives u, X and rank D, as m
+        less the dimension of the kernel of D. A varying base is read field by
+        field and factored once, by the solve of B v = g whose rank decides its
+        regularity; a singular one raises BaseNotRegularError carrying that
+        solve as its `consistency`. Gamma and Y are then LU solves with B, rank
+        D is decided on its own, and X and u come from `solve`."""
         gnh, tols = self.gnh, self.tols
-        g = gnh.base.f_at(x)
-        b = self._b
-        if b is None:
-            b = gnh.base.A_at(x)
-            sol = linalg.solve_affine(b, g, tols)
-            rank = gnh.base.n - sol.kernel.dim
-            if gnh.base.k != gnh.base.n or rank < gnh.base.n:
-                raise BaseNotRegularError(
-                    _BASE_SINGULAR, ConsistencyResult(sol.consistent, sol.residual, rank, sol))
-        gamma = _transported_frame(gnh, b, x, tols)
-        jphi = gnh.constraints.jacobian(x)
-        cls = _classify(gnh, jphi @ gamma, tols)
-        y = np.linalg.solve(b, g)
-        xf, u, sol = self.solve(x, y)
-        return PointAnalysis(cls, y, xf, _multiplier_result(u, sol),
-                             _projectors(jphi, gamma, tols))
-
-    def solve(self, x, y=None):
-        """(X, u, sol) at x, `sol` the solve's AffineSolutionSet (in (X, u) if bordered)."""
-        x = np.asarray(x, dtype=float)
-        if self._kernel is None:
-            self._kernel, self._vals, self._views = _fused_kernel(self._fields)
-        (k, n, a, s), views = self._rows, self._views
-        self._vals[:] = self._kernel(x)  # nothing below keeps a view of it
         if self._b_inv is not None:
-            frame, f, jphi = views
-            gamma = self._b_inv @ frame
-            y = self._b_inv @ f if y is None else np.asarray(y, dtype=float)
-            sol = linalg.solve_affine(jphi @ gamma, -(jphi @ y), self.tols)
-            self._check(sol, gamma)
-            return y + gamma @ sol.x0, sol.x0, sol
+            gamma, y, jphi = self._schur(x)
+            _require_independent(gamma, gnh.m, tols)
+            d = jphi @ gamma
+            xf, u, sol = self._schur_solve(d, gamma, y, jphi)
+            rank = gnh.m - sol.kernel.dim
+        else:
+            g, b = gnh.base.f_at(x), gnh.base.A_at(x)
+            base = linalg.solve_affine(b, g, tols)
+            rank_b = gnh.base.n - base.kernel.dim
+            if gnh.base.k != gnh.base.n or rank_b < gnh.base.n:
+                raise BaseNotRegularError(_BASE_SINGULAR, ConsistencyResult(
+                    base.consistent, base.residual, rank_b, base))
+            gamma = np.linalg.solve(b, gnh.forces.at(x))
+            _require_independent(gamma, gnh.m, tols)
+            jphi = gnh.constraints.jacobian(x)
+            d = jphi @ gamma
+            rank = linalg.rank(d, tols)
+            y = np.linalg.solve(b, g)
+            xf, u, sol = self.solve(x)
+        cls = PointClassification(d, rank, surjective=rank == gnh.a, injective=rank == gnh.m,
+                                  regular=gnh.a == gnh.m and rank == gnh.a)
+        projectors = linalg.complement_projectors(linalg.kernel_basis(jphi, tols), gamma, tols)
+        return PointAnalysis(cls, y, xf, MultiplierResult(u, sol.kernel.dim > 0, sol.residual),
+                             projectors)
+
+    def solve(self, x):
+        """(X, u, sol) at x, `sol` the solve's AffineSolutionSet (in (X, u) if bordered)."""
+        if self._b_inv is not None:
+            gamma, y, jphi = self._schur(x)
+            return self._schur_solve(jphi @ gamma, gamma, y, jphi)
+        x = np.asarray(x, dtype=float)
+        (k, n, a, s), (a_x, f, frame, jphi) = self._rows, self._evaluate(x)
         mat, rhs = self._mat, self._rhs
-        a_x, f, frame, jphi = views
         if a_x is not None:
             mat[:k, :n] = a_x
-        rhs[:k] = f if y is None else mat[:k, :n] @ np.asarray(y, dtype=float)
+        rhs[:k] = f
         if frame is not None:
             np.negative(frame, out=mat[:k, n:])
             mat[k:k + a, :n] = jphi
@@ -484,6 +418,25 @@ class PointDynamics:
             ker = sol.kernel.vectors
             z = z + ker @ linalg.solve_affine(ker[n:], -z[n:], self.tols).x0
         return z[:n], z[n:], sol
+
+    def _evaluate(self, x):
+        """The views of the kernel's buffer, filled at x; what is computed from
+        them must not keep one past the next evaluation."""
+        if self._kernel is None:
+            self._kernel, self._vals, self._views = _fused_kernel(self._fields)
+        self._vals[:] = self._kernel(np.asarray(x, dtype=float))
+        return self._views
+
+    def _schur(self, x):
+        """(Gamma, Y, dphi) at x from one kernel evaluation, for a constant base."""
+        frame, f, jphi = self._evaluate(x)
+        return self._b_inv @ frame, self._b_inv @ f, jphi
+
+    def _schur_solve(self, d, gamma, y, jphi):
+        """(X, u, sol) of the Schur complement D u = -dphi . Y, X = Y + Gamma u."""
+        sol = linalg.solve_affine(d, -(jphi @ y), self.tols)
+        self._check(sol, gamma)
+        return y + gamma @ sol.x0, sol.x0, sol
 
     def _check(self, sol, frame):
         # a dependent frame forces a rank-deficient system: check it only then

@@ -19,7 +19,6 @@ import numpy as np
 from . import linalg
 from .errors import NonFiniteError, ShapeError
 from .expressions import Const, ExpressionField, Var, add, derivative, mul
-from .nonholonomic import PointDynamics
 
 __all__ = [
     "SymmetryCandidate",
@@ -29,9 +28,9 @@ __all__ = [
     "check_symmetry",
     "check_inf_symmetry",
     "check_descent",
-    "check_constant_descent",
     "flow_samples",
     "constant_descent",
+    "max_rate",
 ]
 
 
@@ -221,20 +220,23 @@ class ConstantDescentCheck:
     tol: float
 
 
-def flow_samples(dyn, points_on_m, y_field=None):
+def flow_samples(dyn, points_on_m):
     """(Y, X) at each point of M through one PointDynamics: the point checked on
-    M once, Y = B^{-1} g (or `y_field(x)`) and X from one solve."""
+    M, then Y = B^{-1} g and X from one evaluation (`PointDynamics.flow`)."""
     require_on = dyn.gnh.constraints.require_on
     out = []
     for x in points_on_m:
         require_on(x)
-        y = np.asarray(y_field(x), dtype=float) if callable(y_field) else dyn.unconstrained(x)
-        out.append((y, dyn.solve(x, y)[0]))
+        out.append(dyn.flow(x))
     return out
 
 
 def constant_descent(h, points_on_m, flows, tol=1e-8):
-    """ConstantDescentCheck of a scalar field h from the `flow_samples` pairs."""
+    """ConstantDescentCheck of a scalar field h from the `flow_samples` pairs.
+
+    Y.h, (Y - X).h and X.h over the sample: when h is conserved for Y,
+    conservation for the constrained X is equivalent to (Y - X).h = 0, and the
+    `consistent` flag verifies that equivalence numerically."""
     dh = h.gradient()
     max_yh = 0.0
     max_gh = 0.0
@@ -254,17 +256,12 @@ def constant_descent(h, points_on_m, flows, tol=1e-8):
     )
 
 
-def check_constant_descent(gnh, h, points_on_m, y_field=None, tol=1e-8,
-                           tols=linalg.DEFAULT_TOLERANCES):
-    """Descent test for a conserved quantity h of the unconstrained dynamics.
-
-    Computes Y.h, (Y - X).h and X.h over the sample; when h is conserved for Y,
-    conservation for the constrained X is equivalent to (Y - X).h = 0, and the
-    `consistent` flag verifies that equivalence numerically. Y and X are
-    computed once per point, through one PointDynamics (a constant base's rank
-    is checked once, a varying base's at every point), by `flow_samples`.
-    """
-    if h.shape != ():
-        raise ShapeError("h must be a scalar field")
-    flows = flow_samples(PointDynamics(gnh, tols), points_on_m, y_field)
-    return constant_descent(h, points_on_m, flows, tol)
+def max_rate(h, points, fields):
+    """max |X.h| = max |dh(x) . X| over the points and the field X at each;
+    a non-finite value raises NonFiniteError."""
+    dh = h.gradient()
+    worst = 0.0
+    with _residual_errors():
+        for x, xfield in zip(points, fields):
+            worst = _worst(worst, dh(x) @ xfield, "X_h")
+    return worst

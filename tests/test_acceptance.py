@@ -17,15 +17,7 @@ from linsing import linalg, report
 from linsing.cli import main, scenario_text
 from linsing.dynamics import integrate, monitor
 from linsing.expressions import eval_dual, evaluate
-from linsing.lagrangian import sode_solve_at
-from linsing.nonholonomic import (
-    H_frame_at,
-    PointDynamics,
-    classify_at,
-    constrained_field_at,
-    projectors_at,
-    unconstrained_solution_at,
-)
+from linsing.nonholonomic import PointDynamics
 from linsing.sampling import on_manifold_sample
 from linsing.specfile import loads
 from linsing.symmetry import check_descent, check_inf_symmetry
@@ -75,17 +67,18 @@ def test_criterion_1_knife_edge_pointwise_solution(capsys):
     pts = _knife_edge_points(100)
     assert len(pts) == 100
     t0 = time.perf_counter()
+    dyn = PointDynamics(spec.gnh)
     worst_x = worst_u = 0.0
     for s in pts:
         x, y, z, vx, vy, vz = s
-        xf, mult = constrained_field_at(spec.gnh, s)
+        xf, u = dyn.field_and_multipliers(s)
         u_exact = -vx * vy / (1.0 + y * y)
         x_exact = np.array([
             vx, vy, y * vx,
             -y * vx * vy / (1.0 + y * y), 0.0, vx * vy / (1.0 + y * y),
         ])
         worst_x = max(worst_x, float(np.max(np.abs(xf - x_exact))))
-        worst_u = max(worst_u, abs(float(mult.u[0]) - u_exact))
+        worst_u = max(worst_u, abs(float(u[0]) - u_exact))
     elapsed = time.perf_counter() - t0
     ok = worst_x <= 1e-9 and worst_u <= 1e-9 and elapsed < 1.0
     _verdict(capsys, 1, ok, f"100 points, |X err| {worst_x:.2e}, |u err| {worst_u:.2e}, "
@@ -124,13 +117,14 @@ def test_criterion_3_planar_restriction_and_symmetry(capsys):
     worst_d = worst_x = worst_p = 0.0
     all_regular = True
     m_pts = [np.array([x, a]) for x in np.linspace(-2.0, 2.0, 20)]
+    dyn = PointDynamics(spec.gnh)
     for pt in m_pts:
-        cls = classify_at(spec.gnh, pt)
+        pa = dyn.analysis(pt)
+        cls = pa.classification
         all_regular = all_regular and cls.regular
         worst_d = max(worst_d, float(np.max(np.abs(cls.d_matrix - np.array([[1.0]])))))
-        xf, _ = constrained_field_at(spec.gnh, pt)
+        xf, p = pa.field, pa.projectors[0]
         worst_x = max(worst_x, float(np.max(np.abs(xf - np.array([1.0 - a * pt[0], 0.0])))))
-        p, _ = projectors_at(spec.gnh, pt)
         worst_p = max(worst_p, float(np.max(np.abs(p @ np.array([0.0, 1.0]) - np.array([-pt[0], 0.0])))))
     # the declared symmetry candidate: base check on y > 0, then descent
     from linsing.sampling import halton_box
@@ -161,10 +155,10 @@ def test_criterion_4_quadratic_relativistic_particle(capsys):
     pts = _mass_shell_points(50)
     # with U = k*q1, k = 1 the scaled multiplier equals -v1 on the shell
     spec_u = _scenario("relparticle-L2", U="k*q1", k="1")
+    dyn_u = PointDynamics(spec_u.gnh)
     worst_u = 0.0
     for x in pts:
-        _, mult = constrained_field_at(spec_u.gnh, x)
-        lam = float(mult.u[0]) * spec_u.report_scale
+        lam = float(dyn_u.multipliers(x)[0]) * spec_u.report_scale
         worst_u = max(worst_u, abs(lam - (-x[4])))
     # with U = 0 the motion is straight lines on the shell
     spec0 = _scenario("relparticle-L2")
@@ -191,6 +185,7 @@ def test_criterion_5_square_root_relativistic_particle(capsys):
     spec_u = _scenario("relparticle-L1", U="k*q1", k="1")
     spec_l2 = _scenario("relparticle-L2")
     dyn_l2 = PointDynamics(spec_l2.gnh)
+    sode = PointDynamics(spec.gnh, second_order=True)
     ranks_ok = True
     inconsistent_ok = True
     unique_ok = True
@@ -198,9 +193,9 @@ def test_criterion_5_square_root_relativistic_particle(capsys):
     for x in pts:
         ranks_ok = ranks_ok and linalg.rank(spec.system.A_at(x)) == 6
         inconsistent_ok = inconsistent_ok and not consistency_at(spec_u.system, x).consistent
-        sol = sode_solve_at(spec.model, spec.constraints, x, forces=spec.forces)
-        unique_ok = unique_ok and sol.unique
-        worst_match = max(worst_match, float(np.max(np.abs(sol.x0 - dyn_l2.field(x)))))
+        xf, _, sol = sode.solve(x)
+        unique_ok = unique_ok and sol.kernel.dim == 0
+        worst_match = max(worst_match, float(np.max(np.abs(xf - dyn_l2.field(x)))))
     ok = ranks_ok and inconsistent_ok and unique_ok and worst_match <= 1e-8
     _verdict(capsys, 5, ok, f"50 timelike points: rank 6/8 {ranks_ok}, "
                     f"U=k*q1 inconsistent {inconsistent_ok}, free solution unique "
@@ -272,15 +267,14 @@ def test_criterion_7_projector_route_agreement(capsys):
         cases += [(l2, s) for s in _mass_shell_points(20)]
     worst = 0.0
     agree = True
+    dyns = {}
     for spec_i, x in cases:
-        y = unconstrained_solution_at(spec_i.gnh, x)
-        xf, _ = constrained_field_at(spec_i.gnh, x, y)
-        p, _ = projectors_at(spec_i.gnh, x)
-        worst = max(worst, float(np.max(np.abs(p @ y - xf))))
-        cls = classify_at(spec_i.gnh, x)
-        sub = linalg.subspace_classify(
-            spec_i.constraints.jacobian(x).T, H_frame_at(spec_i.gnh, x)
-        )
+        dyn = dyns.setdefault(id(spec_i), PointDynamics(spec_i.gnh))
+        pa = dyn.analysis(x)
+        worst = max(worst, float(np.max(np.abs(pa.projectors[0] @ pa.y - pa.field))))
+        cls = pa.classification
+        gamma = np.linalg.solve(spec_i.system.A_at(x), spec_i.forces.at(x))
+        sub = linalg.subspace_classify(spec_i.constraints.jacobian(x).T, gamma)
         agree = agree and (
             cls.surjective == sub.sum_full
             and cls.injective == sub.intersection_zero
@@ -353,10 +347,10 @@ def test_singular_lagrangian_on_the_mass_shell_has_the_regular_multiplier():
     spec_l1 = _scenario("relparticle-L1", U="q1")
     spec_l2 = _scenario("relparticle-L2", U="q1")
     dyn_l2 = PointDynamics(spec_l2.gnh)
+    sode = PointDynamics(spec_l1.gnh, second_order=True)
     worst = 0.0
     for x in _mass_shell_points(50):
-        sol = sode_solve_at(spec_l1.model, spec_l1.constraints, x,
-                            forces=spec_l1.forces)
-        assert sol.unique
-        worst = max(worst, float(np.max(np.abs(sol.u - dyn_l2.multipliers(x)))))
+        _, u, sol = sode.solve(x)
+        assert sol.kernel.dim == 0
+        worst = max(worst, float(np.max(np.abs(u - dyn_l2.multipliers(x)))))
     assert worst <= 1e-10

@@ -20,14 +20,11 @@ from test_acceptance import _knife_edge_points, _mass_shell_points, _scenario
 from linsing import linalg
 from linsing.errors import DomainEvalError
 from linsing.expressions import ExpressionField
-from linsing.lagrangian import sode_solve_at
 from linsing.nonholonomic import (
     ForceFrame,
     GeneralizedNonholonomicSystem,
     PointDynamics,
     SubmanifoldSpec,
-    constrained_field_at,
-    multipliers_at,
 )
 from linsing.sampling import on_manifold_sample
 from linsing.specfile import loads
@@ -117,17 +114,18 @@ def test_bordered_solve_of_a_varying_base_matches_the_schur_route():
     spec = loads(VARYING_BASE_SPEC)
     assert not spec.system.A.is_constant
     dyn = PointDynamics(spec.gnh)
+    sode = PointDynamics(spec.gnh, second_order=True)
     for x in _varying_base_points(20):
         xf, u = dyn.field_and_multipliers(x)
         want_x, want_u = _schur_oracle(spec.gnh, x)
         _assert_close(xf, want_x)
         _assert_close(u, want_u)
         # the bordered second-order rows change nothing for a regular base
-        sode = sode_solve_at(spec.model, spec.constraints, x, forces=spec.forces)
-        assert sode.unique
-        _assert_close(sode.x0, want_x)
-        _assert_close(sode.u, want_u)
-        _assert_close(sode.x0, _cokernel_oracle(spec, x)[0])
+        sode_x, sode_u, sol = sode.solve(x)
+        assert sol.kernel.dim == 0
+        _assert_close(sode_x, want_x)
+        _assert_close(sode_u, want_u)
+        _assert_close(sode_x, _cokernel_oracle(spec, x)[0])
 
 
 @pytest.mark.parametrize("overrides", [{}, {"U": "q1"}])
@@ -139,9 +137,10 @@ def test_second_order_mode_matches_the_cokernel_route(overrides):
         want_x, want_u = _cokernel_oracle(spec, x)
         _assert_close(xf, want_x)
         _assert_close(u, want_u)
-        sode = sode_solve_at(spec.model, spec.constraints, x, forces=spec.forces)
-        assert sode.unique and sode.kernel.dim == 0
-        assert np.array_equal(sode.x0, xf) and np.array_equal(sode.u, u)
+        # an evaluator built for this point alone gives the same bits
+        fresh_x, fresh_u, sol = PointDynamics(spec.gnh, second_order=True).solve(x)
+        assert sol.kernel.dim == 0
+        assert np.array_equal(fresh_x, xf) and np.array_equal(fresh_u, u)
 
 
 def _two_force_system(a_text):
@@ -160,14 +159,15 @@ def _two_force_system(a_text):
 ])
 def test_gauged_multipliers_are_the_minimum_norm_representative(a_text):
     gnh = _two_force_system(a_text)
+    dyn = PointDynamics(gnh)
     for x1 in (-0.7, 0.5, 1.3):
         p = np.array([x1, 2.0])
-        xf, mult = constrained_field_at(gnh, p)
-        assert mult.gauged
+        xf, u, sol = dyn.solve(p)
+        assert sol.kernel.dim > 0  # gauged
         want_x, want_u = _schur_oracle(gnh, p)
-        _assert_close(mult.u, want_u)
+        _assert_close(u, want_u)
         _assert_close(xf, want_x)
-        assert np.array_equal(multipliers_at(gnh, p, None).u, mult.u)
+        assert np.array_equal(PointDynamics(gnh).multipliers(p), u)
 
 
 def test_schur_path_is_the_arithmetic_of_separate_field_calls_bit_for_bit():

@@ -402,6 +402,26 @@ def test_a_non_finite_symmetry_residual_fails_the_check(tmp_path, capsys):
     assert err.startswith("error: the residual r_f is not finite")
 
 
+@pytest.mark.parametrize("scenario,residual", [
+    ("relparticle-L1", "X_h"),  # a singular base: the second-order branch
+    ("relparticle-L2", "Y_h"),  # a regular base: the descent check
+])
+def test_a_non_finite_constant_residual_fails_the_check(scenario, residual, tmp_path,
+                                                         capsys):
+    # the gradient of the metric is inf - inf = NaN wherever exp(2*(1.1 - q1'))
+    # exceeds 1, which a max fold would drop and report as 0 with the check passed
+    text = cli.scenario_text(scenario).replace(
+        "metric = q1'^2 - q2'^2 - q3'^2 - q4'^2",
+        "metric = 1e308*exp(2*(1.1 - q1')) - 1e308*exp(2*(1.1 - q1'))")
+    path = tmp_path / "nan.lss"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a leaked numpy RuntimeWarning fails here
+        code, out, err = _run(capsys, "check-constant", "--spec", str(path), "--points", "50")
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: the residual {residual} is not finite")
+
+
 def test_second_order_mode_reports_multipliers(tmp_path, capsys):
     out_csv = tmp_path / "traj.csv"
     code, _, _ = _run(

@@ -13,17 +13,10 @@ from linsing.lagrangian import (
     chetaev_frame,
     nonholonomic_lagrangian,
     regularity_of_L,
-    sode_solve_at,
 )
 from linsing.linalg import kernel_basis, rank
-from linsing.nonholonomic import (
-    SubmanifoldSpec,
-    classify_at,
-    constrained_field_at,
-    multipliers_at,
-    projectors_at,
-    unconstrained_solution_at,
-)
+from linsing.nonholonomic import PointDynamics, SubmanifoldSpec
+from linsing.symmetry import flow_samples
 from linsing.systems import consistency_at
 
 
@@ -131,29 +124,30 @@ def _skate():
 def test_knife_edge_frozen_point_values():
     m, phi, gnh = _skate()
     assert phi.is_on(STATE)
-    cls = classify_at(gnh, STATE)
+    pa = PointDynamics(gnh).analysis(STATE)
+    cls = pa.classification
     assert cls.regular
     assert np.allclose(cls.d_matrix, [[-2.0]], atol=1e-13)
 
-    y = unconstrained_solution_at(gnh, STATE)
+    y = pa.y
     assert np.allclose(y, [2.0, 3.0, 2.0, 0.0, 0.0, 0.0])
-    x_dot, mult = constrained_field_at(gnh, STATE)
-    assert abs(mult.u[0] + 3.0) < 1e-12
+    x_dot = pa.field
+    assert abs(pa.multipliers.u[0] + 3.0) < 1e-12
     assert np.max(np.abs(x_dot - np.array([2.0, 3.0, 2.0, -3.0, 0.0, 3.0]))) < 1e-12
 
     # projector route gives the same field
-    P, _ = projectors_at(gnh, STATE)
+    P, _ = pa.projectors
     assert np.max(np.abs(P @ y - x_dot)) < 1e-12
 
 
 def test_knife_edge_sode_route_agrees():
     m, phi, gnh = _skate()
-    sode = sode_solve_at(m, phi, STATE)
-    assert sode.unique
-    x_dot, _ = constrained_field_at(gnh, STATE)
-    assert np.max(np.abs(sode.x0 - x_dot)) < 1e-10
+    sode_x, _, sol = PointDynamics(gnh, second_order=True).solve(STATE)
+    assert sol.kernel.dim == 0
+    x_dot = PointDynamics(gnh).field(STATE)
+    assert np.max(np.abs(sode_x - x_dot)) < 1e-10
     with pytest.raises(NotOnManifoldError):
-        sode_solve_at(m, phi, np.array([0.0, 1.0, 0.0, 2.0, 3.0, 9.0]))
+        flow_samples(PointDynamics(gnh), [np.array([0.0, 1.0, 0.0, 2.0, 3.0, 9.0])])
 
 
 # ----------------------------------------------------- relativistic particles
@@ -178,24 +172,22 @@ def test_quadratic_relativistic_energy_and_multiplier():
 
     phi = SubmanifoldSpec(ExpressionField.vector([f"{METRIC} - 1"], m.variables))
     gnh = nonholonomic_lagrangian(m, phi)
-    cls = classify_at(gnh, s)
-    assert cls.regular
+    dyn = PointDynamics(gnh)
+    pa = dyn.analysis(s)
+    assert pa.classification.regular
     # D = 4 c^2 / m on the mass shell
-    assert np.allclose(cls.d_matrix, [[4.0]], atol=1e-12)
+    assert np.allclose(pa.classification.d_matrix, [[4.0]], atol=1e-12)
 
-    y = unconstrained_solution_at(gnh, s)
-    assert np.allclose(y[:4], s[4:], atol=1e-13)
-    mult = multipliers_at(gnh, s, y)
+    assert np.allclose(pa.y[:4], s[4:], atol=1e-13)
     # u = -v1/2, so the conventionally scaled multiplier 2u equals -v1
-    assert abs(2.0 * mult.u[0] + s[4]) < 1e-12
+    assert abs(2.0 * pa.multipliers.u[0] + s[4]) < 1e-12
 
     rng = np.random.default_rng(2)
     for _ in range(10):
         v_sp = rng.uniform(-1, 1, size=3)
         v0 = np.sqrt(1.0 + v_sp @ v_sp)
         s2 = np.concatenate([rng.uniform(-1, 1, size=4), [v0], v_sp])
-        mult = multipliers_at(gnh, s2, unconstrained_solution_at(gnh, s2))
-        assert abs(2.0 * mult.u[0] + s2[4]) < 1e-10
+        assert abs(2.0 * dyn.multipliers(s2)[0] + s2[4]) < 1e-10
 
 
 def test_homogeneous_relativistic_lagrangian_is_singular():
@@ -238,17 +230,17 @@ def test_homogeneous_sode_matches_quadratic_dynamics():
     phi = SubmanifoldSpec(
         ExpressionField.vector([f"{METRIC} - 1"], m1.variables)
     )
-    gnh2 = nonholonomic_lagrangian(m2, phi)
+    sode = PointDynamics(nonholonomic_lagrangian(m1, phi), second_order=True)
+    dyn2 = PointDynamics(nonholonomic_lagrangian(m2, phi))
     rng = np.random.default_rng(6)
     for _ in range(10):
         v_sp = rng.uniform(-0.8, 0.8, size=3)
         v0 = np.sqrt(1.0 + v_sp @ v_sp)
         s = np.concatenate([rng.uniform(-1, 1, size=4), [v0], v_sp])
-        sode = sode_solve_at(m1, phi, s)
-        assert sode.unique
-        x2, _ = constrained_field_at(gnh2, s)
-        assert np.max(np.abs(sode.x0 - x2)) < 1e-10
-        assert np.max(np.abs(sode.x0 - np.concatenate([s[4:], np.zeros(4)]))) < 1e-10
+        x1, _, sol = sode.solve(s)
+        assert sol.kernel.dim == 0
+        assert np.max(np.abs(x1 - dyn2.field(s))) < 1e-10
+        assert np.max(np.abs(x1 - np.concatenate([s[4:], np.zeros(4)]))) < 1e-10
 
 
 def test_sode_reports_infeasible_points():
@@ -259,10 +251,10 @@ def test_sode_reports_infeasible_points():
     s = np.array([0.0, 0.0, 1.0, 0.0])
 
     absorbed = SubmanifoldSpec(ExpressionField.vector(["y' - 0"], m.variables))
-    sol = sode_solve_at(m, absorbed, s)
-    assert sol.residual < 1e-12
+    dyn = PointDynamics(nonholonomic_lagrangian(m, absorbed), second_order=True)
+    assert dyn.solve(s)[2].residual < 1e-12
 
     blocked = SubmanifoldSpec(ExpressionField.vector(["x' - 1"], m.variables))
     assert blocked.is_on(s)
     with pytest.raises(InconsistentSystemError):
-        sode_solve_at(m, blocked, s)
+        PointDynamics(nonholonomic_lagrangian(m, blocked), second_order=True).solve(s)

@@ -15,22 +15,17 @@ from linsing.errors import (
 )
 from linsing.dynamics import integrate
 from linsing.expressions import ExpressionField
-from linsing.linalg import Tolerances
+from linsing import linalg
+from linsing.linalg import Tolerances, complement_projectors, kernel_basis
 from linsing.nonholonomic import (
     ForceFrame,
     GeneralizedNonholonomicSystem,
-    H_frame_at,
-    D_matrix_at,
     PointDynamics,
     SubmanifoldSpec,
-    classify_at,
-    constrained_field_at,
-    multipliers_at,
-    projectors_at,
-    unconstrained_solution_at,
 )
 from linsing.sampling import halton_box, on_manifold_sample
 from linsing.specfile import loads
+from linsing.symmetry import flow_samples
 from linsing.systems import identity_system, make_system
 
 V = ("x", "y")
@@ -230,19 +225,17 @@ def test_system_wiring_validation():
 
 def test_planar_example_frozen_chain():
     gnh = _example_flow(a=2.0)
+    dyn = PointDynamics(gnh)
     for x1 in np.linspace(-2.0, 2.0, 20):
         p = np.array([x1, 2.0])
-        gamma = H_frame_at(gnh, p)
-        assert np.allclose(gamma, [[x1], [1.0]], atol=1e-14)
-        d = D_matrix_at(gnh, p)
-        assert np.allclose(d, [[1.0]], atol=1e-14)
-        cls = classify_at(gnh, p)
+        pa = dyn.analysis(p)
+        cls = pa.classification
+        assert np.allclose(cls.d_matrix, [[1.0]], atol=1e-14)
         assert cls.regular and cls.surjective and cls.injective
         assert cls.rank_d == 1
 
-        y = unconstrained_solution_at(gnh, p)
-        assert np.allclose(y, [1.0, 2.0])
-        x_dot, mult = constrained_field_at(gnh, p)
+        assert np.allclose(pa.y, [1.0, 2.0])
+        x_dot, mult = pa.field, pa.multipliers
         assert not mult.gauged
         assert abs(mult.u[0] + 2.0) < 1e-12
         assert np.max(np.abs(x_dot - np.array([1.0 - 2.0 * x1, 0.0]))) < 1e-12
@@ -250,28 +243,31 @@ def test_planar_example_frozen_chain():
 
 def test_planar_example_projectors():
     gnh = _example_flow(a=2.0)
+    dyn = PointDynamics(gnh)
     for x1 in (-1.5, 0.0, 0.7, 2.0):
         p = np.array([x1, 2.0])
-        P, Q = projectors_at(gnh, p)
+        pa = dyn.analysis(p)
+        P, Q = pa.projectors
         assert np.allclose(P + Q, np.eye(2), atol=1e-13)
         assert np.allclose(P @ P, P, atol=1e-13)
         # ∂y maps to -x ∂x under the oblique projector
         assert np.allclose(P @ np.array([0.0, 1.0]), [-x1, 0.0], atol=1e-13)
         # the constrained field is exactly the projected free field
-        y = unconstrained_solution_at(gnh, p)
-        x_dot, _ = constrained_field_at(gnh, p, y_at=y)
-        assert np.max(np.abs(P @ y - x_dot)) < 1e-12
+        assert np.max(np.abs(P @ pa.y - pa.field)) < 1e-12
 
 
 def test_point_dynamics_matches_direct_path():
+    # the hand solution of `_example_flow`: Y = (1, a), u = -a, X = (1 - a x, 0)
     gnh = _example_flow(a=2.0)
     pd = PointDynamics(gnh)
     for x1 in (-1.0, 0.3, 1.8):
         p = np.array([x1, 2.0])
-        direct, mult = constrained_field_at(gnh, p)
+        direct = np.array([1.0 - 2.0 * x1, 0.0])
         assert np.max(np.abs(pd.field(p) - direct)) < 1e-13
-        assert np.max(np.abs(pd.multipliers(p) - mult.u)) < 1e-13
-        assert np.allclose(pd.unconstrained(p), unconstrained_solution_at(gnh, p))
+        assert np.max(np.abs(pd.multipliers(p) + 2.0)) < 1e-13
+        assert np.allclose(pd.unconstrained(p), [1.0, 2.0])
+        y, x_dot = pd.flow(p)
+        assert np.array_equal(y, pd.unconstrained(p)) and np.array_equal(x_dot, pd.field(p))
 
 
 def test_integrate_reuses_the_k1_solve_for_the_multipliers():
@@ -298,9 +294,9 @@ def test_integrate_reuses_the_k1_solve_for_the_multipliers():
 def test_off_manifold_points_are_rejected():
     gnh = _example_flow()
     with pytest.raises(NotOnManifoldError):
-        H_frame_at(gnh, np.array([0.0, 1.0]))
+        gnh.constraints.require_on(np.array([0.0, 1.0]))
     with pytest.raises(NotOnManifoldError):
-        classify_at(gnh, np.array([0.0, 2.5]))
+        flow_samples(PointDynamics(gnh), [np.array([0.0, 2.0]), np.array([0.0, 2.5])])
 
 
 def test_singular_base_raises():
@@ -313,9 +309,10 @@ def test_singular_base_raises():
         ForceFrame([ExpressionField.vector(["x", "1"], V)]),
     )
     with pytest.raises(BaseNotRegularError):
-        unconstrained_solution_at(gnh, np.array([0.0, 2.0]))
-    with pytest.raises(BaseNotRegularError):
         PointDynamics(gnh)  # constant singular base caught up front
+    # the second-order rows leave the base unchecked until asked
+    with pytest.raises(BaseNotRegularError):
+        PointDynamics(gnh, second_order=True).unconstrained(np.array([0.0, 2.0]))
 
 
 def test_degenerate_force_frame_raises():
@@ -329,11 +326,12 @@ def test_degenerate_force_frame_raises():
     gnh = GeneralizedNonholonomicSystem(
         base, SubmanifoldSpec(ExpressionField.vector(["y - 2"], V)), forces
     )
+    dyn = PointDynamics(gnh)
     with pytest.raises(FrameDegenerateError):
-        H_frame_at(gnh, np.array([1.0, 2.0]))
+        dyn.analysis(np.array([1.0, 2.0]))
     # the evaluator checks the frame only once D comes back singular
     with pytest.raises(FrameDegenerateError):
-        constrained_field_at(gnh, np.array([1.0, 2.0]))
+        dyn.solve(np.array([1.0, 2.0]))
 
 
 def test_tangency_condition_can_be_unsolvable():
@@ -345,15 +343,15 @@ def test_tangency_condition_can_be_unsolvable():
         ForceFrame([ExpressionField.vector(["1", "0"], V)]),
     )
     p = np.array([0.5, 2.0])
-    y = unconstrained_solution_at(gnh, p)
+    dyn = PointDynamics(gnh)
     with pytest.raises(InconsistentSystemError):
-        multipliers_at(gnh, p, y)
-    # the same geometry breaks the splitting T_xM ⊕ H_x
-    with pytest.raises(NotComplementaryError):
-        projectors_at(gnh, p)
+        dyn.analysis(p)
     # the integrator's evaluator refuses too, instead of a least-squares u
     with pytest.raises(InconsistentSystemError):
-        PointDynamics(gnh).field(p)
+        dyn.field(p)
+    # the same geometry breaks the splitting T_xM ⊕ H_x
+    with pytest.raises(NotComplementaryError):
+        complement_projectors(kernel_basis(gnh.constraints.jacobian(p)), gnh.forces.at(p))
 
 
 def test_surjective_but_not_injective_classification():
@@ -368,16 +366,23 @@ def test_surjective_but_not_injective_classification():
         base, SubmanifoldSpec(ExpressionField.vector(["y - 2"], V)), forces
     )
     p = np.array([0.5, 2.0])
-    cls = classify_at(gnh, p)
-    assert cls.surjective and not cls.injective and not cls.regular
-    mult = multipliers_at(gnh, p, unconstrained_solution_at(gnh, p))
-    assert mult.gauged  # one-parameter family; minimum-norm representative
-    assert mult.residual < 1e-12
+    dyn = PointDynamics(gnh)
+    # two force directions at a point of a curve in the plane: T_xM + H_x is
+    # not direct, so `analysis`, which splits it, refuses; D itself has rank 1
+    with pytest.raises(NotComplementaryError):
+        dyn.analysis(p)
+    y = dyn.unconstrained(p)
+    jphi = gnh.constraints.jacobian(p)
+    d = jphi @ gnh.forces.at(p)  # B = I: Gamma is the frame itself
+    assert linalg.rank(d) == 1 < 2  # surjective, not injective
+    x_dot, u, sol = dyn.solve(p)
+    assert sol.kernel.dim > 0  # one-parameter family; minimum-norm representative
+    assert sol.residual < 1e-12
+    assert np.allclose(u, linalg.solve_affine(d, -(jphi @ y)).x0)
     # any representative still produces a field tangent to M
-    x_dot, _ = constrained_field_at(gnh, p)
-    assert abs(gnh.constraints.jacobian(p) @ x_dot) < 1e-12
+    assert abs(jphi @ x_dot) < 1e-12
     # the integrator's evaluator picks the same gauged representative
-    assert np.array_equal(PointDynamics(gnh).multipliers(p), mult.u)
+    assert np.array_equal(dyn.multipliers(p), u)
 
 
 def test_injective_but_not_surjective_classification():
@@ -386,10 +391,19 @@ def test_injective_but_not_surjective_classification():
     forces = ForceFrame([ExpressionField.vector(["x", "1"], V)])
     gnh = GeneralizedNonholonomicSystem(base, constraints, forces)
     p = np.array([1.0, 2.0])
-    cls = classify_at(gnh, p)
-    assert cls.injective and not cls.surjective and not cls.regular
     with pytest.raises(InconsistentSystemError):
-        multipliers_at(gnh, p, unconstrained_solution_at(gnh, p))
+        PointDynamics(gnh).analysis(p)
+    # with f = (1, 1), -dphi . Y = -(1, 1) lies in the image of D = (1, x): u = -1
+    # solves it, but M is a point and H_x a line, so no projectors split R^2
+    consistent = GeneralizedNonholonomicSystem(
+        identity_system(ExpressionField.vector(["1", "1"], V)), constraints, forces)
+    dyn = PointDynamics(consistent)
+    d = constraints.jacobian(p) @ forces.at(p)  # B = I: Gamma is the frame itself
+    assert linalg.rank(d) == 1 < 2  # injective, not surjective
+    x_dot, u, sol = dyn.solve(p)
+    assert sol.kernel.dim == 0 and np.allclose(u, [-1.0]) and np.allclose(x_dot, [0.0, 0.0])
+    with pytest.raises(NotComplementaryError):
+        dyn.analysis(p)
 
 
 # ------------------------------------------------------- random regular flows
@@ -429,10 +443,8 @@ def test_constrained_field_is_tangent_and_projected():
         pt[2] = (1.0 - w[0] * pt[0] - w[1] * pt[1]) / w[2]
         assert phi.is_on(pt)
 
-        cls = classify_at(gnh, pt)
-        assert cls.regular
-        x_dot, _ = constrained_field_at(gnh, pt)
+        pa = PointDynamics(gnh).analysis(pt)
+        assert pa.classification.regular
+        x_dot = pa.field
         assert abs(phi.jacobian(pt) @ x_dot) < 1e-10
-        P, _ = projectors_at(gnh, pt)
-        y = unconstrained_solution_at(gnh, pt)
-        assert np.max(np.abs(P @ y - x_dot)) < 1e-10
+        assert np.max(np.abs(pa.projectors[0] @ pa.y - x_dot)) < 1e-10

@@ -9,18 +9,17 @@ from linsing.linalg import DEFAULT_TOLERANCES
 from linsing.nonholonomic import (
     ForceFrame,
     GeneralizedNonholonomicSystem,
+    PointDynamics,
     SubmanifoldSpec,
-    constrained_field_at,
-    unconstrained_solution_at,
 )
 from linsing.symmetry import (
     _directional_field,
-    check_constant_descent,
     check_descent,
     check_inf_symmetry,
     check_symmetry,
     constant_descent,
     euler_flow_candidate,
+    flow_samples,
     finite_candidate,
     infinitesimal_candidate,
 )
@@ -215,6 +214,10 @@ def test_euler_flow_residual_quadratic_on_singular_matrix_route():
 
 # -------------------------------------------------------- constants of motion
 
+def _descent(gnh, h, points_on_m):
+    return constant_descent(h, points_on_m, flow_samples(PointDynamics(gnh), points_on_m))
+
+
 def test_constant_descent_conditional_equivalence():
     gnh = _planar_constrained()
     on_m = [np.array([x, 2.0]) for x in np.linspace(-1.0, 1.0, 9)]
@@ -222,7 +225,7 @@ def test_constant_descent_conditional_equivalence():
     # h = y e^-x is conserved by the free flow but not by the constrained one;
     # the Gamma-pairing detects exactly that obstruction
     h = ExpressionField.scalar("y*exp(-x)", V2)
-    res = check_constant_descent(gnh, h, on_m)
+    res = _descent(gnh, h, on_m)
     assert res.base_conserved
     assert not res.gamma_derivative_small
     assert not res.constrained_conserved
@@ -231,23 +234,13 @@ def test_constant_descent_conditional_equivalence():
     assert res.max_X_h > 0.5
 
     # h = y is not even conserved upstream: the equivalence is vacuous
-    res = check_constant_descent(gnh, ExpressionField.scalar("y", V2), on_m)
+    res = _descent(gnh, ExpressionField.scalar("y", V2), on_m)
     assert not res.base_conserved
     assert res.constrained_conserved  # X has no y-component on M
     assert res.consistent
 
     with pytest.raises(ShapeError):
-        check_constant_descent(gnh, ExpressionField.vector(["y"], V2), on_m)
-
-
-def test_constant_descent_accepts_custom_upstream_field():
-    gnh = _planar_constrained()
-    on_m = [np.array([0.5, 2.0])]
-    h = ExpressionField.scalar("y*exp(-x)", V2)
-    res = check_constant_descent(
-        gnh, h, on_m, y_field=lambda x: unconstrained_solution_at(gnh, x)
-    )
-    assert res.base_conserved and res.consistent
+        _descent(gnh, ExpressionField.vector(["y"], V2), on_m)
 
 
 def test_constant_descent_on_knife_edge_velocities():
@@ -265,13 +258,13 @@ def test_constant_descent_on_knife_edge_velocities():
 
     # y' survives the constraint forces: its Gamma-pairing vanishes
     vy = ExpressionField.scalar("y'", m.variables)
-    res = check_constant_descent(gnh, vy, pts)
+    res = _descent(gnh, vy, pts)
     assert res.base_conserved and res.gamma_derivative_small
     assert res.constrained_conserved and res.consistent
 
     # z' does not: the force has a dz-slot component
     vz = ExpressionField.scalar("z'", m.variables)
-    res = check_constant_descent(gnh, vz, pts)
+    res = _descent(gnh, vz, pts)
     assert res.base_conserved
     assert not res.gamma_derivative_small
     assert not res.constrained_conserved
