@@ -56,7 +56,6 @@ from .systems import (
     solve_at,
 )
 from .nonholonomic import (
-    ForceFrame,
     GeneralizedNonholonomicSystem,
     PointDynamics,
     SubmanifoldSpec,

@@ -189,8 +189,9 @@ def _point_doc(spec, x, tols, evaluator):
             u=mult.u,
             X=pa.field,
             multiplier_gauged=mult.gauged,
-            projector_residual=float(np.max(np.abs(pa.projectors[0] @ y - pa.field))),
         )
+        if pa.projectors is not None:
+            doc["projector_residual"] = float(np.max(np.abs(pa.projectors[0] @ y - pa.field)))
         if spec.report_scale != 1.0:
             doc["u_scaled"] = mult.u * spec.report_scale
         return doc

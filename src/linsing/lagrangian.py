@@ -19,7 +19,7 @@ import numpy as np
 from . import linalg
 from .errors import MaxRankViolatedError, ShapeError
 from .expressions import Const, ExpressionField, Var, add, derivative, mul, neg, parse, sub
-from .nonholonomic import ForceFrame, GeneralizedNonholonomicSystem, SubmanifoldSpec
+from .nonholonomic import GeneralizedNonholonomicSystem, SubmanifoldSpec
 from .systems import LinearlySingularSystem
 
 __all__ = [
@@ -137,42 +137,29 @@ def regularity_of_L(model, points, tols=linalg.DEFAULT_TOLERANCES):
 
 
 def chetaev_frame(model, phi, check_points=None, tols=linalg.DEFAULT_TOLERANCES):
-    """Force frame Delta^i = (dphi^i/dv^j) dq^j attached to velocity constraints.
+    """Force frame Delta^i = (dphi^i/dv^j) dq^j attached to velocity constraints:
+    the (2n, a) matrix field [vjac^T; 0] of the velocity Jacobian vjac = dphi/dv.
 
     Raises MaxRankViolatedError when the constraints do not depend on the
-    velocities at all, or (for the points supplied) when the velocity Jacobian
-    dphi/dv drops rank.
+    velocities at all, or (for the points supplied) when vjac drops rank.
     """
     if isinstance(phi, SubmanifoldSpec):
         phi = phi.phi
-    a = phi.shape[0]
-    n = model.nq
-    columns = []
-    all_zero = True
-    for i in range(a):
-        comps = []
-        for v in model.v_names:
-            d = derivative(phi.entries[i], v)
-            if not (isinstance(d, Const) and d.value == 0.0):
-                all_zero = False
-            comps.append(d)
-        comps += [Const(0.0)] * n
-        columns.append(ExpressionField.vector(comps, model.variables))
-    if all_zero:
+    a, n = phi.shape[0], model.nq
+    vjac = ExpressionField.matrix(
+        [[derivative(e, v) for v in model.v_names] for e in phi.entries], model.variables)
+    if all(isinstance(d, Const) and d.value == 0.0 for d in vjac.entries):
         raise MaxRankViolatedError(
             "constraints are independent of the velocities; the attached frame vanishes"
         )
     if check_points is not None:
-        vjac = ExpressionField.matrix(
-            [[derivative(phi.entries[i], v) for v in model.v_names] for i in range(a)],
-            model.variables,
-        )
         for x in check_points:
             if linalg.rank(vjac(x), tols) < a:
                 raise MaxRankViolatedError(
                     "velocity Jacobian of the constraints drops rank", point=np.asarray(x)
                 )
-    return ForceFrame(columns)
+    rows = [list(vjac.entries[j::n]) for j in range(n)] + [[Const(0.0)] * a] * n
+    return ExpressionField.matrix(rows, model.variables)
 
 
 def nonholonomic_lagrangian(model, phi, forces=None, check_points=None,

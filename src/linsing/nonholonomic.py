@@ -10,7 +10,6 @@ evaluator of the flow and of these quantities in every mode.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,6 @@ from .systems import ConsistencyResult, LinearlySingularSystem
 __all__ = [
     "SubmanifoldSpec",
     "Projection",
-    "ForceFrame",
     "GeneralizedNonholonomicSystem",
     "PointDynamics",
 ]
@@ -162,51 +160,23 @@ def _max_abs(values):
     return float(np.max(np.abs(values)))
 
 
-class ForceFrame:
-    """An ordered frame of constraint-force sections (columns of a k x m field)."""
-
-    def __init__(self, columns):
-        self.columns = list(columns)
-        if not self.columns:
-            raise ShapeError("a force frame needs at least one section")
-        k = self.columns[0].shape
-        for c in self.columns:
-            if len(c.shape) != 1 or c.shape != k:
-                raise ShapeError("force sections must be vectors of equal length")
-            if c.variables != self.columns[0].variables:
-                raise ShapeError("force sections must share the same variables")
-
-    @property
-    def m(self):
-        return len(self.columns)
-
-    @property
-    def k(self):
-        return self.columns[0].shape[0]
-
-    @property
-    def variables(self):
-        return self.columns[0].variables
-
-    def at(self, x):
-        return np.column_stack([c(x) for c in self.columns])
-
-
 @dataclass
 class GeneralizedNonholonomicSystem:
     base: LinearlySingularSystem
     constraints: SubmanifoldSpec
-    forces: ForceFrame
+    forces: ExpressionField  # shape (k, m): column mu is the force direction Delta_mu
 
     def __post_init__(self):
         if self.constraints.phi.variables != self.base.variables:
             raise ShapeError("constraints must use the base system's variables")
         if self.forces.variables != self.base.variables:
             raise ShapeError("forces must use the base system's variables")
-        if self.forces.k != self.base.k:
+        if len(self.forces.shape) != 2 or self.forces.shape[0] != self.base.k:
             raise ShapeError(
-                f"force sections live in the target fibre (length {self.base.k})"
+                f"force sections live in the target fibre: the frame needs {self.base.k} rows"
             )
+        if self.forces.shape[1] < 1:
+            raise ShapeError("a force frame needs at least one section")
 
     @property
     def n(self):
@@ -218,7 +188,7 @@ class GeneralizedNonholonomicSystem:
 
     @property
     def m(self):
-        return self.forces.m
+        return self.forces.shape[1]
 
 
 _BASE_SINGULAR = ("base morphism is not invertible at this point; "
@@ -261,33 +231,27 @@ class PointAnalysis:
     y: np.ndarray  # Y = B^{-1} g
     field: np.ndarray  # X = Y + Gamma u
     multipliers: MultiplierResult
-    projectors: tuple  # (P onto T_xM along H_x, Q = I - P)
+    projectors: tuple  # (P onto T_xM along H_x, Q = I - P); None unless regular
 
 
 def _fused_kernel(fields):
     """(runner, buffer, views) of one evaluation: one `compile_exprs` runner over
     the entries of `fields` in their order, the buffer its values are written
-    to, and a fixed view of the buffer per field, shaped like the field (None
-    for a None field). A ForceFrame's entries go column by column, the order
-    `ForceFrame.at` evaluates them in, and its view is k x m. Entries shared
-    between fields are computed once, and a DomainEvalError names the first
-    faulting entry in this order, as separate field calls would."""
-    entries, layout = [], []
+    to, and a fixed row-major view of the buffer per field, shaped like the
+    field (None for a None field). Entries shared between fields are computed
+    once, and a DomainEvalError names the first faulting entry in this order,
+    as separate field calls would."""
+    live = [fld for fld in fields if fld is not None]
+    entries = [e for fld in live for e in fld.entries]
+    buf = np.empty(len(entries))
+    views, start = [], 0
     for fld in fields:
         if fld is None:
-            layout.append(None)
-        elif isinstance(fld, ForceFrame):
-            layout.append((len(entries), (fld.k, fld.m), "F"))
-            entries += [e for c in fld.columns for e in c.entries]
+            views.append(None)
         else:
-            layout.append((len(entries), fld.shape, "C"))
-            entries += fld.entries
-    runner = compile_exprs(entries, next(f for f in fields if f is not None).variables)
-    buf = np.empty(len(entries))
-    views = [None if at is None
-             else buf[at[0]:at[0] + math.prod(at[1])].reshape(at[1], order=at[2])
-             for at in layout]
-    return runner, buf, views
+            views.append(buf[start:start + len(fld.entries)].reshape(fld.shape))
+            start += len(fld.entries)
+    return compile_exprs(entries, live[0].variables), buf, views
 
 
 class PointDynamics:
@@ -362,20 +326,21 @@ class PointDynamics:
         """PointAnalysis at x, which the caller has checked lies on M.
 
         A constant base was checked regular at construction. One kernel
-        evaluation gives Gamma = B^{-1} Delta and Y = B^{-1} g, and the one
-        solve of D u = -dphi . Y that `solve` makes gives u, X and rank D, as m
-        less the dimension of the kernel of D. A varying base is read field by
-        field and factored once, by the solve of B v = g whose rank decides its
-        regularity; a singular one raises BaseNotRegularError carrying that
-        solve as its `consistency`. Gamma and Y are then LU solves with B, rank
-        D is decided on its own, and X and u come from `solve`."""
+        evaluation gives Gamma = B^{-1} Delta and Y = B^{-1} g. A varying base
+        is read field by field and factored once, by the solve of B v = g whose
+        rank decides its regularity; a singular one raises BaseNotRegularError
+        carrying that solve as its `consistency`. Gamma and Y are then LU
+        solves with B. Either way the one solve that `solve` makes gives u, X
+        and rank D, as m less the dimension of the solve's kernel (the kernel
+        of D, or of the bordered matrix, which a regular base and an
+        independent frame make the same). The projectors are built only where
+        D is square and invertible, the one case T_xM and H_x split the space."""
         gnh, tols = self.gnh, self.tols
         if self._b_inv is not None:
             gamma, y, jphi = self._schur(x)
             _require_independent(gamma, gnh.m, tols)
             d = jphi @ gamma
             xf, u, sol = self._schur_solve(d, gamma, y, jphi)
-            rank = gnh.m - sol.kernel.dim
         else:
             g, b = gnh.base.f_at(x), gnh.base.A_at(x)
             base = linalg.solve_affine(b, g, tols)
@@ -383,16 +348,18 @@ class PointDynamics:
             if gnh.base.k != gnh.base.n or rank_b < gnh.base.n:
                 raise BaseNotRegularError(_BASE_SINGULAR, ConsistencyResult(
                     base.consistent, base.residual, rank_b, base))
-            gamma = np.linalg.solve(b, gnh.forces.at(x))
+            gamma = np.linalg.solve(b, gnh.forces(x))
             _require_independent(gamma, gnh.m, tols)
             jphi = gnh.constraints.jacobian(x)
             d = jphi @ gamma
-            rank = linalg.rank(d, tols)
             y = np.linalg.solve(b, g)
             xf, u, sol = self.solve(x)
+        rank = gnh.m - sol.kernel.dim
+        regular = gnh.a == gnh.m and rank == gnh.a
         cls = PointClassification(d, rank, surjective=rank == gnh.a, injective=rank == gnh.m,
-                                  regular=gnh.a == gnh.m and rank == gnh.a)
-        projectors = linalg.complement_projectors(linalg.kernel_basis(jphi, tols), gamma, tols)
+                                  regular=regular)
+        projectors = (linalg.complement_projectors(linalg.kernel_basis(jphi, tols), gamma, tols)
+                      if regular else None)
         return PointAnalysis(cls, y, xf, MultiplierResult(u, sol.kernel.dim > 0, sol.residual),
                              projectors)
 

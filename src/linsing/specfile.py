@@ -21,8 +21,9 @@ A file is a sequence of ``[section]`` headers with ``name = value`` entries;
     ``phi`` entries (comma-separated) cutting the submanifold, and optional
     ``report_scale`` applied to multipliers in reports.
 ``[forces]``
-    ``Delta`` sections separated by ``;`` with comma-separated components.
-    Optional for Lagrangian files, where it defaults to the Chetaev frame.
+    ``Delta`` sections separated by ``;`` with comma-separated components;
+    each section is one column of the k x m force frame. Optional for
+    Lagrangian files, where it defaults to the Chetaev frame.
 ``[symmetry]``
     Either ``V`` (+ optional ``Lambda`` rows) for an infinitesimal candidate
     or ``psi`` + ``Phi`` for a finite one, plus an optional sampling ``box``
@@ -39,10 +40,16 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import ExprSyntaxError, LinsingError, SpecFileError, UndeclaredVariableError
+from .errors import (
+    ExprSyntaxError,
+    LinsingError,
+    ShapeError,
+    SpecFileError,
+    UndeclaredVariableError,
+)
 from .expressions import FUNCTIONS, ExpressionField, evaluate, parse, tokenize
 from .lagrangian import LagrangianModel, build_lagrangian_model, build_lagrangian_system, chetaev_frame
-from .nonholonomic import ForceFrame, GeneralizedNonholonomicSystem, SubmanifoldSpec
+from .nonholonomic import GeneralizedNonholonomicSystem, SubmanifoldSpec
 from .symmetry import SymmetryCandidate, finite_candidate, infinitesimal_candidate
 from .systems import LinearlySingularSystem, identity_system, make_system
 
@@ -80,7 +87,7 @@ class SpecFile:
     system: LinearlySingularSystem = None
     model: LagrangianModel = None
     constraints: SubmanifoldSpec = None
-    forces: ForceFrame = None
+    forces: ExpressionField = None  # (k, m), one column per force section
     gnh: GeneralizedNonholonomicSystem = None
     symmetry: SymmetryCandidate = None
     box: dict = None
@@ -236,6 +243,15 @@ def _matrix_field(section, entry, variables, expect_cols=None):
     return ExpressionField.matrix(table, variables)
 
 
+def _assembled(section, line, build, *args):
+    """build(*args), with a ShapeError (parts that do not fit together) raised
+    as a SpecFileError naming the section and line."""
+    try:
+        return build(*args)
+    except ShapeError as exc:
+        raise SpecFileError(section, line, str(exc)) from exc
+
+
 def _names_list(section, entry):
     names = [n.strip() for n in entry.value.split(",")]
     for n in names:
@@ -349,7 +365,7 @@ def loads(text, name="", param_overrides=None):
         if "A" in sec:
             a = _matrix_field("system", expand(sec["A"]), variables,
                               expect_cols=len(variables))
-            spec.system = make_system(a, f)
+            spec.system = _assembled("system", sec["A"].line, make_system, a, f)
         else:
             spec.system = identity_system(f)
         extra = set(sec) - {"f", "A"}
@@ -394,13 +410,11 @@ def loads(text, name="", param_overrides=None):
         if spec.constraints is None:
             raise SpecFileError("forces", sec["Delta"].line,
                                 "[forces] requires [constraints]")
-        entry = expand(sec["Delta"])
-        columns = []
-        for part in entry.value.split(";"):
-            part = part.strip()
-            sub = _Entry(part, entry.line)
-            columns.append(_vector_field("forces", sub, variables))
-        spec.forces = ForceFrame(columns)
+        # one row per section, transposed: each section is a column of the frame
+        by_section = _matrix_field("forces", expand(sec["Delta"]), variables)
+        width = by_section.shape[1]
+        spec.forces = ExpressionField.matrix(
+            [by_section.entries[i::width] for i in range(width)], variables)
         extra = set(sec) - {"Delta"}
         if extra:
             k = sorted(extra)[0]
@@ -412,8 +426,10 @@ def loads(text, name="", param_overrides=None):
                             "[system] file with [constraints] needs [forces]")
 
     if spec.constraints is not None:
-        spec.gnh = GeneralizedNonholonomicSystem(spec.system, spec.constraints,
-                                                 spec.forces)
+        # only a [forces] frame can fail to fit: the Chetaev frame has k rows
+        line = sections["forces"]["Delta"].line if "forces" in sections else 0
+        spec.gnh = _assembled("forces", line, GeneralizedNonholonomicSystem,
+                              spec.system, spec.constraints, spec.forces)
 
     if "symmetry" in sections:
         sec = sections["symmetry"]
@@ -445,7 +461,8 @@ def loads(text, name="", param_overrides=None):
                                     "psi must have one component per variable")
             phi_m = _matrix_field("symmetry", expand(sec["Phi"]), variables,
                                   expect_cols=spec.system.k)
-            spec.symmetry = finite_candidate(psi, phi_m)
+            spec.symmetry = _assembled("symmetry", sec["Phi"].line, finite_candidate,
+                                       psi, phi_m)
         elif fin_keys or inf_keys:
             raise SpecFileError("symmetry", 0,
                                 "finite candidate needs both psi and Phi")

@@ -178,8 +178,12 @@ def check_descent(gnh, cand, points_on_m, tol=1e-8, tols=linalg.DEFAULT_TOLERANC
 
     Tangency: the candidate preserves M (finite: phi(psi(x)) = 0; infinitesimal:
     V.phi = 0 on M). Force preservation: the fibre action maps the force span
-    into the force span (least-squares residual of each transported section).
+    into the force span (least-squares residual of each transported column).
+    An infinitesimal candidate transports the frame as Lambda Delta - D_V Delta,
+    with D_V Delta built once per call as one field (see `_directional_field`).
     """
+    forces = gnh.forces
+    dv_forces = _directional_field(forces, cand.base) if cand.kind == "infinitesimal" else None
     tang = 0.0
     force = 0.0
     with _residual_errors():
@@ -187,22 +191,15 @@ def check_descent(gnh, cand, points_on_m, tol=1e-8, tols=linalg.DEFAULT_TOLERANC
             if cand.kind == "finite":
                 y = cand.base(x)
                 tang = _worst(tang, gnh.constraints.values(y), "tangency_residual")
-                target = gnh.forces.at(y)
-                moved = cand.fibre(x) @ gnh.forces.at(x)
+                target = forces(y)
+                moved = cand.fibre(x) @ forces(x)
             else:
-                v = cand.base(x)
-                tang = _worst(tang, gnh.constraints.jacobian(x) @ v, "tangency_residual")
-                # Lie-type derivative of each force section along (V, Lambda)
-                lam = cand.fibre(x)
-                target = gnh.forces.at(x)
-                cols = []
-                for cfield in gnh.forces.columns:
-                    dcol = cfield.jacobian_field()(x) @ v
-                    cols.append(lam @ cfield(x) - dcol)
-                moved = np.column_stack(cols)
-            for j in range(moved.shape[1]):
-                sol = linalg.solve_affine(target, moved[:, j], tols)
-                force = _worst(force, sol.residual, "force_residual")
+                tang = _worst(tang, gnh.constraints.jacobian(x) @ cand.base(x),
+                              "tangency_residual")
+                target = forces(x)
+                moved = cand.fibre(x) @ target - dv_forces(x)
+            force = _worst(force, [linalg.solve_affine(target, col, tols).residual
+                                   for col in moved.T], "force_residual")
     tangent = tang <= tol
     preserves = force <= tol
     return DescentCheck(tangent, preserves, tangent and preserves, tang, force, tol)

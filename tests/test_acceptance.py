@@ -273,7 +273,7 @@ def test_criterion_7_projector_route_agreement(capsys):
         pa = dyn.analysis(x)
         worst = max(worst, float(np.max(np.abs(pa.projectors[0] @ pa.y - pa.field))))
         cls = pa.classification
-        gamma = np.linalg.solve(spec_i.system.A_at(x), spec_i.forces.at(x))
+        gamma = np.linalg.solve(spec_i.system.A_at(x), spec_i.forces(x))
         sub = linalg.subspace_classify(spec_i.constraints.jacobian(x).T, gamma)
         agree = agree and (
             cls.surjective == sub.sum_full

@@ -20,12 +20,7 @@ from test_acceptance import _knife_edge_points, _mass_shell_points, _scenario
 from linsing import linalg
 from linsing.errors import DomainEvalError
 from linsing.expressions import ExpressionField
-from linsing.nonholonomic import (
-    ForceFrame,
-    GeneralizedNonholonomicSystem,
-    PointDynamics,
-    SubmanifoldSpec,
-)
+from linsing.nonholonomic import GeneralizedNonholonomicSystem, PointDynamics, SubmanifoldSpec
 from linsing.sampling import on_manifold_sample
 from linsing.specfile import loads
 from linsing.systems import make_system
@@ -55,7 +50,7 @@ f = -y, x
 def _schur_oracle(gnh, x):
     b = gnh.base.A_at(x)
     y = np.linalg.solve(b, gnh.base.f_at(x))
-    gamma = np.linalg.solve(b, gnh.forces.at(x))
+    gamma = np.linalg.solve(b, gnh.forces(x))
     jphi = gnh.constraints.jacobian(x)
     sol = linalg.solve_affine(jphi @ gamma, -(jphi @ y))
     assert sol.consistent
@@ -66,7 +61,7 @@ def _cokernel_oracle(spec, x):
     n = spec.model.nq
     a_mat = spec.system.A_at(x)
     g = spec.system.f_at(x)
-    delta = spec.forces.at(x)
+    delta = spec.forces(x)
     comp = linalg.cokernel_basis(delta).vectors
     stacked = np.vstack([comp.T @ a_mat, spec.constraints.jacobian(x),
                          np.hstack([np.eye(n), np.zeros((n, n))])])
@@ -147,8 +142,7 @@ def _two_force_system(a_text):
     # D = dphi . B^-1 Delta has rank 1 of 2: u is gauged to its minimum norm
     v = ("x", "y")
     base = make_system(ExpressionField.matrix(a_text, v), ExpressionField.vector(["1", "y"], v))
-    forces = ForceFrame([ExpressionField.vector(["x", "1"], v),
-                         ExpressionField.vector(["0", "1"], v)])
+    forces = ExpressionField.matrix([["x", "0"], ["1", "1"]], v)
     return GeneralizedNonholonomicSystem(
         base, SubmanifoldSpec(ExpressionField.vector(["y - 2"], v)), forces)
 
@@ -171,13 +165,13 @@ def test_gauged_multipliers_are_the_minimum_norm_representative(a_text):
 
 
 def test_schur_path_is_the_arithmetic_of_separate_field_calls_bit_for_bit():
-    # two force columns: the kernel's frame is a column-major view of its buffer
+    # two force columns: the kernel's frame is a row-major view of its buffer
     gnh = _two_force_system([["2", "0.3"], ["0.1", "1.7"]])
     dyn = PointDynamics(gnh)
     b_inv = np.linalg.inv(gnh.base.A_at(np.zeros(2)))
     for x1 in (-0.7, 0.5, 1.3):
         p = np.array([x1, 2.0])
-        gamma = b_inv @ gnh.forces.at(p)
+        gamma = b_inv @ gnh.forces(p)
         y = b_inv @ gnh.base.f_at(p)
         jphi = gnh.constraints.jacobian(p)
         sol = linalg.solve_affine(jphi @ gamma, -(jphi @ y))
@@ -202,6 +196,8 @@ def _counting(monkeypatch):
 
 
 MODES = ["constrained", "constrained-varying-base", "second-order", "explicit"]
+# the kernel test also pins the layout of a frame of two force columns
+KERNEL_MODES = MODES + ["constrained-two-forces"]
 
 
 def _mode(mode):
@@ -209,6 +205,9 @@ def _mode(mode):
     if mode == "constrained":
         gnh = _scenario("rosenberg").gnh
         return PointDynamics(gnh), gnh, _knife_edge_points(5)
+    if mode == "constrained-two-forces":
+        gnh = _two_force_system([["2", "0.3"], ["0.1", "1.7"]])
+        return PointDynamics(gnh), gnh, [np.array([x1, 2.0]) for x1 in (-0.7, 0.5, 1.3)]
     if mode == "constrained-varying-base":
         gnh = loads(VARYING_BASE_SPEC).gnh
         return PointDynamics(gnh), gnh, _varying_base_points(5)
@@ -231,7 +230,7 @@ def test_one_svd_and_no_solve_per_evaluation(mode, monkeypatch):
         assert calls == {"rank": 1, **svds}
 
 
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode", KERNEL_MODES)
 def test_one_kernel_call_and_no_field_call_per_evaluation(mode, monkeypatch):
     dyn, system, points = _mode(mode)
     gnh = system if isinstance(system, GeneralizedNonholonomicSystem) else None
@@ -249,15 +248,15 @@ def test_one_kernel_call_and_no_field_call_per_evaluation(mode, monkeypatch):
 
     dyn._kernel = counted_kernel
     for x in points:
-        # the kernel holds bit for bit each field's values, in the path's read
-        # order: forces (column by column), f, dphi for the Schur complement;
-        # a varying A, f, forces, dphi for the bordered matrix
+        # the kernel holds bit for bit each field's values, row-major, in the
+        # path's read order: forces, f, dphi for the Schur complement; a
+        # varying A, f, forces, dphi for the bordered matrix
         forces = dphi = a_mat = None
         if gnh is not None:
-            forces, dphi = gnh.forces.at(x).T, gnh.constraints.jacobian(x)
+            forces, dphi = gnh.forces(x), gnh.constraints.jacobian(x)
         if not base.A.is_constant:
             a_mat = base.A_at(x)
-        parts = ([forces, base.f_at(x), dphi] if mode == "constrained"
+        parts = ([forces, base.f_at(x), dphi] if mode in ("constrained", "constrained-two-forces")
                  else [a_mat, base.f_at(x), forces, dphi])
         want = np.concatenate([p.ravel() for p in parts if p is not None])
         with monkeypatch.context() as patch:
@@ -273,7 +272,7 @@ def test_one_kernel_call_and_no_field_call_per_evaluation(mode, monkeypatch):
 def _faulting_system(a_text, forces_text, f_text):
     v = ("x", "y")
     base = make_system(ExpressionField.matrix(a_text, v), ExpressionField.vector(f_text, v))
-    forces = ForceFrame([ExpressionField.vector(forces_text, v)])
+    forces = ExpressionField.matrix([[e] for e in forces_text], v)
     return GeneralizedNonholonomicSystem(
         base, SubmanifoldSpec(ExpressionField.vector(["y - 2"], v)), forces)
 

@@ -60,7 +60,7 @@ def _dense_reference(gnh, x):
     D = dphi . Gamma, u from D u = -dphi . Y and X = Y + Gamma u."""
     b = gnh.base.A_at(x)
     y = np.linalg.solve(b, gnh.base.f_at(x))
-    gamma = np.linalg.solve(b, gnh.forces.at(x))
+    gamma = np.linalg.solve(b, gnh.forces(x))
     jphi = gnh.constraints.jacobian(x)
     d = jphi @ gamma
     u = linalg.solve_affine(d, -(jphi @ y)).x0

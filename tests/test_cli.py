@@ -451,3 +451,100 @@ def test_projection_stops_at_the_rounding_floor_of_large_states(capsys):
     assert code == 0 and err == ""
     drift = float(out.split("drift_max: ")[1].split("\n")[0])
     assert 0.0 < drift <= 1e-8
+
+
+TWO_FORCE_SPEC = """
+[vars]
+names = x, y
+
+[system]
+f = 1, y
+
+[constraints]
+phi = y - 2
+
+[forces]
+Delta = x, 1; 0, 1
+"""
+
+# A is I on y = 0 but varies, so the bordered matrix is solved; D = x
+NEAR_SINGULAR_D_SPEC = """
+[vars]
+names = x, y
+
+[system]
+A = 1, 0; 0, 1 + 1e-6*y^2
+f = 1, 0
+
+[constraints]
+phi = y
+
+[forces]
+Delta = 1, x
+"""
+
+
+def _report_fields(out, *names):
+    lines = dict(line.strip().split(": ", 1) for line in out.splitlines() if ": " in line)
+    return tuple(lines.get(name) for name in names)
+
+
+def test_analyze_reports_a_surjective_point_that_is_not_regular(tmp_path, capsys):
+    # two force directions on a curve in the plane: rank D = 1 = a < m = 2, and
+    # T_xM + H_x is not direct, so there is no projector to report
+    path = tmp_path / "two.lss"
+    path.write_text(TWO_FORCE_SPEC)
+    code, out, err = _run(capsys, "analyze", "--spec", str(path), "--at", "x=0.5,y=2")
+    assert code == 0 and err == ""
+    assert _report_fields(out, "surjective", "injective", "regular", "rank_D",
+                          "multiplier_gauged") == ("true", "false", "false", "1", "true")
+    assert "projector_residual" not in out
+
+
+def test_analyze_without_a_multiplier_still_exits_3(tmp_path, capsys):
+    # two constraints, one force: D = (1, x) and -dphi . Y = -(2, 1) is not in its image
+    path = tmp_path / "over.lss"
+    path.write_text("[vars]\nnames = x, y\n\n[system]\nf = 1, y\n\n"
+                    "[constraints]\nphi = y - 2, x - 1\n\n[forces]\nDelta = x, 1\n")
+    code, out, err = _run(capsys, "analyze", "--spec", str(path), "--at", "x=1,y=2")
+    assert code == 3 and out == ""
+    assert "no multiplier solves the tangency condition" in err
+
+
+def test_a_varying_base_decides_rank_d_once_by_its_solve(tmp_path, capsys):
+    # at x = 3e-10 the bordered solve finds D rank-deficient and gauges u to 0;
+    # the report says so instead of judging D regular on its own and failing
+    # to split T_xM + H_x
+    path = tmp_path / "near.lss"
+    path.write_text(NEAR_SINGULAR_D_SPEC)
+    code, out, err = _run(capsys, "analyze", "--spec", str(path), "--at", "x=3e-10,y=0")
+    assert code == 0 and err == ""
+    assert _report_fields(out, "rank_D", "multiplier_gauged", "regular", "u") == \
+        ("0", "true", "false", "[0]")
+    assert "projector_residual" not in out
+    code, out, _ = _run(capsys, "analyze", "--spec", str(path), "--at", "x=1e-6,y=0")
+    assert code == 0
+    assert _report_fields(out, "rank_D", "multiplier_gauged", "regular") == \
+        ("1", "false", "true")
+    assert "projector_residual" in out
+
+
+@pytest.mark.parametrize("text, section, line, message", [
+    # one force section of length 1 where the fibre has k = 2
+    ("[vars]\nnames = x, y\n[system]\nf = 1, y\n[constraints]\nphi = y - 2\n"
+     "[forces]\nDelta = x\n", "forces", 8, "force sections live in the target fibre"),
+    # A with one row, f with two entries
+    ("[vars]\nnames = x, y\n[system]\nA = 1, 0\nf = 1, y\n",
+     "system", 4, "A has 1 rows but f has 2 entries"),
+    # a finite candidate's Phi with one row of two columns
+    ("[vars]\nnames = x, y\n[system]\nf = 1, y\n[symmetry]\npsi = x + 1, y\nPhi = 1, 0\n",
+     "symmetry", 7, "fibre component must be a square matrix field"),
+], ids=["forces", "system", "symmetry"])
+def test_spec_parts_that_do_not_fit_are_usage_errors(text, section, line, message,
+                                                     tmp_path, capsys):
+    path = tmp_path / "misfit.lss"
+    path.write_text(text)
+    for argv in (("analyze", "--at", "x=0,y=2"), ("check-symmetry", "--points", "3")):
+        code, out, err = _run(capsys, argv[0], "--spec", str(path), *argv[1:])
+        assert code == 2 and out == ""
+        assert message in err and f"[section {section}] (line {line})" in err

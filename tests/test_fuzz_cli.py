@@ -3,7 +3,9 @@
 Each example is a bundled `.lss` text with bytes deleted, bytes inserted or a
 fragment of another bundled text spliced in. Whatever the text has become, the
 check commands must end with one of the documented exit codes (0 success,
-1 a check failed, 2 usage error, 3 evaluation error).
+1 a check failed, 2 usage error, 3 evaluation error), and `specfile.loads`
+must never let a ShapeError out: parts of a spec that do not fit together are
+a SpecFileError (a usage error).
 """
 
 import warnings
@@ -12,6 +14,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from linsing.cli import SCENARIOS, main, scenario_text
+from linsing.errors import LinsingError, ShapeError
+from linsing.specfile import loads
 
 TEXTS = [scenario_text(name).encode("utf-8") for name in SCENARIOS]
 COMMANDS = (
@@ -45,6 +49,12 @@ def mutated_specs(draw):
                                  HealthCheck.too_slow])
 @given(text=mutated_specs())
 def test_mutated_specs_end_in_an_exit_code(text, tmp_path, capsys):
+    try:
+        loads(text.decode("utf-8", errors="replace"))
+    except ShapeError as exc:
+        raise AssertionError(f"loads let a ShapeError out: {exc}") from exc
+    except LinsingError:
+        pass
     path = tmp_path / "mutated.lss"
     path.write_bytes(text)
     for cmd, *flags in COMMANDS:

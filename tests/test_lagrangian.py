@@ -90,7 +90,8 @@ def test_chetaev_frame_slots():
     phi = ExpressionField.vector(["z' - y*x'"], m.variables)
     fr = chetaev_frame(m, phi)
     # velocity gradient (-y, 0, 1) lands in the dq slots, dv slots stay zero
-    col = fr.at(np.array([0.0, 1.0, 0.0, 2.0, 3.0, 2.0]))[:, 0]
+    assert fr.shape == (6, 1)
+    col = fr(np.array([0.0, 1.0, 0.0, 2.0, 3.0, 2.0]))[:, 0]
     assert np.allclose(col, [-1.0, 0.0, 1.0, 0.0, 0.0, 0.0])
 
 

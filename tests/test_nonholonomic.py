@@ -17,12 +17,7 @@ from linsing.dynamics import integrate
 from linsing.expressions import ExpressionField
 from linsing import linalg
 from linsing.linalg import Tolerances, complement_projectors, kernel_basis
-from linsing.nonholonomic import (
-    ForceFrame,
-    GeneralizedNonholonomicSystem,
-    PointDynamics,
-    SubmanifoldSpec,
-)
+from linsing.nonholonomic import GeneralizedNonholonomicSystem, PointDynamics, SubmanifoldSpec
 from linsing.sampling import halton_box, on_manifold_sample
 from linsing.specfile import loads
 from linsing.symmetry import flow_samples
@@ -39,7 +34,7 @@ def _example_flow(a=2.0):
     """
     base = identity_system(ExpressionField.vector(["1", "y"], V))
     constraints = SubmanifoldSpec(ExpressionField.vector([f"y - {a}"], V))
-    forces = ForceFrame([ExpressionField.vector(["x", "1"], V)])
+    forces = ExpressionField.matrix([["x"], ["1"]], V)
     return GeneralizedNonholonomicSystem(base, constraints, forces)
 
 
@@ -196,27 +191,29 @@ def test_sampler_projects_in_batches_without_lstsq(monkeypatch):
 
 
 def test_force_frame_validation():
-    with pytest.raises(ShapeError):
-        ForceFrame([])
-    with pytest.raises(ShapeError):
-        ForceFrame(
-            [
-                ExpressionField.vector(["1", "0"], V),
-                ExpressionField.vector(["1"], ("x",)),
-            ]
-        )
-    fr = ForceFrame([ExpressionField.vector(["x", "1"], V)])
-    assert fr.m == 1 and fr.k == 2
-    assert np.allclose(fr.at(np.array([3.0, 0.0])), [[3.0], [1.0]])
+    # the frame is a k x m matrix field over the base's variables, m >= 1
+    base = identity_system(ExpressionField.vector(["1", "y"], V))
+    on_m = SubmanifoldSpec(ExpressionField.vector(["y - 2"], V))
+    for bad in (
+        ExpressionField([], V, (2, 0)),                             # no column
+        ExpressionField.matrix([["x"], ["1"], ["0"]], V),           # 3 rows, k = 2
+        ExpressionField.vector(["x", "1"], V),                      # not a matrix
+        ExpressionField.matrix([["x"], ["1"]], ("x", "y", "z")),    # other variables
+    ):
+        with pytest.raises(ShapeError):
+            GeneralizedNonholonomicSystem(base, on_m, bad)
+    gnh = GeneralizedNonholonomicSystem(base, on_m, ExpressionField.matrix([["x", "0"], ["1", "1"]], V))
+    assert (gnh.m, gnh.a) == (2, 1)
+    assert np.array_equal(gnh.forces(np.array([3.0, 0.0])), [[3.0, 0.0], [1.0, 1.0]])
 
 
 def test_system_wiring_validation():
     base = identity_system(ExpressionField.vector(["1", "y"], V))
     phi_other = SubmanifoldSpec(ExpressionField.vector(["u - 2"], ("u", "v")))
-    forces = ForceFrame([ExpressionField.vector(["x", "1"], V)])
+    forces = ExpressionField.matrix([["x"], ["1"]], V)
     with pytest.raises(ShapeError):
         GeneralizedNonholonomicSystem(base, phi_other, forces)
-    bad_forces = ForceFrame([ExpressionField.vector(["x", "1", "0"], ("x", "y", "z"))])
+    bad_forces = ExpressionField.matrix([["x"], ["1"], ["0"]], ("x", "y", "z"))
     with pytest.raises(ShapeError):
         GeneralizedNonholonomicSystem(base, SubmanifoldSpec(ExpressionField.vector(["y - 2"], V)), bad_forces)
 
@@ -306,7 +303,7 @@ def test_singular_base_raises():
     gnh = GeneralizedNonholonomicSystem(
         base,
         SubmanifoldSpec(ExpressionField.vector(["y - 2"], V)),
-        ForceFrame([ExpressionField.vector(["x", "1"], V)]),
+        ExpressionField.matrix([["x"], ["1"]], V),
     )
     with pytest.raises(BaseNotRegularError):
         PointDynamics(gnh)  # constant singular base caught up front
@@ -317,12 +314,7 @@ def test_singular_base_raises():
 
 def test_degenerate_force_frame_raises():
     base = identity_system(ExpressionField.vector(["1", "y"], V))
-    forces = ForceFrame(
-        [
-            ExpressionField.vector(["x", "1"], V),
-            ExpressionField.vector(["2*x", "2"], V),  # parallel section
-        ]
-    )
+    forces = ExpressionField.matrix([["x", "2*x"], ["1", "2"]], V)  # parallel sections
     gnh = GeneralizedNonholonomicSystem(
         base, SubmanifoldSpec(ExpressionField.vector(["y - 2"], V)), forces
     )
@@ -340,7 +332,7 @@ def test_tangency_condition_can_be_unsolvable():
     gnh = GeneralizedNonholonomicSystem(
         base,
         SubmanifoldSpec(ExpressionField.vector(["y - 2"], V)),
-        ForceFrame([ExpressionField.vector(["1", "0"], V)]),
+        ExpressionField.matrix([["1"], ["0"]], V),
     )
     p = np.array([0.5, 2.0])
     dyn = PointDynamics(gnh)
@@ -351,34 +343,34 @@ def test_tangency_condition_can_be_unsolvable():
         dyn.field(p)
     # the same geometry breaks the splitting T_xM ⊕ H_x
     with pytest.raises(NotComplementaryError):
-        complement_projectors(kernel_basis(gnh.constraints.jacobian(p)), gnh.forces.at(p))
+        complement_projectors(kernel_basis(gnh.constraints.jacobian(p)), gnh.forces(p))
 
 
 def test_surjective_but_not_injective_classification():
     base = identity_system(ExpressionField.vector(["1", "y"], V))
-    forces = ForceFrame(
-        [
-            ExpressionField.vector(["x", "1"], V),
-            ExpressionField.vector(["0", "1"], V),
-        ]
-    )
+    forces = ExpressionField.matrix([["x", "0"], ["1", "1"]], V)
     gnh = GeneralizedNonholonomicSystem(
         base, SubmanifoldSpec(ExpressionField.vector(["y - 2"], V)), forces
     )
     p = np.array([0.5, 2.0])
     dyn = PointDynamics(gnh)
-    # two force directions at a point of a curve in the plane: T_xM + H_x is
-    # not direct, so `analysis`, which splits it, refuses; D itself has rank 1
-    with pytest.raises(NotComplementaryError):
-        dyn.analysis(p)
+    # two force directions at a point of a curve in the plane: D has rank 1,
+    # and T_xM + H_x is not direct, so there are no projectors
+    pa = dyn.analysis(p)
+    cls = pa.classification
+    assert (cls.rank_d, cls.surjective, cls.injective, cls.regular) == (1, True, False, False)
+    assert pa.projectors is None
     y = dyn.unconstrained(p)
     jphi = gnh.constraints.jacobian(p)
-    d = jphi @ gnh.forces.at(p)  # B = I: Gamma is the frame itself
+    d = jphi @ gnh.forces(p)  # B = I: Gamma is the frame itself
     assert linalg.rank(d) == 1 < 2  # surjective, not injective
+    assert np.array_equal(cls.d_matrix, d) and np.array_equal(pa.y, y)
     x_dot, u, sol = dyn.solve(p)
     assert sol.kernel.dim > 0  # one-parameter family; minimum-norm representative
     assert sol.residual < 1e-12
     assert np.allclose(u, linalg.solve_affine(d, -(jphi @ y)).x0)
+    assert pa.multipliers.gauged and np.array_equal(pa.multipliers.u, u)
+    assert np.array_equal(pa.field, x_dot)
     # any representative still produces a field tangent to M
     assert abs(jphi @ x_dot) < 1e-12
     # the integrator's evaluator picks the same gauged representative
@@ -388,9 +380,10 @@ def test_surjective_but_not_injective_classification():
 def test_injective_but_not_surjective_classification():
     base = identity_system(ExpressionField.vector(["1", "y"], V))
     constraints = SubmanifoldSpec(ExpressionField.vector(["y - 2", "x - 1"], V))
-    forces = ForceFrame([ExpressionField.vector(["x", "1"], V)])
+    forces = ExpressionField.matrix([["x"], ["1"]], V)
     gnh = GeneralizedNonholonomicSystem(base, constraints, forces)
     p = np.array([1.0, 2.0])
+    # -dphi . Y = -(2, 1) is not in the image of D = (1, x): no multiplier
     with pytest.raises(InconsistentSystemError):
         PointDynamics(gnh).analysis(p)
     # with f = (1, 1), -dphi . Y = -(1, 1) lies in the image of D = (1, x): u = -1
@@ -398,12 +391,15 @@ def test_injective_but_not_surjective_classification():
     consistent = GeneralizedNonholonomicSystem(
         identity_system(ExpressionField.vector(["1", "1"], V)), constraints, forces)
     dyn = PointDynamics(consistent)
-    d = constraints.jacobian(p) @ forces.at(p)  # B = I: Gamma is the frame itself
+    d = constraints.jacobian(p) @ forces(p)  # B = I: Gamma is the frame itself
     assert linalg.rank(d) == 1 < 2  # injective, not surjective
     x_dot, u, sol = dyn.solve(p)
     assert sol.kernel.dim == 0 and np.allclose(u, [-1.0]) and np.allclose(x_dot, [0.0, 0.0])
-    with pytest.raises(NotComplementaryError):
-        dyn.analysis(p)
+    pa = dyn.analysis(p)
+    cls = pa.classification
+    assert (cls.rank_d, cls.surjective, cls.injective, cls.regular) == (1, False, True, False)
+    assert pa.projectors is None and not pa.multipliers.gauged
+    assert np.array_equal(pa.field, x_dot) and np.array_equal(pa.multipliers.u, u)
 
 
 # ------------------------------------------------------- random regular flows
@@ -435,9 +431,7 @@ def test_constrained_field_is_tangent_and_projected():
             delta[2] += np.sign(w @ delta + 0.5) or 1.0
         if abs(w @ delta) < 0.5:
             continue
-        forces = ForceFrame(
-            [ExpressionField.vector([str(v) for v in delta], names)]
-        )
+        forces = ExpressionField.matrix([[str(v)] for v in delta], names)
         gnh = GeneralizedNonholonomicSystem(base, phi, forces)
         pt = rng.uniform(-1, 1, size=3)
         pt[2] = (1.0 - w[0] * pt[0] - w[1] * pt[1]) / w[2]

@@ -57,7 +57,8 @@ def test_full_system_file():
     assert np.allclose(spec.system.A_at(p), [[1.0, 0.0], [0.0, 1.0]])
     assert np.allclose(spec.system.f_at(p), [2.0, 2.0])
     assert spec.constraints.codim == 1
-    assert spec.forces.m == 2
+    assert spec.forces.shape == (2, 2)
+    assert np.array_equal(spec.forces(p), [[0.5, 0.0], [1.0, 1.0]])  # a section per column
     assert spec.gnh is not None
     assert spec.symmetry.kind == "infinitesimal"
     assert np.allclose(spec.symmetry.base(p), [1.5, 0.0])
@@ -86,7 +87,7 @@ def test_lagrangian_file_defaults_to_chetaev_forces():
     assert spec.model is not None
     assert spec.report_scale == 2.0
     # Chetaev column (-1, 1) in the dq slots
-    col = spec.forces.at(np.zeros(4))[:, 0]
+    col = spec.forces(np.zeros(4))[:, 0]
     assert np.allclose(col, [-1.0, 1.0, 0.0, 0.0])
     assert spec.gnh is not None
 
@@ -302,7 +303,7 @@ def test_bundled_scenarios_load():
     ros = loads(_scenario("rosenberg"))
     assert ros.kind == "lagrangian"
     assert ros.variables == ["x", "y", "z", "x'", "y'", "z'"]
-    assert ros.forces.m == 1  # Chetaev default
+    assert ros.forces.shape == (6, 1)  # Chetaev default
     assert sorted(ros.constants) == ["plane", "px", "twist", "vy"]
 
     l2 = loads(_scenario("relparticle-L2"))

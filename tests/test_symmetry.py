@@ -7,7 +7,6 @@ from linsing.errors import NonFiniteError, ShapeError
 from linsing.expressions import ExpressionField
 from linsing.linalg import DEFAULT_TOLERANCES
 from linsing.nonholonomic import (
-    ForceFrame,
     GeneralizedNonholonomicSystem,
     PointDynamics,
     SubmanifoldSpec,
@@ -35,7 +34,7 @@ def _planar_flow():
 def _planar_constrained(delta=("x", "1")):
     base = _planar_flow()
     constraints = SubmanifoldSpec(ExpressionField.vector(["y - 2"], V2))
-    forces = ForceFrame([ExpressionField.vector(list(delta), V2)])
+    forces = ExpressionField.matrix([[e] for e in delta], V2)
     return GeneralizedNonholonomicSystem(base, constraints, forces)
 
 
