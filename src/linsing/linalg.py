@@ -13,9 +13,11 @@ sqrt(tiny)/eps <= |d| <= eps/sqrt(tiny), about 6.7e-139 to 1.5e138. That is
 the range in which LAPACK's SVD (gesdd) does not rescale the matrix, and
 unscaled it returns exactly these factors, so the closed form is the SVD bit
 for bit. Outside it (zero, subnormal, huge, NaN or inf entries) LAPACK runs
-as for any other matrix. `solve_affine` then solves a 1x1 system on Python
-floats with the IEEE operations of the general path: products summed from
-+0 as numpy's matmul sums them, and the residual as sqrt(r * r).
+as for any other matrix. `solve_affine` solves a 1x1 system on Python floats
+from start to end, with the IEEE operations of the general path: products
+summed from +0 as numpy's matmul sums them, and norms as sqrt(v * v). Its one
+rank decision also hands back the cut-off, which the image tolerance reuses,
+and a full rank shares one read-only empty kernel basis.
 """
 
 from __future__ import annotations
@@ -86,7 +88,18 @@ _UNSCALED_MAX = 1.0 / _UNSCALED_MIN
 def _svd_rank(mat, tols, compute_uv=True):
     """SVD of a matrix and its numerical rank under `tols`: ((u, s, vt), r), or
     (s, r) without `compute_uv`. The one place a rank is decided. A 1x1 matrix
-    within LAPACK's unscaled range takes the closed form, the same factors."""
+    within LAPACK's unscaled range takes the closed form, the same factors.
+
+    A float d stands for the 1x1 matrix [[d]] of a scalar solve and stays on
+    floats: ((u, s, vt), r, cut), the factors as floats and the cut-off that r
+    was decided against."""
+    if isinstance(mat, float):
+        if _UNSCALED_MIN <= abs(mat) <= _UNSCALED_MAX:
+            u, s, vt = math.copysign(1.0, mat), abs(mat), 1.0
+        else:
+            u, s, vt = (f.item() for f in _lapack_svd(np.array([[mat]]), True))
+        cut = tols.rank_tol(_ONE_BY_ONE, s)
+        return (u, s, vt), int(s > cut), cut
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2:
         raise ShapeError(f"expected a matrix, got shape {mat.shape}")
@@ -96,23 +109,31 @@ def _svd_rank(mat, tols, compute_uv=True):
             return s, 0
         return (np.zeros((mat.shape[0], 0)), s, np.zeros((0, mat.shape[1]))), 0
     if mat.shape == (1, 1) and _UNSCALED_MIN <= abs(d := mat.item()) <= _UNSCALED_MAX:
-        smax = abs(d)
-        s = np.array([smax])
+        s = np.array([abs(d)])
         svd = (np.array([[math.copysign(1.0, d)]]), s, np.array([[1.0]])) if compute_uv else s
     else:
-        try:
-            svd = np.linalg.svd(mat, full_matrices=True, compute_uv=compute_uv)
-        except np.linalg.LinAlgError:
-            if np.isfinite(mat).all():
-                raise
-            smax = math.nan  # LAPACK rejects NaN entries
-        else:
-            s = svd[1] if compute_uv else svd
-            smax = float(s[0])
-    if not math.isfinite(smax):
-        raise NonFiniteError(f"a {mat.shape[0]}x{mat.shape[1]} matrix has non-finite entries")
-    cut = tols.rank_tol(mat, smax)
+        svd = _lapack_svd(mat, compute_uv)
+        s = svd[1] if compute_uv else svd
+    cut = tols.rank_tol(mat, float(s[0]))
     return svd, sum(v > cut for v in s.tolist())
+
+
+# what a 1x1 cut-off scales with: its shape
+_ONE_BY_ONE = np.empty((1, 1))
+
+
+def _lapack_svd(mat, compute_uv):
+    """numpy's SVD of a non-empty matrix; NonFiniteError unless its largest
+    singular value is finite (LAPACK rejects NaN entries)."""
+    try:
+        svd = np.linalg.svd(mat, full_matrices=True, compute_uv=compute_uv)
+    except np.linalg.LinAlgError:
+        if np.isfinite(mat).all():
+            raise
+        svd = None
+    if svd is None or not math.isfinite((svd[1] if compute_uv else svd)[0]):
+        raise NonFiniteError(f"a {mat.shape[0]}x{mat.shape[1]} matrix has non-finite entries")
+    return svd
 
 
 def _fix_signs(columns):
@@ -195,27 +216,45 @@ def solve_affine(mat, b, tols=DEFAULT_TOLERANCES):
     if mat.shape[0] == 0:
         x0 = np.zeros(n)
         return AffineSolutionSet(x0, SubspaceBasis(_fix_signs(np.eye(n))), 0.0, True, 0.0)
+    if mat.shape == (1, 1):
+        return _solve_1x1(mat.item(), b.item(), tols)
     (u, s, vt), r = _svd_rank(mat, tols)
     tol_img = tols.img_tol(mat, b, smax=float(s[0]) if s.size else 0.0)
     if not tol_img < math.inf:
         raise NonFiniteError("a linear solve has a non-finite right-hand side")
-    if mat.shape == (1, 1):
-        # the general path's operations on floats: each product of x0 is added
-        # to +0 as matmul does (so u * b = -0 gives +0), and the norm stays
-        # sqrt(r * r), which differs from |r| where r * r underflows
-        x = 0.0 + vt.item() * ((0.0 + u.item() * b.item()) / s.item()) if r else 0.0
-        res = mat.item() * x - b.item()
-        x0, residual = np.array([x]), math.sqrt(res * res)
-    else:
-        coeff = (u[:, :r].T @ b) / s[:r] if r else np.zeros(0)
-        x0 = vt[:r].T @ coeff
-        residual = _norm(mat @ x0 - b)
+    coeff = (u[:, :r].T @ b) / s[:r] if r else np.zeros(0)
+    x0 = vt[:r].T @ coeff
+    residual = _norm(mat @ x0 - b)
     kern = vt[r:].T
     kern = SubspaceBasis(_fix_signs(kern) if r < n else kern)
+    return _solution(x0, kern, residual, tol_img)
+
+
+# the kernel of every 1x1 system of full rank
+_NO_KERNEL_1X1 = SubspaceBasis(np.zeros((1, 0)))
+_NO_KERNEL_1X1.vectors.flags.writeable = False
+
+
+def _solve_1x1(d, b, tols):
+    """`solve_affine` of [[d]] x = [b] on Python floats. Each product of x0 is
+    added to +0 as matmul does (so u * b = -0 gives +0), and the norms stay
+    sqrt(v * v), which differs from |v| where v * v underflows."""
+    (u, s, vt), r, cut = _svd_rank(d, tols)
+    base = tols.img_factor if tols.img_factor is not None else cut
+    tol_img = base * (1.0 + math.sqrt(b * b))
+    if not tol_img < math.inf:
+        raise NonFiniteError("a linear solve has a non-finite right-hand side")
+    x = 0.0 + vt * ((0.0 + u * b) / s) if r else 0.0
+    res = d * x - b
+    kern = _NO_KERNEL_1X1 if r else SubspaceBasis(np.ones((1, 1)))
+    return _solution(np.array([x]), kern, math.sqrt(res * res), tol_img)
+
+
+def _solution(x0, kernel, residual, tol_img):
     consistent = residual <= tol_img
     if not (consistent or math.isfinite(residual)):
         raise NonFiniteError(f"a linear solve has a non-finite residual ({residual})")
-    return AffineSolutionSet(x0, kern, residual, consistent, tol_img)
+    return AffineSolutionSet(x0, kernel, residual, consistent, tol_img)
 
 
 def min_norm_rows(mats, rhs, tols=DEFAULT_TOLERANCES):

@@ -10,6 +10,7 @@ evaluator of the flow and of these quantities in every mode.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ from .errors import (
     NotOnManifoldError,
     ShapeError,
 )
-from .expressions import ExpressionField, compile_exprs
+from .expressions import Add, Const, ExpressionField, add, compile_exprs, mul
 from .systems import ConsistencyResult, LinearlySingularSystem
 
 __all__ = [
@@ -89,11 +90,12 @@ class SubmanifoldSpec:
         x = np.asarray(x, dtype=float)
         if x.ndim == 2:
             return Projection(*self._gauss_newton(x, free_indices, max_iter, self.phi.rows(x)))
-        vals = self.values(x)
-        worst = _max_abs(vals)
-        if worst <= linalg.Tolerances.projection_target:  # every step of `integrate`
-            return Projection(x.copy(), True, 0, worst)
-        point, ok, its, res = self._gauss_newton(x[None], free_indices, max_iter, vals[None])
+        vals = self.phi._scalar_runner()(x)
+        target = linalg.Tolerances.projection_target
+        if all(abs(v) <= target for v in vals):  # every step of `integrate`; False on NaN
+            return Projection(x.copy(), True, 0, max(map(abs, vals)))
+        vals = np.array(vals)[None]
+        point, ok, its, res = self._gauss_newton(x[None], free_indices, max_iter, vals)
         return Projection(point[0], bool(ok[0]), int(its[0]), float(res[0]))
 
     def _gauss_newton(self, x, free_indices, max_iter, vals):
@@ -254,6 +256,35 @@ def _fused_kernel(fields):
     return compile_exprs(entries, live[0].variables), buf, views
 
 
+def _schur_fold(b_inv, frame, f):
+    """(Gamma, Y) = (B^{-1} Delta, B^{-1} f) as ExpressionFields over the entries
+    of the frame and of f, for a constant B^{-1}.
+
+    Each entry adds the products Const(b_il) * entry to +0, left to right, as
+    numpy's matrix products do. A product with a zero constant adds nothing and
+    is left out, and the folding `mul` drops a factor 1, so a sparse B^{-1} costs
+    only its nonzero entries; a signed permutation (a Lagrangian base) gives
+    numpy's bits, signed zeros included."""
+    consts = [[Const(float(v)) for v in row] for row in b_inv]
+
+    def dot(row, col):
+        total = Const(0.0)
+        for term in map(mul, row, col):
+            if isinstance(term, Const) and isinstance(total, Const):
+                total = add(total, term)
+            elif not (isinstance(term, Const) and term.value == 0.0):
+                total = Add(total, term)
+        return total
+
+    def times(fld):
+        cols = fld.shape[1] if len(fld.shape) == 2 else 1
+        columns = [fld.entries[j::cols] for j in range(cols)]
+        return ExpressionField([dot(row, col) for row in consts for col in columns],
+                               fld.variables, fld.shape)
+
+    return times(frame), times(f)
+
+
 class PointDynamics:
     """The one evaluator of the flow: X and the multipliers u at a point, the
     minimum-norm solution of the bordered (saddle-point) system
@@ -264,16 +295,23 @@ class PointDynamics:
 
     of a GeneralizedNonholonomicSystem, or the base rows alone of a
     LinearlySingularSystem (an explicit flow). Each evaluation is one call of a
-    compiled kernel over every entry it reads (a varying A, the forces, f and
-    dphi) and one `linalg.solve_affine`: of that matrix, or of its Schur
-    complement D = dphi . B^{-1} Delta for a constant base, checked regular and
-    inverted once. A rank-deficient
-    system gives the minimum-norm u, with X following, once the frame's rank is
+    compiled kernel over every entry it reads and one `linalg.solve_affine`.
+
+    A constant base B in the first-order modes is checked regular and inverted
+    once, and its kernel emits the forces, f and dphi followed by
+    Gamma = B^{-1} Delta and Y = B^{-1} g, folded in symbolically. The solve is
+    then of the Schur complement D u = -dphi . Y with D = dphi . Gamma, a
+    scalar solve on floats for one constraint and one force, and X = Y + Gamma u.
+    Otherwise the kernel emits a varying A, f, the forces and dphi, and the
+    solve is of the bordered matrix.
+
+    A non-finite kernel value raises NonFiniteError. A rank-deficient system
+    gives the minimum-norm u, with X following, once the frame's rank is
     checked; no solution, or no unique one for an explicit flow, raises
     InconsistentSystemError. Points are not checked against M: the caller
-    checks them. `analysis` and `flow` report the X and u that `solve`
-    computes; for a constant base they read Gamma and Y from the same kernel
-    evaluation."""
+    checks them. `analysis`, `flow` and `unconstrained` report what `solve`
+    computes, from the same kernel evaluation; every array they return is a
+    copy, never a view of the kernel's buffer."""
 
     def __init__(self, system, tols=linalg.DEFAULT_TOLERANCES, second_order=False):
         gnh = system if isinstance(system, GeneralizedNonholonomicSystem) else None
@@ -292,9 +330,10 @@ class PointDynamics:
         if gnh is not None and not second_order and a_const:
             self._b_inv = np.linalg.inv(_regular_base_matrix(gnh, np.zeros(n), tols))
         jphi = None if gnh is None else gnh.constraints.phi.jacobian_field()
-        # the fields in the order each path reads them: forces, f, dphi for the
-        # Schur complement; A (varying only), f, forces, dphi for the bordered
-        # matrix. Their kernel is compiled by the first evaluation.
+        # the fields in the order each path reads them: forces, f, dphi, then
+        # Gamma and Y, for the Schur complement; A (varying only), f, forces,
+        # dphi for the bordered matrix. The first evaluation folds Gamma and Y
+        # and compiles the kernel.
         self._fields = ((gnh.forces, base.f, jphi) if self._b_inv is not None
                         else (None if a_const else base.A, base.f,
                               None if gnh is None else gnh.forces, jphi))
@@ -310,7 +349,7 @@ class PointDynamics:
         regular at construction, and Y comes from one kernel evaluation; any
         other base is read field by field and checked regular at every call."""
         if self._b_inv is not None:
-            return self._schur(x)[1]
+            return self._evaluate(x)[4].copy()
         b = _regular_base_matrix(self.gnh, x, self.tols)
         return np.linalg.solve(b, self.gnh.base.f_at(x))
 
@@ -319,13 +358,13 @@ class PointDynamics:
         first-order modes, otherwise as `unconstrained` and `solve` give them."""
         if self._b_inv is None:
             return self.unconstrained(x), self.solve(x)[0]
-        gamma, y, jphi = self._schur(x)
-        return y, self._schur_solve(jphi @ gamma, gamma, y, jphi)[0]
+        views = self._evaluate(x)
+        return views[4].copy(), self._schur(views)[0]
 
     def analysis(self, x):
         """PointAnalysis at x, which the caller has checked lies on M.
 
-        A constant base was checked regular at construction. One kernel
+        A constant base was checked regular at construction, and one kernel
         evaluation gives Gamma = B^{-1} Delta and Y = B^{-1} g. A varying base
         is read field by field and factored once, by the solve of B v = g whose
         rank decides its regularity; a singular one raises BaseNotRegularError
@@ -337,10 +376,11 @@ class PointDynamics:
         D is square and invertible, the one case T_xM and H_x split the space."""
         gnh, tols = self.gnh, self.tols
         if self._b_inv is not None:
-            gamma, y, jphi = self._schur(x)
+            views = self._evaluate(x)
+            _, _, jphi, gamma, y = views
             _require_independent(gamma, gnh.m, tols)
-            d = jphi @ gamma
-            xf, u, sol = self._schur_solve(d, gamma, y, jphi)
+            xf, u, sol, d = self._schur(views)
+            y = y.copy()
         else:
             g, b = gnh.base.f_at(x), gnh.base.A_at(x)
             base = linalg.solve_affine(b, g, tols)
@@ -366,8 +406,7 @@ class PointDynamics:
     def solve(self, x):
         """(X, u, sol) at x, `sol` the solve's AffineSolutionSet (in (X, u) if bordered)."""
         if self._b_inv is not None:
-            gamma, y, jphi = self._schur(x)
-            return self._schur_solve(jphi @ gamma, gamma, y, jphi)
+            return self._schur(self._evaluate(x))[:3]
         x = np.asarray(x, dtype=float)
         (k, n, a, s), (a_x, f, frame, jphi) = self._rows, self._evaluate(x)
         mat, rhs = self._mat, self._rhs
@@ -390,20 +429,29 @@ class PointDynamics:
         """The views of the kernel's buffer, filled at x; what is computed from
         them must not keep one past the next evaluation."""
         if self._kernel is None:
-            self._kernel, self._vals, self._views = _fused_kernel(self._fields)
-        self._vals[:] = self._kernel(np.asarray(x, dtype=float))
+            fields = self._fields
+            if self._b_inv is not None:
+                fields += _schur_fold(self._b_inv, *fields[:2])
+            self._kernel, self._vals, self._views = _fused_kernel(fields)
+        vals = self._kernel(np.asarray(x, dtype=float))
+        # a sum of finite values can overflow, so a non-finite one only screens
+        if not math.isfinite(sum(vals)) and not all(map(math.isfinite, vals)):
+            raise NonFiniteError("a value of the flow's fields is not finite at this point")
+        self._vals[:] = vals
         return self._views
 
-    def _schur(self, x):
-        """(Gamma, Y, dphi) at x from one kernel evaluation, for a constant base."""
-        frame, f, jphi = self._evaluate(x)
-        return self._b_inv @ frame, self._b_inv @ f, jphi
-
-    def _schur_solve(self, d, gamma, y, jphi):
-        """(X, u, sol) of the Schur complement D u = -dphi . Y, X = Y + Gamma u."""
-        sol = linalg.solve_affine(d, -(jphi @ y), self.tols)
+    def _schur(self, views):
+        """(X, u, sol, D) of the Schur complement D u = -dphi . Y, D = dphi . Gamma,
+        X = Y + Gamma u, from the views of a kernel evaluation."""
+        _, _, jphi, gamma, y = views
+        # D and dphi . Y are not folded into the kernel: numpy's BLAS may fuse
+        # a multiply and an add, which Python floats cannot, and every route
+        # that forms D (the reference tests, `subspace_classify`) gets numpy's
+        # bits. ndarray.dot gives the same bits as `@` at half the call cost.
+        d = jphi.dot(gamma)
+        sol = linalg.solve_affine(d, -jphi.dot(y), self.tols)
         self._check(sol, gamma)
-        return y + gamma @ sol.x0, sol.x0, sol
+        return y + gamma.dot(sol.x0), sol.x0, sol, d
 
     def _check(self, sol, frame):
         # a dependent frame forces a rank-deficient system: check it only then

@@ -444,6 +444,11 @@ def loads(text, name="", param_overrides=None):
                 raise SpecFileError("symmetry", sec["V"].line,
                                     "V must have one component per variable")
             lam = None
+            if "Lambda" not in sec and spec.system.k != len(variables):
+                n = len(variables)
+                raise SpecFileError("symmetry", sec["V"].line,
+                                    f"V without Lambda needs k = n: the default Lambda = DV "
+                                    f"is {n}x{n}, the fibre has k = {spec.system.k}; give Lambda")
             if "Lambda" in sec:
                 lam = _matrix_field("symmetry", expand(sec["Lambda"]), variables,
                                     expect_cols=spec.system.k)

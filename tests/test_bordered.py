@@ -11,6 +11,7 @@ The two reference routes, which the package itself does not use:
 """
 
 import collections
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ import pytest
 from test_acceptance import _knife_edge_points, _mass_shell_points, _scenario
 
 from linsing import linalg
-from linsing.errors import DomainEvalError
+from linsing.errors import DomainEvalError, NonFiniteError
 from linsing.expressions import ExpressionField
 from linsing.nonholonomic import GeneralizedNonholonomicSystem, PointDynamics, SubmanifoldSpec
 from linsing.sampling import on_manifold_sample
@@ -235,6 +236,7 @@ def test_one_kernel_call_and_no_field_call_per_evaluation(mode, monkeypatch):
     dyn, system, points = _mode(mode)
     gnh = system if isinstance(system, GeneralizedNonholonomicSystem) else None
     base = system if gnh is None else gnh.base
+    schur = mode in ("constrained", "constrained-two-forces")
     calls = collections.Counter()
     dyn.solve(points[0])  # compiles the kernel
     kernel = dyn._kernel
@@ -256,7 +258,7 @@ def test_one_kernel_call_and_no_field_call_per_evaluation(mode, monkeypatch):
             forces, dphi = gnh.forces(x), gnh.constraints.jacobian(x)
         if not base.A.is_constant:
             a_mat = base.A_at(x)
-        parts = ([forces, base.f_at(x), dphi] if mode in ("constrained", "constrained-two-forces")
+        parts = ([forces, base.f_at(x), dphi] if schur
                  else [a_mat, base.f_at(x), forces, dphi])
         want = np.concatenate([p.ravel() for p in parts if p is not None])
         with monkeypatch.context() as patch:
@@ -264,7 +266,20 @@ def test_one_kernel_call_and_no_field_call_per_evaluation(mode, monkeypatch):
             calls.clear()
             xf, u, _ = dyn.solve(x)
         assert calls == {"kernel": 1}
-        assert dyn._vals.tobytes() == want.tobytes()
+        assert dyn._vals[:len(want)].tobytes() == want.tobytes()
+        if schur:
+            # then Gamma = B^-1 Delta and Y = B^-1 f, folded in: numpy's
+            # products bit for bit where B^-1 is a signed permutation
+            # (rosenberg), to rounding elsewhere
+            b_inv = np.linalg.inv(base.A_at(np.zeros(base.n)))
+            folded = np.concatenate([(b_inv @ forces).ravel(), b_inv @ base.f_at(x)])
+            rest = dyn._vals[len(want):]
+            if mode == "constrained":
+                assert rest.tobytes() == folded.tobytes()
+            else:
+                _assert_close(rest, folded, rel=1e-13)
+        else:
+            assert len(dyn._vals) == len(want)
         # nothing returned aliases the kernel's buffer
         assert not np.shares_memory(xf, dyn._vals) and not np.shares_memory(u, dyn._vals)
 
@@ -300,3 +315,18 @@ def test_the_first_fault_in_read_order_is_named(a_text, named):
     with pytest.raises(DomainEvalError) as err:
         dyn.solve(np.array([0.0, 2.0]))
     assert err.value.subexpression == named
+
+
+@pytest.mark.parametrize("a_text, routes", [
+    ([["1", "0"], ["0", "1"]], ("solve", "flow", "analysis", "unconstrained")),
+    ([["1", "0"], ["0", "1 + x^2"]], ("solve", "flow")),  # Y and analysis read fields
+])
+def test_a_non_finite_kernel_value_raises_from_the_evaluation(a_text, routes):
+    # the force entry is inf at x = 10; B^-1 = I and dphi = (0, 1) multiply it
+    # by symbolic zeros only, which the fold drops, so no NaN reaches the solve
+    dyn = PointDynamics(_faulting_system(a_text, ["1e308*x*x", "1"], ["1", "1"]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a leaked numpy RuntimeWarning fails here
+        for route in routes:
+            with pytest.raises(NonFiniteError, match="flow's fields is not finite"):
+                getattr(dyn, route)(np.array([10.0, 2.0]))

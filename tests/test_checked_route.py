@@ -46,6 +46,23 @@ level = y - x^2/5
 p = x*y
 """
 
+# a dense B^-1, inexact in binary, two constraints and two force columns: each
+# entry of the folded Gamma = B^-1 Delta and Y = B^-1 f is a rounded sum
+DENSE_INVERSE_SPEC = """
+[vars]
+names = x, y, z
+
+[system]
+A = 2, 1, 0; 1, 3, 1; 0, 1, 4
+f = 1 + x*y, y - z, x*z
+
+[constraints]
+phi = y - 2 - x^2/5, z - x*y/3
+
+[forces]
+Delta = 1 + x, 3, 1; z, 1, 4
+"""
+
 
 def _points(spec, count):
     if not spec.system.A.is_constant:
@@ -155,8 +172,25 @@ def test_point_analysis_equals_the_checked_routes_bit_for_bit(spec):
         assert _same(pa.projectors[1], q, exact or varying)
 
 
-@pytest.mark.parametrize("spec", [loads(INEXACT_BASE_SPEC), loads(VARYING_BASE_SPEC)],
-                         ids=["inexact-base", "varying-base"])
+def test_a_dense_inverse_agrees_with_the_dense_reference():
+    spec = loads(DENSE_INVERSE_SPEC)
+    dyn = PointDynamics(spec.gnh)
+    for x in _points(spec, 20):
+        y, gamma, jphi, d, u, xf = _dense_reference(spec.gnh, x)
+        got_x, got_u, sol = dyn.solve(x)
+        pa = dyn.analysis(x)
+        assert sol.kernel.dim == 0 and pa.classification.regular
+        assert pa.classification.rank_d == 2 and not pa.multipliers.gauged
+        p, q = linalg.complement_projectors(linalg.kernel_basis(jphi), gamma)
+        for got, want in ((got_x, xf), (got_u, u), (pa.field, xf), (pa.multipliers.u, u),
+                          (pa.y, y), (pa.classification.d_matrix, d),
+                          (pa.projectors[0], p), (pa.projectors[1], q)):
+            assert _same(got, want, exact=False)
+
+
+@pytest.mark.parametrize("spec", [loads(INEXACT_BASE_SPEC), loads(DENSE_INVERSE_SPEC),
+                                  loads(VARYING_BASE_SPEC)],
+                         ids=["inexact-base", "dense-inverse", "varying-base"])
 def test_analysis_reports_what_the_flow_evaluator_computes(spec):
     dyn = PointDynamics(spec.gnh)
     for x in _points(spec, 30):

@@ -388,6 +388,38 @@ def test_simulate_blow_up_is_a_non_finite_error(tmp_path, capsys):
     assert "Warning" not in err
 
 
+# an inf force entry at x = 10, whose products with B^-1 = I and dphi = (0, 1)
+# are all symbolic zeros but one: no NaN downstream would flag it
+NON_FINITE_FORCE_SPEC = """
+[vars]
+names = x, y
+
+[system]
+A = 1, 0; 0, 1
+f = 1, 1
+
+[constraints]
+phi = y
+
+[forces]
+Delta = 1e308*x*x, 1
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--at", "x=10,y=0"],
+    ["simulate", "--x0", "x=10,y=0", "--t1", "0.01", "--dt", "0.001"],
+])
+def test_a_non_finite_kernel_value_fails_the_evaluation(argv, tmp_path, capsys):
+    path = tmp_path / "inf.lss"
+    path.write_text(NON_FINITE_FORCE_SPEC)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a leaked numpy RuntimeWarning fails here
+        code, out, err = _run(capsys, argv[0], "--spec", str(path), *argv[1:])
+    assert code == 3 and out == ""
+    assert err == "error: a value of the flow's fields is not finite at this point\n"
+
+
 
 def test_a_non_finite_symmetry_residual_fails_the_check(tmp_path, capsys):
     # V overflows: its Jacobian holds inf, so r_f is inf and r_A is NaN, which a

@@ -567,3 +567,13 @@ def test_1x1_closed_form_matches_lapack_and_the_general_solve(d, b, tols):
     assert _same_bits(sol.x0, x0) and _same_bits(sol.residual, residual)
     assert sol.consistent == consistent and _same_bits(sol.tol_used, tol_img)
     assert _same_bits(sol.kernel.vectors, kernel)
+
+
+def test_1x1_solves_of_full_rank_share_one_read_only_empty_kernel():
+    # d = 1e-200 lies outside LAPACK's unscaled range: its factors come from LAPACK
+    sols = [solve_affine(np.array([[d]]), np.array([1.0])) for d in (2.0, -3.0, 1e-200)]
+    assert all(sol.kernel is sols[0].kernel for sol in sols)
+    assert sols[0].kernel.vectors.shape == (1, 0)
+    assert not sols[0].kernel.vectors.flags.writeable
+    zero = solve_affine(np.array([[0.0]]), np.array([0.0]))  # rank 0: its own kernel
+    assert zero.kernel.vectors.tolist() == [[1.0]] and zero.kernel.vectors.flags.writeable

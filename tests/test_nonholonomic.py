@@ -155,6 +155,24 @@ def test_projection_of_a_non_finite_constraint_value_is_a_typed_error():
         m.project(np.array([1.0, 0.0]))
     with pytest.raises(NonFiniteError):
         m.lift(np.array([[0.5, 0.5], [1.0, 0.0]]), [0, 1], 20)
+    # inf - inf: a NaN value is not on target, so a single point goes on to
+    # Gauss-Newton, which rejects it
+    m = SubmanifoldSpec(ExpressionField.vector(["y", "1e308*10*x - 1e308*10*x"], V))
+    with pytest.raises(NonFiniteError):
+        m.project(np.array([1.0, 0.0]))
+    with pytest.raises(NonFiniteError):
+        m.lift(np.array([1.0, 0.0]), [1])
+
+
+def test_a_point_on_target_returns_at_once_with_its_residual():
+    m = SubmanifoldSpec(ExpressionField.vector(["x^2 + y^2 - 1", "-x*y*1e-12"], V))
+    points = [np.array([np.cos(t), np.sin(t)]) for t in np.linspace(0.0, 3.0, 7)]
+    points.append(np.array([0.0, 1.0]))  # phi = (0, -0)
+    for p in points:
+        proj = m.project(p)
+        assert proj[1] and proj[2] == 0
+        assert np.array_equal(proj[0], p) and proj[0] is not p
+        assert proj.residual.hex() == float(np.max(np.abs(m.phi(p)))).hex()
 
 
 def test_sampler_projects_in_batches_without_lstsq(monkeypatch):

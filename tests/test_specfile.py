@@ -279,6 +279,10 @@ def test_symmetry_section_errors():
     assert "Lambda must be square" in str(e) or "expected 2 columns" in str(e)
     e = _err(base + "V = x, y\nwhatever = 1\n")
     assert "unknown entry" in str(e)
+    # the default Lambda = DV is n x n, which a fibre of k != n entries cannot take
+    e = _err("[vars]\nnames = x, y\n[system]\nA = 1, 1\nf = 1\n[symmetry]\nV = 1, 0\n")
+    assert "V without Lambda needs k = n" in str(e) and "k = 1" in str(e)
+    assert (e.section, e.line) == ("symmetry", 7)
 
 
 def test_load_missing_file():
