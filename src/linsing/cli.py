@@ -45,7 +45,7 @@ from .symmetry import (
     flow_samples,
     max_rate,
 )
-from .systems import consistency_at
+from .systems import consistency_rows
 
 SCENARIOS = ("example1", "relparticle-L1", "relparticle-L2", "rosenberg")
 
@@ -166,17 +166,35 @@ def _default_points(spec, count):
     return sampling.halton_box(spec.variables, box, count)
 
 
-def _point_doc(spec, x, tols, evaluator):
-    doc = {"at": np.asarray(x, dtype=float)}
+def _point_docs(spec, points, tols, evaluator):
+    """The report of `analyze` at each row of an (N, n) array of points, as one
+    batch: each field is evaluated over the sample and each rank decision is
+    stacked (`PointDynamics.analyses` and `PointDynamics.solves`). A point
+    where the base is singular gets a singular-point report."""
+    docs = [{"at": x} for x in points]
     if spec.constraints is not None:
-        doc["phi_residual"] = spec.constraints.residual(x)
-    if spec.gnh is not None:
-        spec.constraints.require_on(x)
-        try:
-            pa = evaluator(False).analysis(x)
-        except BaseNotRegularError as exc:
-            res = exc.consistency or consistency_at(spec.system, x, tols)
-            return _singular_point_doc(spec, x, res, doc, evaluator)
+        for doc, worst in zip(docs, spec.constraints.residual(points).tolist()):
+            doc["phi_residual"] = worst
+    if spec.gnh is None:
+        for doc, res in zip(docs, consistency_rows(spec.system, points, tols)):
+            doc.update(rank_A=res.rank_A, consistent=res.consistent,
+                       consistency_residual=res.residual)
+            if res.consistent:
+                doc["X0"] = res.solution.x0
+                doc["solution_kernel_dim"] = res.solution.kernel.dim
+        return docs
+    spec.constraints.require_on(points)
+    try:
+        results = evaluator(False).analyses(points)
+    except BaseNotRegularError as exc:  # a constant base, singular everywhere
+        results = [exc] * len(points)
+    singular = [i for i, pa in enumerate(results) if isinstance(pa, BaseNotRegularError)]
+    if singular:
+        _singular_point_docs(spec, points, tols, evaluator, singular,
+                             [results[i].consistency for i in singular], docs)
+    for doc, pa in zip(docs, results):
+        if isinstance(pa, BaseNotRegularError):
+            continue
         cls, y, mult = pa.classification, pa.y, pa.multipliers
         doc.update(
             base_regular=True,
@@ -194,36 +212,33 @@ def _point_doc(spec, x, tols, evaluator):
             doc["projector_residual"] = float(np.max(np.abs(pa.projectors[0] @ y - pa.field)))
         if spec.report_scale != 1.0:
             doc["u_scaled"] = mult.u * spec.report_scale
-        return doc
-    res = consistency_at(spec.system, x, tols)
-    doc.update(
-        rank_A=res.rank_A,
-        consistent=res.consistent,
-        consistency_residual=res.residual,
-    )
-    if res.consistent:
-        doc["X0"] = res.solution.x0
-        doc["solution_kernel_dim"] = res.solution.kernel.dim
-    return doc
+    return docs
 
 
-def _singular_point_doc(spec, x, res, doc, evaluator):
-    doc.update(
-        base_regular=False,
-        rank_base=res.rank_A,
-        base_kernel_dim=spec.system.n - res.rank_A,
-        consistent=res.consistent,
-        consistency_residual=res.residual,
-    )
-    if spec.model is not None and spec.constraints is not None:
-        try:
-            xf, u, sol = evaluator(True).solve(x)
-        except InconsistentSystemError:
-            doc["sode_consistent"] = False
-        else:
-            doc.update(sode_consistent=True, sode_unique=sol.kernel.dim == 0, X=xf, u=u,
-                       sode_kernel_dim=sol.kernel.dim)
-    return doc
+def _singular_point_docs(spec, points, tols, evaluator, idx, consistency, docs):
+    """Fill the singular-point reports of the points `idx`, whose base solves
+    are `consistency` (None where the base was found singular without one),
+    with the second-order solve of a Lagrangian system, as one batch."""
+    if None in consistency:
+        consistency = consistency_rows(spec.system, points[idx], tols)
+    for i, res in zip(idx, consistency):
+        docs[i].update(
+            base_regular=False,
+            rank_base=res.rank_A,
+            base_kernel_dim=spec.system.n - res.rank_A,
+            consistent=res.consistent,
+            consistency_residual=res.residual,
+        )
+    if spec.model is None:
+        return
+    xf, u, sol, errors = evaluator(True).solves(points[idx])
+    for j, i in enumerate(idx):
+        if errors[j] is not None:
+            docs[i]["sode_consistent"] = False
+            continue
+        dim = sol.kernel[j].dim
+        docs[i].update(sode_consistent=True, sode_unique=dim == 0, X=xf[j], u=u[j],
+                       sode_kernel_dim=dim)
 
 
 def cmd_analyze(args):
@@ -232,7 +247,7 @@ def cmd_analyze(args):
     if args.at:
         points = [_build_point(spec, _parse_assignments(a, spec)) for a in args.at]
     else:
-        points = list(_default_points(spec, args.points))
+        points = _default_points(spec, args.points)
     dyns = {}
 
     def evaluator(second_order):
@@ -247,8 +262,9 @@ def cmd_analyze(args):
         "params": dict(spec.params),
         "point_count": len(points),
     }
-    for i, x in enumerate(points):
-        doc[f"point_{i:03d}"] = _point_doc(spec, x, tols, evaluator)
+    for i, point_doc in enumerate(_point_docs(spec, np.asarray(points, dtype=float),
+                                              tols, evaluator)):
+        doc[f"point_{i:03d}"] = point_doc
     sys.stdout.write(report.render(doc))
     return 0
 
@@ -390,7 +406,13 @@ def constant_report(spec, tols, points, tol=1e-8):
     dyn, mode = _make_field(spec, pts[0], tols)
     base_regular = mode == "constrained"
     # (Y, X) at each point on a regular base; the second-order X alone otherwise
-    flows = flow_samples(dyn, pts) if base_regular else [dyn.field(x) for x in pts]
+    if base_regular:
+        flows = flow_samples(dyn, pts)
+    else:
+        flows, _, _, errors = dyn.solves(pts)
+        first = next((e for e in errors if e is not None), None)
+        if first is not None:
+            raise first
     doc = {
         "command": "check-constant",
         "input": spec.name,

@@ -1,5 +1,7 @@
 """Exception taxonomy shared across the package."""
 
+import numpy as np
+
 
 class LinsingError(Exception):
     """Base class for all package errors."""
@@ -96,3 +98,21 @@ class SpecFileError(LinsingError):
         super().__init__(message + ctx)
         self.section = section
         self.line = line
+
+
+def raise_first(*checks):
+    """Raise the error that a loop over a batch, one item at a time, meets first.
+
+    Each check is a pair (bad, error): `bad` a boolean array over the batch
+    and `error(i)` the exception at item i. The checks are listed in the order
+    the loop makes them at one item, so the earliest bad item raises, and of
+    its bad checks the first.
+    """
+    first = None
+    for bad, error in checks:
+        if bad.any():
+            i = int(np.argmax(bad))
+            if first is None or i < first[0]:
+                first = (i, error)
+    if first is not None:
+        raise first[1](first[0])

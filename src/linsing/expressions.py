@@ -441,7 +441,14 @@ def derivative(e, var):
     `e` is walked as a DAG: a node shared by several parents is differentiated
     once per call, and its derivative is shared the same way.
     """
-    memo = {}  # id(node) -> derivative; every key is a node kept alive by `e`
+    return derivatives([e], var)[0]
+
+
+def derivatives(exprs, var):
+    """`derivative` of each expression with respect to `var`, with one memo for
+    them all: a subtree shared between the expressions (the entries of a field)
+    is differentiated once."""
+    memo = {}  # id(node) -> derivative; every key is a node kept alive by `exprs`
 
     def d(node):
         out = memo.get(id(node))
@@ -449,7 +456,7 @@ def derivative(e, var):
             out = memo[id(node)] = _derivative_node(node, var, d)
         return out
 
-    return d(e)
+    return [d(e) for e in exprs]
 
 
 def _derivative_node(e, var, d):
@@ -742,7 +749,11 @@ def compile_exprs(exprs, variables):
     DomainEvalError naming the subexpression. The runner's `source` attribute
     holds the generated code, which `compile_rows` runs over arrays.
     """
-    src = _compiled_source(exprs, variables)
+    return _scalar_runner(exprs, variables, _compiled_source(exprs, variables))
+
+
+def _scalar_runner(exprs, variables, src):
+    """`compile_exprs` of `exprs` from their generated source `src`."""
     ns = {"_pow": math.pow}
     for fname, impl in FUNCTIONS.items():
         ns[f"_fn_{fname}"] = impl
@@ -797,7 +808,13 @@ def compile_rows(runner):
     scalar runner, in row order: a DomainEvalError names the subexpression as
     before. Rows whose point or value is not finite also take the scalar runner.
     """
-    fast = _define(runner.source, _row_namespace())
+    return _row_runner(runner.source, lambda: runner)
+
+
+def _row_runner(src, scalar):
+    """`compile_rows` from the generated source `src`; `scalar()` returns the
+    scalar runner of the same source, which only the fallback calls."""
+    fast = _define(src, _row_namespace())
 
     def rows(points):
         points = np.asarray(points, dtype=float)
@@ -805,16 +822,52 @@ def compile_rows(runner):
             with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
                 values = fast(np.ascontiguousarray(points.T))
         except (ValueError, ArithmeticError):
-            return np.array([runner(p) for p in points], dtype=float).reshape(len(points), -1)
+            run = scalar()
+            return np.array([run(p) for p in points], dtype=float).reshape(len(points), -1)
         out = np.empty((len(points), len(values)))
         for j, v in enumerate(values):
             out[:, j] = v
         redo = ~(np.isfinite(points).all(axis=1) & np.isfinite(out).all(axis=1))
         for i in np.flatnonzero(redo):
-            out[i] = runner(points[i])
+            out[i] = scalar()(points[i])
         return out
 
     return rows
+
+
+class Compiled:
+    """The scalar runner and the vectorised target of one list of expressions.
+
+    The source is generated once, and each target is compiled from it on first
+    use: a list evaluated only over batches never compiles its scalar runner
+    unless a fault sends a row through it.
+    """
+
+    def __init__(self, exprs, variables):
+        self.exprs, self.variables = list(exprs), tuple(variables)
+        self._src = self._scalar = self._rows = None
+
+    def scalar(self):
+        """The `compile_exprs` runner: a point -> the list of values."""
+        if self._scalar is None:
+            self._scalar = _scalar_runner(self.exprs, self.variables, self._source())
+        return self._scalar
+
+    def rows(self, points):
+        """(N, len(exprs)) values at the rows of an (N, n) array of points, row i
+        bit for bit `scalar()(points[i])` (see `compile_rows`). A batch of one
+        row takes the scalar runner, and compiles no vectorised target."""
+        points = np.asarray(points, dtype=float)
+        if len(points) == 1:
+            return np.array(self.scalar()(points[0]), dtype=float)[None]
+        if self._rows is None:
+            self._rows = _row_runner(self._source(), self.scalar)
+        return self._rows(points).reshape(len(points), len(self.exprs))
+
+    def _source(self):
+        if self._src is None:
+            self._src = _compiled_source(self.exprs, self.variables)
+        return self._src
 
 
 # ---------------------------------------------------------- expression fields
@@ -839,8 +892,8 @@ class ExpressionField:
             extra = free_variables(e) - set(self.variables)
             if extra:
                 raise UndeclaredVariableError(sorted(extra)[0])
+        self._compiled = Compiled(self.entries, self.variables)
         self._runner = None
-        self._rows = None
         self._jac = None
         self._grad = None
         self._hess = None
@@ -884,7 +937,7 @@ class ExpressionField:
 
     def _scalar_runner(self):
         if self._runner is None:
-            self._runner = compile_exprs(list(self.entries), self.variables)
+            self._runner = self._compiled.scalar()
         return self._runner
 
     def __call__(self, point):
@@ -899,18 +952,12 @@ class ExpressionField:
         array; row i is bit for bit the field at points[i] (see `compile_rows`).
         A batch of one row takes the scalar runner."""
         points = np.asarray(points, dtype=float)
-        if len(points) == 1:
-            return np.asarray(self(points[0]), dtype=float)[None]
-        if self._rows is None:
-            self._rows = compile_rows(self._scalar_runner())
-        return self._rows(points).reshape((len(points),) + self.shape)
+        return self._compiled.rows(points).reshape((len(points),) + self.shape)
 
     # -- calculus ------------------------------------------------------------
     def partial(self, var):
         """Entry-wise partial derivative field with the same shape."""
-        return ExpressionField(
-            [derivative(e, var) for e in self.entries], self.variables, self.shape
-        )
+        return ExpressionField(derivatives(self.entries, var), self.variables, self.shape)
 
     def gradient(self):
         if self.shape != ():
@@ -926,10 +973,8 @@ class ExpressionField:
         if len(self.shape) != 1:
             raise ShapeError("jacobian needs a vector field")
         if self._jac is None:
-            self._jac = ExpressionField.matrix(
-                [[derivative(e, v) for v in self.variables] for e in self.entries],
-                self.variables,
-            )
+            columns = [derivatives(self.entries, v) for v in self.variables]
+            self._jac = ExpressionField.matrix(list(zip(*columns)), self.variables)
         return self._jac
 
     def jacobian_at(self, point):
@@ -940,10 +985,8 @@ class ExpressionField:
             raise ShapeError("hessian needs a scalar field")
         if self._hess is None:
             grads = [derivative(self.entries[0], v) for v in self.variables]
-            self._hess = ExpressionField.matrix(
-                [[derivative(g, v) for v in self.variables] for g in grads],
-                self.variables,
-            )
+            columns = [derivatives(grads, v) for v in self.variables]
+            self._hess = ExpressionField.matrix(list(zip(*columns)), self.variables)
         return self._hess
 
     def partial_fields(self):

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import linalg
 from .errors import MaxRankViolatedError, ShapeError
-from .expressions import Const, ExpressionField, Var, add, derivative, mul, neg, parse, sub
+from .expressions import (Const, ExpressionField, Var, add, derivative, derivatives, mul, neg,
+                          parse, sub)
 from .nonholonomic import GeneralizedNonholonomicSystem, SubmanifoldSpec
 from .systems import LinearlySingularSystem
 
@@ -44,21 +45,15 @@ class LagrangianModel:
         self.q_names = tuple(self.q_names)
         self.v_names = tuple(self.v_names)
         self.variables = self.q_names + self.v_names
-        n = self.nq
         self.momenta = [derivative(self.L, v) for v in self.v_names]
         energy = Const(0.0)
         for vname, p in zip(self.v_names, self.momenta):
             energy = add(energy, mul(Var(vname), p))
         self.energy = sub(energy, self.L)
         self.energy_field = ExpressionField([self.energy], self.variables, ())
-        self._w = [
-            [derivative(self.momenta[j], self.v_names[i]) for j in range(n)]
-            for i in range(n)
-        ]
-        self._n_qv = [
-            [derivative(self.momenta[b], self.q_names[a]) for b in range(n)]
-            for a in range(n)
-        ]
+        # row i of W (of N) holds the momenta differentiated by v_i (by q_i)
+        self._w = [derivatives(self.momenta, v) for v in self.v_names]
+        self._n_qv = [derivatives(self.momenta, q) for q in self.q_names]
         self._omega = None
         self._hessian_field = None
 
@@ -146,8 +141,8 @@ def chetaev_frame(model, phi, check_points=None, tols=linalg.DEFAULT_TOLERANCES)
     if isinstance(phi, SubmanifoldSpec):
         phi = phi.phi
     a, n = phi.shape[0], model.nq
-    vjac = ExpressionField.matrix(
-        [[derivative(e, v) for v in model.v_names] for e in phi.entries], model.variables)
+    columns = [derivatives(phi.entries, v) for v in model.v_names]
+    vjac = ExpressionField.matrix(list(zip(*columns)), model.variables)
     if all(isinstance(d, Const) and d.value == 0.0 for d in vjac.entries):
         raise MaxRankViolatedError(
             "constraints are independent of the velocities; the attached frame vanishes"

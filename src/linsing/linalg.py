@@ -18,6 +18,12 @@ from start to end, with the IEEE operations of the general path: products
 summed from +0 as numpy's matmul sums them, and norms as sqrt(v * v). Its one
 rank decision also hands back the cut-off, which the image tolerance reuses,
 and a full rank shares one read-only empty kernel basis.
+
+A stack of matrices, an (N, p, q) array, is factored by one stacked SVD, and
+`rank`, `kernel_basis`, `solve_affine` and `complement_projectors` then decide
+each matrix's rank, gauge and solution as they would for it alone: numpy's
+stacked SVD, inverse and matrix products run the same LAPACK and BLAS routine
+on each matrix as on the matrix alone.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import NonFiniteError, NotComplementaryError, ShapeError
+from .errors import NonFiniteError, NotComplementaryError, ShapeError, raise_first
 
 RANK_FACTOR_DEFAULT = 1e-10
 
@@ -65,8 +71,10 @@ class Tolerances:
         return max(mat.shape[-2:]) * smax * self.rank_factor
 
     def img_tol(self, mat, b, smax=None):
+        """Image-membership cut-off for `mat` x = b; for a stack, `b` holds one
+        right-hand side per row and `smax` one largest singular value per matrix."""
         base = self.img_factor if self.img_factor is not None else self.rank_tol(mat, smax)
-        return base * (1.0 + _norm(b))
+        return base * (1.0 + (_row_norms(b) if isinstance(smax, np.ndarray) else _norm(b)))
 
 
 def _norm(v):
@@ -74,6 +82,20 @@ def _norm(v):
     exactly sqrt(v . v) for real input, so the two agree bit for bit."""
     v = np.asarray(v, dtype=float).ravel()
     return math.sqrt(v.dot(v))
+
+
+def _row_norms(v):
+    """`_norm` of each row of an (N, k) array, each v . v the same dot product
+    (and, as numpy's dot, silent on overflow)."""
+    with _float_errors():
+        return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
+def _float_errors():
+    """numpy's overflow and invalid-value warnings off, for stacked arithmetic
+    that the single-matrix path does on Python floats or with numpy's dot,
+    neither of which warns."""
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -92,7 +114,9 @@ def _svd_rank(mat, tols, compute_uv=True):
 
     A float d stands for the 1x1 matrix [[d]] of a scalar solve and stays on
     floats: ((u, s, vt), r, cut), the factors as floats and the cut-off that r
-    was decided against."""
+    was decided against. A stack of matrices, (N, p, q), takes one stacked
+    LAPACK SVD (which factors a 1x1 in range as the closed form does), and r is
+    then an (N,) array of ranks."""
     if isinstance(mat, float):
         if _UNSCALED_MIN <= abs(mat) <= _UNSCALED_MAX:
             u, s, vt = math.copysign(1.0, mat), abs(mat), 1.0
@@ -101,6 +125,8 @@ def _svd_rank(mat, tols, compute_uv=True):
         cut = tols.rank_tol(_ONE_BY_ONE, s)
         return (u, s, vt), int(s > cut), cut
     mat = np.asarray(mat, dtype=float)
+    if mat.ndim == 3:
+        return _svd_rank_stack(mat, tols, compute_uv)
     if mat.ndim != 2:
         raise ShapeError(f"expected a matrix, got shape {mat.shape}")
     if mat.size == 0:
@@ -118,38 +144,60 @@ def _svd_rank(mat, tols, compute_uv=True):
     return svd, sum(v > cut for v in s.tolist())
 
 
+def _svd_rank_stack(mat, tols, compute_uv):
+    """`_svd_rank` of each matrix of an (N, p, q) stack, as one stacked SVD."""
+    count, p, q = mat.shape
+    if p == 0 or q == 0:
+        s = np.zeros((count, 0))
+        ranks = np.zeros(count, dtype=int)
+        if not compute_uv:
+            return s, ranks
+        return (np.zeros((count, p, 0)), s, np.zeros((count, 0, q))), ranks
+    svd = _lapack_svd(mat, compute_uv)
+    s = svd[1] if compute_uv else svd
+    with _float_errors():
+        cut = tols.rank_tol(mat, s[:, :1])
+    return svd, np.count_nonzero(s > cut, axis=1)
+
+
 # what a 1x1 cut-off scales with: its shape
 _ONE_BY_ONE = np.empty((1, 1))
 
 
 def _lapack_svd(mat, compute_uv):
-    """numpy's SVD of a non-empty matrix; NonFiniteError unless its largest
-    singular value is finite (LAPACK rejects NaN entries)."""
+    """numpy's SVD of a non-empty matrix, or of each matrix of a stack;
+    NonFiniteError unless each largest singular value is finite (LAPACK
+    rejects NaN entries)."""
     try:
         svd = np.linalg.svd(mat, full_matrices=True, compute_uv=compute_uv)
     except np.linalg.LinAlgError:
         if np.isfinite(mat).all():
             raise
         svd = None
-    if svd is None or not math.isfinite((svd[1] if compute_uv else svd)[0]):
-        raise NonFiniteError(f"a {mat.shape[0]}x{mat.shape[1]} matrix has non-finite entries")
-    return svd
+    if svd is not None:
+        s = svd[1] if compute_uv else svd
+        if math.isfinite(s[0]) if s.ndim == 1 else np.isfinite(s[:, 0]).all():
+            return svd
+    raise NonFiniteError(f"a {mat.shape[-2]}x{mat.shape[-1]} matrix has non-finite entries")
 
 
 def _fix_signs(columns):
     """Deterministic gauge: first component of each column with |c| > 1e-12
-    is made positive (columns are unit vectors from an SVD)."""
+    is made positive (columns are unit vectors from an SVD). `columns` may be
+    a stack, (..., n, c); a column is negated entry by entry, signed zeros
+    included, and a column with no such component is left as it is."""
     out = np.array(columns, dtype=float, copy=True)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-12)[0]
-        if nz.size and col[nz[0]] < 0.0:
-            out[:, j] = -col
-    return out
+    if out.size == 0:
+        return out
+    big = np.abs(out) > 1e-12
+    first = np.argmax(big, axis=-2)[..., None, :]  # 0 where a column has none
+    flip = np.take_along_axis(big, first, axis=-2) & (np.take_along_axis(out, first, axis=-2) < 0.0)
+    return np.negative(out, out=out, where=flip)
 
 
 def rank(mat, tols=DEFAULT_TOLERANCES):
-    """Numerical rank by singular values above the policy tolerance."""
+    """Numerical rank by singular values above the policy tolerance; an (N,)
+    array of ranks for a stack of matrices."""
     return _svd_rank(mat, tols, compute_uv=False)[1]
 
 
@@ -174,12 +222,34 @@ class SubspaceBasis:
 
 
 def kernel_basis(mat, tols=DEFAULT_TOLERANCES):
-    """Right null space of `mat` in the deterministic gauge."""
+    """Right null space of `mat` in the deterministic gauge; for a stack of
+    matrices, the list of their null spaces."""
     mat = np.asarray(mat, dtype=float)
-    if mat.shape[0] == 0:
-        return SubspaceBasis(_fix_signs(np.eye(mat.shape[1])))
+    if mat.shape[-2] == 0:
+        eye = _fix_signs(np.eye(mat.shape[-1]))
+        return SubspaceBasis(eye) if mat.ndim == 2 else [SubspaceBasis(eye) for _ in mat]
     (_, _, vt), r = _svd_rank(mat, tols)
-    return SubspaceBasis(_fix_signs(vt[r:].T))
+    if mat.ndim == 2:
+        return SubspaceBasis(_fix_signs(vt[r:].T))
+    return _kernels(vt, r)
+
+
+def _kernels(vt, ranks):
+    """[SubspaceBasis of vt_i[r_i:].T in the gauge] over a stack of right
+    singular vectors, one stacked `_fix_signs` per rank; a kernel of full rank
+    is an empty basis shared by its rank's matrices."""
+    out = [None] * len(vt)
+    q = vt.shape[-1]
+    for r in sorted(set(ranks.tolist())):
+        idx = np.flatnonzero(ranks == r)
+        if r == q:
+            empty = SubspaceBasis(np.zeros((q, 0)))
+            for i in idx.tolist():
+                out[i] = empty
+            continue
+        for i, basis in zip(idx.tolist(), _fix_signs(np.swapaxes(vt[idx, r:], 1, 2))):
+            out[i] = SubspaceBasis(basis)
+    return out
 
 
 def cokernel_basis(mat, tols=DEFAULT_TOLERANCES):
@@ -201,14 +271,27 @@ class AffineSolutionSet:
     consistent: bool
     tol_used: float
 
+    def item(self, i):
+        """The solution of system i of a stacked solve, as `solve_affine` of that
+        system alone returns it."""
+        return AffineSolutionSet(self.x0[i], self.kernel[i], float(self.residual[i]),
+                                 bool(self.consistent[i]), float(self.tol_used[i]))
+
 
 def solve_affine(mat, b, tols=DEFAULT_TOLERANCES):
     """Minimum-norm least-squares solve with kernel basis and consistency verdict.
 
     Raises NonFiniteError when `mat`, the norm of `b` or the residual is not
     finite.
+
+    A stack of systems, `mat` (N, p, q) and `b` (N, p), is solved as one batch
+    (`_solve_stack`), each system as it would be alone: the AffineSolutionSet
+    then holds x0 as an (N, q) array, `kernel` as a list of N bases, and the
+    residuals, verdicts and tolerances as (N,) arrays.
     """
     mat = np.asarray(mat, dtype=float)
+    if mat.ndim == 3:
+        return _solve_stack(mat, np.asarray(b, dtype=float), tols)
     b = np.asarray(b, dtype=float).reshape(-1)
     if mat.shape[0] != b.shape[0]:
         raise ShapeError(f"matrix rows {mat.shape[0]} != rhs length {b.shape[0]}")
@@ -250,6 +333,41 @@ def _solve_1x1(d, b, tols):
     return _solution(np.array([x]), kern, math.sqrt(res * res), tol_img)
 
 
+def _solve_stack(mat, b, tols):
+    """`solve_affine` of each system of a stack: one stacked SVD, then the
+    products of the general path, stacked per rank. A 1x1 system takes the
+    same IEEE operations here as on `_solve_1x1`'s floats, since a product of
+    one term is summed from +0 as `_solve_1x1` sums it. NonFiniteError names
+    the first system at which `solve_affine` would raise."""
+    count, p, q = mat.shape
+    b = b.reshape(count, p)
+    if p == 0:
+        eye = _fix_signs(np.eye(q))
+        return AffineSolutionSet(np.zeros((count, q)), [SubspaceBasis(eye) for _ in range(count)],
+                                 np.zeros(count), np.ones(count, dtype=bool), np.zeros(count))
+    (u, s, vt), ranks = _svd_rank(mat, tols)
+    with _float_errors():
+        tol_img = tols.img_tol(mat, b, s[:, 0])
+    finite = tol_img < math.inf  # the systems that `solve_affine` goes on to solve
+    x0 = np.zeros((count, q))
+    residual = np.full(count, math.nan)
+    for r in sorted(set(ranks[finite].tolist())):
+        idx = np.flatnonzero((ranks == r) & finite)
+        if r:
+            # whole matrices are gathered first and sliced after, so that each
+            # factor keeps the strides it has alone: BLAS sums a strided vector
+            # in another order than a contiguous one
+            coeff = (np.swapaxes(u[idx][:, :, :r], 1, 2) @ b[idx, :, None])[..., 0] / s[idx, :r]
+            x0[idx] = (np.swapaxes(vt[idx][:, :r], 1, 2) @ coeff[..., None])[..., 0]
+        residual[idx] = _row_norms((mat[idx] @ x0[idx, :, None])[..., 0] - b[idx])
+    consistent = residual <= tol_img
+    raise_first(
+        (~finite, lambda i: NonFiniteError("a linear solve has a non-finite right-hand side")),
+        (finite & ~(consistent | np.isfinite(residual)),
+         lambda i: NonFiniteError(f"a linear solve has a non-finite residual ({residual[i]})")))
+    return AffineSolutionSet(x0, _kernels(vt, ranks), residual, consistent, tol_img)
+
+
 def _solution(x0, kernel, residual, tol_img):
     consistent = residual <= tol_img
     if not (consistent or math.isfinite(residual)):
@@ -289,22 +407,23 @@ def complement_projectors(first, second, tols=DEFAULT_TOLERANCES):
     """Projectors (P, Q) onto `first` along `second` and vice versa.
 
     Raises NotComplementaryError unless the two column families are jointly a
-    basis of the ambient space.
+    basis of the ambient space. Stacks of families, (N, n, .) arrays, give
+    stacks of projectors, and the error names the first pair that fails.
     """
     e = first.vectors if isinstance(first, SubspaceBasis) else np.asarray(first, dtype=float)
     f = second.vectors if isinstance(second, SubspaceBasis) else np.asarray(second, dtype=float)
-    if e.shape[0] != f.shape[0]:
+    if e.shape[-2] != f.shape[-2]:
         raise ShapeError("ambient dimensions differ")
-    n = e.shape[0]
-    if e.shape[1] + f.shape[1] != n:
+    n = e.shape[-2]
+    if e.shape[-1] + f.shape[-1] != n:
         raise NotComplementaryError(
-            f"dimensions {e.shape[1]} + {f.shape[1]} != ambient {n}"
+            f"dimensions {e.shape[-1]} + {f.shape[-1]} != ambient {n}"
         )
-    stacked = np.hstack([e, f])
-    if rank(stacked, tols) < n:
-        raise NotComplementaryError("subspaces overlap or are degenerate")
+    stacked = np.concatenate([e, f], axis=-1)
+    raise_first((np.atleast_1d(rank(stacked, tols) < n),
+                 lambda i: NotComplementaryError("subspaces overlap or are degenerate")))
     inv = np.linalg.inv(stacked)
-    p = e @ inv[: e.shape[1], :]
+    p = e @ inv[..., : e.shape[-1], :]
     q = np.eye(n) - p
     return p, q
 

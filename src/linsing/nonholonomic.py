@@ -23,8 +23,9 @@ from .errors import (
     NonFiniteError,
     NotOnManifoldError,
     ShapeError,
+    raise_first,
 )
-from .expressions import Add, Const, ExpressionField, add, compile_exprs, mul
+from .expressions import Add, Compiled, Const, ExpressionField, add, mul
 from .systems import ConsistencyResult, LinearlySingularSystem
 
 __all__ = [
@@ -56,19 +57,22 @@ class SubmanifoldSpec:
         return self.phi.jacobian_at(x)
 
     def residual(self, x):
-        """Distance to M as the on-manifold test measures it: max |phi(x)|."""
+        """Distance to M as the on-manifold test measures it: max |phi(x)|; for
+        an (N, n) batch of points, an (N,) array from one evaluation of phi."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            return np.max(np.abs(self.phi.rows(x)), axis=1)
         return _max_abs(self.values(x))
 
     def is_on(self, x):
         return self.residual(x) <= linalg.Tolerances.on_manifold
 
     def require_on(self, x):
-        """Raise NotOnManifoldError unless x lies on M."""
-        worst = self.residual(x)
-        if worst > linalg.Tolerances.on_manifold:
-            raise NotOnManifoldError(
-                f"point violates the constraints: max |phi| = {worst:.3e}"
-            )
+        """Raise NotOnManifoldError unless x lies on M; for a batch of points,
+        naming the first point off M."""
+        worst = np.atleast_1d(self.residual(x))
+        raise_first((worst > linalg.Tolerances.on_manifold, lambda i: NotOnManifoldError(
+            f"point violates the constraints: max |phi| = {worst[i]:.3e}")))
 
     def project(self, x):
         """Gauss-Newton projection of one point onto M; returns a Projection."""
@@ -205,8 +209,15 @@ def _regular_base_matrix(gnh, x, tols):
 
 
 def _require_independent(gamma, m, tols):
-    if linalg.rank(gamma, tols) < m:
-        raise FrameDegenerateError("transported force frame is linearly dependent")
+    """Raise FrameDegenerateError unless the frame has rank m; for a stack of
+    frames, naming the first dependent one."""
+    raise_first((np.atleast_1d(linalg.rank(gamma, tols) < m), lambda i: FrameDegenerateError(
+        "transported force frame is linearly dependent")))
+
+
+def _dims(kernels):
+    """The dimensions of a list of kernel bases, as an int array."""
+    return np.array([kern.dim for kern in kernels], dtype=int)
 
 
 @dataclass
@@ -237,23 +248,28 @@ class PointAnalysis:
 
 
 def _fused_kernel(fields):
-    """(runner, buffer, views) of one evaluation: one `compile_exprs` runner over
-    the entries of `fields` in their order, the buffer its values are written
-    to, and a fixed row-major view of the buffer per field, shaped like the
-    field (None for a None field). Entries shared between fields are computed
-    once, and a DomainEvalError names the first faulting entry in this order,
-    as separate field calls would."""
+    """(kernel, buffer, views, spans) of one evaluation: a `Compiled` over the
+    entries of `fields` in their order, the buffer the scalar runner's values
+    are written to, a fixed row-major view of the buffer per field, shaped
+    like the field (None for a None field), and the (start, stop, shape) of
+    each field's values in a row of the kernel (None for a None field).
+    Entries shared between fields are computed once, and a DomainEvalError
+    names the first faulting entry in this order, as separate field calls
+    would."""
     live = [fld for fld in fields if fld is not None]
     entries = [e for fld in live for e in fld.entries]
     buf = np.empty(len(entries))
-    views, start = [], 0
+    views, spans, start = [], [], 0
     for fld in fields:
         if fld is None:
             views.append(None)
+            spans.append(None)
         else:
-            views.append(buf[start:start + len(fld.entries)].reshape(fld.shape))
-            start += len(fld.entries)
-    return compile_exprs(entries, live[0].variables), buf, views
+            stop = start + len(fld.entries)
+            views.append(buf[start:stop].reshape(fld.shape))
+            spans.append((start, stop, fld.shape))
+            start = stop
+    return Compiled(entries, live[0].variables), buf, views, spans
 
 
 def _schur_fold(b_inv, frame, f):
@@ -337,7 +353,7 @@ class PointDynamics:
         self._fields = ((gnh.forces, base.f, jphi) if self._b_inv is not None
                         else (None if a_const else base.A, base.f,
                               None if gnh is None else gnh.forces, jphi))
-        self._kernel = None
+        self._compiled = self._kernel = None
         self._no_solution = (
             "A(x) v = f(x) has no unique solution" if gnh is None
             else "no second-order solution through this point" if second_order
@@ -362,46 +378,121 @@ class PointDynamics:
         return views[4].copy(), self._schur(views)[0]
 
     def analysis(self, x):
-        """PointAnalysis at x, which the caller has checked lies on M.
+        """PointAnalysis at x, which the caller has checked lies on M: `analyses`
+        of a batch of one point. A singular varying base raises its
+        BaseNotRegularError."""
+        out = self.analyses(np.asarray(x, dtype=float)[None])[0]
+        if isinstance(out, BaseNotRegularError):
+            raise out
+        return out
 
-        A constant base was checked regular at construction, and one kernel
-        evaluation gives Gamma = B^{-1} Delta and Y = B^{-1} g. A varying base
-        is read field by field and factored once, by the solve of B v = g whose
-        rank decides its regularity; a singular one raises BaseNotRegularError
-        carrying that solve as its `consistency`. Gamma and Y are then LU
-        solves with B. Either way the one solve that `solve` makes gives u, X
-        and rank D, as m less the dimension of the solve's kernel (the kernel
-        of D, or of the bordered matrix, which a regular base and an
-        independent frame make the same). The projectors are built only where
-        D is square and invertible, the one case T_xM and H_x split the space."""
+    def analyses(self, points):
+        """PointAnalysis at each row of an (N, n) array of points of M, as one
+        batch; at a point where a varying base is singular, the entry is the
+        BaseNotRegularError carrying the solve of B v = g that found it so, as
+        its `consistency`.
+
+        One kernel evaluation over the batch gives the fields. A constant base
+        was checked regular at construction, and the kernel gives Gamma =
+        B^{-1} Delta and Y = B^{-1} g. A varying base is factored by the
+        stacked solve of B v = g, whose ranks decide its regularity; Gamma and Y
+        are then LU solves with B. Either way the stacked solve that `solves`
+        makes gives u, X and rank D, as m less the dimension of the solve's
+        kernel (the kernel of D, or of the bordered matrix, which a regular base
+        and an independent frame make the same); the frame is checked only
+        where that kernel is not trivial, since a D of full column rank proves
+        it independent. The projectors are built only where D is square and
+        invertible, the one case T_xM and H_x split the space. Each rank is
+        decided as for its point alone; any other error raises for the first
+        point at which its step of the batch fails."""
         gnh, tols = self.gnh, self.tols
+        pts = np.asarray(points, dtype=float)
+        out = [None] * len(pts)
+        views = self._evaluate_rows(pts)
+        live = np.arange(len(pts))
         if self._b_inv is not None:
-            views = self._evaluate(x)
-            _, _, jphi, gamma, y = views
-            _require_independent(gamma, gnh.m, tols)
-            xf, u, sol, d = self._schur(views)
-            y = y.copy()
+            jphi, gamma, y = views[2:]
         else:
-            g, b = gnh.base.f_at(x), gnh.base.A_at(x)
+            b, g, frame, jphi = views
             base = linalg.solve_affine(b, g, tols)
-            rank_b = gnh.base.n - base.kernel.dim
-            if gnh.base.k != gnh.base.n or rank_b < gnh.base.n:
-                raise BaseNotRegularError(_BASE_SINGULAR, ConsistencyResult(
-                    base.consistent, base.residual, rank_b, base))
-            gamma = np.linalg.solve(b, gnh.forces(x))
-            _require_independent(gamma, gnh.m, tols)
-            jphi = gnh.constraints.jacobian(x)
+            rank_b = gnh.base.n - _dims(base.kernel)
+            singular = (rank_b < gnh.base.n) | (gnh.base.k != gnh.base.n)
+            for i in np.flatnonzero(singular).tolist():
+                out[i] = BaseNotRegularError(_BASE_SINGULAR, ConsistencyResult(
+                    bool(base.consistent[i]), float(base.residual[i]), int(rank_b[i]), base.item(i)))
+            live = live[~singular]
+            if not live.size:
+                return out
+            views = [v[live] for v in views]
+            b, g, frame, jphi = views
+            gamma = np.linalg.solve(b, frame)
+            y = np.linalg.solve(b, g[..., None])[..., 0]
+        with linalg._float_errors():  # as `_schur`'s dot product
             d = jphi @ gamma
-            y = np.linalg.solve(b, g)
-            xf, u, sol = self.solve(x)
-        rank = gnh.m - sol.kernel.dim
-        regular = gnh.a == gnh.m and rank == gnh.a
-        cls = PointClassification(d, rank, surjective=rank == gnh.a, injective=rank == gnh.m,
-                                  regular=regular)
-        projectors = (linalg.complement_projectors(linalg.kernel_basis(jphi, tols), gamma, tols)
-                      if regular else None)
-        return PointAnalysis(cls, y, xf, MultiplierResult(u, sol.kernel.dim > 0, sol.residual),
-                             projectors)
+        xf, u, sol, failed = self._solve_batch(pts[live], views)
+        self._raise_failed(sol, failed)
+        dims = _dims(sol.kernel)
+        rank = gnh.m - dims
+        regular = (gnh.a == gnh.m) & (rank == gnh.a)
+        projectors = [None] * len(live)
+        if regular.any():
+            reg = np.flatnonzero(regular)
+            for i, pq in zip(reg.tolist(), self._projector_rows(jphi[reg], gamma[reg])):
+                projectors[i] = pq
+        for j, i in enumerate(live.tolist()):
+            r = int(rank[j])
+            cls = PointClassification(d[j], r, surjective=r == gnh.a, injective=r == gnh.m,
+                                      regular=bool(regular[j]))
+            out[i] = PointAnalysis(cls, y[j], xf[j], MultiplierResult(
+                u[j], bool(dims[j] > 0), float(sol.residual[j])), projectors[j])
+        return out
+
+    def flows(self, points):
+        """(Y, X) at each row of an (N, n) array of points, as an (N, 2, n)
+        array: `flow` at each point, from one kernel evaluation over the batch
+        and one stacked solve. A varying base is checked regular at each point;
+        an error raises for the first point at which its step fails."""
+        pts = np.asarray(points, dtype=float)
+        views = self._evaluate_rows(pts)
+        if self._b_inv is not None:
+            y = views[4]
+        else:
+            b, n = views[0], self.gnh.base.n
+            if self.gnh.base.k != n:
+                raise BaseNotRegularError(_BASE_SINGULAR)
+            raise_first((linalg.rank(b, self.tols) < n,
+                         lambda i: BaseNotRegularError(_BASE_SINGULAR)))
+            y = np.linalg.solve(b, views[1][..., None])[..., 0]
+        xf, _, sol, failed = self._solve_batch(pts, views)
+        self._raise_failed(sol, failed)
+        return np.stack([y, xf], axis=1)
+
+    def solves(self, points):
+        """`solve` at each row of an (N, n) array of points, as one batch:
+        (X, u, sol, errors) with X and u stacked, `sol` the stacked
+        AffineSolutionSet, and errors[i] the InconsistentSystemError that
+        `solve` raises at point i, or None. Any other error raises for the
+        first point at which its step fails."""
+        pts = np.asarray(points, dtype=float)
+        xf, u, sol, failed = self._solve_batch(pts, self._evaluate_rows(pts))
+        errors = [None] * len(pts)
+        for i in np.flatnonzero(failed).tolist():
+            errors[i] = self._inconsistent(sol.residual[i])
+        return xf, u, sol, errors
+
+    def _projector_rows(self, jphi, gamma):
+        """(P, Q) of `linalg.complement_projectors` onto ker dphi along Gamma at
+        each point of a stack, stacked per dimension of ker dphi."""
+        kernels = linalg.kernel_basis(jphi, self.tols)
+        dims = _dims(kernels)
+        out = [None] * len(kernels)
+        for dim in sorted(set(dims.tolist())):
+            idx = np.flatnonzero(dims == dim)
+            first = np.stack([kernels[i].vectors for i in idx.tolist()])
+            p, q = linalg.complement_projectors(first, gamma[idx], self.tols)
+            for j, i in enumerate(idx.tolist()):
+                out[i] = (p[j], q[j])
+        return out
 
     def solve(self, x):
         """(X, u, sol) at x, `sol` the solve's AffineSolutionSet (in (X, u) if bordered)."""
@@ -429,16 +520,23 @@ class PointDynamics:
         """The views of the kernel's buffer, filled at x; what is computed from
         them must not keep one past the next evaluation."""
         if self._kernel is None:
-            fields = self._fields
-            if self._b_inv is not None:
-                fields += _schur_fold(self._b_inv, *fields[:2])
-            self._kernel, self._vals, self._views = _fused_kernel(fields)
+            self._kernel = self._kernel_source().scalar()
         vals = self._kernel(np.asarray(x, dtype=float))
         # a sum of finite values can overflow, so a non-finite one only screens
         if not math.isfinite(sum(vals)) and not all(map(math.isfinite, vals)):
             raise NonFiniteError("a value of the flow's fields is not finite at this point")
         self._vals[:] = vals
         return self._views
+
+    def _kernel_source(self):
+        """The kernel's `Compiled`, built on first use: the first evaluation
+        folds Gamma and Y and generates the kernel's source."""
+        if self._compiled is None:
+            fields = self._fields
+            if self._b_inv is not None:
+                fields += _schur_fold(self._b_inv, *fields[:2])
+            self._compiled, self._vals, self._views, self._spans = _fused_kernel(fields)
+        return self._compiled
 
     def _schur(self, views):
         """(X, u, sol, D) of the Schur complement D u = -dphi . Y, D = dphi . Gamma,
@@ -459,7 +557,75 @@ class PointDynamics:
             if self.gnh is not None:
                 _require_independent(frame, self.gnh.m, self.tols)
             if self.gnh is None or not sol.consistent:
-                raise InconsistentSystemError(f"{self._no_solution} (residual {sol.residual:.3e})")
+                raise self._inconsistent(sol.residual)
+
+    def _inconsistent(self, residual):
+        return InconsistentSystemError(f"{self._no_solution} (residual {residual:.3e})")
+
+    def _evaluate_rows(self, points):
+        """The kernel's values at the rows of an (N, n) array of points, as one
+        (N, *shape) array per field (None for a None field); a batch of one
+        takes the scalar runner. A non-finite value raises NonFiniteError for
+        the first row that has one."""
+        vals = self._kernel_source().rows(points)
+        raise_first((~np.isfinite(vals).all(axis=1), lambda i: NonFiniteError(
+            "a value of the flow's fields is not finite at this point")))
+        return [None if span is None else vals[:, span[0]:span[1]].reshape((len(vals),) + span[2])
+                for span in self._spans]
+
+    def _solve_batch(self, points, views):
+        """`solve` at each point of a batch, from the kernel's row views, as one
+        stacked solve: (X, u, sol, failed), `failed` marking the rows at which
+        `solve` raises InconsistentSystemError. The Schur complement route
+        forms `_schur`'s products stacked; the bordered route then takes the
+        minimum-norm u over each point's solution set, stacked per kernel
+        dimension."""
+        if self._b_inv is not None:
+            _, _, jphi, gamma, y = views
+            with linalg._float_errors():  # `_schur`'s dot products do not warn
+                d, c = jphi @ gamma, (jphi @ y[..., None])[..., 0]
+            sol = linalg.solve_affine(d, -c, self.tols)
+            failed = self._check_rows(sol, gamma)
+            with linalg._float_errors():
+                step = (gamma @ sol.x0[..., None])[..., 0]
+            return y + step, sol.x0, sol, failed
+        (k, n, a, s), (a_x, f, frame, jphi) = self._rows, views
+        count = len(points)
+        mat = np.repeat(self._mat[None], count, axis=0)
+        rhs = np.zeros((count,) + self._rhs.shape)
+        if a_x is not None:
+            mat[:, :k, :n] = a_x
+        rhs[:, :k] = f
+        if frame is not None:
+            np.negative(frame, out=mat[:, :k, n:])
+            mat[:, k:k + a, :n] = jphi
+            rhs[:, k + a:] = points[:, n - s:]
+        sol = linalg.solve_affine(mat, rhs, self.tols)
+        failed = self._check_rows(sol, frame)
+        z = sol.x0.copy()
+        dims = _dims(sol.kernel)
+        dims[failed] = 0
+        for dim in sorted(set(dims[dims > 0].tolist())):
+            idx = np.flatnonzero(dims == dim)
+            ker = np.stack([sol.kernel[i].vectors for i in idx.tolist()])
+            inner = linalg.solve_affine(ker[:, n:], -z[idx, n:], self.tols)
+            z[idx] = z[idx] + (ker @ inner.x0[..., None])[..., 0]
+        return z[:, :n], z[:, n:], sol, failed
+
+    def _check_rows(self, sol, frame):
+        """`_check` at each point of a stacked solve: the frames of the points
+        with a rank-deficient or inconsistent system are checked, and the rows
+        at which `_check` raises InconsistentSystemError are returned."""
+        dims = _dims(sol.kernel)
+        deficient = (dims > 0) | ~sol.consistent
+        if self.gnh is None:
+            return deficient
+        if deficient.any():
+            _require_independent(frame[deficient], self.gnh.m, self.tols)
+        return ~sol.consistent
+
+    def _raise_failed(self, sol, failed):
+        raise_first((failed, lambda i: self._inconsistent(sol.residual[i])))
 
     def field_and_multipliers(self, x):
         return self.solve(x)[:2]

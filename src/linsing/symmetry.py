@@ -11,14 +11,13 @@ field lifts to the tangent bundle by the complete lift (V, DV.u)).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .errors import NonFiniteError, ShapeError
-from .expressions import Const, ExpressionField, Var, add, derivative, mul
+from .errors import NonFiniteError, ShapeError, raise_first
+from .expressions import Const, ExpressionField, Var, add, derivatives, mul
 
 __all__ = [
     "SymmetryCandidate",
@@ -88,13 +87,25 @@ def _residual_errors():
     return np.errstate(over="ignore", invalid="ignore")
 
 
-def _worst(current, values, name):
-    """max(current, max |values|); a non-finite value raises NonFiniteError
-    (a max fold would drop a NaN and report the residual as 0)."""
-    value = float(np.max(np.abs(values)))
-    if not math.isfinite(value):
-        raise NonFiniteError(f"the residual {name} is not finite ({value})")
-    return max(current, value)
+def _worst(values, name):
+    """(largest |value| over the sample, or 0, check): the first axis of
+    `values` runs over the sample points, and the check is the `raise_first`
+    pair that raises NonFiniteError, naming the residual, at the first point
+    whose residual is not finite (a max fold would drop a NaN and report 0)."""
+    worst = np.abs(values).max(axis=tuple(range(1, np.ndim(values))), initial=0.0)
+    check = (~np.isfinite(worst),
+             lambda i: NonFiniteError(f"the residual {name} is not finite ({worst[i]})"))
+    return float(worst.max(initial=0.0)), check
+
+
+def _times(mats, vecs):
+    """Each matrix of a stack applied to its vector: (N, k, n), (N, n) -> (N, k)."""
+    return (mats @ vecs[..., None])[..., 0]
+
+
+def _dots(a, b):
+    """a_i . b_i for the rows of two (N, n) arrays, each the dot product of its row."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 @dataclass
@@ -106,38 +117,38 @@ class SymmetryCheck:
 
 
 def check_symmetry(sys, cand, points, tol=1e-8, tols=linalg.DEFAULT_TOLERANCES):
-    """Residuals of the finite symmetry conditions over the sample points."""
+    """Residuals of the finite symmetry conditions over the sample points, as
+    one batch: each field is evaluated over the sample and the ranks of Dpsi
+    and Phi are decided by stacked SVDs. An error raises for the first point
+    at which a point-by-point check would raise it."""
     if cand.kind != "finite":
         raise ShapeError("check_symmetry needs a finite candidate")
-    r_f = 0.0
-    r_a = 0.0
-    jpsi = cand.base.jacobian_field()
+    x = np.asarray(points, dtype=float)
+    y = cand.base.rows(x)
+    dpsi = cand.base.jacobian_field().rows(x)
+    phi_m = cand.fibre.rows(x)
     with _residual_errors():
-        for x in points:
-            y = cand.base(x)
-            dpsi = jpsi(x)
-            if linalg.rank(dpsi, tols) < sys.n:
-                raise ShapeError("base map is not invertible at a sample point")
-            phi_m = cand.fibre(x)
-            if linalg.rank(phi_m, tols) < sys.k:
-                raise ShapeError("fibre map is not invertible at a sample point")
-            r_f = _worst(r_f, sys.f_at(y) - phi_m @ sys.f_at(x), "r_f")
-            r_a = _worst(r_a, sys.A_at(y) @ dpsi - phi_m @ sys.A_at(x), "r_A")
+        r_f, f_check = _worst(sys.f.rows(y) - _times(phi_m, sys.f.rows(x)), "r_f")
+        r_a, a_check = _worst(sys.A.rows(y) @ dpsi - phi_m @ sys.A.rows(x), "r_A")
+    raise_first(
+        (linalg.rank(dpsi, tols) < sys.n,
+         lambda i: ShapeError("base map is not invertible at a sample point")),
+        (linalg.rank(phi_m, tols) < sys.k,
+         lambda i: ShapeError("fibre map is not invertible at a sample point")),
+        f_check, a_check)
     return SymmetryCheck(r_f, r_a, r_f <= tol and r_a <= tol, tol)
 
 
 def _directional_field(mat_field, v_field):
     """D_V of a matrix field as one matrix field: each entry is the sum over the
     variables, in order, of d(entry)/dx_j * V_j, with each V_j that is the
-    constant 0 left out (its terms are exact zeros)."""
-    terms = [(name, ve) for name, ve in zip(mat_field.variables, v_field.entries)
-             if not (isinstance(ve, Const) and ve.value == 0.0)]
-    entries = []
-    for e in mat_field.entries:
-        acc = Const(0.0)
-        for name, ve in terms:
-            acc = add(acc, mul(derivative(e, name), ve))
-        entries.append(acc)
+    constant 0 left out (its terms are exact zeros). The entries are
+    differentiated together, one variable at a time (`derivatives`)."""
+    entries = [Const(0.0)] * len(mat_field.entries)
+    for name, ve in zip(mat_field.variables, v_field.entries):
+        if not (isinstance(ve, Const) and ve.value == 0.0):
+            entries = [add(acc, mul(de, ve))
+                       for acc, de in zip(entries, derivatives(mat_field.entries, name))]
     return ExpressionField(entries, mat_field.variables, mat_field.shape)
 
 
@@ -145,21 +156,21 @@ def check_inf_symmetry(sys, cand, points, tol=1e-8):
     """Residuals of the linearized symmetry conditions over the sample points.
 
     D_V f and D_V A are built once per call, each as one field (see
-    `_directional_field`), and A is evaluated once per point.
+    `_directional_field`), and every field is evaluated once over the whole
+    sample; the products are stacked.
     """
     if cand.kind != "infinitesimal":
         raise ShapeError("check_inf_symmetry needs an infinitesimal candidate")
     dvf = _directional_field(sys.f, cand.base)
     jv = cand.base.jacobian_field()
     dva = _directional_field(sys.A, cand.base)
-    r_f = 0.0
-    r_a = 0.0
+    x = np.asarray(points, dtype=float)
+    lam = cand.fibre.rows(x)
+    a = sys.A.rows(x)
     with _residual_errors():
-        for x in points:
-            lam = cand.fibre(x)
-            a = sys.A_at(x)
-            r_f = _worst(r_f, dvf(x) - lam @ sys.f_at(x), "r_f")
-            r_a = _worst(r_a, dva(x) + a @ jv(x) - lam @ a, "r_A")
+        r_f, f_check = _worst(dvf.rows(x) - _times(lam, sys.f.rows(x)), "r_f")
+        r_a, a_check = _worst(dva.rows(x) + a @ jv.rows(x) - lam @ a, "r_A")
+    raise_first(f_check, a_check)
     return SymmetryCheck(r_f, r_a, r_f <= tol and r_a <= tol, tol)
 
 
@@ -181,25 +192,29 @@ def check_descent(gnh, cand, points_on_m, tol=1e-8, tols=linalg.DEFAULT_TOLERANC
     into the force span (least-squares residual of each transported column).
     An infinitesimal candidate transports the frame as Lambda Delta - D_V Delta,
     with D_V Delta built once per call as one field (see `_directional_field`).
+    Each field is evaluated once over the sample, and each column's
+    least-squares residuals come from one stacked solve.
     """
     forces = gnh.forces
-    dv_forces = _directional_field(forces, cand.base) if cand.kind == "infinitesimal" else None
-    tang = 0.0
-    force = 0.0
+    x = np.asarray(points_on_m, dtype=float)
     with _residual_errors():
-        for x in points_on_m:
-            if cand.kind == "finite":
-                y = cand.base(x)
-                tang = _worst(tang, gnh.constraints.values(y), "tangency_residual")
-                target = forces(y)
-                moved = cand.fibre(x) @ forces(x)
-            else:
-                tang = _worst(tang, gnh.constraints.jacobian(x) @ cand.base(x),
-                              "tangency_residual")
-                target = forces(x)
-                moved = cand.fibre(x) @ target - dv_forces(x)
-            force = _worst(force, [linalg.solve_affine(target, col, tols).residual
-                                   for col in moved.T], "force_residual")
+        if cand.kind == "finite":
+            y = cand.base.rows(x)
+            tang, tang_check = _worst(gnh.constraints.phi.rows(y), "tangency_residual")
+            target = forces.rows(y)
+            moved = cand.fibre.rows(x) @ forces.rows(x)
+        else:
+            dv_forces = _directional_field(forces, cand.base)
+            tang, tang_check = _worst(
+                _times(gnh.constraints.phi.jacobian_field().rows(x), cand.base.rows(x)),
+                "tangency_residual")
+            target = forces.rows(x)
+            moved = cand.fibre.rows(x) @ target - dv_forces.rows(x)
+        raise_first(tang_check)
+        residuals = [linalg.solve_affine(target, moved[:, :, j], tols).residual
+                     for j in range(moved.shape[2])]
+        force, force_check = _worst(np.stack(residuals, axis=1), "force_residual")
+    raise_first(force_check)
     tangent = tang <= tol
     preserves = force <= tol
     return DescentCheck(tangent, preserves, tangent and preserves, tang, force, tol)
@@ -218,14 +233,12 @@ class ConstantDescentCheck:
 
 
 def flow_samples(dyn, points_on_m):
-    """(Y, X) at each point of M through one PointDynamics: the point checked on
-    M, then Y = B^{-1} g and X from one evaluation (`PointDynamics.flow`)."""
-    require_on = dyn.gnh.constraints.require_on
-    out = []
-    for x in points_on_m:
-        require_on(x)
-        out.append(dyn.flow(x))
-    return out
+    """(Y, X) at each point of M through one PointDynamics, as an (N, 2, n)
+    array: the points checked on M, then Y = B^{-1} g and X from one kernel
+    evaluation over the sample (`PointDynamics.flows`)."""
+    x = np.asarray(points_on_m, dtype=float)
+    dyn.gnh.constraints.require_on(x)
+    return dyn.flows(x)
 
 
 def constant_descent(h, points_on_m, flows, tol=1e-8):
@@ -233,17 +246,16 @@ def constant_descent(h, points_on_m, flows, tol=1e-8):
 
     Y.h, (Y - X).h and X.h over the sample: when h is conserved for Y,
     conservation for the constrained X is equivalent to (Y - X).h = 0, and the
-    `consistent` flag verifies that equivalence numerically."""
-    dh = h.gradient()
-    max_yh = 0.0
-    max_gh = 0.0
-    max_xh = 0.0
+    `consistent` flag verifies that equivalence numerically. dh is evaluated
+    once over the sample and each rate is one stacked product."""
+    g = h.gradient().rows(np.asarray(points_on_m, dtype=float))
+    flows = np.asarray(flows, dtype=float)
+    y, xfield = flows[:, 0], flows[:, 1]
     with _residual_errors():
-        for x, (y, xfield) in zip(points_on_m, flows):
-            g = dh(x)
-            max_yh = _worst(max_yh, g @ y, "Y_h")
-            max_gh = _worst(max_gh, g @ (y - xfield), "Gamma_h")
-            max_xh = _worst(max_xh, g @ xfield, "X_h")
+        max_yh, y_check = _worst(_dots(g, y), "Y_h")
+        max_gh, g_check = _worst(_dots(g, y - xfield), "Gamma_h")
+        max_xh, x_check = _worst(_dots(g, xfield), "X_h")
+    raise_first(y_check, g_check, x_check)
     base_ok = max_yh <= tol
     gamma_ok = max_gh <= tol
     constrained_ok = max_xh <= tol
@@ -254,11 +266,10 @@ def constant_descent(h, points_on_m, flows, tol=1e-8):
 
 
 def max_rate(h, points, fields):
-    """max |X.h| = max |dh(x) . X| over the points and the field X at each;
-    a non-finite value raises NonFiniteError."""
-    dh = h.gradient()
-    worst = 0.0
+    """max |X.h| = max |dh(x) . X| over the points and the field X at each, as
+    one stacked product; a non-finite value raises NonFiniteError."""
+    g = h.gradient().rows(np.asarray(points, dtype=float))
     with _residual_errors():
-        for x, xfield in zip(points, fields):
-            worst = _worst(worst, dh(x) @ xfield, "X_h")
+        worst, check = _worst(_dots(g, np.asarray(fields, dtype=float)), "X_h")
+    raise_first(check)
     return worst

@@ -22,6 +22,7 @@ __all__ = [
     "make_system",
     "identity_system",
     "consistency_at",
+    "consistency_rows",
     "primary_constraint_values",
     "solve_at",
     "constraint_algorithm_sample",
@@ -90,6 +91,18 @@ def consistency_at(sys, x, tols=linalg.DEFAULT_TOLERANCES):
     """Does f(x) lie in the image of A(x)? rank_A comes from the same solve."""
     sol = linalg.solve_affine(sys.A_at(x), sys.f_at(x), tols)
     return ConsistencyResult(sol.consistent, sol.residual, sys.n - sol.kernel.dim, sol)
+
+
+def consistency_rows(sys, points, tols=linalg.DEFAULT_TOLERANCES):
+    """`consistency_at` at each row of an (N, n) array of points, from one
+    evaluation of A and f over the batch and one stacked solve."""
+    pts = np.asarray(points, dtype=float)
+    sol = linalg.solve_affine(sys.A.rows(pts), sys.f.rows(pts), tols)
+    out = []
+    for i in range(len(pts)):
+        one = sol.item(i)
+        out.append(ConsistencyResult(one.consistent, one.residual, sys.n - one.kernel.dim, one))
+    return out
 
 
 def primary_constraint_values(sys, x, tols=linalg.DEFAULT_TOLERANCES):

@@ -16,7 +16,7 @@ import pytest
 from test_acceptance import _scenario
 from test_bordered import VARYING_BASE_SPEC, _counting, _varying_base_points
 
-from linsing import cli, expressions, linalg, nonholonomic
+from linsing import cli, expressions, linalg
 from linsing.expressions import ExpressionField
 from linsing.linalg import DEFAULT_TOLERANCES
 from linsing.nonholonomic import PointDynamics
@@ -203,33 +203,35 @@ def test_analysis_reports_what_the_flow_evaluator_computes(spec):
 
 
 def test_analysis_and_flow_samples_compile_one_kernel_per_evaluator(monkeypatch):
+    # one kernel source per evaluator: its scalar runner serves each analysis,
+    # and its vectorised target evaluates flow_samples' sample in one call
     spec = _scenario("rosenberg")
     pts = _points(spec, 40)  # the sampler compiles phi and its Jacobian
-    compiled = []
-    orig = expressions.compile_exprs
+    sources = []
+    orig = expressions._compiled_source
 
     def counted(exprs, variables):
-        compiled.append(len(exprs))
+        sources.append(len(exprs))
         return orig(exprs, variables)
 
     def no_field_call(field, point):
         raise AssertionError("a field was evaluated outside the kernel")
 
-    for module in (expressions, nonholonomic):
-        monkeypatch.setattr(module, "compile_exprs", counted)
+    monkeypatch.setattr(expressions, "_compiled_source", counted)
     for dyn in (PointDynamics(spec.gnh), PointDynamics(spec.gnh)):
-        before = len(compiled)
+        before = len(sources)
         dyn.analysis(pts[0])
-        kernel, calls = dyn._kernel, []
-        dyn._kernel = lambda point: calls.append(1) or kernel(point)
+        kernel, calls = dyn._compiled, []
+        rows = kernel.rows
+        kernel.rows = lambda points: calls.append(len(points)) or rows(points)
         with monkeypatch.context() as patch:
             patch.setattr(ExpressionField, "__call__", no_field_call)
             for x in pts:
                 dyn.analysis(x)
-        assert len(calls) == len(pts)  # one kernel evaluation per analysis
+        assert calls == [1] * len(pts)  # one kernel evaluation per analysis
         flow_samples(dyn, pts)
-        assert len(calls) == 2 * len(pts)
-        assert len(compiled) == before + 1
+        assert calls[len(pts):] == [len(pts)]  # one over the whole sample
+        assert len(sources) == before + 1
 
 
 def _count_evaluators(monkeypatch):
@@ -267,21 +269,21 @@ def test_analyze_builds_one_evaluator_per_mode(name, modes, monkeypatch, capsys)
     assert built == modes
 
 
-@pytest.mark.parametrize("name,singular,svds", [
-    # the base SVD (it decides the rank and the consistency report together)
-    # and the second-order solve at each singular point
-    ("relparticle-L1", True, 10 + 10),
-    # a constant base: its rank once; then at each point the frame's rank, the
-    # solve of D u = -dphi . Y, which also decides rank D, and the projectors
-    ("relparticle-L2", False, 1 + 10 * 4),
+@pytest.mark.parametrize("name,singular,ranks", [
+    # the stacked base solve (it decides the ranks and the consistency reports
+    # together) and the stacked second-order solve
+    ("relparticle-L1", True, 2),
+    # a constant base: its rank once; then, over the sample, the stacked solve
+    # of D u = -dphi . Y, which also decides rank D, and the projectors' two
+    ("relparticle-L2", False, 4),
 ])
-def test_analyze_factors_a_varying_base_once_per_point(name, singular, svds,
-                                                       monkeypatch, capsys):
+def test_analyze_decides_each_rank_once_per_sample(name, singular, ranks,
+                                                   monkeypatch, capsys):
     calls = _counting(monkeypatch)
     code = cli.main(["analyze", "--scenario", name, "--points", "10"])
     out = capsys.readouterr().out
     assert code == 0 and out.count("base_regular: false") == (10 if singular else 0)
-    assert calls["rank"] == svds
+    assert calls["rank"] == ranks
 
 
 def test_check_symmetry_takes_no_partial_derivative_fields(monkeypatch, capsys):
