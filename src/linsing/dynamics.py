@@ -49,11 +49,12 @@ class Trajectory:
         try:
             fh.write(",".join(header) + "\n")
             cols = (self.times, self.states, self.multipliers, self.drift)
+            row_format = ",".join(["%.17g"] * len(header)) + "\n"
             # rows as Python floats a block at a time: all of a long
             # trajectory's would take about five times its arrays' memory
             for start in range(0, len(self.times), 1024):
                 block = np.column_stack([c[start:start + 1024] for c in cols]).tolist()
-                fh.writelines(",".join(f"{v:.17g}" for v in row) + "\n" for row in block)
+                fh.writelines(row_format % tuple(row) for row in block)
         finally:
             if own:
                 fh.close()
@@ -111,7 +112,8 @@ def integrate(field_fn, x0, t1, dt, project=None, t0=0.0, multiplier_fn=None):
     def _step(y, h, i):
         try:
             y = _rk4_step(field_fn, y, h)
-            if not np.isfinite(y).all():
+            # a sum of finite values can overflow, so a non-finite one only screens
+            if not math.isfinite(sum(y.tolist())) and not np.isfinite(y).all():
                 raise NonFiniteError("the state overflowed")
         except NonFiniteError as exc:
             raise NonFiniteError(

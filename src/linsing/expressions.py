@@ -513,11 +513,11 @@ def _derivative_node(e, var, d):
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def free_variables(e):
-    """Set of variable names appearing in the expression (each shared node visited once)."""
+def free_variables(*exprs):
+    """Set of variable names in the expressions, one DAG (each shared node visited once)."""
     out = set()
-    seen = set()  # ids of visited nodes, all kept alive by `e`
-    stack = [e]
+    seen = set()  # ids of visited nodes, all kept alive by `exprs`
+    stack = list(exprs)
     while stack:
         node = stack.pop()
         if id(node) in seen:
@@ -888,10 +888,10 @@ class ExpressionField:
             raise ShapeError(
                 f"{len(self.entries)} entries for shape {self.shape}"
             )
-        for e in self.entries:
-            extra = free_variables(e) - set(self.variables)
-            if extra:
-                raise UndeclaredVariableError(sorted(extra)[0])
+        extra = free_variables(*self.entries) - set(self.variables)
+        if extra:  # the first entry that has one names it
+            first = next(e for e in self.entries if free_variables(e) & extra)
+            raise UndeclaredVariableError(sorted(free_variables(first) & extra)[0])
         self._compiled = Compiled(self.entries, self.variables)
         self._runner = None
         self._jac = None

@@ -25,7 +25,7 @@ from .errors import (
     ShapeError,
     raise_first,
 )
-from .expressions import Add, Compiled, Const, ExpressionField, add, mul
+from .expressions import Add, Compiled, Const, ExpressionField, Var, add, mul, neg, sub
 from .systems import ConsistencyResult, LinearlySingularSystem
 
 __all__ = [
@@ -247,34 +247,54 @@ class PointAnalysis:
     projectors: tuple  # (P onto T_xM along H_x, Q = I - P); None unless regular
 
 
-def _fused_kernel(fields):
+def _fused_kernel(parts, variables):
     """(kernel, buffer, views, spans) of one evaluation: a `Compiled` over the
-    entries of `fields` in their order, the buffer the scalar runner's values
-    are written to, a fixed row-major view of the buffer per field, shaped
-    like the field (None for a None field), and the (start, stop, shape) of
-    each field's values in a row of the kernel (None for a None field).
-    Entries shared between fields are computed once, and a DomainEvalError
-    names the first faulting entry in this order, as separate field calls
-    would."""
-    live = [fld for fld in fields if fld is not None]
-    entries = [e for fld in live for e in fld.entries]
+    entries of `parts`, a list of (entries, shape) in the variables, in their
+    order, the buffer the scalar runner's values are written to, a fixed
+    row-major view of the buffer per part, and the (start, stop, shape) of each
+    part's values in a row of the kernel. Entries shared between parts are
+    computed once, and a DomainEvalError names the first faulting entry in this
+    order, as separate field calls would."""
+    entries = [e for part, _ in parts for e in part]
     buf = np.empty(len(entries))
     views, spans, start = [], [], 0
-    for fld in fields:
-        if fld is None:
-            views.append(None)
-            spans.append(None)
-        else:
-            stop = start + len(fld.entries)
-            views.append(buf[start:stop].reshape(fld.shape))
-            spans.append((start, stop, fld.shape))
-            start = stop
-    return Compiled(entries, live[0].variables), buf, views, spans
+    for part, shape in parts:
+        stop = start + len(part)
+        views.append(buf[start:stop].reshape(shape))
+        spans.append((start, stop, shape))
+        start = stop
+    return Compiled(entries, variables), buf, views, spans
+
+
+def _bordered_system(a_fld, f, forces, jphi, s):
+    """[rhs, matrix], each (entries, shape), of the bordered system
+    [A, -Delta; dphi, 0] (X, u) = (g, 0), or of A X = g when forces and dphi
+    are None, with its first s unknowns, X_q = v for the last s variables v,
+    substituted: the matrix is [A_v, -Delta; dphi_v, 0] and the rhs
+    (g - A_q v, -dphi_q v), A_q being A's first s columns and A_v the rest
+    (dphi alike). An rhs entry subtracts its products from g_i, or from +0,
+    left to right; the folding builders leave out a product with a zero
+    constant. The entries are built from checked fields and variables, so
+    they are not walked again as a new ExpressionField would walk them."""
+    k, n = a_fld.shape
+    m = 0 if forces is None else forces.shape[1]
+    neg_frame = [] if forces is None else [neg(e) for e in forces.entries]
+    rows = [(a_fld.entries[i * n:(i + 1) * n], f.entries[i], neg_frame[i * m:(i + 1) * m])
+            for i in range(k)]
+    rows += [(jphi.entries[r * n:(r + 1) * n], Const(0.0), [Const(0.0)] * m)
+             for r in range(0 if jphi is None else jphi.shape[0])]
+    rhs, mat = [], []
+    for coeffs, entry, tail in rows:
+        for c, name in zip(coeffs, a_fld.variables[n - s:]):
+            entry = sub(entry, mul(c, Var(name)))
+        rhs.append(entry)
+        mat += list(coeffs[s:]) + tail
+    return [(rhs, (len(rows),)), (mat, (len(rows), n - s + m))]
 
 
 def _schur_fold(b_inv, frame, f):
-    """(Gamma, Y) = (B^{-1} Delta, B^{-1} f) as ExpressionFields over the entries
-    of the frame and of f, for a constant B^{-1}.
+    """(Gamma, Y) = (B^{-1} Delta, B^{-1} f), each (entries, shape), over the
+    entries of the frame and of f, for a constant B^{-1}.
 
     Each entry adds the products Const(b_il) * entry to +0, left to right, as
     numpy's matrix products do. A product with a zero constant adds nothing and
@@ -295,10 +315,9 @@ def _schur_fold(b_inv, frame, f):
     def times(fld):
         cols = fld.shape[1] if len(fld.shape) == 2 else 1
         columns = [fld.entries[j::cols] for j in range(cols)]
-        return ExpressionField([dot(row, col) for row in consts for col in columns],
-                               fld.variables, fld.shape)
+        return [dot(row, col) for row in consts for col in columns], fld.shape
 
-    return times(frame), times(f)
+    return [times(frame), times(f)]
 
 
 class PointDynamics:
@@ -307,19 +326,23 @@ class PointDynamics:
 
         [ A      -Delta ] [X]   [ g ]   base rows
         [ dphi    0     ] [u] = [ 0 ]   tangency rows, when there are constraints
-        [ I  0    0     ]       [ v ]   second-order rows X_q = v, with `second_order`
 
     of a GeneralizedNonholonomicSystem, or the base rows alone of a
     LinearlySingularSystem (an explicit flow). Each evaluation is one call of a
     compiled kernel over every entry it reads and one `linalg.solve_affine`.
+
+    With `second_order`, X = (X_q, w) also has X_q = v, the last n/2
+    variables, substituted, not solved for: the system is
+    [A_v, -Delta; dphi_v, 0] (w, u) = (g - A_q v, -dphi_q v) and X = (v, w).
+    With X_q fixed, the minimum-norm (w, u) is the minimum-norm (X, u).
 
     A constant base B in the first-order modes is checked regular and inverted
     once, and its kernel emits the forces, f and dphi followed by
     Gamma = B^{-1} Delta and Y = B^{-1} g, folded in symbolically. The solve is
     then of the Schur complement D u = -dphi . Y with D = dphi . Gamma, a
     scalar solve on floats for one constraint and one force, and X = Y + Gamma u.
-    Otherwise the kernel emits a varying A, f, the forces and dphi, and the
-    solve is of the bordered matrix.
+    Otherwise the kernel emits the bordered system's right-hand side and
+    matrix, which the solve reads as fixed views of its buffer.
 
     A non-finite kernel value raises NonFiniteError. A rank-deficient system
     gives the minimum-norm u, with X following, once the frame's rank is
@@ -333,26 +356,17 @@ class PointDynamics:
         gnh = system if isinstance(system, GeneralizedNonholonomicSystem) else None
         self.gnh, self.tols = gnh, tols
         base = system if gnh is None else gnh.base
-        k, n = base.k, base.n
-        a, m = (0, 0) if gnh is None else (gnh.a, gnh.m)
-        s = n // 2 if second_order else 0
-        self._rows = (k, n, a, s)
-        self._mat, self._rhs = np.zeros((k + a + s, n + m)), np.zeros(k + a + s)
-        self._mat[k + a:, :s] = np.eye(s)
-        a_const = base.A.is_constant
-        if a_const:
-            self._mat[:k, :n] = base.A_at(np.zeros(n))
+        s = base.n // 2 if second_order else 0
+        # base rows, the velocities X_q = v and the unknowns of X solved for
+        self._k, self._s, self._w = base.k, s, base.n - s
         self._b_inv = None
-        if gnh is not None and not second_order and a_const:
-            self._b_inv = np.linalg.inv(_regular_base_matrix(gnh, np.zeros(n), tols))
+        if gnh is not None and not second_order and base.A.is_constant:
+            self._b_inv = np.linalg.inv(_regular_base_matrix(gnh, np.zeros(base.n), tols))
         jphi = None if gnh is None else gnh.constraints.phi.jacobian_field()
-        # the fields in the order each path reads them: forces, f, dphi, then
-        # Gamma and Y, for the Schur complement; A (varying only), f, forces,
-        # dphi for the bordered matrix. The first evaluation folds Gamma and Y
-        # and compiles the kernel.
+        # what the first evaluation builds the kernel from: forces, f, dphi
+        # (Gamma and Y folded in), or the bordered system's A, f, forces, dphi
         self._fields = ((gnh.forces, base.f, jphi) if self._b_inv is not None
-                        else (None if a_const else base.A, base.f,
-                              None if gnh is None else gnh.forces, jphi))
+                        else (base.A, base.f, None if gnh is None else gnh.forces, jphi))
         self._compiled = self._kernel = None
         self._no_solution = (
             "A(x) v = f(x) has no unique solution" if gnh is None
@@ -413,7 +427,7 @@ class PointDynamics:
         if self._b_inv is not None:
             jphi, gamma, y = views[2:]
         else:
-            b, g, frame, jphi = views
+            b, g, _, _ = self._base_rows(views)
             base = linalg.solve_affine(b, g, tols)
             rank_b = gnh.base.n - _dims(base.kernel)
             singular = (rank_b < gnh.base.n) | (gnh.base.k != gnh.base.n)
@@ -424,7 +438,7 @@ class PointDynamics:
             if not live.size:
                 return out
             views = [v[live] for v in views]
-            b, g, frame, jphi = views
+            b, g, frame, jphi = self._base_rows(views)
             gamma = np.linalg.solve(b, frame)
             y = np.linalg.solve(b, g[..., None])[..., 0]
         with linalg._float_errors():  # as `_schur`'s dot product
@@ -457,12 +471,12 @@ class PointDynamics:
         if self._b_inv is not None:
             y = views[4]
         else:
-            b, n = views[0], self.gnh.base.n
+            (b, g, _, _), n = self._base_rows(views), self.gnh.base.n
             if self.gnh.base.k != n:
                 raise BaseNotRegularError(_BASE_SINGULAR)
             raise_first((linalg.rank(b, self.tols) < n,
                          lambda i: BaseNotRegularError(_BASE_SINGULAR)))
-            y = np.linalg.solve(b, views[1][..., None])[..., 0]
+            y = np.linalg.solve(b, g[..., None])[..., 0]
         xf, _, sol, failed = self._solve_batch(pts, views)
         self._raise_failed(sol, failed)
         return np.stack([y, xf], axis=1)
@@ -495,26 +509,30 @@ class PointDynamics:
         return out
 
     def solve(self, x):
-        """(X, u, sol) at x, `sol` the solve's AffineSolutionSet (in (X, u) if bordered)."""
+        """(X, u, sol) at x, `sol` the solve's AffineSolutionSet (in (X, u) if
+        bordered, and in (w, u) in the second-order mode)."""
         if self._b_inv is not None:
             return self._schur(self._evaluate(x))[:3]
-        x = np.asarray(x, dtype=float)
-        (k, n, a, s), (a_x, f, frame, jphi) = self._rows, self._evaluate(x)
-        mat, rhs = self._mat, self._rhs
-        if a_x is not None:
-            mat[:k, :n] = a_x
-        rhs[:k] = f
-        if frame is not None:
-            np.negative(frame, out=mat[:k, n:])
-            mat[k:k + a, :n] = jphi
-            rhs[k + a:] = x[n - s:]
+        x, w = np.asarray(x, dtype=float), self._w
+        rhs, mat = self._evaluate(x)
         sol = linalg.solve_affine(mat, rhs, self.tols)
-        self._check(sol, -mat[:k, n:])
+        self._check(sol, mat[:self._k, w:])
         z = sol.x0
         if sol.kernel.dim > 0:  # the minimum-norm u over z + K c, and X with it
             ker = sol.kernel.vectors
-            z = z + ker @ linalg.solve_affine(ker[n:], -z[n:], self.tols).x0
-        return z[:n], z[n:], sol
+            z = z + ker @ linalg.solve_affine(ker[w:], -z[w:], self.tols).x0
+        return self._full_field(x, z[:w]), z[w:], sol
+
+    def _full_field(self, x, w):
+        """X from its solved unknowns w, at x or a batch: (v, w) if second-order."""
+        return np.concatenate((x[..., self._w:], w), axis=-1) if self._s else w
+
+    def _base_rows(self, views):
+        """(B, g, Delta, dphi) from the row views of [B, -Delta; dphi, 0], (g, 0)."""
+        if self._s:
+            raise TypeError("the second-order system holds no base rows")
+        (rhs, mat), k, n = views, self._k, self._w
+        return mat[:, :k, :n], rhs[:, :k], -mat[:, :k, n:], mat[:, k:, :n]
 
     def _evaluate(self, x):
         """The views of the kernel's buffer, filled at x; what is computed from
@@ -530,12 +548,16 @@ class PointDynamics:
 
     def _kernel_source(self):
         """The kernel's `Compiled`, built on first use: the first evaluation
-        folds Gamma and Y and generates the kernel's source."""
+        folds Gamma and Y, or builds the bordered system, and generates it."""
         if self._compiled is None:
             fields = self._fields
             if self._b_inv is not None:
-                fields += _schur_fold(self._b_inv, *fields[:2])
-            self._compiled, self._vals, self._views, self._spans = _fused_kernel(fields)
+                parts = [(fld.entries, fld.shape) for fld in fields]
+                parts += _schur_fold(self._b_inv, *fields[:2])
+            else:
+                parts = _bordered_system(*fields, self._s)
+            self._compiled, self._vals, self._views, self._spans = _fused_kernel(
+                parts, fields[1].variables)
         return self._compiled
 
     def _schur(self, views):
@@ -552,7 +574,7 @@ class PointDynamics:
         return y + gamma.dot(sol.x0), sol.x0, sol, d
 
     def _check(self, sol, frame):
-        # a dependent frame forces a rank-deficient system: check it only then
+        # a dependent frame (Gamma or -Delta) forces a rank-deficient system: check it only then
         if sol.kernel.dim > 0 or not sol.consistent:
             if self.gnh is not None:
                 _require_independent(frame, self.gnh.m, self.tols)
@@ -564,14 +586,13 @@ class PointDynamics:
 
     def _evaluate_rows(self, points):
         """The kernel's values at the rows of an (N, n) array of points, as one
-        (N, *shape) array per field (None for a None field); a batch of one
-        takes the scalar runner. A non-finite value raises NonFiniteError for
-        the first row that has one."""
+        (N, *shape) array per field; a batch of one takes the scalar runner. A
+        non-finite value raises NonFiniteError for the first row that has one."""
         vals = self._kernel_source().rows(points)
         raise_first((~np.isfinite(vals).all(axis=1), lambda i: NonFiniteError(
             "a value of the flow's fields is not finite at this point")))
-        return [None if span is None else vals[:, span[0]:span[1]].reshape((len(vals),) + span[2])
-                for span in self._spans]
+        return [vals[:, start:stop].reshape((len(vals),) + shape)
+                for start, stop, shape in self._spans]
 
     def _solve_batch(self, points, views):
         """`solve` at each point of a batch, from the kernel's row views, as one
@@ -589,28 +610,18 @@ class PointDynamics:
             with linalg._float_errors():
                 step = (gamma @ sol.x0[..., None])[..., 0]
             return y + step, sol.x0, sol, failed
-        (k, n, a, s), (a_x, f, frame, jphi) = self._rows, views
-        count = len(points)
-        mat = np.repeat(self._mat[None], count, axis=0)
-        rhs = np.zeros((count,) + self._rhs.shape)
-        if a_x is not None:
-            mat[:, :k, :n] = a_x
-        rhs[:, :k] = f
-        if frame is not None:
-            np.negative(frame, out=mat[:, :k, n:])
-            mat[:, k:k + a, :n] = jphi
-            rhs[:, k + a:] = points[:, n - s:]
+        (rhs, mat), w = views, self._w
         sol = linalg.solve_affine(mat, rhs, self.tols)
-        failed = self._check_rows(sol, frame)
+        failed = self._check_rows(sol, mat[:, :self._k, w:])
         z = sol.x0.copy()
         dims = _dims(sol.kernel)
         dims[failed] = 0
         for dim in sorted(set(dims[dims > 0].tolist())):
             idx = np.flatnonzero(dims == dim)
             ker = np.stack([sol.kernel[i].vectors for i in idx.tolist()])
-            inner = linalg.solve_affine(ker[:, n:], -z[idx, n:], self.tols)
+            inner = linalg.solve_affine(ker[:, w:], -z[idx, w:], self.tols)
             z[idx] = z[idx] + (ker @ inner.x0[..., None])[..., 0]
-        return z[:, :n], z[:, n:], sol, failed
+        return self._full_field(points, z[:, :w]), z[:, w:], sol, failed
 
     def _check_rows(self, sol, frame):
         """`_check` at each point of a stacked solve: the frames of the points

@@ -2,12 +2,15 @@
 
 `PointDynamics` solves one system per evaluation: the Schur complement
 D u = -dphi . Y for a constant base, the bordered system in (X, u) otherwise.
-The two reference routes, which the package itself does not use:
+The reference routes, which the package itself does not use:
   * `_schur_oracle`: Y and Gamma by LU solves with B, then D u = -dphi . Y and
     X = Y + Gamma u;
   * `_cokernel_oracle`: the second-order solve, with the base rows relaxed
     along span Delta by a cokernel basis, stacked with the tangency rows and
-    X_q = v; u is read off the base rows' residual, A X - dE = Delta u.
+    X_q = v; u is read off the base rows' residual, A X - dE = Delta u;
+  * `_full_bordered_oracle`: the second-order solve of the whole bordered
+    system, the rows X_q = v solved along with the rest rather than
+    substituted.
 """
 
 import collections
@@ -19,7 +22,7 @@ import pytest
 from test_acceptance import _knife_edge_points, _mass_shell_points, _scenario
 
 from linsing import linalg
-from linsing.errors import DomainEvalError, NonFiniteError
+from linsing.errors import DomainEvalError, InconsistentSystemError, NonFiniteError
 from linsing.expressions import ExpressionField
 from linsing.nonholonomic import GeneralizedNonholonomicSystem, PointDynamics, SubmanifoldSpec
 from linsing.sampling import on_manifold_sample
@@ -73,6 +76,25 @@ def _cokernel_oracle(spec, x):
     return sol.x0, u
 
 
+def _full_bordered_oracle(gnh, x):
+    """(X, u, sol) of the minimum-norm solve of [A, -Delta; dphi, 0; I, 0, 0]
+    (X, u) = (g, 0, v), the rows X_q = v kept, with u then gauged to its
+    minimum norm over the solution set."""
+    k, n, a, m = gnh.base.k, gnh.n, gnh.a, gnh.m
+    s = n // 2
+    mat = np.zeros((k + a + s, n + m))
+    mat[:k, :n], mat[:k, n:] = gnh.base.A_at(x), -gnh.forces(x)
+    mat[k:k + a, :n] = gnh.constraints.jacobian(x)
+    mat[k + a:, :s] = np.eye(s)
+    rhs = np.concatenate([gnh.base.f_at(x), np.zeros(a), x[n - s:]])
+    sol = linalg.solve_affine(mat, rhs)
+    z = sol.x0
+    if sol.kernel.dim > 0:
+        ker = sol.kernel.vectors
+        z = z + ker @ linalg.solve_affine(ker[n:], -z[n:]).x0
+    return z[:n], z[n:], sol
+
+
 def _assert_close(got, want, rel=1e-12):
     assert np.max(np.abs(got - want)) <= rel * max(1.0, float(np.max(np.abs(want))))
 
@@ -122,6 +144,11 @@ def test_bordered_solve_of_a_varying_base_matches_the_schur_route():
         _assert_close(sode_x, want_x)
         _assert_close(sode_u, want_u)
         _assert_close(sode_x, _cokernel_oracle(spec, x)[0])
+    # the second-order system has no base rows to analyse or to solve Y from
+    with pytest.raises(TypeError, match="no base rows"):
+        sode.analysis(x)
+    with pytest.raises(TypeError, match="no base rows"):
+        sode.flows(np.array([x, x]))
 
 
 @pytest.mark.parametrize("overrides", [{}, {"U": "q1"}])
@@ -137,6 +164,40 @@ def test_second_order_mode_matches_the_cokernel_route(overrides):
         fresh_x, fresh_u, sol = PointDynamics(spec.gnh, second_order=True).solve(x)
         assert sol.kernel.dim == 0
         assert np.array_equal(fresh_x, xf) and np.array_equal(fresh_u, u)
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"U": "q1"},
+    {"e": "0.3", "A2": "q3"},  # N - N^T != 0, so A_q v is not 0
+    None,                      # a regular varying base
+], ids=["U=0", "U=q1", "A2=q3", "varying-base"])
+def test_second_order_mode_matches_the_full_bordered_solve(overrides):
+    # the X_q = v rows substituted: X_q is v bit for bit, (w, u) agree with
+    # the full solve to rounding, and so do its kernel and its verdict
+    if overrides is None:
+        spec = loads(VARYING_BASE_SPEC)
+        pts = np.array(_varying_base_points(20))
+    else:
+        spec = _scenario("relparticle-L1", **overrides)
+        pts = np.array(_sample(spec) + _mass_shell_points(10))
+    dyn = PointDynamics(spec.gnh, second_order=True)
+    s = spec.gnh.n // 2
+    xf, u, sol, errors = dyn.solves(pts)
+    for i, x in enumerate(pts):
+        want_x, want_u, want = _full_bordered_oracle(spec.gnh, x)
+        assert bool(sol.consistent[i]) == bool(want.consistent)
+        assert sol.kernel[i].dim == want.kernel.dim
+        assert xf[i, :s].tobytes() == x[s:].tobytes()
+        _assert_close(xf[i, s:], want_x[s:])
+        _assert_close(u[i], want_u)
+        # the stacked solve is the per-point solve bit for bit
+        if errors[i] is not None:
+            with pytest.raises(InconsistentSystemError):
+                dyn.solve(x)
+            continue
+        x1, u1, sol1 = dyn.solve(x)
+        assert x1.tobytes() == xf[i].tobytes() and u1.tobytes() == u[i].tobytes()
+        assert sol1.residual == sol.residual[i] and sol1.kernel.dim == sol.kernel[i].dim
 
 
 def _two_force_system(a_text):
@@ -231,6 +292,24 @@ def test_one_svd_and_no_solve_per_evaluation(mode, monkeypatch):
         assert calls == {"rank": 1, **svds}
 
 
+def test_a_second_order_evaluation_factors_the_reduced_system(monkeypatch):
+    # relparticle-L1: 8 base rows and 1 tangency row over the 4 unknowns of
+    # w = X_v and 1 multiplier, the 4 rows X_q = v substituted
+    dyn, gnh, points = _mode("second-order")
+    shapes = []
+    orig = linalg._svd_rank
+
+    def recorded(mat, *args, **kwargs):
+        shapes.append(np.shape(mat))
+        return orig(mat, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_svd_rank", recorded)
+    for x in points:
+        shapes.clear()
+        dyn.field_and_multipliers(x)
+        assert shapes == [(gnh.base.k + gnh.a, gnh.n // 2 + gnh.m)] == [(9, 5)]
+
+
 @pytest.mark.parametrize("mode", KERNEL_MODES)
 def test_one_kernel_call_and_no_field_call_per_evaluation(mode, monkeypatch):
     dyn, system, points = _mode(mode)
@@ -250,24 +329,19 @@ def test_one_kernel_call_and_no_field_call_per_evaluation(mode, monkeypatch):
 
     dyn._kernel = counted_kernel
     for x in points:
-        # the kernel holds bit for bit each field's values, row-major, in the
-        # path's read order: forces, f, dphi for the Schur complement; a
-        # varying A, f, forces, dphi for the bordered matrix
-        forces = dphi = a_mat = None
-        if gnh is not None:
-            forces, dphi = gnh.forces(x), gnh.constraints.jacobian(x)
-        if not base.A.is_constant:
-            a_mat = base.A_at(x)
-        parts = ([forces, base.f_at(x), dphi] if schur
-                 else [a_mat, base.f_at(x), forces, dphi])
-        want = np.concatenate([p.ravel() for p in parts if p is not None])
         with monkeypatch.context() as patch:
             patch.setattr(ExpressionField, "__call__", no_field_call)
             calls.clear()
             xf, u, _ = dyn.solve(x)
         assert calls == {"kernel": 1}
-        assert dyn._vals[:len(want)].tobytes() == want.tobytes()
+        forces = dphi = None
+        if gnh is not None:
+            forces, dphi = gnh.forces(x), gnh.constraints.jacobian(x)
         if schur:
+            # the kernel holds bit for bit each field's values, row-major, in
+            # the path's read order: forces, f, dphi
+            want = np.concatenate([forces.ravel(), base.f_at(x), dphi.ravel()])
+            assert dyn._vals[:len(want)].tobytes() == want.tobytes()
             # then Gamma = B^-1 Delta and Y = B^-1 f, folded in: numpy's
             # products bit for bit where B^-1 is a signed permutation
             # (rosenberg), to rounding elsewhere
@@ -279,7 +353,22 @@ def test_one_kernel_call_and_no_field_call_per_evaluation(mode, monkeypatch):
             else:
                 _assert_close(rest, folded, rel=1e-13)
         else:
-            assert len(dyn._vals) == len(want)
+            # the bordered system, its right-hand side and then its matrix
+            # row-major: [A_v, -Delta; dphi_v, 0] and (g - A_q v, -dphi_q v),
+            # X_q = v substituted in the second-order mode (s = n/2), and
+            # [A, -Delta; dphi, 0], (g, 0) otherwise (s = 0)
+            s = base.n // 2 if mode == "second-order" else 0
+            a_mat, g, v = base.A_at(x), base.f_at(x), x[base.n - s:]
+            mat, rhs = a_mat[:, s:], g - a_mat[:, :s] @ v
+            if gnh is not None:
+                mat = np.block([[mat, -forces], [dphi[:, s:], np.zeros((gnh.a, gnh.m))]])
+                rhs = np.concatenate([rhs, -(dphi[:, :s] @ v) if s else np.zeros(gnh.a)])
+            assert len(dyn._vals) == len(rhs) + mat.size
+            assert dyn._vals[len(rhs):].tobytes() == mat.tobytes()
+            if s:  # the products are summed in another order than numpy's
+                _assert_close(dyn._vals[:len(rhs)], rhs, rel=1e-13)
+            else:
+                assert dyn._vals[:len(rhs)].tobytes() == rhs.tobytes()
         # nothing returned aliases the kernel's buffer
         assert not np.shares_memory(xf, dyn._vals) and not np.shares_memory(u, dyn._vals)
 

@@ -130,6 +130,20 @@ def test_csv_round_trip():
         assert float(row[3]) == traj.multipliers[i, 0]
 
 
+def test_csv_rows_are_the_per_value_format_bit_for_bit():
+    rng = np.random.default_rng(9)
+    states = rng.standard_normal((3000, 3)) * 10.0 ** rng.integers(-300, 300, (3000, 3))
+    states[0] = [-0.0, 5e-324, 1.0 / 3.0]
+    traj = Trajectory(0.0, 0.1, 0.1 * np.arange(3000), states, states[:, :1] * 7.0,
+                      np.abs(states[:, 2]))
+    buf = io.StringIO()
+    traj.write_csv(buf)
+    rows = np.column_stack([traj.times, states, traj.multipliers, traj.drift]).tolist()
+    want = "t,x1,x2,x3,u1,drift\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+    assert buf.getvalue() == want
+
+
 def test_csv_writes_to_path(tmp_path):
     traj = integrate(lambda x: np.array([1.0]), np.array([0.0]), 0.2, 0.1)
     target = tmp_path / "run.csv"
@@ -199,6 +213,9 @@ def test_a_blow_up_stops_with_a_non_finite_error_naming_the_step():
     with pytest.raises(NonFiniteError) as err:
         integrate(lambda x: x**3, np.array([1.0]), 2.0, 0.01)
     assert str(err.value) == "non-finite value in step 51 from t = 0.51: the state overflowed"
+    # a finite state whose entries sum past the float range is not stopped
+    big = integrate(lambda x: np.zeros(2), np.array([1e308, 1e308]), 0.2, 0.1)
+    assert np.array_equal(big.states[-1], [1e308, 1e308])
 
     def solver_field(x):
         raise NonFiniteError("a linear solve has a non-finite right-hand side")

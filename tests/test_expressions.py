@@ -124,6 +124,7 @@ def test_undeclared_variable_rejected_when_variables_given():
     assert err.value.offset == 4
     # without a declaration list every identifier is accepted
     assert sorted(free_variables(parse("x + q"))) == ["q", "x"]
+    assert free_variables(parse("x + q"), parse("q * y")) == {"q", "x", "y"}
 
 
 def test_trailing_garbage_rejected():
@@ -322,6 +323,10 @@ def test_field_shape_errors():
         ExpressionField.matrix([["x", "1"], ["y"]], ("x", "y"))
     with pytest.raises(UndeclaredVariableError):
         ExpressionField.vector(["x + z"], ("x", "y"))
+    # one walk over all entries finds them; the first entry that has one names it
+    with pytest.raises(UndeclaredVariableError) as err:
+        ExpressionField.vector([parse("x"), parse("w + z"), parse("a")], ("x", "y"))
+    assert err.value.name == "w"
     with pytest.raises(ShapeError):
         ExpressionField.vector(["x"], ("x",)).gradient()
     with pytest.raises(ShapeError):
