@@ -23,9 +23,7 @@ from .errors import (
 from .expressions import (
     ExpressionField,
     derivative,
-    eval_dual,
     evaluate,
-    fd_jacobian,
     free_variables,
     parse,
     substitute,
@@ -51,9 +49,6 @@ from .systems import (
     consistency_at,
     constraint_algorithm_sample,
     identity_system,
-    make_system,
-    primary_constraint_values,
-    solve_at,
 )
 from .nonholonomic import (
     GeneralizedNonholonomicSystem,
@@ -65,8 +60,6 @@ from .lagrangian import (
     build_lagrangian_model,
     build_lagrangian_system,
     chetaev_frame,
-    nonholonomic_lagrangian,
-    regularity_of_L,
 )
 from .dynamics import Trajectory, integrate, monitor
 from .symmetry import (
@@ -74,7 +67,6 @@ from .symmetry import (
     check_descent,
     check_inf_symmetry,
     check_symmetry,
-    euler_flow_candidate,
     finite_candidate,
     infinitesimal_candidate,
 )

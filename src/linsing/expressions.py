@@ -6,8 +6,9 @@ Differentiation is closed over the node set; `abs` differentiates to `sign`, whi
 defined to be 0 at 0.
 
 Expressions are DAGs: derivatives share nodes with their source. `derivative` and
-`free_variables` visit each shared node once per call, and `compile_exprs` computes
-each structurally equal subtree once per evaluation, with bit-identical arithmetic.
+`free_variables` visit each shared node once per call, and `Compiled` computes
+each structurally equal subtree once per evaluation, with bit-identical arithmetic,
+at one point or over a batch of points.
 """
 
 from __future__ import annotations
@@ -564,101 +565,6 @@ def substitute(e, mapping):
     raise TypeError(f"not an expression node: {e!r}")
 
 
-# -------------------------------------------------- dual-number forward mode
-
-def eval_dual(e, variables, point):
-    """Forward-mode evaluation: returns (value, gradient ndarray).
-
-    Independent of the symbolic differentiator; used as a cross-check oracle.
-    """
-    idx = {name: i for i, name in enumerate(variables)}
-    n = len(variables)
-
-    def rec(node):
-        if isinstance(node, Const):
-            return node.value, np.zeros(n)
-        if isinstance(node, Var):
-            g = np.zeros(n)
-            g[idx[node.name]] = 1.0
-            return float(point[idx[node.name]]), g
-        if isinstance(node, Add):
-            va, ga = rec(node.a)
-            vb, gb = rec(node.b)
-            return va + vb, ga + gb
-        if isinstance(node, Sub):
-            va, ga = rec(node.a)
-            vb, gb = rec(node.b)
-            return va - vb, ga - gb
-        if isinstance(node, Mul):
-            va, ga = rec(node.a)
-            vb, gb = rec(node.b)
-            return va * vb, va * gb + vb * ga
-        if isinstance(node, Div):
-            va, ga = rec(node.a)
-            vb, gb = rec(node.b)
-            if vb == 0.0:
-                raise DomainEvalError("division by zero", to_text(node))
-            return va / vb, (ga * vb - va * gb) / (vb * vb)
-        if isinstance(node, Neg):
-            va, ga = rec(node.a)
-            return -va, -ga
-        if isinstance(node, Pow):
-            vb_, gb_ = rec(node.base)
-            ve, ge = rec(node.exponent)
-            try:
-                val = math.pow(vb_, ve)
-            except (ValueError, OverflowError) as exc:
-                raise DomainEvalError(f"invalid power ({exc})", to_text(node)) from None
-            if isinstance(node.exponent, Const):
-                if ve == 0.0:
-                    grad = 0.0 * gb_
-                else:
-                    try:
-                        grad = ve * math.pow(vb_, ve - 1.0) * gb_
-                    except (ValueError, OverflowError) as exc:
-                        raise DomainEvalError(
-                            f"invalid power ({exc})", to_text(node)
-                        ) from None
-            else:
-                if vb_ <= 0.0:
-                    raise DomainEvalError("power with non-constant exponent needs a positive base", to_text(node))
-                grad = val * (ge * math.log(vb_) + ve * gb_ / vb_)
-            return val, grad
-        if isinstance(node, Call):
-            vu, gu = rec(node.arg)
-            fn = node.fn
-            if fn == "sqrt":
-                if vu < 0.0:
-                    raise DomainEvalError("sqrt of a negative number", to_text(node))
-                if vu == 0.0:
-                    raise DomainEvalError("sqrt derivative at zero", to_text(node))
-                val = math.sqrt(vu)
-                return val, gu / (2.0 * val)
-            if fn == "sin":
-                return math.sin(vu), math.cos(vu) * gu
-            if fn == "cos":
-                return math.cos(vu), -math.sin(vu) * gu
-            if fn == "tan":
-                c = math.cos(vu)
-                return math.tan(vu), gu / (c * c)
-            if fn == "exp":
-                val = math.exp(vu)
-                return val, val * gu
-            if fn == "log":
-                if vu <= 0.0:
-                    raise DomainEvalError("log of a non-positive number", to_text(node))
-                return math.log(vu), gu / vu
-            if fn == "asinh":
-                return math.asinh(vu), gu / math.sqrt(vu * vu + 1.0)
-            if fn == "abs":
-                return abs(vu), _sign(vu) * gu
-            if fn == "sign":
-                return _sign(vu), 0.0 * gu
-        raise TypeError(f"not an expression node: {node!r}")
-
-    return rec(e)
-
-
 # ------------------------------------------------------------------- codegen
 
 _BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
@@ -738,22 +644,12 @@ def _define(src, namespace):
     return namespace["_compiled"]
 
 
-def compile_exprs(exprs, variables):
-    """Compile a flat list of expressions into one fast callable seq -> list[float].
-
-    The expressions are compiled as one DAG (see `_compiled_source`). Every
-    operation stays the same IEEE operation on the same operands, so results are
-    bit-identical to computing each tree in full.
-
-    On any arithmetic fault the slow tree evaluator re-runs to produce a precise
-    DomainEvalError naming the subexpression. The runner's `source` attribute
-    holds the generated code, which `compile_rows` runs over arrays.
-    """
-    return _scalar_runner(exprs, variables, _compiled_source(exprs, variables))
-
-
 def _scalar_runner(exprs, variables, src):
-    """`compile_exprs` of `exprs` from their generated source `src`."""
+    """A fast callable, seq -> list[float], of `exprs` from their generated
+    source `src`. Every operation stays the same IEEE operation on the same
+    operands, so results are bit-identical to computing each tree in full. On
+    any arithmetic fault the slow tree evaluator re-runs to produce a precise
+    DomainEvalError naming the subexpression."""
     ns = {"_pow": math.pow}
     for fname, impl in FUNCTIONS.items():
         ns[f"_fn_{fname}"] = impl
@@ -772,7 +668,6 @@ def _scalar_runner(exprs, variables, src):
             env = dict(zip(names, point))
             return [evaluate(e, env) for e in exprs]
 
-    runner.source = src
     return runner
 
 
@@ -797,23 +692,17 @@ def _row_namespace():
     return ns
 
 
-def compile_rows(runner):
-    """Vectorised target of a `compile_exprs` runner: an (N, n) array of points
-    -> an (N, m) array whose row i is bit for bit `runner(points[i])`.
-
-    The runner's source runs once over columns of values. Where the scalar
-    runner raises (a division by zero, an overflow, a domain fault), numpy would
-    go on with an inf or a NaN that a later operation can hide, so any
-    floating-point exception in the vectorised run sends every row through the
-    scalar runner, in row order: a DomainEvalError names the subexpression as
-    before. Rows whose point or value is not finite also take the scalar runner.
-    """
-    return _row_runner(runner.source, lambda: runner)
-
-
 def _row_runner(src, scalar):
-    """`compile_rows` from the generated source `src`; `scalar()` returns the
-    scalar runner of the same source, which only the fallback calls."""
+    """The vectorised target of the generated source `src`: an (N, n) array of
+    points -> an (N, m) array whose row i is bit for bit the scalar runner's
+    values at points[i]; `scalar()` returns that runner.
+
+    The source runs once over columns of values. Where the scalar runner
+    raises (a division by zero, an overflow, a domain fault), numpy would go on
+    with an inf or a NaN that a later operation can hide, so any floating-point
+    exception in the vectorised run sends every row through the scalar runner,
+    in row order: a DomainEvalError names the subexpression as before. Rows
+    whose point or value is not finite also take the scalar runner."""
     fast = _define(src, _row_namespace())
 
     def rows(points):
@@ -848,14 +737,14 @@ class Compiled:
         self._src = self._scalar = self._rows = None
 
     def scalar(self):
-        """The `compile_exprs` runner: a point -> the list of values."""
+        """The scalar runner: a point -> the list of values (see `_scalar_runner`)."""
         if self._scalar is None:
             self._scalar = _scalar_runner(self.exprs, self.variables, self._source())
         return self._scalar
 
     def rows(self, points):
         """(N, len(exprs)) values at the rows of an (N, n) array of points, row i
-        bit for bit `scalar()(points[i])` (see `compile_rows`). A batch of one
+        bit for bit `scalar()(points[i])` (see `_row_runner`). A batch of one
         row takes the scalar runner, and compiles no vectorised target."""
         points = np.asarray(points, dtype=float)
         if len(points) == 1:
@@ -896,8 +785,6 @@ class ExpressionField:
         self._runner = None
         self._jac = None
         self._grad = None
-        self._hess = None
-        self._partials = None
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -923,13 +810,6 @@ class ExpressionField:
             flat.extend(row)
         return ExpressionField(flat, variables, (len(rows), ncols))
 
-    @staticmethod
-    def constant_matrix(mat, variables):
-        mat = np.asarray(mat, dtype=float)
-        return ExpressionField.matrix(
-            [[Const(float(v)) for v in row] for row in mat], variables
-        )
-
     # -- evaluation ----------------------------------------------------------
     @property
     def is_constant(self):
@@ -949,16 +829,12 @@ class ExpressionField:
 
     def rows(self, points):
         """Values at each row of an (N, n) array of points, as an (N, *shape)
-        array; row i is bit for bit the field at points[i] (see `compile_rows`).
+        array; row i is bit for bit the field at points[i] (see `Compiled.rows`).
         A batch of one row takes the scalar runner."""
         points = np.asarray(points, dtype=float)
         return self._compiled.rows(points).reshape((len(points),) + self.shape)
 
     # -- calculus ------------------------------------------------------------
-    def partial(self, var):
-        """Entry-wise partial derivative field with the same shape."""
-        return ExpressionField(derivatives(self.entries, var), self.variables, self.shape)
-
     def gradient(self):
         if self.shape != ():
             raise ShapeError("gradient needs a scalar field")
@@ -980,21 +856,6 @@ class ExpressionField:
     def jacobian_at(self, point):
         return self.jacobian_field()(point)
 
-    def hessian_field(self):
-        if self.shape != ():
-            raise ShapeError("hessian needs a scalar field")
-        if self._hess is None:
-            grads = [derivative(self.entries[0], v) for v in self.variables]
-            columns = [derivatives(grads, v) for v in self.variables]
-            self._hess = ExpressionField.matrix(list(zip(*columns)), self.variables)
-        return self._hess
-
-    def partial_fields(self):
-        """List of d(field)/d(x_j) fields, one per variable (same shape each)."""
-        if self._partials is None:
-            self._partials = [self.partial(v) for v in self.variables]
-        return self._partials
-
     def substitute(self, mapping):
         """New field with variables replaced by expressions/numbers."""
         new_entries = [substitute(e, mapping) for e in self.entries]
@@ -1012,20 +873,3 @@ class ExpressionField:
             rows.append(", ".join(to_text(e) for e in self.entries[i * c : (i + 1) * c]))
         return "[" + "; ".join(rows) + "]"
 
-
-def fd_jacobian(field, point, rel_step=1e-6):
-    """Central finite-difference Jacobian; step h = rel_step*max(1,|x_i|) per axis."""
-    point = np.asarray(point, dtype=float)
-    base = np.atleast_1d(np.asarray(field(point), dtype=float))
-    n = len(point)
-    out = np.empty((base.size, n))
-    for j in range(n):
-        h = rel_step * max(1.0, abs(point[j]))
-        xp = point.copy()
-        xm = point.copy()
-        xp[j] += h
-        xm[j] -= h
-        fp = np.atleast_1d(np.asarray(field(xp), dtype=float))
-        fm = np.atleast_1d(np.asarray(field(xm), dtype=float))
-        out[:, j] = (fp - fm) / (2.0 * h)
-    return out

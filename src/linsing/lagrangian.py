@@ -20,16 +20,14 @@ from . import linalg
 from .errors import MaxRankViolatedError, ShapeError
 from .expressions import (Const, ExpressionField, Var, add, derivative, derivatives, mul, neg,
                           parse, sub)
-from .nonholonomic import GeneralizedNonholonomicSystem, SubmanifoldSpec
+from .nonholonomic import SubmanifoldSpec
 from .systems import LinearlySingularSystem
 
 __all__ = [
     "LagrangianModel",
     "build_lagrangian_model",
     "build_lagrangian_system",
-    "regularity_of_L",
     "chetaev_frame",
-    "nonholonomic_lagrangian",
 ]
 
 
@@ -55,21 +53,10 @@ class LagrangianModel:
         self._w = [derivatives(self.momenta, v) for v in self.v_names]
         self._n_qv = [derivatives(self.momenta, q) for q in self.q_names]
         self._omega = None
-        self._hessian_field = None
 
     @property
     def nq(self):
         return len(self.q_names)
-
-    def theta_field(self):
-        """Cartan 1-form components (p_i in the dq slots, zeros in the dv slots)."""
-        zeros = [Const(0.0)] * self.nq
-        return ExpressionField.vector(list(self.momenta) + zeros, self.variables)
-
-    def velocity_hessian_field(self):
-        if self._hessian_field is None:
-            self._hessian_field = ExpressionField.matrix(self._w, self.variables)
-        return self._hessian_field
 
     def omega_matrix_field(self):
         """Matrix field of X -> i_X omega_L in the (q, v) basis."""
@@ -110,27 +97,6 @@ def build_lagrangian_system(model):
     )
 
 
-def regularity_of_L(model, points, tols=linalg.DEFAULT_TOLERANCES):
-    """Per-point regularity verdicts, with the dual rank criterion cross-checked.
-
-    L is regular at x iff the velocity Hessian W(x) has full rank, equivalently
-    iff the omega matrix has full rank 2n; the two routes must agree.
-    """
-    wf = model.velocity_hessian_field()
-    of = model.omega_matrix_field()
-    n = model.nq
-    out = []
-    for x in points:
-        rw = linalg.rank(wf(x), tols)
-        ro = linalg.rank(of(x), tols)
-        if (rw == n) != (ro == 2 * n):
-            raise AssertionError(
-                f"rank criteria disagree at {x}: rank W = {rw}, rank omega = {ro}"
-            )
-        out.append(rw == n)
-    return out
-
-
 def chetaev_frame(model, phi, check_points=None, tols=linalg.DEFAULT_TOLERANCES):
     """Force frame Delta^i = (dphi^i/dv^j) dq^j attached to velocity constraints:
     the (2n, a) matrix field [vjac^T; 0] of the velocity Jacobian vjac = dphi/dv.
@@ -156,14 +122,3 @@ def chetaev_frame(model, phi, check_points=None, tols=linalg.DEFAULT_TOLERANCES)
     rows = [list(vjac.entries[j::n]) for j in range(n)] + [[Const(0.0)] * a] * n
     return ExpressionField.matrix(rows, model.variables)
 
-
-def nonholonomic_lagrangian(model, phi, forces=None, check_points=None,
-                            tols=linalg.DEFAULT_TOLERANCES):
-    """Bundle a Lagrangian with velocity constraints into a nonholonomic system."""
-    if not isinstance(phi, SubmanifoldSpec):
-        phi = SubmanifoldSpec(phi)
-    if forces is None:
-        forces = chetaev_frame(model, phi, check_points, tols)
-    return GeneralizedNonholonomicSystem(
-        base=build_lagrangian_system(model), constraints=phi, forces=forces
-    )

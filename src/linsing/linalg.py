@@ -2,22 +2,25 @@
 subspace classification and reduced (quotient) maps.
 
 All rank decisions run through one tolerance policy:
-tol_rank = max(rows, cols) * sigma_max * rank_factor, and image-membership
-decisions use tol_img = tol_rank * (1 + ||b||_2). Null-space bases come out of
-the SVD in a deterministic gauge (descending singular values, each basis
-vector's first non-negligible component made positive).
+tol_rank = max(rows, cols) * sigma_max * rank_factor, sigma_max coming from the
+SVD whose rank is decided, and image-membership decisions use
+tol_img = tol_rank * (1 + ||b||_2); no cut-off takes an SVD of its own.
+Null-space bases come out of the SVD in a deterministic gauge (descending
+singular values, each basis vector's first non-negligible component made
+positive).
 
-A 1x1 matrix [[d]] (the Schur complement D of a system with one constraint)
-is factored in closed form, u = sign(d), s = |d|, vt = 1, when
+`solve_affine` solves a 1x1 system [[d]] (the Schur complement D of a system
+with one constraint) on Python floats from start to end. It factors d in
+closed form, u = sign(d), s = |d|, vt = 1, when
 sqrt(tiny)/eps <= |d| <= eps/sqrt(tiny), about 6.7e-139 to 1.5e138. That is
 the range in which LAPACK's SVD (gesdd) does not rescale the matrix, and
 unscaled it returns exactly these factors, so the closed form is the SVD bit
 for bit. Outside it (zero, subnormal, huge, NaN or inf entries) LAPACK runs
-as for any other matrix. `solve_affine` solves a 1x1 system on Python floats
-from start to end, with the IEEE operations of the general path: products
-summed from +0 as numpy's matmul sums them, and norms as sqrt(v * v). Its one
-rank decision also hands back the cut-off, which the image tolerance reuses,
-and a full rank shares one read-only empty kernel basis.
+as for any other matrix. The IEEE operations are those of the general path:
+products summed from +0 as numpy's matmul sums them, and norms as
+sqrt(v * v). Its one rank decision also hands back the cut-off, which the
+image tolerance reuses, and a full rank shares one read-only empty kernel
+basis.
 
 A stack of matrices, an (N, p, q) array, is factored by one stacked SVD, and
 `rank`, `kernel_basis`, `solve_affine` and `complement_projectors` then decide
@@ -58,19 +61,15 @@ class Tolerances:
     projection_rounding: ClassVar[float] = 8.0
     projection_iterations: ClassVar[int] = 20
 
-    def rank_tol(self, mat, smax=None):
-        """Singular-value cut-off of a matrix, or of each matrix of a stack
-        (`smax` then holds each matrix's largest singular value). With `smax`
-        given, `mat` must be an array."""
-        if smax is None:
-            mat = np.asarray(mat, dtype=float)
-            if mat.size:
-                smax = float(np.linalg.svd(mat, compute_uv=False)[0])
+    def rank_tol(self, mat, smax):
+        """Singular-value cut-off of an array `mat` whose largest singular value
+        is `smax`, or of each matrix of a stack (`smax` then holds each
+        matrix's largest singular value)."""
         if mat.size == 0:
             return 0.0
         return max(mat.shape[-2:]) * smax * self.rank_factor
 
-    def img_tol(self, mat, b, smax=None):
+    def img_tol(self, mat, b, smax):
         """Image-membership cut-off for `mat` x = b; for a stack, `b` holds one
         right-hand side per row and `smax` one largest singular value per matrix."""
         base = self.img_factor if self.img_factor is not None else self.rank_tol(mat, smax)
@@ -109,14 +108,13 @@ _UNSCALED_MAX = 1.0 / _UNSCALED_MIN
 
 def _svd_rank(mat, tols, compute_uv=True):
     """SVD of a matrix and its numerical rank under `tols`: ((u, s, vt), r), or
-    (s, r) without `compute_uv`. The one place a rank is decided. A 1x1 matrix
-    within LAPACK's unscaled range takes the closed form, the same factors.
+    (s, r) without `compute_uv`. The one place a rank is decided.
 
     A float d stands for the 1x1 matrix [[d]] of a scalar solve and stays on
     floats: ((u, s, vt), r, cut), the factors as floats and the cut-off that r
-    was decided against. A stack of matrices, (N, p, q), takes one stacked
-    LAPACK SVD (which factors a 1x1 in range as the closed form does), and r is
-    then an (N,) array of ranks."""
+    was decided against; within LAPACK's unscaled range they are the closed
+    form, the SVD's factors bit for bit. A stack of matrices, (N, p, q), takes
+    one stacked LAPACK SVD, and r is then an (N,) array of ranks."""
     if isinstance(mat, float):
         if _UNSCALED_MIN <= abs(mat) <= _UNSCALED_MAX:
             u, s, vt = math.copysign(1.0, mat), abs(mat), 1.0
@@ -134,12 +132,8 @@ def _svd_rank(mat, tols, compute_uv=True):
         if not compute_uv:
             return s, 0
         return (np.zeros((mat.shape[0], 0)), s, np.zeros((0, mat.shape[1]))), 0
-    if mat.shape == (1, 1) and _UNSCALED_MIN <= abs(d := mat.item()) <= _UNSCALED_MAX:
-        s = np.array([abs(d)])
-        svd = (np.array([[math.copysign(1.0, d)]]), s, np.array([[1.0]])) if compute_uv else s
-    else:
-        svd = _lapack_svd(mat, compute_uv)
-        s = svd[1] if compute_uv else svd
+    svd = _lapack_svd(mat, compute_uv)
+    s = svd[1] if compute_uv else svd
     cut = tols.rank_tol(mat, float(s[0]))
     return svd, sum(v > cut for v in s.tolist())
 

@@ -348,7 +348,7 @@ class PointDynamics:
     gives the minimum-norm u, with X following, once the frame's rank is
     checked; no solution, or no unique one for an explicit flow, raises
     InconsistentSystemError. Points are not checked against M: the caller
-    checks them. `analysis`, `flow` and `unconstrained` report what `solve`
+    checks them. `analysis` and `unconstrained` report what `solve`
     computes, from the same kernel evaluation; every array they return is a
     copy, never a view of the kernel's buffer."""
 
@@ -382,14 +382,6 @@ class PointDynamics:
             return self._evaluate(x)[4].copy()
         b = _regular_base_matrix(self.gnh, x, self.tols)
         return np.linalg.solve(b, self.gnh.base.f_at(x))
-
-    def flow(self, x):
-        """(Y, X) at x: from one kernel evaluation for a constant base in the
-        first-order modes, otherwise as `unconstrained` and `solve` give them."""
-        if self._b_inv is None:
-            return self.unconstrained(x), self.solve(x)[0]
-        views = self._evaluate(x)
-        return views[4].copy(), self._schur(views)[0]
 
     def analysis(self, x):
         """PointAnalysis at x, which the caller has checked lies on M: `analyses`
@@ -463,9 +455,10 @@ class PointDynamics:
 
     def flows(self, points):
         """(Y, X) at each row of an (N, n) array of points, as an (N, 2, n)
-        array: `flow` at each point, from one kernel evaluation over the batch
-        and one stacked solve. A varying base is checked regular at each point;
-        an error raises for the first point at which its step fails."""
+        array: `unconstrained` and `solve`'s X at each point, from one kernel
+        evaluation over the batch and one stacked solve. A varying base is
+        checked regular at each point; an error raises for the first point at
+        which its step fails."""
         pts = np.asarray(points, dtype=float)
         views = self._evaluate_rows(pts)
         if self._b_inv is not None:

@@ -51,7 +51,7 @@ from .expressions import FUNCTIONS, ExpressionField, evaluate, parse, tokenize
 from .lagrangian import LagrangianModel, build_lagrangian_model, build_lagrangian_system, chetaev_frame
 from .nonholonomic import GeneralizedNonholonomicSystem, SubmanifoldSpec
 from .symmetry import SymmetryCandidate, finite_candidate, infinitesimal_candidate
-from .systems import LinearlySingularSystem, identity_system, make_system
+from .systems import LinearlySingularSystem, identity_system
 
 __all__ = ["SpecFile", "constant_value", "load", "loads", "parse_box",
            "parse_param_overrides"]
@@ -365,7 +365,7 @@ def loads(text, name="", param_overrides=None):
         if "A" in sec:
             a = _matrix_field("system", expand(sec["A"]), variables,
                               expect_cols=len(variables))
-            spec.system = _assembled("system", sec["A"].line, make_system, a, f)
+            spec.system = _assembled("system", sec["A"].line, LinearlySingularSystem, a, f)
         else:
             spec.system = identity_system(f)
         extra = set(sec) - {"f", "A"}

@@ -17,13 +17,12 @@ import numpy as np
 
 from . import linalg
 from .errors import NonFiniteError, ShapeError, raise_first
-from .expressions import Const, ExpressionField, Var, add, derivatives, mul
+from .expressions import Const, ExpressionField, add, derivatives, mul
 
 __all__ = [
     "SymmetryCandidate",
     "finite_candidate",
     "infinitesimal_candidate",
-    "euler_flow_candidate",
     "check_symmetry",
     "check_inf_symmetry",
     "check_descent",
@@ -58,27 +57,6 @@ def infinitesimal_candidate(v_field, lambda_matrix=None):
     if lambda_matrix is None:
         lambda_matrix = v_field.jacobian_field()
     return SymmetryCandidate("infinitesimal", v_field, lambda_matrix)
-
-
-def euler_flow_candidate(cand, eps):
-    """Finite candidate (x + eps V(x), I + eps Lambda(x)) from an infinitesimal one."""
-    if cand.kind != "infinitesimal":
-        raise ShapeError("euler_flow_candidate needs an infinitesimal candidate")
-    variables = cand.base.variables
-    base = ExpressionField.vector(
-        [add(Var(name), mul(Const(eps), e)) for name, e in zip(variables, cand.base.entries)],
-        variables,
-    )
-    k = cand.fibre.shape[0]
-    entries = []
-    for i in range(k):
-        for j in range(k):
-            e = mul(Const(eps), cand.fibre.entries[i * k + j])
-            if i == j:
-                e = add(Const(1.0), e)
-            entries.append(e)
-    fibre = ExpressionField(entries, variables, (k, k))
-    return SymmetryCandidate("finite", base, fibre)
 
 
 def _residual_errors():

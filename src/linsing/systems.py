@@ -19,12 +19,9 @@ from .expressions import Const, ExpressionField, Var, add, mul, sub
 
 __all__ = [
     "LinearlySingularSystem",
-    "make_system",
     "identity_system",
     "consistency_at",
     "consistency_rows",
-    "primary_constraint_values",
-    "solve_at",
     "constraint_algorithm_sample",
 ]
 
@@ -67,11 +64,6 @@ class LinearlySingularSystem:
         return self.f(x)
 
 
-def make_system(A, f):
-    """Validated constructor for LinearlySingularSystem."""
-    return LinearlySingularSystem(A, f)
-
-
 def identity_system(f):
     """Explicit system x' = f(x): A is the identity on the state space."""
     n = f.shape[0]
@@ -103,29 +95,6 @@ def consistency_rows(sys, points, tols=linalg.DEFAULT_TOLERANCES):
         one = sol.item(i)
         out.append(ConsistencyResult(one.consistent, one.residual, sys.n - one.kernel.dim, one))
     return out
-
-
-def primary_constraint_values(sys, x, tols=linalg.DEFAULT_TOLERANCES):
-    """Pairings <w_i(x), f(x)> over the deterministic cokernel basis of A(x).
-
-    All small (at tol_img) exactly when the point is consistent; the Euclidean
-    norm of the vector is gauge-free.
-    """
-    w = linalg.cokernel_basis(sys.A_at(x), tols)
-    return w.vectors.T @ sys.f_at(x)
-
-
-def solve_at(sys, x, extra_rows=None, extra_rhs=None, tols=linalg.DEFAULT_TOLERANCES):
-    """Solve A(x) v = f(x), optionally stacked with extra linear rows C v = d."""
-    a = sys.A_at(x)
-    b = sys.f_at(x)
-    if extra_rows is not None:
-        extra_rows = np.atleast_2d(np.asarray(extra_rows, dtype=float))
-        if extra_rhs is None:
-            extra_rhs = np.zeros(extra_rows.shape[0])
-        a = np.vstack([a, extra_rows])
-        b = np.concatenate([b, np.asarray(extra_rhs, dtype=float).reshape(-1)])
-    return linalg.solve_affine(a, b, tols)
 
 
 # ------------------------------------------ derivative-array constraint algorithm

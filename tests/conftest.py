@@ -1,4 +1,5 @@
-"""Shared helpers: a deterministic corpus of random, domain-safe expressions.
+"""Shared helpers: a deterministic corpus of random, domain-safe expressions,
+and the Euler step of an infinitesimal symmetry candidate.
 
 The generator guards every partial function (safe denominators, positive
 sqrt/log arguments, damped exp) so that the produced expressions evaluate
@@ -13,16 +14,18 @@ import numpy as np
 from linsing.errors import DomainEvalError
 from linsing.expressions import (
     Const,
+    ExpressionField,
     Var,
     add,
     call,
     div,
-    eval_dual,
     free_variables,
     mul,
     pow_,
     sub,
 )
+from linsing.symmetry import finite_candidate
+from oracles import eval_dual
 
 
 def random_expr(rng, variables, depth):
@@ -82,3 +85,14 @@ def expression_corpus(count, nvars=3, depth=3, seed=20260814, bound=1e4):
             continue
         out.append((e, variables, point))
     return out
+
+
+def euler_step_candidate(cand, eps):
+    """Finite candidate (x + eps V(x), I + eps Lambda(x)) from an infinitesimal
+    one: a symmetry up to O(eps^2) when the infinitesimal conditions hold."""
+    variables, k, step = cand.base.variables, cand.fibre.shape[0], Const(eps)
+    base = [add(Var(name), mul(step, e)) for name, e in zip(variables, cand.base.entries)]
+    fibre = [add(Const(float(i == j)), mul(step, cand.fibre.entries[i * k + j]))
+             for i in range(k) for j in range(k)]
+    return finite_candidate(ExpressionField.vector(base, variables),
+                            ExpressionField(fibre, variables, (k, k)))

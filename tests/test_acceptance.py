@@ -11,12 +11,13 @@ import numpy as np
 from scipy.stats import qmc
 
 from conftest import expression_corpus
+from oracles import eval_dual
 from test_linalg import _random_restriction_triple, _random_subspace_pair
 
 from linsing import linalg, report
 from linsing.cli import main, scenario_text
 from linsing.dynamics import integrate, monitor
-from linsing.expressions import eval_dual, evaluate
+from linsing.expressions import evaluate
 from linsing.nonholonomic import PointDynamics
 from linsing.sampling import on_manifold_sample
 from linsing.specfile import loads

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from test_acceptance import _scenario
+from conftest import euler_step_candidate
 from test_bordered import VARYING_BASE_SPEC, _varying_base_points
 
 from linsing import cli, linalg, report
@@ -24,7 +25,7 @@ from linsing.errors import (
     ShapeError,
     raise_first,
 )
-from linsing.expressions import Const, ExpressionField, add, derivative, mul, to_text
+from linsing.expressions import Const, ExpressionField, add, derivative, derivatives, mul, to_text
 from linsing.lagrangian import chetaev_frame
 from linsing.linalg import DEFAULT_TOLERANCES
 from linsing.nonholonomic import (
@@ -41,7 +42,6 @@ from linsing.symmetry import (
     check_inf_symmetry,
     check_symmetry,
     constant_descent,
-    euler_flow_candidate,
     flow_samples,
     max_rate,
 )
@@ -293,7 +293,7 @@ def test_check_routines_give_the_loop_residuals_bit_for_bit(name):
     box_pts = halton_box(spec.variables, spec.box, 40)
     chk = check_inf_symmetry(spec.system, cand, box_pts)
     assert (chk.r_f, chk.r_A) == _check_inf_symmetry_loop(spec.system, cand, box_pts)
-    finite = euler_flow_candidate(cand, 1e-3)
+    finite = euler_step_candidate(cand, 1e-3)
     chk = check_symmetry(spec.system, finite, box_pts)
     assert (chk.r_f, chk.r_A) == _check_symmetry_loop(spec.system, finite, box_pts)
     if spec.gnh is None:
@@ -312,7 +312,7 @@ def test_flow_samples_and_rates_are_the_loop_bit_for_bit(name):
     dyn = PointDynamics(spec.gnh)
     flows = flow_samples(dyn, pts)
     for x, (y, xf) in zip(pts, flows):
-        y1, x1 = dyn.flow(x)
+        y1, x1 = dyn.unconstrained(x), dyn.solve(x)[0]
         assert y.tobytes() == y1.tobytes() and xf.tobytes() == x1.tobytes()
     for h in spec.constants.values():
         res = constant_descent(h, pts, flows)
@@ -485,7 +485,7 @@ def test_shared_memo_derivatives_print_as_entry_by_entry_ones(name):
                     want = add(want, mul(derivative(e, var), ve))
             assert to_text(got) == to_text(want)
         for var in fld.variables:
-            assert [to_text(e) for e in fld.partial(var).entries] == \
+            assert [to_text(e) for e in derivatives(fld.entries, var)] == \
                 [to_text(derivative(e, var)) for e in fld.entries]
         if len(fld.shape) == 1:
             jac = fld.jacobian_field()

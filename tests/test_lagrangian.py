@@ -11,11 +11,9 @@ from linsing.lagrangian import (
     build_lagrangian_model,
     build_lagrangian_system,
     chetaev_frame,
-    nonholonomic_lagrangian,
-    regularity_of_L,
 )
 from linsing.linalg import kernel_basis, rank
-from linsing.nonholonomic import PointDynamics, SubmanifoldSpec
+from linsing.nonholonomic import GeneralizedNonholonomicSystem, PointDynamics, SubmanifoldSpec
 from linsing.symmetry import flow_samples
 from linsing.systems import consistency_at
 
@@ -68,19 +66,23 @@ def test_omega_matrix_is_antisymmetric():
         assert np.max(np.abs(A + A.T)) < 1e-12
 
 
-def test_theta_field_layout():
-    m = build_lagrangian_model("x*y*x' + x'*y'", ("x", "y"))
-    th = m.theta_field()(np.array([2.0, 3.0, 5.0, 7.0]))
-    assert np.allclose(th, [2 * 3 + 7, 5, 0.0, 0.0])
+def _is_regular(model, x):
+    """L is regular at x iff the velocity Hessian W(x), the lower-left block of
+    the omega matrix, has full rank n, equivalently iff the omega matrix has
+    full rank 2n; the two routes must agree."""
+    omega, n = model.omega_matrix_field()(x), model.nq
+    regular = rank(omega[n:, :n]) == n
+    assert regular == (rank(omega) == 2 * n)
+    return regular
 
 
 def test_regularity_two_route_criterion():
-    pts = [np.array([0.3, -1.0, 0.8, 0.2])]
+    x = np.array([0.3, -1.0, 0.8, 0.2])
     regular = build_lagrangian_model("(x'^2 + y'^2)/2 - x*y", ("x", "y"))
-    assert regularity_of_L(regular, pts) == [True]
+    assert _is_regular(regular, x)
     # degenerate: no y' dependence at all
     degenerate = build_lagrangian_model("x'^2/2 + y", ("x", "y"))
-    assert regularity_of_L(degenerate, pts) == [False]
+    assert not _is_regular(degenerate, x)
 
 
 # --------------------------------------------------------------- Chetaev frame
@@ -112,6 +114,13 @@ def test_chetaev_frame_rank_check_at_points():
 
 # ------------------------------------------------- constrained free particle
 
+def _nonholonomic(model, phi):
+    """The Lagrangian's base, the constraint submanifold and its Chetaev frame,
+    assembled as a spec file's [lagrangian] and [constraints] sections are."""
+    return GeneralizedNonholonomicSystem(build_lagrangian_system(model), phi,
+                                         chetaev_frame(model, phi))
+
+
 STATE = np.array([0.0, 1.0, 0.0, 2.0, 3.0, 2.0])
 
 
@@ -119,7 +128,7 @@ def _skate():
     """Free particle with the knife-edge constraint z' = y x'."""
     m = build_lagrangian_model("(x'^2 + y'^2 + z'^2)/2", ("x", "y", "z"))
     phi = SubmanifoldSpec(ExpressionField.vector(["z' - y*x'"], m.variables))
-    return m, phi, nonholonomic_lagrangian(m, phi)
+    return m, phi, _nonholonomic(m, phi)
 
 
 def test_knife_edge_frozen_point_values():
@@ -172,7 +181,7 @@ def test_quadratic_relativistic_energy_and_multiplier():
     assert m.energy_field(s) == pytest.approx(-g / 2 + s[0])
 
     phi = SubmanifoldSpec(ExpressionField.vector([f"{METRIC} - 1"], m.variables))
-    gnh = nonholonomic_lagrangian(m, phi)
+    gnh = _nonholonomic(m, phi)
     dyn = PointDynamics(gnh)
     pa = dyn.analysis(s)
     assert pa.classification.regular
@@ -199,7 +208,7 @@ def test_homogeneous_relativistic_lagrangian_is_singular():
 
     A = m.omega_matrix_field()(s)
     assert rank(A) == 6
-    assert regularity_of_L(m, [s]) == [False]
+    assert not _is_regular(m, s)
     # the kernel is spanned by (v; 0) and (0; v)
     v = s[4:]
     k1 = np.concatenate([v, np.zeros(4)])
@@ -231,8 +240,8 @@ def test_homogeneous_sode_matches_quadratic_dynamics():
     phi = SubmanifoldSpec(
         ExpressionField.vector([f"{METRIC} - 1"], m1.variables)
     )
-    sode = PointDynamics(nonholonomic_lagrangian(m1, phi), second_order=True)
-    dyn2 = PointDynamics(nonholonomic_lagrangian(m2, phi))
+    sode = PointDynamics(_nonholonomic(m1, phi), second_order=True)
+    dyn2 = PointDynamics(_nonholonomic(m2, phi))
     rng = np.random.default_rng(6)
     for _ in range(10):
         v_sp = rng.uniform(-0.8, 0.8, size=3)
@@ -252,10 +261,10 @@ def test_sode_reports_infeasible_points():
     s = np.array([0.0, 0.0, 1.0, 0.0])
 
     absorbed = SubmanifoldSpec(ExpressionField.vector(["y' - 0"], m.variables))
-    dyn = PointDynamics(nonholonomic_lagrangian(m, absorbed), second_order=True)
+    dyn = PointDynamics(_nonholonomic(m, absorbed), second_order=True)
     assert dyn.solve(s)[2].residual < 1e-12
 
     blocked = SubmanifoldSpec(ExpressionField.vector(["x' - 1"], m.variables))
     assert blocked.is_on(s)
     with pytest.raises(InconsistentSystemError):
-        PointDynamics(nonholonomic_lagrangian(m, blocked), second_order=True).solve(s)
+        PointDynamics(_nonholonomic(m, blocked), second_order=True).solve(s)

@@ -372,8 +372,8 @@ def test_reduced_solve_matches_membership_oracle():
 def test_tolerance_accessors():
     tols = Tolerances()
     a = np.diag([2.0, 1.0])
-    assert tols.rank_tol(a) == 2 * 2.0 * 1e-10
-    assert tols.img_tol(a, np.array([3.0, 4.0])) == pytest.approx(
+    assert tols.rank_tol(a, 2.0) == 2 * 2.0 * 1e-10
+    assert tols.img_tol(a, np.array([3.0, 4.0]), 2.0) == pytest.approx(
         2 * 2.0 * 1e-10 * (1.0 + 5.0)
     )
     assert DEFAULT_TOLERANCES.on_manifold == 1e-8
@@ -425,7 +425,7 @@ def test_every_route_decides_the_planted_rank(problem):
         assert sol.kernel.vectors.shape == (n, 0)
     names = tuple(f"x{i}" for i in range(n))
     system = LinearlySingularSystem(
-        ExpressionField.constant_matrix(a, names),
+        ExpressionField.matrix([[repr(v) for v in row] for row in a.tolist()], names),
         ExpressionField.vector([str(v) for v in b], names),
     )
     res = consistency_at(system, np.zeros(n))
@@ -556,13 +556,14 @@ def test_1x1_closed_form_matches_lapack_and_the_general_solve(d, b, tols):
                 with pytest.raises(NonFiniteError):
                     solve_affine(mat, np.array([b]), tols)
                 return
-            factors, r = linalg._svd_rank(mat, tols)
-            values, r_values = linalg._svd_rank(mat, tols, compute_uv=False)
+            factors, r, cut = linalg._svd_rank(float(d), tols)
             sol = solve_affine(mat, np.array([b]), tols)
-    # LAPACK runs exactly where it rescales a 1x1
+        values, r_values = linalg._svd_rank(mat, tols, compute_uv=False)
+    # the float path runs LAPACK exactly where it rescales a 1x1
     assert (svd.call_count == 0) == (_SMLNUM <= abs(d) <= _BIGNUM)
     lapack, rank_, x0, residual, consistent, tol_img, kernel = expected
-    assert all(_same_bits(f, g) for f, g in zip(factors, lapack))
+    assert all(_same_bits(f, g.item()) for f, g in zip(factors, lapack))
+    assert _same_bits(cut, tols.rank_tol(mat, lapack[1].item()))
     assert _same_bits(values, lapack[1]) and r == r_values == rank_
     assert _same_bits(sol.x0, x0) and _same_bits(sol.residual, residual)
     assert sol.consistent == consistent and _same_bits(sol.tol_used, tol_img)

@@ -21,7 +21,7 @@ from linsing.nonholonomic import GeneralizedNonholonomicSystem, PointDynamics, S
 from linsing.sampling import halton_box, on_manifold_sample
 from linsing.specfile import loads
 from linsing.symmetry import flow_samples
-from linsing.systems import identity_system, make_system
+from linsing.systems import LinearlySingularSystem, identity_system
 
 V = ("x", "y")
 
@@ -281,8 +281,7 @@ def test_point_dynamics_matches_direct_path():
         assert np.max(np.abs(pd.field(p) - direct)) < 1e-13
         assert np.max(np.abs(pd.multipliers(p) + 2.0)) < 1e-13
         assert np.allclose(pd.unconstrained(p), [1.0, 2.0])
-        y, x_dot = pd.flow(p)
-        assert np.array_equal(y, pd.unconstrained(p)) and np.array_equal(x_dot, pd.field(p))
+        assert np.array_equal(pd.solve(p)[0], pd.field(p))
 
 
 def test_integrate_reuses_the_k1_solve_for_the_multipliers():
@@ -317,7 +316,7 @@ def test_off_manifold_points_are_rejected():
 def test_singular_base_raises():
     A = ExpressionField.matrix([["1", "0"], ["0", "0"]], V)
     f = ExpressionField.vector(["1", "0"], V)
-    base = make_system(A, f)
+    base = LinearlySingularSystem(A, f)
     gnh = GeneralizedNonholonomicSystem(
         base,
         SubmanifoldSpec(ExpressionField.vector(["y - 2"], V)),

@@ -40,3 +40,38 @@ def test_every_rank_cut_off_comes_from_the_tolerance_policy():
             offenders += [f"{path.name}:{getattr(node, 'lineno', '?')}: {n}"
                           for n in sorted(names & {"lstsq", "pinv", "matrix_rank"})]
     assert offenders == []
+
+
+# public names kept although no package module calls them
+UNCALLED_PUBLIC_NAMES = {
+    # the paper's quotient maps, which acceptance criteria 6 and 7 check
+    "subspace_classify", "induced_quotient_matrix", "reduced_solve",
+    # the derivative-array constraint algorithm, a library entry point
+    "constraint_algorithm_sample",
+    # the single-point analysis the README shows
+    "PointDynamics.analysis",
+}
+
+
+def test_every_public_function_is_called_from_the_package():
+    # a public function or method that no module of the package names, as a
+    # name or an attribute, serves only tests: it belongs in tests/ or nowhere
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(linsing.__file__).parent.glob("*.py"))}
+    defined = []
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined.append((node.name, node.name))
+            elif isinstance(node, ast.ClassDef):
+                defined += [(f"{node.name}.{f.name}", f.name) for f in node.body
+                            if isinstance(f, ast.FunctionDef)]
+    named = set()
+    for file, tree in trees.items():
+        if file != "__init__.py":
+            named.update(getattr(node, "id", None) or getattr(node, "attr", None)
+                         for node in ast.walk(tree)
+                         if isinstance(node, (ast.Name, ast.Attribute)))
+    uncalled = sorted(qual for qual, name in defined if not name.startswith("_")
+                      and name not in named and qual not in UNCALLED_PUBLIC_NAMES)
+    assert uncalled == []

@@ -4,17 +4,15 @@ import pytest
 from linsing.cli import scenario_text
 from linsing.errors import ShapeError
 from linsing.expressions import ExpressionField
-from linsing.linalg import DEFAULT_TOLERANCES
+from linsing.linalg import DEFAULT_TOLERANCES, cokernel_basis
 from linsing.nonholonomic import SubmanifoldSpec
 from linsing.sampling import on_manifold_sample
 from linsing.specfile import loads
 from linsing.systems import (
+    LinearlySingularSystem,
     consistency_at,
     constraint_algorithm_sample,
     identity_system,
-    make_system,
-    primary_constraint_values,
-    solve_at,
 )
 
 
@@ -22,17 +20,17 @@ def _toy():
     """A = [[1,0],[0,0]], f = (1, x - y): solvable exactly on the diagonal."""
     A = ExpressionField.matrix([["1", "0"], ["0", "0"]], ("x", "y"))
     f = ExpressionField.vector(["1", "x - y"], ("x", "y"))
-    return make_system(A, f)
+    return LinearlySingularSystem(A, f)
 
 
-def test_make_system_validation():
+def test_system_validation():
     with pytest.raises(ShapeError):
-        make_system(
+        LinearlySingularSystem(
             ExpressionField.matrix([["1", "0"]], ("x", "y")),
             ExpressionField.vector(["1", "x"], ("x", "y")),
         )
     with pytest.raises(ShapeError):
-        make_system(
+        LinearlySingularSystem(
             ExpressionField.matrix([["1"]], ("x",)),
             ExpressionField.vector(["1"], ("y",)),
         )
@@ -58,10 +56,15 @@ def test_consistency_at_toy_points():
     assert abs(off.residual - 1.0) < 1e-14
 
 
+def _primary_constraint_values(sys, x):
+    """Pairings <w_i(x), f(x)> over the deterministic cokernel basis of A(x)."""
+    return cokernel_basis(sys.A_at(x)).vectors.T @ sys.f_at(x)
+
+
 def test_primary_constraint_values_track_consistency():
     sys = _toy()
     # the single cokernel direction pairs f to x - y (up to the fixed gauge)
-    vals = primary_constraint_values(sys, np.array([3.0, 1.0]))
+    vals = _primary_constraint_values(sys, np.array([3.0, 1.0]))
     assert vals.shape == (1,)
     assert abs(abs(vals[0]) - 2.0) < 1e-14
 
@@ -69,43 +72,26 @@ def test_primary_constraint_values_track_consistency():
     for _ in range(1000):
         x = rng.uniform(-5, 5, size=2)
         res = consistency_at(sys, x)
-        vals = primary_constraint_values(sys, x)
+        vals = _primary_constraint_values(sys, x)
         small = np.linalg.norm(vals) <= res.solution.tol_used + 1e-13
         assert small == res.consistent
 
 
-def test_solve_at_examples():
+def test_consistency_solution_examples():
     # explicit system points are solved uniquely
     f = ExpressionField.vector(["1", "y"], ("x", "y"))
     sys = identity_system(f)
-    sol = solve_at(sys, np.array([0.5, 2.0]))
+    sol = consistency_at(sys, np.array([0.5, 2.0])).solution
     assert sol.consistent and sol.kernel.dim == 0
     assert np.allclose(sol.x0, [1.0, 2.0])
 
     # A = 0, f = 0: every velocity solves, kernel is the whole space
-    zero = make_system(
+    zero = LinearlySingularSystem(
         ExpressionField.matrix([["0", "0"], ["0", "0"]], ("x", "y")),
         ExpressionField.vector(["0", "0"], ("x", "y")),
     )
-    sol = solve_at(zero, np.array([1.0, 1.0]))
+    sol = consistency_at(zero, np.array([1.0, 1.0])).solution
     assert sol.consistent and sol.kernel.dim == 2
-
-
-def test_solve_at_extra_rows():
-    sys = make_system(
-        ExpressionField.matrix([["1", "0"], ["0", "0"]], ("x", "y")),
-        ExpressionField.vector(["1", "0"], ("x", "y")),
-    )
-    free = solve_at(sys, np.array([0.0, 0.0]))
-    assert free.kernel.dim == 1
-    pinned = solve_at(
-        sys, np.array([0.0, 0.0]), extra_rows=[[0.0, 1.0]], extra_rhs=[5.0]
-    )
-    assert pinned.consistent and pinned.kernel.dim == 0
-    assert np.allclose(pinned.x0, [1.0, 5.0])
-    # omitted rhs defaults to zero rows
-    hom = solve_at(sys, np.array([0.0, 0.0]), extra_rows=[[0.0, 1.0]])
-    assert np.allclose(hom.x0, [1.0, 0.0])
 
 
 # ------------------------------------------ derivative-array constraint algorithm
@@ -146,7 +132,7 @@ def test_regular_system_settles_at_level_zero():
 def test_rank_instability_warning():
     A = ExpressionField.matrix([["1", "0"], ["0", "x"]], ("x", "y"))
     f = ExpressionField.vector(["1", "0"], ("x", "y"))
-    sys = make_system(A, f)
+    sys = LinearlySingularSystem(A, f)
     res = constraint_algorithm_sample(
         sys, [np.array([0.0, 0.0]), np.array([1.0, 0.0])]
     )
@@ -158,7 +144,7 @@ def test_varying_A_verdicts():
     # G_1 forces y = 0, and G_2 fixes y' = 0
     A = ExpressionField.matrix([["1", "0"], ["x", "0"]], ("x", "y"))
     f = ExpressionField.vector(["y", "x*y + x - 1"], ("x", "y"))
-    sys = make_system(A, f)
+    sys = LinearlySingularSystem(A, f)
     seeds = [np.array([1.0, 0.7]), np.array([1.0, 0.0]), np.array([2.0, 0.5])]
     assert consistency_at(sys, seeds[0]).consistent
 
@@ -173,9 +159,9 @@ def test_varying_A_verdicts():
 def _pendulum():
     """Cartesian pendulum: unit rod, tension l, g = 9.81; index 3."""
     names = ("x", "y", "vx", "vy", "l")
-    A = ExpressionField.constant_matrix(np.diag([1.0, 1.0, 1.0, 1.0, 0.0]), names)
+    A = ExpressionField.matrix([[repr(v) for v in row] for row in np.diag([1.0, 1.0, 1.0, 1.0, 0.0]).tolist()], names)
     f = ExpressionField.vector(["vx", "vy", "-l*x", "-l*y - 9.81", "x^2 + y^2 - 1"], names)
-    return make_system(A, f)
+    return LinearlySingularSystem(A, f)
 
 
 def test_pendulum_verdicts_and_levels_built_on_demand(monkeypatch):
