@@ -26,7 +26,6 @@ from .expressions import (
     evaluate,
     free_variables,
     parse,
-    substitute,
     to_text,
 )
 from .linalg import (

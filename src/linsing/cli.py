@@ -42,7 +42,6 @@ from .symmetry import (
     check_inf_symmetry,
     check_symmetry,
     constant_descent,
-    flow_samples,
     max_rate,
 )
 from .systems import consistency_rows
@@ -276,12 +275,14 @@ def _make_field(spec, x0, tols):
         return PointDynamics(spec.system, tols), "explicit"
     try:
         dyn = PointDynamics(spec.gnh, tols)
-        dyn.unconstrained(x0)
-    except BaseNotRegularError:
-        if spec.model is None:
-            raise
+    except BaseNotRegularError as exc:  # a constant base, singular everywhere
+        error = exc
     else:
+        error = dyn.base_errors(np.asarray(x0, dtype=float)[None])[0]
+    if error is None:
         return dyn, "constrained"
+    if spec.model is None:
+        raise error
     dyn = PointDynamics(spec.gnh, tols, second_order=True)
     spec.constraints.require_on(x0)
     if dyn.solve(x0)[2].kernel.dim > 0:
@@ -407,7 +408,8 @@ def constant_report(spec, tols, points, tol=1e-8):
     base_regular = mode == "constrained"
     # (Y, X) at each point on a regular base; the second-order X alone otherwise
     if base_regular:
-        flows = flow_samples(dyn, pts)
+        spec.constraints.require_on(pts)
+        flows = dyn.flows(pts)
     else:
         flows, _, _, errors = dyn.solves(pts)
         first = next((e for e in errors if e is not None), None)

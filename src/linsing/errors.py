@@ -61,10 +61,6 @@ class FrameDegenerateError(LinsingError):
 class MaxRankViolatedError(LinsingError):
     """The velocity Jacobian of the constraint functions fails to have maximal rank."""
 
-    def __init__(self, message, point=None):
-        super().__init__(message)
-        self.point = point
-
 
 class InconsistentSystemError(LinsingError):
     """The linear problem has no solution at the requested point."""

@@ -188,14 +188,6 @@ def neg(a):
     return Neg(a)
 
 
-def call(fn, arg):
-    if fn not in FUNCTIONS:
-        raise ValueError(f"unknown function '{fn}'")
-    if _is_const(arg):
-        return _try_fold(Call(fn, arg))
-    return Call(fn, arg)
-
-
 # ----------------------------------------------------------------- tokenizer
 
 _TOKEN_RE = re.compile(
@@ -539,32 +531,6 @@ def free_variables(*exprs):
     return out
 
 
-def substitute(e, mapping):
-    """Replace variables by expressions (or numbers); rebuilds with folding."""
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Var):
-        repl = mapping.get(e.name)
-        if repl is None:
-            return e
-        return Const(float(repl)) if isinstance(repl, (int, float)) else repl
-    if isinstance(e, Add):
-        return add(substitute(e.a, mapping), substitute(e.b, mapping))
-    if isinstance(e, Sub):
-        return sub(substitute(e.a, mapping), substitute(e.b, mapping))
-    if isinstance(e, Mul):
-        return mul(substitute(e.a, mapping), substitute(e.b, mapping))
-    if isinstance(e, Div):
-        return div(substitute(e.a, mapping), substitute(e.b, mapping))
-    if isinstance(e, Neg):
-        return neg(substitute(e.a, mapping))
-    if isinstance(e, Pow):
-        return pow_(substitute(e.base, mapping), substitute(e.exponent, mapping))
-    if isinstance(e, Call):
-        return call(e.fn, substitute(e.arg, mapping))
-    raise TypeError(f"not an expression node: {e!r}")
-
-
 # ------------------------------------------------------------------- codegen
 
 _BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
@@ -855,12 +821,6 @@ class ExpressionField:
 
     def jacobian_at(self, point):
         return self.jacobian_field()(point)
-
-    def substitute(self, mapping):
-        """New field with variables replaced by expressions/numbers."""
-        new_entries = [substitute(e, mapping) for e in self.entries]
-        kept = [v for v in self.variables if v not in mapping]
-        return ExpressionField(new_entries, kept, self.shape)
 
     def pretty(self):
         if self.shape == ():

@@ -14,9 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import linalg
 from .errors import MaxRankViolatedError, ShapeError
 from .expressions import (Const, ExpressionField, Var, add, derivative, derivatives, mul, neg,
                           parse, sub)
@@ -97,12 +94,13 @@ def build_lagrangian_system(model):
     )
 
 
-def chetaev_frame(model, phi, check_points=None, tols=linalg.DEFAULT_TOLERANCES):
+def chetaev_frame(model, phi):
     """Force frame Delta^i = (dphi^i/dv^j) dq^j attached to velocity constraints:
     the (2n, a) matrix field [vjac^T; 0] of the velocity Jacobian vjac = dphi/dv.
 
     Raises MaxRankViolatedError when the constraints do not depend on the
-    velocities at all, or (for the points supplied) when vjac drops rank.
+    velocities at all; a frame that is degenerate at a point raises
+    FrameDegenerateError when the flow is evaluated there.
     """
     if isinstance(phi, SubmanifoldSpec):
         phi = phi.phi
@@ -113,12 +111,6 @@ def chetaev_frame(model, phi, check_points=None, tols=linalg.DEFAULT_TOLERANCES)
         raise MaxRankViolatedError(
             "constraints are independent of the velocities; the attached frame vanishes"
         )
-    if check_points is not None:
-        for x in check_points:
-            if linalg.rank(vjac(x), tols) < a:
-                raise MaxRankViolatedError(
-                    "velocity Jacobian of the constraints drops rank", point=np.asarray(x)
-                )
     rows = [list(vjac.entries[j::n]) for j in range(n)] + [[Const(0.0)] * a] * n
     return ExpressionField.matrix(rows, model.variables)
 

@@ -26,7 +26,7 @@ from .errors import (
     raise_first,
 )
 from .expressions import Add, Compiled, Const, ExpressionField, Var, add, mul, neg, sub
-from .systems import ConsistencyResult, LinearlySingularSystem
+from .systems import LinearlySingularSystem, consistency_rows
 
 __all__ = [
     "SubmanifoldSpec",
@@ -201,13 +201,6 @@ _BASE_SINGULAR = ("base morphism is not invertible at this point; "
                   "use the linearly singular solve path instead")
 
 
-def _regular_base_matrix(gnh, x, tols):
-    b = gnh.base.A_at(x)
-    if gnh.base.k != gnh.base.n or linalg.rank(b, tols) < gnh.base.n:
-        raise BaseNotRegularError(_BASE_SINGULAR)
-    return b
-
-
 def _require_independent(gamma, m, tols):
     """Raise FrameDegenerateError unless the frame has rank m; for a stack of
     frames, naming the first dependent one."""
@@ -344,13 +337,18 @@ class PointDynamics:
     Otherwise the kernel emits the bordered system's right-hand side and
     matrix, which the solve reads as fixed views of its buffer.
 
+    Whether the base is regular at a point is decided once, before the
+    kernel: a constant base at construction, a varying one by `base_errors`
+    from A and f alone. The first-order batches (`analyses`, `flows`) call it
+    and evaluate the kernel only where the base is regular.
+
     A non-finite kernel value raises NonFiniteError. A rank-deficient system
     gives the minimum-norm u, with X following, once the frame's rank is
     checked; no solution, or no unique one for an explicit flow, raises
     InconsistentSystemError. Points are not checked against M: the caller
-    checks them. `analysis` and `unconstrained` report what `solve`
-    computes, from the same kernel evaluation; every array they return is a
-    copy, never a view of the kernel's buffer."""
+    checks them. `analysis` reports what `solve` computes, Y included, from
+    the same kernel evaluation; every array it returns is a copy, never a
+    view of the kernel's buffer."""
 
     def __init__(self, system, tols=linalg.DEFAULT_TOLERANCES, second_order=False):
         gnh = system if isinstance(system, GeneralizedNonholonomicSystem) else None
@@ -361,7 +359,10 @@ class PointDynamics:
         self._k, self._s, self._w = base.k, s, base.n - s
         self._b_inv = None
         if gnh is not None and not second_order and base.A.is_constant:
-            self._b_inv = np.linalg.inv(_regular_base_matrix(gnh, np.zeros(base.n), tols))
+            b = base.A(np.zeros(base.n))
+            if base.k != base.n or linalg.rank(b, tols) < base.n:
+                raise BaseNotRegularError(_BASE_SINGULAR)
+            self._b_inv = np.linalg.inv(b)
         jphi = None if gnh is None else gnh.constraints.phi.jacobian_field()
         # what the first evaluation builds the kernel from: forces, f, dphi
         # (Gamma and Y folded in), or the bordered system's A, f, forces, dphi
@@ -374,14 +375,22 @@ class PointDynamics:
             else "no multiplier solves the tangency condition")
         self._last = None  # (bytes of x, field_and_multipliers(x)) of the last solve
 
-    def unconstrained(self, x):
-        """Y = B^{-1} g at x. A constant base in the first-order modes was checked
-        regular at construction, and Y comes from one kernel evaluation; any
-        other base is read field by field and checked regular at every call."""
+    def base_errors(self, points):
+        """At each row of an (N, n) array of points, the BaseNotRegularError of
+        a base that is not regular there, carrying the ConsistencyResult of
+        A v = f at the point as its `consistency`, or None where it is regular.
+        A constant base was checked at construction. A varying one is decided
+        by `systems.consistency_rows`, from A and f alone, so no kernel is
+        compiled or evaluated. The second-order system holds no base rows, and
+        raises TypeError."""
+        if self._s:
+            raise TypeError("the second-order system holds no base rows")
+        pts = np.asarray(points, dtype=float)
         if self._b_inv is not None:
-            return self._evaluate(x)[4].copy()
-        b = _regular_base_matrix(self.gnh, x, self.tols)
-        return np.linalg.solve(b, self.gnh.base.f_at(x))
+            return [None] * len(pts)
+        base = self.gnh.base
+        return [None if base.k == base.n == res.rank_A else BaseNotRegularError(_BASE_SINGULAR, res)
+                for res in consistency_rows(base, pts, self.tols)]
 
     def analysis(self, x):
         """PointAnalysis at x, which the caller has checked lies on M: `analyses`
@@ -394,42 +403,31 @@ class PointDynamics:
 
     def analyses(self, points):
         """PointAnalysis at each row of an (N, n) array of points of M, as one
-        batch; at a point where a varying base is singular, the entry is the
-        BaseNotRegularError carrying the solve of B v = g that found it so, as
-        its `consistency`.
+        batch; at a point where the base is not regular, the entry is its
+        `base_errors` entry.
 
-        One kernel evaluation over the batch gives the fields. A constant base
-        was checked regular at construction, and the kernel gives Gamma =
-        B^{-1} Delta and Y = B^{-1} g. A varying base is factored by the
-        stacked solve of B v = g, whose ranks decide its regularity; Gamma and Y
-        are then LU solves with B. Either way the stacked solve that `solves`
-        makes gives u, X and rank D, as m less the dimension of the solve's
-        kernel (the kernel of D, or of the bordered matrix, which a regular base
-        and an independent frame make the same); the frame is checked only
-        where that kernel is not trivial, since a D of full column rank proves
-        it independent. The projectors are built only where D is square and
-        invertible, the one case T_xM and H_x split the space. Each rank is
-        decided as for its point alone; any other error raises for the first
-        point at which its step of the batch fails."""
-        gnh, tols = self.gnh, self.tols
+        One kernel evaluation over the points with a regular base gives the
+        fields. For a constant base the kernel gives Gamma = B^{-1} Delta and
+        Y = B^{-1} g; for a varying one, Gamma and Y are LU solves with B.
+        Either way the stacked solve that `solves` makes gives u, X and rank D,
+        as m less the dimension of the solve's kernel (the kernel of D, or of
+        the bordered matrix, which a regular base and an independent frame make
+        the same); the frame is checked only where that kernel is not trivial,
+        since a D of full column rank proves it independent. The projectors
+        are built only where D is square and invertible, the one case T_xM and
+        H_x split the space. Each rank is decided as for its point alone; any
+        other error raises for the first point at which its step of the batch
+        fails."""
+        gnh = self.gnh
         pts = np.asarray(points, dtype=float)
-        out = [None] * len(pts)
-        views = self._evaluate_rows(pts)
-        live = np.arange(len(pts))
+        out = self.base_errors(pts)
+        live = np.array([i for i, err in enumerate(out) if err is None], dtype=int)
+        if not live.size:
+            return out
+        views = self._evaluate_rows(pts[live])
         if self._b_inv is not None:
             jphi, gamma, y = views[2:]
         else:
-            b, g, _, _ = self._base_rows(views)
-            base = linalg.solve_affine(b, g, tols)
-            rank_b = gnh.base.n - _dims(base.kernel)
-            singular = (rank_b < gnh.base.n) | (gnh.base.k != gnh.base.n)
-            for i in np.flatnonzero(singular).tolist():
-                out[i] = BaseNotRegularError(_BASE_SINGULAR, ConsistencyResult(
-                    bool(base.consistent[i]), float(base.residual[i]), int(rank_b[i]), base.item(i)))
-            live = live[~singular]
-            if not live.size:
-                return out
-            views = [v[live] for v in views]
             b, g, frame, jphi = self._base_rows(views)
             gamma = np.linalg.solve(b, frame)
             y = np.linalg.solve(b, g[..., None])[..., 0]
@@ -455,20 +453,20 @@ class PointDynamics:
 
     def flows(self, points):
         """(Y, X) at each row of an (N, n) array of points, as an (N, 2, n)
-        array: `unconstrained` and `solve`'s X at each point, from one kernel
-        evaluation over the batch and one stacked solve. A varying base is
-        checked regular at each point; an error raises for the first point at
+        array: Y = B^{-1} g as `analyses` gives it and `solve`'s X, from one
+        kernel evaluation over the batch and one stacked solve. The first point
+        at which the base is not regular raises its `base_errors` entry, before
+        the kernel is evaluated; any other error raises for the first point at
         which its step fails."""
         pts = np.asarray(points, dtype=float)
+        first = next(filter(None, self.base_errors(pts)), None)
+        if first is not None:
+            raise first
         views = self._evaluate_rows(pts)
         if self._b_inv is not None:
             y = views[4]
         else:
-            (b, g, _, _), n = self._base_rows(views), self.gnh.base.n
-            if self.gnh.base.k != n:
-                raise BaseNotRegularError(_BASE_SINGULAR)
-            raise_first((linalg.rank(b, self.tols) < n,
-                         lambda i: BaseNotRegularError(_BASE_SINGULAR)))
+            b, g, _, _ = self._base_rows(views)
             y = np.linalg.solve(b, g[..., None])[..., 0]
         xf, _, sol, failed = self._solve_batch(pts, views)
         self._raise_failed(sol, failed)
@@ -522,8 +520,6 @@ class PointDynamics:
 
     def _base_rows(self, views):
         """(B, g, Delta, dphi) from the row views of [B, -Delta; dphi, 0], (g, 0)."""
-        if self._s:
-            raise TypeError("the second-order system holds no base rows")
         (rhs, mat), k, n = views, self._k, self._w
         return mat[:, :k, :n], rhs[:, :k], -mat[:, :k, n:], mat[:, k:, :n]
 

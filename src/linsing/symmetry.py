@@ -26,7 +26,6 @@ __all__ = [
     "check_symmetry",
     "check_inf_symmetry",
     "check_descent",
-    "flow_samples",
     "constant_descent",
     "max_rate",
 ]
@@ -210,17 +209,9 @@ class ConstantDescentCheck:
     tol: float
 
 
-def flow_samples(dyn, points_on_m):
-    """(Y, X) at each point of M through one PointDynamics, as an (N, 2, n)
-    array: the points checked on M, then Y = B^{-1} g and X from one kernel
-    evaluation over the sample (`PointDynamics.flows`)."""
-    x = np.asarray(points_on_m, dtype=float)
-    dyn.gnh.constraints.require_on(x)
-    return dyn.flows(x)
-
-
 def constant_descent(h, points_on_m, flows, tol=1e-8):
-    """ConstantDescentCheck of a scalar field h from the `flow_samples` pairs.
+    """ConstantDescentCheck of a scalar field h from the (Y, X) pairs that
+    `PointDynamics.flows` gives at the points of M.
 
     Y.h, (Y - X).h and X.h over the sample: when h is conserved for Y,
     conservation for the constrained X is equivalent to (Y - X).h = 0, and the

@@ -1,5 +1,6 @@
 """Shared helpers: a deterministic corpus of random, domain-safe expressions,
-and the Euler step of an infinitesimal symmetry candidate.
+the function-node builder that makes it, and the Euler step of an
+infinitesimal symmetry candidate.
 
 The generator guards every partial function (safe denominators, positive
 sqrt/log arguments, damped exp) so that the produced expressions evaluate
@@ -7,18 +8,20 @@ finitely on all of R^n.  That makes them usable both for symbolic-vs-dual
 derivative cross-checks and for central finite differences.
 """
 
+import math
 import random
 
 import numpy as np
 
 from linsing.errors import DomainEvalError
 from linsing.expressions import (
+    Call,
     Const,
     ExpressionField,
     Var,
     add,
-    call,
     div,
+    evaluate,
     free_variables,
     mul,
     pow_,
@@ -26,6 +29,19 @@ from linsing.expressions import (
 )
 from linsing.symmetry import finite_candidate
 from oracles import eval_dual
+
+
+def call(fn, arg):
+    """The node fn(arg), folded to its value when arg is a constant and the
+    value is finite, as linsing's builders `add`, `mul`, ... fold theirs."""
+    node = Call(fn, arg)
+    if not isinstance(arg, Const):
+        return node
+    try:
+        value = evaluate(node, {})
+    except (DomainEvalError, OverflowError):
+        return node
+    return Const(value) if math.isfinite(value) else node
 
 
 def random_expr(rng, variables, depth):

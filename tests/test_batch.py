@@ -42,7 +42,6 @@ from linsing.symmetry import (
     check_inf_symmetry,
     check_symmetry,
     constant_descent,
-    flow_samples,
     max_rate,
 )
 from linsing.systems import ConsistencyResult, consistency_at
@@ -310,9 +309,9 @@ def test_flow_samples_and_rates_are_the_loop_bit_for_bit(name):
     spec = _scenario(name)
     pts = _sample(spec, 30)
     dyn = PointDynamics(spec.gnh)
-    flows = flow_samples(dyn, pts)
+    flows = dyn.flows(pts)
     for x, (y, xf) in zip(pts, flows):
-        y1, x1 = dyn.unconstrained(x), dyn.solve(x)[0]
+        y1, x1 = dyn.analysis(x).y, dyn.solve(x)[0]
         assert y.tobytes() == y1.tobytes() and xf.tobytes() == x1.tobytes()
     for h in spec.constants.values():
         res = constant_descent(h, pts, flows)

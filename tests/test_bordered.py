@@ -407,8 +407,9 @@ def test_the_first_fault_in_read_order_is_named(a_text, named):
 
 
 @pytest.mark.parametrize("a_text, routes", [
-    ([["1", "0"], ["0", "1"]], ("solve", "analysis", "unconstrained")),
-    ([["1", "0"], ["0", "1 + x^2"]], ("solve",)),  # Y and analysis read fields
+    ([["1", "0"], ["0", "1"]], ("solve", "analysis", "flows")),
+    # A and f, which decide the base's regularity, are finite here
+    ([["1", "0"], ["0", "1 + x^2"]], ("solve", "analysis", "flows")),
 ])
 def test_a_non_finite_kernel_value_raises_from_the_evaluation(a_text, routes):
     # the force entry is inf at x = 10; B^-1 = I and dphi = (0, 1) multiply it
@@ -418,4 +419,5 @@ def test_a_non_finite_kernel_value_raises_from_the_evaluation(a_text, routes):
         warnings.simplefilter("error")  # a leaked numpy RuntimeWarning fails here
         for route in routes:
             with pytest.raises(NonFiniteError, match="flow's fields is not finite"):
-                getattr(dyn, route)(np.array([10.0, 2.0]))
+                point = np.array([10.0, 2.0])
+                getattr(dyn, route)(point[None] if route == "flows" else point)

@@ -17,12 +17,14 @@ from test_acceptance import _scenario
 from test_bordered import VARYING_BASE_SPEC, _counting, _varying_base_points
 
 from linsing import cli, expressions, linalg
+from linsing.errors import BaseNotRegularError
 from linsing.expressions import ExpressionField
 from linsing.linalg import DEFAULT_TOLERANCES
-from linsing.nonholonomic import PointDynamics
+from linsing.nonholonomic import PointAnalysis, PointDynamics
 from linsing.sampling import on_manifold_sample
 from linsing.specfile import loads
-from linsing.symmetry import constant_descent, flow_samples
+from linsing.symmetry import constant_descent
+from linsing.systems import consistency_rows
 
 
 # a constant base whose inverse is inexact in binary: routes through B^-1 and
@@ -114,7 +116,7 @@ def _reference_constant_check(gnh, h, pts):
 def test_constant_report_equals_the_descent_check_bit_for_bit(spec):
     doc, _ = cli.constant_report(spec, DEFAULT_TOLERANCES, 30)
     pts = _points(spec, 30)
-    flows = flow_samples(PointDynamics(spec.gnh), pts)
+    flows = PointDynamics(spec.gnh).flows(pts)
     for cname, h in spec.constants.items():
         res = constant_descent(h, pts, flows)
         assert doc[cname] == {
@@ -137,7 +139,7 @@ def test_descent_check_of_a_varying_base_equals_the_per_call_routes():
     # bordered solve, which agrees with the reference's Schur route to rounding
     spec = loads(VARYING_BASE_SPEC)
     pts = _varying_base_points(10)
-    flows = flow_samples(PointDynamics(spec.gnh), pts)
+    flows = PointDynamics(spec.gnh).flows(pts)
     for x, (y, xf) in zip(pts, flows):
         want = _dense_reference(spec.gnh, x)
         assert np.array_equal(y, want[0]) and _same(xf, want[5], exact=False)
@@ -197,14 +199,11 @@ def test_analysis_reports_what_the_flow_evaluator_computes(spec):
         pa = dyn.analysis(x)
         xf, u, _ = dyn.solve(x)
         assert np.array_equal(pa.field, xf) and np.array_equal(pa.multipliers.u, u)
-        assert np.array_equal(pa.y, dyn.unconstrained(x))
+        assert np.array_equal(pa.y, dyn.flows(np.asarray(x)[None])[0, 0])
 
 
-def test_analysis_and_flow_samples_compile_one_kernel_per_evaluator(monkeypatch):
-    # one kernel source per evaluator: its scalar runner serves each analysis,
-    # and its vectorised target evaluates flow_samples' sample in one call
-    spec = _scenario("rosenberg")
-    pts = _points(spec, 40)  # the sampler compiles phi and its Jacobian
+def _count_sources(monkeypatch):
+    """The entry count of each expression list whose source is generated."""
     sources = []
     orig = expressions._compiled_source
 
@@ -212,10 +211,20 @@ def test_analysis_and_flow_samples_compile_one_kernel_per_evaluator(monkeypatch)
         sources.append(len(exprs))
         return orig(exprs, variables)
 
+    monkeypatch.setattr(expressions, "_compiled_source", counted)
+    return sources
+
+
+def test_analysis_and_flow_samples_compile_one_kernel_per_evaluator(monkeypatch):
+    # one kernel source per evaluator: its scalar runner serves each analysis,
+    # and its vectorised target evaluates the sample of `flows` in one call
+    spec = _scenario("rosenberg")
+    pts = _points(spec, 40)  # the sampler compiles phi and its Jacobian
+    sources = _count_sources(monkeypatch)
+
     def no_field_call(field, point):
         raise AssertionError("a field was evaluated outside the kernel")
 
-    monkeypatch.setattr(expressions, "_compiled_source", counted)
     for dyn in (PointDynamics(spec.gnh), PointDynamics(spec.gnh)):
         before = len(sources)
         dyn.analysis(pts[0])
@@ -227,7 +236,7 @@ def test_analysis_and_flow_samples_compile_one_kernel_per_evaluator(monkeypatch)
             for x in pts:
                 dyn.analysis(x)
         assert calls == [1] * len(pts)  # one kernel evaluation per analysis
-        flow_samples(dyn, pts)
+        dyn.flows(pts)
         assert calls[len(pts):] == [len(pts)]  # one over the whole sample
         assert len(sources) == before + 1
 
@@ -282,3 +291,82 @@ def test_analyze_decides_each_rank_once_per_sample(name, singular, ranks,
     out = capsys.readouterr().out
     assert code == 0 and out.count("base_regular: false") == (10 if singular else 0)
     assert calls["rank"] == ranks
+
+
+# relparticle-L1 (8 variables): phi and dphi, A (8x8) and f, and the 54 entries
+# of the second-order kernel; its first-order kernel would have 90
+L1_PHI, L1_BASE, L1_SECOND_ORDER = [1, 8], [64, 8], [54]
+
+
+def test_a_singular_varying_base_compiles_no_first_order_kernel(monkeypatch, capsys):
+    # the base is singular at every point of relparticle-L1: A and f decide
+    # that, and the first-order kernel is never built
+    sources = _count_sources(monkeypatch)
+    assert cli.main(["analyze", "--scenario", "relparticle-L1", "--points", "50"]) == 0
+    assert capsys.readouterr().out.count("base_regular: false") == 50
+    assert sources == L1_PHI + L1_BASE + L1_SECOND_ORDER
+    spec = _scenario("relparticle-L1")
+    pts = on_manifold_sample(spec.constraints, spec.variables, spec.box, 10)
+    del sources[:]
+    out = PointDynamics(spec.gnh).analyses(pts)
+    assert all(isinstance(err, BaseNotRegularError) for err in out)
+    assert sources == L1_BASE
+
+
+def test_the_flow_mode_probe_compiles_no_first_order_kernel(monkeypatch):
+    spec = _scenario("relparticle-L1")
+    x0 = on_manifold_sample(spec.constraints, spec.variables, spec.box, 1)[0]
+    sources = _count_sources(monkeypatch)
+    _, mode = cli._make_field(spec, x0, DEFAULT_TOLERANCES)
+    assert mode == "second-order"
+    assert sources == L1_BASE + L1_SECOND_ORDER
+
+
+# a varying base singular only at x = 0, where f is not in the image of A
+MIXED_BASE_SPEC = """
+[vars]
+names = x, y
+
+[system]
+A = 1, 0; 0, x
+f = 1, 1
+
+[constraints]
+phi = y - x
+
+[forces]
+Delta = 1, 1
+"""
+
+
+def _same_consistency(got, want):
+    assert (got.consistent, got.residual, got.rank_A) == \
+        (want.consistent, want.residual, want.rank_A)
+    assert got.solution.x0.tobytes() == want.solution.x0.tobytes()
+    assert got.solution.kernel.vectors.tobytes() == want.solution.kernel.vectors.tobytes()
+
+
+def test_a_varying_base_is_decided_from_a_and_f_at_each_row():
+    spec = loads(MIXED_BASE_SPEC)
+    pts = np.array([[-1.0, -1.0], [0.5, 0.5], [0.0, 0.0], [2.0, 2.0], [0.0, 0.0]])
+    singular = [2, 4]
+    want = consistency_rows(spec.system, pts)
+    dyn = PointDynamics(spec.gnh)
+    errors = dyn.base_errors(pts)
+    out = dyn.analyses(pts)
+    for i, x in enumerate(pts):
+        if i in singular:
+            assert not want[i].consistent and want[i].rank_A == 1
+            for err in (errors[i], out[i]):
+                assert isinstance(err, BaseNotRegularError)
+                _same_consistency(err.consistency, want[i])
+        else:
+            assert errors[i] is None and isinstance(out[i], PointAnalysis)
+            xf, u, _ = dyn.solve(x)
+            assert np.array_equal(out[i].field, xf) and np.array_equal(out[i].multipliers.u, u)
+    with pytest.raises(BaseNotRegularError) as err:
+        dyn.flows(pts)
+    _same_consistency(err.value.consistency, want[singular[0]])
+    regular = np.delete(pts, singular, axis=0)
+    assert np.array_equal(dyn.flows(regular)[:, 0],
+                          [pa.y for i, pa in enumerate(out) if i not in singular])

@@ -22,7 +22,6 @@ from linsing.expressions import (
     Sub,
     Var,
     add,
-    call,
     derivative,
     div,
     evaluate,
@@ -32,11 +31,10 @@ from linsing.expressions import (
     parse,
     pow_,
     sub,
-    substitute,
     to_text,
     tokenize,
 )
-from conftest import expression_corpus
+from conftest import call, expression_corpus
 from oracles import eval_dual, fd_jacobian
 
 
@@ -233,15 +231,6 @@ def test_constant_folding_keeps_faulting_constants_unfolded():
     assert to_text(pow_(Var("x"), Const(0.0))) == "1"
 
 
-def test_substitute():
-    e = parse("x^2 + y")
-    g = substitute(e, {"y": parse("2*x")})
-    assert free_variables(g) == {"x"}
-    assert evaluate(g, {"x": 3.0}) == 15.0
-    h = substitute(e, {"x": 2, "y": 1.0})
-    assert isinstance(h, Const) and h.value == 5.0
-
-
 # ------------------------------------------------------------ derivatives
 
 def test_derivative_basic_rules():
@@ -353,11 +342,8 @@ def test_field_gradient_and_hessian():
     assert abs(H[0, 1] - 2 * 1.5) < 1e-14
 
 
-def test_field_substitute_and_constants():
+def test_field_is_constant():
     f = ExpressionField.vector(["x + y", "y^2"], ("x", "y"))
-    g = f.substitute({"y": parse("3*x")})
-    assert g.variables == ("x",)
-    assert np.allclose(g(np.array([2.0])), [8.0, 36.0])
     c = ExpressionField.matrix([["1", "0"], ["0", "1"]], ("x", "y"))
     assert c.is_constant
     assert not f.is_constant

@@ -20,7 +20,6 @@ from linsing.linalg import Tolerances, complement_projectors, kernel_basis
 from linsing.nonholonomic import GeneralizedNonholonomicSystem, PointDynamics, SubmanifoldSpec
 from linsing.sampling import halton_box, on_manifold_sample
 from linsing.specfile import loads
-from linsing.symmetry import flow_samples
 from linsing.systems import LinearlySingularSystem, identity_system
 
 V = ("x", "y")
@@ -280,7 +279,7 @@ def test_point_dynamics_matches_direct_path():
         direct = np.array([1.0 - 2.0 * x1, 0.0])
         assert np.max(np.abs(pd.field(p) - direct)) < 1e-13
         assert np.max(np.abs(pd.multipliers(p) + 2.0)) < 1e-13
-        assert np.allclose(pd.unconstrained(p), [1.0, 2.0])
+        assert np.allclose(pd.analysis(p).y, [1.0, 2.0])
         assert np.array_equal(pd.solve(p)[0], pd.field(p))
 
 
@@ -310,7 +309,7 @@ def test_off_manifold_points_are_rejected():
     with pytest.raises(NotOnManifoldError):
         gnh.constraints.require_on(np.array([0.0, 1.0]))
     with pytest.raises(NotOnManifoldError):
-        flow_samples(PointDynamics(gnh), [np.array([0.0, 2.0]), np.array([0.0, 2.5])])
+        gnh.constraints.require_on(np.array([[0.0, 2.0], [0.0, 2.5]]))
 
 
 def test_singular_base_raises():
@@ -324,9 +323,9 @@ def test_singular_base_raises():
     )
     with pytest.raises(BaseNotRegularError):
         PointDynamics(gnh)  # constant singular base caught up front
-    # the second-order rows leave the base unchecked until asked
-    with pytest.raises(BaseNotRegularError):
-        PointDynamics(gnh, second_order=True).unconstrained(np.array([0.0, 2.0]))
+    # the second-order system solves without base rows, so it has none to check
+    with pytest.raises(TypeError, match="no base rows"):
+        PointDynamics(gnh, second_order=True).base_errors(np.array([[0.0, 2.0]]))
 
 
 def test_degenerate_force_frame_raises():
@@ -377,7 +376,7 @@ def test_surjective_but_not_injective_classification():
     cls = pa.classification
     assert (cls.rank_d, cls.surjective, cls.injective, cls.regular) == (1, True, False, False)
     assert pa.projectors is None
-    y = dyn.unconstrained(p)
+    y = dyn.flows(p[None])[0, 0]
     jphi = gnh.constraints.jacobian(p)
     d = jphi @ gnh.forces(p)  # B = I: Gamma is the frame itself
     assert linalg.rank(d) == 1 < 2  # surjective, not injective

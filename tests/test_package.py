@@ -53,9 +53,31 @@ UNCALLED_PUBLIC_NAMES = {
 }
 
 
+def _names_outside_their_definitions(tree):
+    """The names and attributes of a module, each counted only where it
+    appears outside every function or method of that name: a definition that
+    names itself, or a method that calls the function it shares a name with,
+    is not a caller."""
+    found = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, ast.FunctionDef):
+            enclosing = enclosing | {node.name}
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            name = getattr(node, "id", None) or node.attr
+            if name not in enclosing:
+                found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return found
+
+
 def test_every_public_function_is_called_from_the_package():
     # a public function or method that no module of the package names, as a
-    # name or an attribute, serves only tests: it belongs in tests/ or nowhere
+    # name or an attribute outside its own definitions, serves only tests: it
+    # belongs in tests/ or nowhere
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(Path(linsing.__file__).parent.glob("*.py"))}
     defined = []
@@ -69,9 +91,7 @@ def test_every_public_function_is_called_from_the_package():
     named = set()
     for file, tree in trees.items():
         if file != "__init__.py":
-            named.update(getattr(node, "id", None) or getattr(node, "attr", None)
-                         for node in ast.walk(tree)
-                         if isinstance(node, (ast.Name, ast.Attribute)))
+            named |= _names_outside_their_definitions(tree)
     uncalled = sorted(qual for qual, name in defined if not name.startswith("_")
                       and name not in named and qual not in UNCALLED_PUBLIC_NAMES)
     assert uncalled == []
