@@ -183,13 +183,10 @@ def _point_docs(spec, points, tols, evaluator):
                 doc["solution_kernel_dim"] = res.solution.kernel.dim
         return docs
     spec.constraints.require_on(points)
-    try:
-        results = evaluator(False).analyses(points)
-    except BaseNotRegularError as exc:  # a constant base, singular everywhere
-        results = [exc] * len(points)
+    results = evaluator(False).analyses(points)
     singular = [i for i, pa in enumerate(results) if isinstance(pa, BaseNotRegularError)]
     if singular:
-        _singular_point_docs(spec, points, tols, evaluator, singular,
+        _singular_point_docs(spec, points, evaluator, singular,
                              [results[i].consistency for i in singular], docs)
     for doc, pa in zip(docs, results):
         if isinstance(pa, BaseNotRegularError):
@@ -214,12 +211,10 @@ def _point_docs(spec, points, tols, evaluator):
     return docs
 
 
-def _singular_point_docs(spec, points, tols, evaluator, idx, consistency, docs):
+def _singular_point_docs(spec, points, evaluator, idx, consistency, docs):
     """Fill the singular-point reports of the points `idx`, whose base solves
-    are `consistency` (None where the base was found singular without one),
-    with the second-order solve of a Lagrangian system, as one batch."""
-    if None in consistency:
-        consistency = consistency_rows(spec.system, points[idx], tols)
+    are `consistency`, with the second-order solve of a Lagrangian system, as
+    one batch."""
     for i, res in zip(idx, consistency):
         docs[i].update(
             base_regular=False,
@@ -273,12 +268,8 @@ def _make_field(spec, x0, tols):
     mode, and a singular Lagrangian base adds the second-order rows."""
     if spec.gnh is None:
         return PointDynamics(spec.system, tols), "explicit"
-    try:
-        dyn = PointDynamics(spec.gnh, tols)
-    except BaseNotRegularError as exc:  # a constant base, singular everywhere
-        error = exc
-    else:
-        error = dyn.base_errors(np.asarray(x0, dtype=float)[None])[0]
+    dyn = PointDynamics(spec.gnh, tols)
+    error = dyn.base_errors(np.asarray(x0, dtype=float)[None])[0]
     if error is None:
         return dyn, "constrained"
     if spec.model is None:

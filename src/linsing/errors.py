@@ -45,11 +45,12 @@ class NotComplementaryError(LinsingError):
 class BaseNotRegularError(LinsingError):
     """The base morphism is not a pointwise isomorphism where one is required.
 
-    `consistency`, when set, is the ConsistencyResult of A(x) v = f(x) at the
-    point, from the factorization that found the base singular.
+    `consistency` is the ConsistencyResult of A(x) v = f(x) at the point, from
+    the factorization that found the base singular
+    (`PointDynamics.base_errors`, the one place this error is built).
     """
 
-    def __init__(self, message, consistency=None):
+    def __init__(self, message, consistency):
         super().__init__(message)
         self.consistency = consistency
 

@@ -136,7 +136,7 @@ class SubmanifoldSpec:
                 break
             active, vals, worst = active[~stop], vals[~stop], worst[~stop]
             cells = np.ix_(active, free)
-            with np.errstate(over="ignore", invalid="ignore"):  # the next check reports it
+            with linalg._float_errors():  # the next check reports it
                 steps = linalg.min_norm_rows(jac[:, :, free], vals)
                 x[cells] = x[cells] - steps
             # a zero step (a Jacobian of rank 0) leaves its row in place, so each
@@ -329,18 +329,21 @@ class PointDynamics:
     [A_v, -Delta; dphi_v, 0] (w, u) = (g - A_q v, -dphi_q v) and X = (v, w).
     With X_q fixed, the minimum-norm (w, u) is the minimum-norm (X, u).
 
-    A constant base B in the first-order modes is checked regular and inverted
-    once, and its kernel emits the forces, f and dphi followed by
-    Gamma = B^{-1} Delta and Y = B^{-1} g, folded in symbolically. The solve is
-    then of the Schur complement D u = -dphi . Y with D = dphi . Gamma, a
-    scalar solve on floats for one constraint and one force, and X = Y + Gamma u.
-    Otherwise the kernel emits the bordered system's right-hand side and
-    matrix, which the solve reads as fixed views of its buffer.
+    A constant base B in the first-order modes that is regular is inverted
+    once, at construction, from its entries, and its kernel emits the forces,
+    f and dphi followed by Gamma = B^{-1} Delta and Y = B^{-1} g, folded in
+    symbolically. The solve is then of the Schur complement D u = -dphi . Y
+    with D = dphi . Gamma, a scalar solve on floats for one constraint and one
+    force, and X = Y + Gamma u.
+    Otherwise (a varying base, or a constant singular one) the kernel emits
+    the bordered system's right-hand side and matrix, which the solve reads as
+    fixed views of its buffer.
 
     Whether the base is regular at a point is decided once, before the
-    kernel: a constant base at construction, a varying one by `base_errors`
-    from A and f alone. The first-order batches (`analyses`, `flows`) call it
-    and evaluate the kernel only where the base is regular.
+    kernel, by `base_errors` from A and f alone; it builds every
+    BaseNotRegularError. The first-order batches (`analyses`, `flows`) call it
+    and evaluate the kernel only where the base is regular. `solve` does not:
+    on a singular base it solves the bordered system as it stands.
 
     A non-finite kernel value raises NonFiniteError. A rank-deficient system
     gives the minimum-norm u, with X following, once the frame's rank is
@@ -359,10 +362,10 @@ class PointDynamics:
         self._k, self._s, self._w = base.k, s, base.n - s
         self._b_inv = None
         if gnh is not None and not second_order and base.A.is_constant:
-            b = base.A(np.zeros(base.n))
-            if base.k != base.n or linalg.rank(b, tols) < base.n:
-                raise BaseNotRegularError(_BASE_SINGULAR)
-            self._b_inv = np.linalg.inv(b)
+            # the entries' own bits, as the generated runner returns them
+            b = np.array([e.value for e in base.A.entries], dtype=float).reshape(base.A.shape)
+            if base.k == base.n and linalg.rank(b, tols) == base.n:
+                self._b_inv = np.linalg.inv(b)
         jphi = None if gnh is None else gnh.constraints.phi.jacobian_field()
         # what the first evaluation builds the kernel from: forces, f, dphi
         # (Gamma and Y folded in), or the bordered system's A, f, forces, dphi
@@ -379,10 +382,12 @@ class PointDynamics:
         """At each row of an (N, n) array of points, the BaseNotRegularError of
         a base that is not regular there, carrying the ConsistencyResult of
         A v = f at the point as its `consistency`, or None where it is regular.
-        A constant base was checked at construction. A varying one is decided
-        by `systems.consistency_rows`, from A and f alone, so no kernel is
-        compiled or evaluated. The second-order system holds no base rows, and
-        raises TypeError."""
+        A constant base inverted at construction is regular everywhere. Any
+        other base, varying or constant and singular, is decided here by
+        `systems.consistency_rows`, from A and f alone, so no kernel is
+        compiled or evaluated; this is the one place a BaseNotRegularError is
+        built. The second-order system holds no base rows, and raises
+        TypeError."""
         if self._s:
             raise TypeError("the second-order system holds no base rows")
         pts = np.asarray(points, dtype=float)
@@ -394,8 +399,8 @@ class PointDynamics:
 
     def analysis(self, x):
         """PointAnalysis at x, which the caller has checked lies on M: `analyses`
-        of a batch of one point. A singular varying base raises its
-        BaseNotRegularError."""
+        of a batch of one point. A base that is singular at x raises its
+        `base_errors` entry."""
         out = self.analyses(np.asarray(x, dtype=float)[None])[0]
         if isinstance(out, BaseNotRegularError):
             raise out

@@ -99,7 +99,7 @@ class SpecFile:
 def _split_sections(text):
     """Raw pass: section -> ordered {name: _Entry}, with line numbers."""
     sections = {}
-    current = None
+    section, current = "", None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -111,34 +111,23 @@ def _split_sections(text):
                 raise SpecFileError(name, lineno, f"unknown section [{name}]")
             if name in sections:
                 raise SpecFileError(name, lineno, f"duplicate section [{name}]")
-            current = sections.setdefault(name, {})
+            section, current = name, sections.setdefault(name, {})
             continue
         if current is None:
             raise SpecFileError("", lineno, "entry before any [section] header")
         if "=" not in line:
-            raise SpecFileError(_section_of(sections, current), lineno,
-                                "expected 'name = value'")
+            raise SpecFileError(section, lineno, "expected 'name = value'")
         key, value = line.split("=", 1)
         key = key.strip()
         value = value.strip()
         if not _NAME_RE.match(key):
-            raise SpecFileError(_section_of(sections, current), lineno,
-                                f"bad entry name {key!r}")
+            raise SpecFileError(section, lineno, f"bad entry name {key!r}")
         if key in current:
-            raise SpecFileError(_section_of(sections, current), lineno,
-                                f"duplicate entry {key!r}")
+            raise SpecFileError(section, lineno, f"duplicate entry {key!r}")
         if not value:
-            raise SpecFileError(_section_of(sections, current), lineno,
-                                f"empty value for {key!r}")
+            raise SpecFileError(section, lineno, f"empty value for {key!r}")
         current[key] = _Entry(value, lineno)
     return sections
-
-
-def _section_of(sections, current):
-    for k, v in sections.items():
-        if v is current:
-            return k
-    return ""
 
 
 def _substitute_tokens(text, mapping):

@@ -58,12 +58,6 @@ def infinitesimal_candidate(v_field, lambda_matrix=None):
     return SymmetryCandidate("infinitesimal", v_field, lambda_matrix)
 
 
-def _residual_errors():
-    """numpy's overflow and invalid-value warnings off: `_worst` reports a
-    non-finite residual as an error instead."""
-    return np.errstate(over="ignore", invalid="ignore")
-
-
 def _worst(values, name):
     """(largest |value| over the sample, or 0, check): the first axis of
     `values` runs over the sample points, and the check is the `raise_first`
@@ -104,7 +98,7 @@ def check_symmetry(sys, cand, points, tol=1e-8, tols=linalg.DEFAULT_TOLERANCES):
     y = cand.base.rows(x)
     dpsi = cand.base.jacobian_field().rows(x)
     phi_m = cand.fibre.rows(x)
-    with _residual_errors():
+    with linalg._float_errors():  # `_worst` reports a non-finite residual
         r_f, f_check = _worst(sys.f.rows(y) - _times(phi_m, sys.f.rows(x)), "r_f")
         r_a, a_check = _worst(sys.A.rows(y) @ dpsi - phi_m @ sys.A.rows(x), "r_A")
     raise_first(
@@ -144,7 +138,7 @@ def check_inf_symmetry(sys, cand, points, tol=1e-8):
     x = np.asarray(points, dtype=float)
     lam = cand.fibre.rows(x)
     a = sys.A.rows(x)
-    with _residual_errors():
+    with linalg._float_errors():
         r_f, f_check = _worst(dvf.rows(x) - _times(lam, sys.f.rows(x)), "r_f")
         r_a, a_check = _worst(dva.rows(x) + a @ jv.rows(x) - lam @ a, "r_A")
     raise_first(f_check, a_check)
@@ -174,7 +168,7 @@ def check_descent(gnh, cand, points_on_m, tol=1e-8, tols=linalg.DEFAULT_TOLERANC
     """
     forces = gnh.forces
     x = np.asarray(points_on_m, dtype=float)
-    with _residual_errors():
+    with linalg._float_errors():
         if cand.kind == "finite":
             y = cand.base.rows(x)
             tang, tang_check = _worst(gnh.constraints.phi.rows(y), "tangency_residual")
@@ -220,7 +214,7 @@ def constant_descent(h, points_on_m, flows, tol=1e-8):
     g = h.gradient().rows(np.asarray(points_on_m, dtype=float))
     flows = np.asarray(flows, dtype=float)
     y, xfield = flows[:, 0], flows[:, 1]
-    with _residual_errors():
+    with linalg._float_errors():
         max_yh, y_check = _worst(_dots(g, y), "Y_h")
         max_gh, g_check = _worst(_dots(g, y - xfield), "Gamma_h")
         max_xh, x_check = _worst(_dots(g, xfield), "X_h")
@@ -238,7 +232,7 @@ def max_rate(h, points, fields):
     """max |X.h| = max |dh(x) . X| over the points and the field X at each, as
     one stacked product; a non-finite value raises NonFiniteError."""
     g = h.gradient().rows(np.asarray(points, dtype=float))
-    with _residual_errors():
+    with linalg._float_errors():
         worst, check = _worst(_dots(g, np.asarray(fields, dtype=float)), "X_h")
     raise_first(check)
     return worst

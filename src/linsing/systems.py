@@ -57,12 +57,6 @@ class LinearlySingularSystem:
     def k(self):
         return self.A.shape[0]
 
-    def A_at(self, x):
-        return self.A(x)
-
-    def f_at(self, x):
-        return self.f(x)
-
 
 def identity_system(f):
     """Explicit system x' = f(x): A is the identity on the state space."""
@@ -80,14 +74,14 @@ class ConsistencyResult:
 
 
 def consistency_at(sys, x, tols=linalg.DEFAULT_TOLERANCES):
-    """Does f(x) lie in the image of A(x)? rank_A comes from the same solve."""
-    sol = linalg.solve_affine(sys.A_at(x), sys.f_at(x), tols)
-    return ConsistencyResult(sol.consistent, sol.residual, sys.n - sol.kernel.dim, sol)
+    """Does f(x) lie in the image of A(x)? `consistency_rows` of a batch of one."""
+    return consistency_rows(sys, np.asarray(x, dtype=float)[None], tols)[0]
 
 
 def consistency_rows(sys, points, tols=linalg.DEFAULT_TOLERANCES):
-    """`consistency_at` at each row of an (N, n) array of points, from one
-    evaluation of A and f over the batch and one stacked solve."""
+    """ConsistencyResult of A v = f at each row of an (N, n) array of points,
+    from one evaluation of A and f over the batch and one stacked solve; rank_A
+    comes from the same solve."""
     pts = np.asarray(points, dtype=float)
     sol = linalg.solve_affine(sys.A.rows(pts), sys.f.rows(pts), tols)
     out = []

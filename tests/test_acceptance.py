@@ -192,7 +192,7 @@ def test_criterion_5_square_root_relativistic_particle(capsys):
     unique_ok = True
     worst_match = 0.0
     for x in pts:
-        ranks_ok = ranks_ok and linalg.rank(spec.system.A_at(x)) == 6
+        ranks_ok = ranks_ok and linalg.rank(spec.system.A(x)) == 6
         inconsistent_ok = inconsistent_ok and not consistency_at(spec_u.system, x).consistent
         xf, _, sol = sode.solve(x)
         unique_ok = unique_ok and sol.kernel.dim == 0
@@ -274,7 +274,7 @@ def test_criterion_7_projector_route_agreement(capsys):
         pa = dyn.analysis(x)
         worst = max(worst, float(np.max(np.abs(pa.projectors[0] @ pa.y - pa.field))))
         cls = pa.classification
-        gamma = np.linalg.solve(spec_i.system.A_at(x), spec_i.forces(x))
+        gamma = np.linalg.solve(spec_i.system.A(x), spec_i.forces(x))
         sub = linalg.subspace_classify(spec_i.constraints.jacobian(x).T, gamma)
         agree = agree and (
             cls.surjective == sub.sum_full

@@ -80,8 +80,8 @@ def _check_symmetry_loop(sys, cand, points, tols=DEFAULT_TOLERANCES):
             phi_m = cand.fibre(x)
             if linalg.rank(phi_m, tols) < sys.k:
                 raise ShapeError("fibre map is not invertible at a sample point")
-            r_f = _worst_loop(r_f, sys.f_at(y) - phi_m @ sys.f_at(x), "r_f")
-            r_a = _worst_loop(r_a, sys.A_at(y) @ dpsi - phi_m @ sys.A_at(x), "r_A")
+            r_f = _worst_loop(r_f, sys.f(y) - phi_m @ sys.f(x), "r_f")
+            r_a = _worst_loop(r_a, sys.A(y) @ dpsi - phi_m @ sys.A(x), "r_A")
     return r_f, r_a
 
 
@@ -92,8 +92,8 @@ def _check_inf_symmetry_loop(sys, cand, points):
     r_f = r_a = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for x in points:
-            lam, a = cand.fibre(x), sys.A_at(x)
-            r_f = _worst_loop(r_f, dvf(x) - lam @ sys.f_at(x), "r_f")
+            lam, a = cand.fibre(x), sys.A(x)
+            r_f = _worst_loop(r_f, dvf(x) - lam @ sys.f(x), "r_f")
             r_a = _worst_loop(r_a, dva(x) + a @ jv(x) - lam @ a, "r_A")
     return r_f, r_a
 
@@ -135,7 +135,7 @@ def _analysis_loop(dyn, x):
         xf, u, sol, d = dyn._schur(views)
         jphi, gamma, y = (v.copy() for v in views[2:])
     else:
-        g, b = gnh.base.f_at(x), gnh.base.A_at(x)
+        g, b = gnh.base.f(x), gnh.base.A(x)
         base = linalg.solve_affine(b, g, tols)
         rank_b = gnh.base.n - base.kernel.dim
         if gnh.base.k != gnh.base.n or rank_b < gnh.base.n:

@@ -52,8 +52,8 @@ f = -y, x
 
 
 def _schur_oracle(gnh, x):
-    b = gnh.base.A_at(x)
-    y = np.linalg.solve(b, gnh.base.f_at(x))
+    b = gnh.base.A(x)
+    y = np.linalg.solve(b, gnh.base.f(x))
     gamma = np.linalg.solve(b, gnh.forces(x))
     jphi = gnh.constraints.jacobian(x)
     sol = linalg.solve_affine(jphi @ gamma, -(jphi @ y))
@@ -63,8 +63,8 @@ def _schur_oracle(gnh, x):
 
 def _cokernel_oracle(spec, x):
     n = spec.model.nq
-    a_mat = spec.system.A_at(x)
-    g = spec.system.f_at(x)
+    a_mat = spec.system.A(x)
+    g = spec.system.f(x)
     delta = spec.forces(x)
     comp = linalg.cokernel_basis(delta).vectors
     stacked = np.vstack([comp.T @ a_mat, spec.constraints.jacobian(x),
@@ -83,10 +83,10 @@ def _full_bordered_oracle(gnh, x):
     k, n, a, m = gnh.base.k, gnh.n, gnh.a, gnh.m
     s = n // 2
     mat = np.zeros((k + a + s, n + m))
-    mat[:k, :n], mat[:k, n:] = gnh.base.A_at(x), -gnh.forces(x)
+    mat[:k, :n], mat[:k, n:] = gnh.base.A(x), -gnh.forces(x)
     mat[k:k + a, :n] = gnh.constraints.jacobian(x)
     mat[k + a:, :s] = np.eye(s)
-    rhs = np.concatenate([gnh.base.f_at(x), np.zeros(a), x[n - s:]])
+    rhs = np.concatenate([gnh.base.f(x), np.zeros(a), x[n - s:]])
     sol = linalg.solve_affine(mat, rhs)
     z = sol.x0
     if sol.kernel.dim > 0:
@@ -230,11 +230,11 @@ def test_schur_path_is_the_arithmetic_of_separate_field_calls_bit_for_bit():
     # two force columns: the kernel's frame is a row-major view of its buffer
     gnh = _two_force_system([["2", "0.3"], ["0.1", "1.7"]])
     dyn = PointDynamics(gnh)
-    b_inv = np.linalg.inv(gnh.base.A_at(np.zeros(2)))
+    b_inv = np.linalg.inv(gnh.base.A(np.zeros(2)))
     for x1 in (-0.7, 0.5, 1.3):
         p = np.array([x1, 2.0])
         gamma = b_inv @ gnh.forces(p)
-        y = b_inv @ gnh.base.f_at(p)
+        y = b_inv @ gnh.base.f(p)
         jphi = gnh.constraints.jacobian(p)
         sol = linalg.solve_affine(jphi @ gamma, -(jphi @ y))
         xf, u, _ = dyn.solve(p)
@@ -340,13 +340,13 @@ def test_one_kernel_call_and_no_field_call_per_evaluation(mode, monkeypatch):
         if schur:
             # the kernel holds bit for bit each field's values, row-major, in
             # the path's read order: forces, f, dphi
-            want = np.concatenate([forces.ravel(), base.f_at(x), dphi.ravel()])
+            want = np.concatenate([forces.ravel(), base.f(x), dphi.ravel()])
             assert dyn._vals[:len(want)].tobytes() == want.tobytes()
             # then Gamma = B^-1 Delta and Y = B^-1 f, folded in: numpy's
             # products bit for bit where B^-1 is a signed permutation
             # (rosenberg), to rounding elsewhere
-            b_inv = np.linalg.inv(base.A_at(np.zeros(base.n)))
-            folded = np.concatenate([(b_inv @ forces).ravel(), b_inv @ base.f_at(x)])
+            b_inv = np.linalg.inv(base.A(np.zeros(base.n)))
+            folded = np.concatenate([(b_inv @ forces).ravel(), b_inv @ base.f(x)])
             rest = dyn._vals[len(want):]
             if mode == "constrained":
                 assert rest.tobytes() == folded.tobytes()
@@ -358,7 +358,7 @@ def test_one_kernel_call_and_no_field_call_per_evaluation(mode, monkeypatch):
             # X_q = v substituted in the second-order mode (s = n/2), and
             # [A, -Delta; dphi, 0], (g, 0) otherwise (s = 0)
             s = base.n // 2 if mode == "second-order" else 0
-            a_mat, g, v = base.A_at(x), base.f_at(x), x[base.n - s:]
+            a_mat, g, v = base.A(x), base.f(x), x[base.n - s:]
             mat, rhs = a_mat[:, s:], g - a_mat[:, :s] @ v
             if gnh is not None:
                 mat = np.block([[mat, -forces], [dphi[:, s:], np.zeros((gnh.a, gnh.m))]])

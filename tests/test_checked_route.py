@@ -77,8 +77,8 @@ def _points(spec, count):
 def _dense_reference(gnh, x):
     """(Y, Gamma, dphi, D, u, X) at x: Y and Gamma by LU solves with B = A(x),
     D = dphi . Gamma, u from D u = -dphi . Y and X = Y + Gamma u."""
-    b = gnh.base.A_at(x)
-    y = np.linalg.solve(b, gnh.base.f_at(x))
+    b = gnh.base.A(x)
+    y = np.linalg.solve(b, gnh.base.f(x))
     gamma = np.linalg.solve(b, gnh.forces(x))
     jphi = gnh.constraints.jacobian(x)
     d = jphi @ gamma

@@ -1,11 +1,11 @@
-"""Mutated spec files through the check commands: an exit code, never a traceback.
+"""Mutated spec files through the commands: an exit code, never a traceback.
 
 Each example is a bundled `.lss` text with bytes deleted, bytes inserted or a
 fragment of another bundled text spliced in. Whatever the text has become, the
-check commands must end with one of the documented exit codes (0 success,
-1 a check failed, 2 usage error, 3 evaluation error), and `specfile.loads`
-must never let a ShapeError out: parts of a spec that do not fit together are
-a SpecFileError (a usage error).
+check commands, and `simulate` on a text that `loads` accepts, must end with
+one of the documented exit codes (0 success, 1 a check failed, 2 usage error,
+3 evaluation error), and `specfile.loads` must never let a ShapeError out:
+parts of a spec that do not fit together are a SpecFileError (a usage error).
 """
 
 import warnings
@@ -49,15 +49,19 @@ def mutated_specs(draw):
                                  HealthCheck.too_slow])
 @given(text=mutated_specs())
 def test_mutated_specs_end_in_an_exit_code(text, tmp_path, capsys):
+    path = tmp_path / "mutated.lss"
+    path.write_bytes(text)
+    commands = list(COMMANDS)
     try:
-        loads(text.decode("utf-8", errors="replace"))
+        spec = loads(text.decode("utf-8", errors="replace"))
     except ShapeError as exc:
         raise AssertionError(f"loads let a ShapeError out: {exc}") from exc
     except LinsingError:
         pass
-    path = tmp_path / "mutated.lss"
-    path.write_bytes(text)
-    for cmd, *flags in COMMANDS:
+    else:
+        commands.append(("simulate", "--x0", f"{spec.variables[0]}=0.25",
+                         "--t1", "0.05", "--dt", "0.01", "--quiet-time"))
+    for cmd, *flags in commands:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code = main([cmd, "--spec", str(path), *flags])

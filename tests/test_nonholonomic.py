@@ -3,6 +3,8 @@ import collections
 import numpy as np
 import pytest
 
+from test_checked_route import _same_consistency
+
 from linsing import cli
 from linsing.errors import (
     BaseNotRegularError,
@@ -20,7 +22,7 @@ from linsing.linalg import Tolerances, complement_projectors, kernel_basis
 from linsing.nonholonomic import GeneralizedNonholonomicSystem, PointDynamics, SubmanifoldSpec
 from linsing.sampling import halton_box, on_manifold_sample
 from linsing.specfile import loads
-from linsing.systems import LinearlySingularSystem, identity_system
+from linsing.systems import consistency_rows, identity_system
 
 V = ("x", "y")
 
@@ -312,17 +314,39 @@ def test_off_manifold_points_are_rejected():
         gnh.constraints.require_on(np.array([[0.0, 2.0], [0.0, 2.5]]))
 
 
+CONSTANT_SINGULAR_SPEC = """
+[vars]
+names = x, y
+[system]
+A = 1, 0; 0, 0
+f = 1, 0
+[constraints]
+phi = y - 2
+[forces]
+Delta = x, 1
+"""
+
+
 def test_singular_base_raises():
-    A = ExpressionField.matrix([["1", "0"], ["0", "0"]], V)
-    f = ExpressionField.vector(["1", "0"], V)
-    base = LinearlySingularSystem(A, f)
-    gnh = GeneralizedNonholonomicSystem(
-        base,
-        SubmanifoldSpec(ExpressionField.vector(["y - 2"], V)),
-        ExpressionField.matrix([["x"], ["1"]], V),
-    )
-    with pytest.raises(BaseNotRegularError):
-        PointDynamics(gnh)  # constant singular base caught up front
+    gnh = loads(CONSTANT_SINGULAR_SPEC).gnh
+    dyn = PointDynamics(gnh)  # a constant singular base is decided per point, not refused
+    pts = np.array([[0.5, 2.0], [-1.0, 2.0], [3.0, 2.0]])
+    want = consistency_rows(gnh.base, pts)
+    errors = dyn.base_errors(pts)
+    for err, res in zip(errors, want):
+        assert isinstance(err, BaseNotRegularError) and res.rank_A == 1
+        _same_consistency(err.consistency, res)
+    for x, res in zip(pts, want):
+        with pytest.raises(BaseNotRegularError) as err:
+            dyn.analysis(x)
+        _same_consistency(err.value.consistency, res)
+    with pytest.raises(BaseNotRegularError) as err:
+        dyn.flows(pts)
+    _same_consistency(err.value.consistency, want[0])
+    # singular base, regular constrained system: the bordered solve finds X
+    xf, u, _ = dyn.solve(pts[0])
+    assert np.allclose(xf, [1.0, 0.0], rtol=0.0, atol=1e-15)
+    assert abs(u[0]) <= 1e-15
     # the second-order system solves without base rows, so it has none to check
     with pytest.raises(TypeError, match="no base rows"):
         PointDynamics(gnh, second_order=True).base_errors(np.array([[0.0, 2.0]]))

@@ -20,8 +20,8 @@ def test_minimal_system_file():
     assert spec.kind == "system"
     assert spec.variables == ["x", "y"]
     assert spec.constraints is None and spec.gnh is None, "nothing else declared"
-    assert np.allclose(spec.system.A_at(np.zeros(2)), np.eye(2))
-    assert np.allclose(spec.system.f_at(np.array([0.0, 3.0])), [1.0, 3.0])
+    assert np.allclose(spec.system.A(np.zeros(2)), np.eye(2))
+    assert np.allclose(spec.system.f(np.array([0.0, 3.0])), [1.0, 3.0])
 
 
 def test_full_system_file():
@@ -54,8 +54,8 @@ def test_full_system_file():
         """
     )
     p = np.array([0.5, 2.0])
-    assert np.allclose(spec.system.A_at(p), [[1.0, 0.0], [0.0, 1.0]])
-    assert np.allclose(spec.system.f_at(p), [2.0, 2.0])
+    assert np.allclose(spec.system.A(p), [[1.0, 0.0], [0.0, 1.0]])
+    assert np.allclose(spec.system.f(p), [2.0, 2.0])
     assert spec.constraints.codim == 1
     assert spec.forces.shape == (2, 2)
     assert np.array_equal(spec.forces(p), [[0.5, 0.0], [1.0, 1.0]])  # a section per column
@@ -107,7 +107,7 @@ def test_parameter_chains_and_cycles():
         f = c*x
         """
     )
-    assert spec.system.f_at(np.array([1.0]))[0] == 6.0
+    assert spec.system.f(np.array([1.0]))[0] == 6.0
 
     with pytest.raises(SpecFileError) as err:
         loads(
@@ -137,12 +137,12 @@ def test_param_overrides_take_precedence():
     [system]
     f = a*x
     """
-    assert loads(text).system.f_at(np.array([3.0]))[0] == 6.0
+    assert loads(text).system.f(np.array([3.0]))[0] == 6.0
     spec = loads(text, param_overrides={"a": "5"})
-    assert spec.system.f_at(np.array([3.0]))[0] == 15.0
+    assert spec.system.f(np.array([3.0]))[0] == 15.0
     # overrides may introduce brand-new parameters referenced by others
     spec = loads(text, param_overrides={"a": "k + 1", "k": "9"})
-    assert spec.system.f_at(np.array([1.0]))[0] == 10.0
+    assert spec.system.f(np.array([1.0]))[0] == 10.0
 
 
 def test_parse_param_overrides():
@@ -175,8 +175,8 @@ def test_substitution_reaches_every_list_slot():
         """
     )
     p = np.array([2.0, 0.0])
-    assert np.allclose(spec.system.A_at(p), 3.0 * np.eye(2))
-    assert np.allclose(spec.system.f_at(p), [6.0, 3.0])
+    assert np.allclose(spec.system.A(p), 3.0 * np.eye(2))
+    assert np.allclose(spec.system.f(p), [6.0, 3.0])
 
 
 # ------------------------------------------------------------- error reports

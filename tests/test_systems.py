@@ -42,7 +42,7 @@ def test_system_validation():
 def test_identity_system():
     f = ExpressionField.vector(["1", "y"], ("x", "y"))
     sys = identity_system(f)
-    assert np.allclose(sys.A_at(np.array([0.3, 2.0])), np.eye(2))
+    assert np.allclose(sys.A(np.array([0.3, 2.0])), np.eye(2))
     res = consistency_at(sys, np.array([0.3, 2.0]))
     assert res.consistent and res.rank_A == 2
 
@@ -58,7 +58,7 @@ def test_consistency_at_toy_points():
 
 def _primary_constraint_values(sys, x):
     """Pairings <w_i(x), f(x)> over the deterministic cokernel basis of A(x)."""
-    return cokernel_basis(sys.A_at(x)).vectors.T @ sys.f_at(x)
+    return cokernel_basis(sys.A(x)).vectors.T @ sys.f(x)
 
 
 def test_primary_constraint_values_track_consistency():
@@ -186,7 +186,7 @@ def test_pendulum_verdicts_and_levels_built_on_demand(monkeypatch):
     for s in res.seeds[:2]:
         assert s.survives and s.failure_level is None
         assert s.levels_run == 3 and s.index == 3 and s.rank_A == 4
-        assert np.allclose(sys.A_at(s.seed) @ s.velocity, sys.f_at(s.seed), atol=1e-12)
+        assert np.allclose(sys.A(s.seed) @ s.velocity, sys.f(s.seed), atol=1e-12)
     # l' = -3 g vy
     assert abs(res.seeds[0].velocity[4] - (-14.715)) < 1e-9
     assert [s.failure_level for s in res.seeds[2:]] == [1, 2, 0]
