@@ -44,7 +44,6 @@ from .symmetry import (
     constant_descent,
     max_rate,
 )
-from .systems import consistency_rows
 
 SCENARIOS = ("example1", "relparticle-L1", "relparticle-L2", "rosenberg")
 
@@ -168,28 +167,33 @@ def _default_points(spec, count):
 def _point_docs(spec, points, tols, evaluator):
     """The report of `analyze` at each row of an (N, n) array of points, as one
     batch: each field is evaluated over the sample and each rank decision is
-    stacked (`PointDynamics.analyses` and `PointDynamics.solves`). A point
-    where the base is singular gets a singular-point report."""
+    stacked (`PointDynamics.analyses` and `PointDynamics.solves`; on a spec
+    with no constraints, the solve of A v = f is the explicit flow's). A point
+    where the base is singular gets a singular-point report, with the
+    second-order solve when the spec has a Lagrangian."""
     docs = [{"at": x} for x in points]
     if spec.constraints is not None:
         for doc, worst in zip(docs, spec.constraints.residual(points).tolist()):
             doc["phi_residual"] = worst
     if spec.gnh is None:
-        for doc, res in zip(docs, consistency_rows(spec.system, points, tols)):
-            doc.update(rank_A=res.rank_A, consistent=res.consistent,
+        sol = PointDynamics(spec.system, tols).solves(points)[2]
+        for i, doc in enumerate(docs):
+            res = sol.item(i)
+            doc.update(rank_A=spec.system.n - res.kernel.dim, consistent=res.consistent,
                        consistency_residual=res.residual)
             if res.consistent:
-                doc["X0"] = res.solution.x0
-                doc["solution_kernel_dim"] = res.solution.kernel.dim
+                doc["X0"] = res.x0
+                doc["solution_kernel_dim"] = res.kernel.dim
         return docs
     spec.constraints.require_on(points)
-    results = evaluator(False).analyses(points)
-    singular = [i for i, pa in enumerate(results) if isinstance(pa, BaseNotRegularError)]
-    if singular:
-        _singular_point_docs(spec, points, evaluator, singular,
-                             [results[i].consistency for i in singular], docs)
-    for doc, pa in zip(docs, results):
+    singular = []
+    for i, (doc, pa) in enumerate(zip(docs, evaluator(False).analyses(points))):
         if isinstance(pa, BaseNotRegularError):
+            res = pa.consistency
+            doc.update(base_regular=False, rank_base=res.rank_A,
+                       base_kernel_dim=spec.system.n - res.rank_A,
+                       consistent=res.consistent, consistency_residual=res.residual)
+            singular.append(i)
             continue
         cls, y, mult = pa.classification, pa.y, pa.multipliers
         doc.update(
@@ -208,31 +212,17 @@ def _point_docs(spec, points, tols, evaluator):
             doc["projector_residual"] = float(np.max(np.abs(pa.projectors[0] @ y - pa.field)))
         if spec.report_scale != 1.0:
             doc["u_scaled"] = mult.u * spec.report_scale
+    if singular and spec.model is not None:
+        # a singular Lagrangian base: the second-order solve, as one batch
+        xf, u, sol, errors = evaluator(True).solves(points[singular])
+        for j, i in enumerate(singular):
+            if errors[j] is not None:
+                docs[i]["sode_consistent"] = False
+                continue
+            dim = sol.kernel[j].dim
+            docs[i].update(sode_consistent=True, sode_unique=dim == 0, X=xf[j], u=u[j],
+                           sode_kernel_dim=dim)
     return docs
-
-
-def _singular_point_docs(spec, points, evaluator, idx, consistency, docs):
-    """Fill the singular-point reports of the points `idx`, whose base solves
-    are `consistency`, with the second-order solve of a Lagrangian system, as
-    one batch."""
-    for i, res in zip(idx, consistency):
-        docs[i].update(
-            base_regular=False,
-            rank_base=res.rank_A,
-            base_kernel_dim=spec.system.n - res.rank_A,
-            consistent=res.consistent,
-            consistency_residual=res.residual,
-        )
-    if spec.model is None:
-        return
-    xf, u, sol, errors = evaluator(True).solves(points[idx])
-    for j, i in enumerate(idx):
-        if errors[j] is not None:
-            docs[i]["sode_consistent"] = False
-            continue
-        dim = sol.kernel[j].dim
-        docs[i].update(sode_consistent=True, sode_unique=dim == 0, X=xf[j], u=u[j],
-                       sode_kernel_dim=dim)
 
 
 def cmd_analyze(args):

@@ -46,8 +46,8 @@ class BaseNotRegularError(LinsingError):
     """The base morphism is not a pointwise isomorphism where one is required.
 
     `consistency` is the ConsistencyResult of A(x) v = f(x) at the point, from
-    the factorization that found the base singular
-    (`PointDynamics.base_errors`, the one place this error is built).
+    the solve of the flow evaluator's base rows that found the base singular
+    (`PointDynamics.base_errors`); the message states the base's rank.
     """
 
     def __init__(self, message, consistency):

@@ -26,7 +26,7 @@ from .errors import (
     raise_first,
 )
 from .expressions import Add, Compiled, Const, ExpressionField, Var, add, mul, neg, sub
-from .systems import LinearlySingularSystem, consistency_rows
+from .systems import ConsistencyResult, LinearlySingularSystem
 
 __all__ = [
     "SubmanifoldSpec",
@@ -197,10 +197,6 @@ class GeneralizedNonholonomicSystem:
         return self.forces.shape[1]
 
 
-_BASE_SINGULAR = ("base morphism is not invertible at this point; "
-                  "use the linearly singular solve path instead")
-
-
 def _require_independent(gamma, m, tols):
     """Raise FrameDegenerateError unless the frame has rank m; for a stack of
     frames, naming the first dependent one."""
@@ -339,11 +335,13 @@ class PointDynamics:
     the bordered system's right-hand side and matrix, which the solve reads as
     fixed views of its buffer.
 
-    Whether the base is regular at a point is decided once, before the
-    kernel, by `base_errors` from A and f alone; it builds every
-    BaseNotRegularError. The first-order batches (`analyses`, `flows`) call it
-    and evaluate the kernel only where the base is regular. `solve` does not:
-    on a singular base it solves the bordered system as it stands.
+    The bordered kernel's base rows B v = g also decide, at each point,
+    whether such a base is regular: one stacked solve of them gives the
+    verdict and Y = B^{-1} g where B is regular (`_base_solve`, which builds
+    every BaseNotRegularError). The first-order batches (`analyses`, `flows`)
+    take the verdict, Y and the flow from one kernel evaluation. `solve`
+    decides nothing: on a singular base it solves the bordered system as it
+    stands.
 
     A non-finite kernel value raises NonFiniteError. A rank-deficient system
     gives the minimum-norm u, with X following, once the frame's rank is
@@ -382,20 +380,37 @@ class PointDynamics:
         """At each row of an (N, n) array of points, the BaseNotRegularError of
         a base that is not regular there, carrying the ConsistencyResult of
         A v = f at the point as its `consistency`, or None where it is regular.
-        A constant base inverted at construction is regular everywhere. Any
-        other base, varying or constant and singular, is decided here by
-        `systems.consistency_rows`, from A and f alone, so no kernel is
-        compiled or evaluated; this is the one place a BaseNotRegularError is
-        built. The second-order system holds no base rows, and raises
-        TypeError."""
-        if self._s:
-            raise TypeError("the second-order system holds no base rows")
+        A constant base inverted at construction is regular everywhere, and
+        nothing is evaluated; any other is decided by `_base_solve` from the
+        kernel evaluated over the points. The second-order system holds no
+        base rows, and raises TypeError."""
         pts = np.asarray(points, dtype=float)
         if self._b_inv is not None:
             return [None] * len(pts)
-        base = self.gnh.base
-        return [None if base.k == base.n == res.rank_A else BaseNotRegularError(_BASE_SINGULAR, res)
-                for res in consistency_rows(base, pts, self.tols)]
+        return self._base_solve(self._evaluate_rows(pts))[0]
+
+    def _base_solve(self, views):
+        """(errors, Y) from the kernel's row views: `base_errors`'s list and
+        Y = B^{-1} g at each regular row. A constant base inverted at
+        construction gives no errors and the folded Y. Otherwise one stacked
+        solve of the base rows B v = g gives both, each error built from its
+        row's solution: the one place a BaseNotRegularError is built."""
+        if self._b_inv is not None:
+            return [None] * len(views[4]), views[4]
+        if self._s:
+            raise TypeError("the second-order system holds no base rows")
+        b, g, _, _ = self._base_rows(views)
+        sol = linalg.solve_affine(b, g, self.tols)
+        k, n = self._k, self._w
+        ranks = n - _dims(sol.kernel)
+        errors = [None] * len(b)
+        for i in np.flatnonzero((ranks < n) | (k != n)).tolist():
+            one, rank = sol.item(i), int(ranks[i])
+            errors[i] = BaseNotRegularError(
+                f"base morphism A(x) is not invertible at this point "
+                f"(rank {rank} of {n if k == n else f'{k}x{n}'})",
+                ConsistencyResult(one.consistent, one.residual, rank, one))
+        return errors, sol.x0
 
     def analysis(self, x):
         """PointAnalysis at x, which the caller has checked lies on M: `analyses`
@@ -411,10 +426,12 @@ class PointDynamics:
         batch; at a point where the base is not regular, the entry is its
         `base_errors` entry.
 
-        One kernel evaluation over the points with a regular base gives the
-        fields. For a constant base the kernel gives Gamma = B^{-1} Delta and
-        Y = B^{-1} g; for a varying one, Gamma and Y are LU solves with B.
-        Either way the stacked solve that `solves` makes gives u, X and rank D,
+        One kernel evaluation over the points gives the fields; the rest runs
+        on the rows with a regular base. For a constant base the kernel gives
+        Gamma = B^{-1} Delta and Y = B^{-1} g; for a varying one, the solve of
+        the base rows that decides the verdict gives Y, and Gamma is an LU
+        solve with B. Either way the stacked solve that `solves` makes on the
+        regular rows gives u, X and rank D,
         as m less the dimension of the solve's kernel (the kernel of D, or of
         the bordered matrix, which a regular base and an independent frame make
         the same); the frame is checked only where that kernel is not trivial,
@@ -425,17 +442,17 @@ class PointDynamics:
         fails."""
         gnh = self.gnh
         pts = np.asarray(points, dtype=float)
-        out = self.base_errors(pts)
+        views = self._evaluate_rows(pts)
+        out, y = self._base_solve(views)
         live = np.array([i for i, err in enumerate(out) if err is None], dtype=int)
         if not live.size:
             return out
-        views = self._evaluate_rows(pts[live])
+        views, y = [v[live] for v in views], y[live]
         if self._b_inv is not None:
-            jphi, gamma, y = views[2:]
+            jphi, gamma = views[2:4]
         else:
-            b, g, frame, jphi = self._base_rows(views)
+            b, _, frame, jphi = self._base_rows(views)
             gamma = np.linalg.solve(b, frame)
-            y = np.linalg.solve(b, g[..., None])[..., 0]
         with linalg._float_errors():  # as `_schur`'s dot product
             d = jphi @ gamma
         xf, u, sol, failed = self._solve_batch(pts[live], views)
@@ -459,20 +476,16 @@ class PointDynamics:
     def flows(self, points):
         """(Y, X) at each row of an (N, n) array of points, as an (N, 2, n)
         array: Y = B^{-1} g as `analyses` gives it and `solve`'s X, from one
-        kernel evaluation over the batch and one stacked solve. The first point
-        at which the base is not regular raises its `base_errors` entry, before
-        the kernel is evaluated; any other error raises for the first point at
-        which its step fails."""
+        kernel evaluation over the batch and one stacked solve. A non-finite
+        kernel value raises first, for its first row; then the first point at
+        which the base is not regular raises its `base_errors` entry; any other
+        error raises for the first point at which its step fails."""
         pts = np.asarray(points, dtype=float)
-        first = next(filter(None, self.base_errors(pts)), None)
+        views = self._evaluate_rows(pts)
+        errors, y = self._base_solve(views)
+        first = next(filter(None, errors), None)
         if first is not None:
             raise first
-        views = self._evaluate_rows(pts)
-        if self._b_inv is not None:
-            y = views[4]
-        else:
-            b, g, _, _ = self._base_rows(views)
-            y = np.linalg.solve(b, g[..., None])[..., 0]
         xf, _, sol, failed = self._solve_batch(pts, views)
         self._raise_failed(sol, failed)
         return np.stack([y, xf], axis=1)

@@ -171,6 +171,17 @@ def _resolve_params(raw, section_line):
     raise SpecFileError("params", section_line, "cyclic parameter definitions")
 
 
+# an identifier token of entry text: a name not glued to a number's digits
+_IDENT_RE = re.compile(r"(?<![\w.])[A-Za-z_]\w*")
+
+
+def _reject_unknown(name, sec, known):
+    """Raise SpecFileError at the first entry, by name, of section `name` not in `known`."""
+    extra = sorted(set(sec) - known)
+    if extra:
+        raise SpecFileError(name, sec[extra[0]].line, f"unknown entry {extra[0]!r}")
+
+
 def parse_param_overrides(items):
     """Parse repeated ``--param name=expr[,name=expr...]`` flag values."""
     out = {}
@@ -311,8 +322,16 @@ def loads(text, name="", param_overrides=None):
         raise SpecFileError("vars", 0, "missing [vars] section")
 
     raw_params = {k: v.value for k, v in sections.get("params", {}).items()}
-    for key, value in (param_overrides or {}).items():
-        raw_params[key] = value
+    # an override must replace a [params] entry or be used as a name by an
+    # entry or an override; any other would be ignored
+    overrides = param_overrides or {}
+    texts = [e.value for sec in sections.values() for e in sec.values()] + list(overrides.values())
+    used = {name for text in texts for name in _IDENT_RE.findall(text)}
+    unknown = [key for key in overrides if key not in raw_params and key not in used]
+    if unknown:
+        raise SpecFileError("params", 0, f"override of unknown parameter {unknown[0]!r}: "
+                                         "no [params] entry has that name and no entry uses it")
+    raw_params.update(overrides)
     first_param_line = min((v.line for v in sections.get("params", {}).values()), default=0)
     params = _resolve_params(raw_params, first_param_line)
 
@@ -357,18 +376,12 @@ def loads(text, name="", param_overrides=None):
             spec.system = _assembled("system", sec["A"].line, LinearlySingularSystem, a, f)
         else:
             spec.system = identity_system(f)
-        extra = set(sec) - {"f", "A"}
-        if extra:
-            k = sorted(extra)[0]
-            raise SpecFileError("system", sec[k].line, f"unknown entry {k!r}")
+        _reject_unknown("system", sec, {"f", "A"})
     else:
         sec = sections["lagrangian"]
         if "L" not in sec:
             raise SpecFileError("lagrangian", 0, "missing 'L = ...'")
-        extra = set(sec) - {"L"}
-        if extra:
-            k = sorted(extra)[0]
-            raise SpecFileError("lagrangian", sec[k].line, f"unknown entry {k!r}")
+        _reject_unknown("lagrangian", sec, {"L"})
         entry = expand(sec["L"])
         lexpr = _parse_entry("lagrangian", entry, entry.value, variables)
         spec.model = build_lagrangian_model(lexpr, q_names)
@@ -387,10 +400,7 @@ def loads(text, name="", param_overrides=None):
             except LinsingError as exc:
                 raise SpecFileError("constraints", entry.line,
                                     f"expected a constant number: {exc}") from exc
-        extra = set(sec) - {"phi", "report_scale"}
-        if extra:
-            k = sorted(extra)[0]
-            raise SpecFileError("constraints", sec[k].line, f"unknown entry {k!r}")
+        _reject_unknown("constraints", sec, {"phi", "report_scale"})
 
     if "forces" in sections:
         sec = sections["forces"]
@@ -404,10 +414,7 @@ def loads(text, name="", param_overrides=None):
         width = by_section.shape[1]
         spec.forces = ExpressionField.matrix(
             [by_section.entries[i::width] for i in range(width)], variables)
-        extra = set(sec) - {"Delta"}
-        if extra:
-            k = sorted(extra)[0]
-            raise SpecFileError("forces", sec[k].line, f"unknown entry {k!r}")
+        _reject_unknown("forces", sec, {"Delta"})
     elif spec.constraints is not None and spec.model is not None:
         spec.forces = chetaev_frame(spec.model, spec.constraints)
     elif spec.constraints is not None:
@@ -465,10 +472,7 @@ def loads(text, name="", param_overrides=None):
         if "box" in sec:
             spec.box = parse_box(sec["box"].value, variables,
                                  section="symmetry", line=sec["box"].line)
-        extra = set(sec) - {"V", "Lambda", "psi", "Phi", "box"}
-        if extra:
-            k = sorted(extra)[0]
-            raise SpecFileError("symmetry", sec[k].line, f"unknown entry {k!r}")
+        _reject_unknown("symmetry", sec, {"V", "Lambda", "psi", "Phi", "box"})
 
     for cname, entry in sections.get("constant", {}).items():
         e = expand(entry)

@@ -5,6 +5,9 @@ Consistency at a point means f(x) lies in the image of A(x). The constraint
 algorithm differentiates A(x) x' - f(x) along solutions into a derivative array
 and, at each seed point, reports the level at which it has no solution, or the
 differentiation index and a consistent x' once it adds no more constraints.
+`consistency_at` solves A v = f at one point; the flow evaluator
+(`nonholonomic.PointDynamics`) solves the same rows as its kernel's base rows,
+which decides the base's regularity and Y.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ __all__ = [
     "LinearlySingularSystem",
     "identity_system",
     "consistency_at",
-    "consistency_rows",
     "constraint_algorithm_sample",
 ]
 
@@ -74,21 +76,11 @@ class ConsistencyResult:
 
 
 def consistency_at(sys, x, tols=linalg.DEFAULT_TOLERANCES):
-    """Does f(x) lie in the image of A(x)? `consistency_rows` of a batch of one."""
-    return consistency_rows(sys, np.asarray(x, dtype=float)[None], tols)[0]
-
-
-def consistency_rows(sys, points, tols=linalg.DEFAULT_TOLERANCES):
-    """ConsistencyResult of A v = f at each row of an (N, n) array of points,
-    from one evaluation of A and f over the batch and one stacked solve; rank_A
-    comes from the same solve."""
-    pts = np.asarray(points, dtype=float)
-    sol = linalg.solve_affine(sys.A.rows(pts), sys.f.rows(pts), tols)
-    out = []
-    for i in range(len(pts)):
-        one = sol.item(i)
-        out.append(ConsistencyResult(one.consistent, one.residual, sys.n - one.kernel.dim, one))
-    return out
+    """Does f(x) lie in the image of A(x)? The ConsistencyResult of one
+    `linalg.solve_affine` of A v = f at x; rank_A comes from the same solve."""
+    x = np.asarray(x, dtype=float)
+    sol = linalg.solve_affine(sys.A(x), sys.f(x), tols)
+    return ConsistencyResult(sol.consistent, sol.residual, sys.n - sol.kernel.dim, sol)
 
 
 # ------------------------------------------ derivative-array constraint algorithm

@@ -16,6 +16,7 @@ import pytest
 from test_acceptance import _scenario
 from conftest import euler_step_candidate
 from test_bordered import VARYING_BASE_SPEC, _varying_base_points
+from test_checked_route import _count_sources
 
 from linsing import cli, linalg, report
 from linsing.errors import (
@@ -144,7 +145,7 @@ def _analysis_loop(dyn, x):
         gamma = np.linalg.solve(b, gnh.forces(x))
         jphi = gnh.constraints.jacobian(x)
         d = jphi @ gamma
-        y = np.linalg.solve(b, g)
+        y = base.x0
         xf, u, sol = dyn.solve(x)
     rank = gnh.m - sol.kernel.dim
     regular = gnh.a == gnh.m and rank == gnh.a
@@ -354,6 +355,41 @@ def test_analyze_reports_each_point_as_the_loop_did(spec):
                                PointDynamics(spec.gnh, tols, second_order=True))
         assert report.render(doc) == report.render(want)
         assert {k: _bits(v) for k, v in doc.items()} == {k: _bits(v) for k, v in want.items()}
+
+
+# explicit systems whose A(x) is regular, of rank 1 with f in its image, and
+# of rank 1 with f outside it except where x*y = 1, as at the sample's first
+# point (-1, -1)
+EXPLICIT_SYSTEMS = {
+    "regular": ("A = 1, x; 0, x*x + 1\nf = y, 1", {2}, {True}),
+    "rank-1": ("A = 1, x; x, x*x\nf = y, x*y", {1}, {True}),
+    "inconsistent": ("A = 1, x; x, x*x\nf = y, 1", {1}, {False, True}),
+}
+
+
+@pytest.mark.parametrize("system, ranks, verdicts", EXPLICIT_SYSTEMS.values(),
+                         ids=EXPLICIT_SYSTEMS.keys())
+def test_explicit_analyze_reports_the_solve_of_a_and_f_bit_for_bit(
+        system, ranks, verdicts, tmp_path, monkeypatch, capsys):
+    text = f"[vars]\nnames = x, y\n\n[system]\n{system}\n"
+    path = tmp_path / "explicit.lss"
+    path.write_text(text)
+    sources = _count_sources(monkeypatch)
+    assert cli.main(["analyze", "--spec", str(path), "--points", "40"]) == 0
+    out = capsys.readouterr().out
+    assert sources == [6]  # one kernel: f's 2 entries and A's 4, together
+    spec = loads(text, name=str(path))
+    pts = halton_box(spec.variables, spec.box, 40)
+    want = {"command": "analyze", "input": spec.name, "params": {}, "point_count": 40}
+    for i, x in enumerate(pts):
+        want[f"point_{i:03d}"] = _point_doc_loop(spec, x, DEFAULT_TOLERANCES, None, None)
+    assert out == report.render(want)
+    docs = cli._point_docs(spec, pts, DEFAULT_TOLERANCES, None)
+    for i, doc in enumerate(docs):
+        assert {k: _bits(v) for k, v in doc.items()} == \
+            {k: _bits(v) for k, v in want[f"point_{i:03d}"].items()}
+    assert {doc["rank_A"] for doc in docs} == ranks
+    assert {doc["consistent"] for doc in docs} == verdicts
 
 
 def test_non_finite_residuals_name_the_residual_at_any_point():

@@ -24,7 +24,7 @@ from linsing.nonholonomic import PointAnalysis, PointDynamics
 from linsing.sampling import on_manifold_sample
 from linsing.specfile import loads
 from linsing.symmetry import constant_descent
-from linsing.systems import consistency_rows
+from linsing.systems import consistency_at
 
 
 # a constant base whose inverse is inexact in binary: routes through B^-1 and
@@ -134,15 +134,22 @@ def test_constant_report_equals_the_descent_check_bit_for_bit(spec):
         assert _same(y, want[0], _exact(spec)) and _same(xf, want[5], _exact(spec))
 
 
+def _base_solution(spec, x):
+    """Y of a varying base: the minimum-norm solve of A(x) v = f(x) at x."""
+    return consistency_at(spec.system, x).solution.x0
+
+
 def test_descent_check_of_a_varying_base_equals_the_per_call_routes():
-    # Y is an LU solve with B(x), as in the reference; X comes from the
-    # bordered solve, which agrees with the reference's Schur route to rounding
+    # Y is the solve of the base rows A v = f, bit for bit, which agrees with
+    # the reference's LU solve to rounding; X comes from the bordered solve,
+    # which agrees with the reference's Schur route to rounding
     spec = loads(VARYING_BASE_SPEC)
     pts = _varying_base_points(10)
     flows = PointDynamics(spec.gnh).flows(pts)
     for x, (y, xf) in zip(pts, flows):
         want = _dense_reference(spec.gnh, x)
-        assert np.array_equal(y, want[0]) and _same(xf, want[5], exact=False)
+        assert np.array_equal(y, _base_solution(spec, x)) and _same(y, want[0], exact=False)
+        assert _same(xf, want[5], exact=False)
     for expr in ("y'", "x'*(1 + x^2)"):
         h = ExpressionField.scalar(expr, spec.variables)
         res = constant_descent(h, pts, flows)
@@ -163,8 +170,12 @@ def test_point_analysis_equals_the_checked_routes_bit_for_bit(spec):
         pa = dyn.analysis(x)
         y, gamma, jphi, d, u, xf = _dense_reference(spec.gnh, x)
         cls = pa.classification
-        # a varying base takes Y and Gamma by LU, as the reference does
-        assert _same(cls.d_matrix, d, exact or varying) and _same(pa.y, y, exact or varying)
+        # a varying base takes Gamma by LU, as the reference does, and Y from
+        # the solve of its base rows, which agrees with the reference's LU Y
+        # to rounding
+        assert _same(cls.d_matrix, d, exact or varying) and _same(pa.y, y, exact)
+        if varying:
+            assert np.array_equal(pa.y, _base_solution(spec, x))
         assert cls.rank_d == linalg.rank(d) == 1
         assert cls.regular and cls.surjective and cls.injective
         assert _same(pa.field, xf, exact) and _same(pa.multipliers.u, u, exact)
@@ -293,33 +304,34 @@ def test_analyze_decides_each_rank_once_per_sample(name, singular, ranks,
     assert calls["rank"] == ranks
 
 
-# relparticle-L1 (8 variables): phi and dphi, A (8x8) and f, and the 54 entries
-# of the second-order kernel; its first-order kernel would have 90
-L1_PHI, L1_BASE, L1_SECOND_ORDER = [1, 8], [64, 8], [54]
+# relparticle-L1 (8 variables): phi and dphi, the 90 entries of the
+# first-order kernel (whose base rows are A and f) and the 54 of the
+# second-order one
+L1_PHI, L1_FIRST_ORDER, L1_SECOND_ORDER = [1, 8], [90], [54]
 
 
-def test_a_singular_varying_base_compiles_no_first_order_kernel(monkeypatch, capsys):
-    # the base is singular at every point of relparticle-L1: A and f decide
-    # that, and the first-order kernel is never built
+def test_a_singular_varying_base_is_decided_by_the_first_order_kernel(monkeypatch, capsys):
+    # the base is singular at every point of relparticle-L1: the first-order
+    # kernel's base rows decide that, and no other source holds A or f
     sources = _count_sources(monkeypatch)
     assert cli.main(["analyze", "--scenario", "relparticle-L1", "--points", "50"]) == 0
     assert capsys.readouterr().out.count("base_regular: false") == 50
-    assert sources == L1_PHI + L1_BASE + L1_SECOND_ORDER
+    assert sources == L1_PHI + L1_FIRST_ORDER + L1_SECOND_ORDER
     spec = _scenario("relparticle-L1")
     pts = on_manifold_sample(spec.constraints, spec.variables, spec.box, 10)
     del sources[:]
     out = PointDynamics(spec.gnh).analyses(pts)
     assert all(isinstance(err, BaseNotRegularError) for err in out)
-    assert sources == L1_BASE
+    assert sources == L1_FIRST_ORDER
 
 
-def test_the_flow_mode_probe_compiles_no_first_order_kernel(monkeypatch):
+def test_the_flow_mode_probe_is_decided_by_the_first_order_kernel(monkeypatch):
     spec = _scenario("relparticle-L1")
     x0 = on_manifold_sample(spec.constraints, spec.variables, spec.box, 1)[0]
     sources = _count_sources(monkeypatch)
     _, mode = cli._make_field(spec, x0, DEFAULT_TOLERANCES)
     assert mode == "second-order"
-    assert sources == L1_BASE + L1_SECOND_ORDER
+    assert sources == L1_FIRST_ORDER + L1_SECOND_ORDER
 
 
 # a varying base singular only at x = 0, where f is not in the image of A
@@ -350,7 +362,7 @@ def test_a_varying_base_is_decided_from_a_and_f_at_each_row():
     spec = loads(MIXED_BASE_SPEC)
     pts = np.array([[-1.0, -1.0], [0.5, 0.5], [0.0, 0.0], [2.0, 2.0], [0.0, 0.0]])
     singular = [2, 4]
-    want = consistency_rows(spec.system, pts)
+    want = [consistency_at(spec.system, x) for x in pts]
     dyn = PointDynamics(spec.gnh)
     errors = dyn.base_errors(pts)
     out = dyn.analyses(pts)

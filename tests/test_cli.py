@@ -361,7 +361,7 @@ def test_overflowing_constants_are_reported_not_crashed_on(tmp_path, capsys):
     # an evaluation error; neither may end in a traceback
     for text, want_code, want_msg in (
         ("1e400*x", 2, "number 1e400 is out of range (byte offset 0)"),
-        ("1e308*10*x", 3, "non-finite right-hand side"),
+        ("1e308*10*x", 3, "a value of the flow's fields is not finite at this point"),
     ):
         path = tmp_path / "big.lss"
         path.write_text(f"[vars]\nnames = x\n\n[system]\nA = 1\nf = {text}\n")
@@ -372,6 +372,26 @@ def test_overflowing_constants_are_reported_not_crashed_on(tmp_path, capsys):
     for value in ("1e400", "1e308*10", "nan"):
         code, _, err = _run(capsys, "analyze", "--scenario", "example1", "--at", f"x={value}")
         assert code == 2 and f"bad value for 'x': {value} is not finite" in err
+
+
+def test_a_singular_base_is_refused_with_its_rank(tmp_path, capsys):
+    path = tmp_path / "sing.lss"
+    path.write_text("[vars]\nnames = x, y\n[system]\nA = 1, 0; 0, 0\nf = 1, 0\n"
+                    "[constraints]\nphi = y - 2\n[forces]\nDelta = x, 1\n")
+    code, out, err = _run(capsys, "simulate", "--spec", str(path), "--x0", "x=0.5,y=2",
+                          "--t1", "0.1", "--dt", "0.01")
+    assert code == 3 and out == ""
+    assert err == "error: base morphism A(x) is not invertible at this point (rank 1 of 2)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-constant", "--scenario", "rosenberg"],
+    ["analyze", "--scenario", "example1"],
+])
+def test_an_override_that_nothing_uses_is_a_spec_error(argv, capsys):
+    code, out, err = _run(capsys, *argv, "--param", "zz=1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: override of unknown parameter 'zz'")
 
 
 def test_simulate_blow_up_is_a_non_finite_error(tmp_path, capsys):

@@ -22,7 +22,7 @@ from linsing.linalg import Tolerances, complement_projectors, kernel_basis
 from linsing.nonholonomic import GeneralizedNonholonomicSystem, PointDynamics, SubmanifoldSpec
 from linsing.sampling import halton_box, on_manifold_sample
 from linsing.specfile import loads
-from linsing.systems import consistency_rows, identity_system
+from linsing.systems import consistency_at, identity_system
 
 V = ("x", "y")
 
@@ -331,7 +331,7 @@ def test_singular_base_raises():
     gnh = loads(CONSTANT_SINGULAR_SPEC).gnh
     dyn = PointDynamics(gnh)  # a constant singular base is decided per point, not refused
     pts = np.array([[0.5, 2.0], [-1.0, 2.0], [3.0, 2.0]])
-    want = consistency_rows(gnh.base, pts)
+    want = [consistency_at(gnh.base, x) for x in pts]
     errors = dyn.base_errors(pts)
     for err, res in zip(errors, want):
         assert isinstance(err, BaseNotRegularError) and res.rank_A == 1

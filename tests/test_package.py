@@ -2,7 +2,10 @@ import ast
 import types
 from pathlib import Path
 
+import numpy as np
+
 import linsing
+from linsing import cli
 
 
 def test_public_names_resolve_and_are_not_modules():
@@ -95,3 +98,15 @@ def test_every_public_function_is_called_from_the_package():
     uncalled = sorted(qual for qual, name in defined if not name.startswith("_")
                       and name not in named and qual not in UNCALLED_PUBLIC_NAMES)
     assert uncalled == []
+
+
+def test_the_readme_library_example_runs(tmp_path, monkeypatch):
+    # the README's "Library use" block, run as written on example1's file
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "model.lss").write_text(cli.scenario_text("example1"), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    assert scope["cls"].regular and scope["P"].shape == (2, 2)
+    assert np.allclose(scope["P"] @ scope["pa"].y, scope["X"], rtol=0.0, atol=1e-15)

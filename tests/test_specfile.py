@@ -145,6 +145,23 @@ def test_param_overrides_take_precedence():
     assert spec.system.f(np.array([1.0]))[0] == 10.0
 
 
+def test_an_override_must_be_declared_or_used():
+    text = """
+    [vars]
+    names = x
+
+    [system]
+    f = k2*x + 1e5*a
+    """
+    # an undeclared name is used when an entry or another override has it as a token
+    spec = loads(text, param_overrides={"a": "1", "k2": "b", "b": "3"})
+    assert spec.system.f(np.array([2.0]))[0] == 6.0 + 1e5
+    # a longer name or a number's exponent is not a use of it
+    for name in ("k", "e5", "zz"):
+        with pytest.raises(SpecFileError, match=f"unknown parameter '{name}'"):
+            loads(text, param_overrides={"a": "1", "k2": "1", name: "2"})
+
+
 def test_parse_param_overrides():
     assert parse_param_overrides(["a=1", "b=2*a, c = 3"]) == {
         "a": "1",
