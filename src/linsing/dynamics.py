@@ -4,6 +4,11 @@ Classical RK4 on a uniform grid; when a submanifold is supplied, every step is
 followed by a Gauss-Newton projection back onto {phi = 0}. A diverging
 projection triggers one retry of the interval with four quarter-steps before
 the run aborts.
+
+The state is stepped as a list of Python floats: the stage sums are numpy's
+elementwise operations on the same operands in the same order, so the states
+are those of stepping arrays bit for bit, without numpy's cost per call on
+vectors of a few entries. The field receives that list.
 """
 
 from __future__ import annotations
@@ -61,11 +66,14 @@ class Trajectory:
 
 
 def _rk4_step(field_fn, x, dt):
+    """One RK4 step on lists of floats: x + (dt/6) (((k1 + 2 k2) + 2 k3) + k4),
+    each stage at x + (dt/2) k, entry by entry as numpy forms them."""
+    h, c = 0.5 * dt, dt / 6.0
     k1 = field_fn(x)
-    k2 = field_fn(x + 0.5 * dt * k1)
-    k3 = field_fn(x + 0.5 * dt * k2)
-    k4 = field_fn(x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = field_fn([a + h * b for a, b in zip(x, k1)])
+    k3 = field_fn([a + h * b for a, b in zip(x, k2)])
+    k4 = field_fn([a + dt * b for a, b in zip(x, k3)])
+    return [a + c * (((p + 2.0 * q) + 2.0 * r) + s) for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
 
 
 def integrate(field_fn, x0, t1, dt, project=None, t0=0.0, multiplier_fn=None):
@@ -80,11 +88,15 @@ def integrate(field_fn, x0, t1, dt, project=None, t0=0.0, multiplier_fn=None):
 
     Parameters
     ----------
-    field_fn : callable(ndarray) -> ndarray
+    field_fn : callable(list of float) -> sequence of float
+        Called with the state as a list of n Python floats, which it must not
+        keep or change; returns the n rates, as a list or a 1-d array. The
+        step is formed on Python floats with numpy's rounding, so the states
+        are those of numpy's elementwise arithmetic bit for bit.
     project : SubmanifoldSpec, optional
         When given, each step, and a seed off M, is Gauss-Newton projected back
         onto {phi = 0}.
-    multiplier_fn : callable(ndarray) -> ndarray, optional
+    multiplier_fn : callable(list of float) -> sequence of float, optional
         Recorded at every stored state (so u(t) can be inspected afterwards).
     """
     if not (math.isfinite(t0) and math.isfinite(t1) and math.isfinite(dt)):
@@ -93,7 +105,7 @@ def integrate(field_fn, x0, t1, dt, project=None, t0=0.0, multiplier_fn=None):
         raise ValueError("dt must be positive")
     if t1 <= t0:
         raise ValueError("t1 must exceed t0")
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float).tolist()
     span = t1 - t0
     steps = int(round(span / dt))
     if steps < 1:
@@ -113,7 +125,7 @@ def integrate(field_fn, x0, t1, dt, project=None, t0=0.0, multiplier_fn=None):
         try:
             y = _rk4_step(field_fn, y, h)
             # a sum of finite values can overflow, so a non-finite one only screens
-            if not math.isfinite(sum(y.tolist())) and not np.isfinite(y).all():
+            if not math.isfinite(sum(y)) and not all(map(math.isfinite, y)):
                 raise NonFiniteError("the state overflowed")
         except NonFiniteError as exc:
             raise NonFiniteError(
@@ -124,13 +136,14 @@ def integrate(field_fn, x0, t1, dt, project=None, t0=0.0, multiplier_fn=None):
         proj = project.project(y)
         return proj[0], proj[1], proj.residual
 
-    n = x.shape[0]
-    states = np.empty((steps + 1, n))
+    states = np.empty((steps + 1, len(x)))
     states[0] = x
-    mults = []
+    mults = np.zeros((steps + 1, 0))
     with np.errstate(all="ignore"):
         if multiplier_fn is not None:
-            mults.append(np.atleast_1d(np.asarray(multiplier_fn(x), dtype=float)))
+            u = np.atleast_1d(np.asarray(multiplier_fn(x), dtype=float))
+            mults = np.empty((steps + 1, len(u)))
+            mults[0] = u
         for i in range(steps):
             y, ok, res = _step(x, dt, i)
             if not ok:
@@ -146,13 +159,10 @@ def integrate(field_fn, x0, t1, dt, project=None, t0=0.0, multiplier_fn=None):
             states[i + 1] = x
             drift[i + 1] = res
             if multiplier_fn is not None:
-                mults.append(np.atleast_1d(np.asarray(multiplier_fn(x), dtype=float)))
+                mults[i + 1] = multiplier_fn(x)
 
     times = t0 + dt * np.arange(steps + 1)
-    multipliers = (
-        np.vstack(mults) if multiplier_fn is not None else np.zeros((steps + 1, 0))
-    )
-    return Trajectory(t0, dt, times, states, multipliers, drift)
+    return Trajectory(t0, dt, times, states, mults, drift)
 
 
 @dataclass

@@ -14,6 +14,7 @@ at one point or over a batch of points.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -118,19 +119,21 @@ def _is_const(e, v=None):
     return isinstance(e, Const) and (v is None or e.value == v)
 
 
-def _try_fold(node):
-    """Fold a node whose children are all constants; keep it if evaluation faults
-    or overflows (a constant is always finite)."""
+def _fold(kind, a, b, op):
+    """The node kind(a, b) of two constants folded to a constant by its float
+    operation `op`; the node is kept where the operation faults (a division
+    by zero, a power outside its domain) or overflows: a constant is always
+    finite."""
     try:
-        value = evaluate(node, {})
-    except (DomainEvalError, OverflowError):
-        return node
-    return Const(value) if math.isfinite(value) else node
+        value = op(a.value, b.value)
+    except (ArithmeticError, ValueError):
+        return kind(a, b)
+    return Const(value) if math.isfinite(value) else kind(a, b)
 
 
 def add(a, b):
     if _is_const(a) and _is_const(b):
-        return _try_fold(Add(a, b))
+        return _fold(Add, a, b, operator.add)
     if _is_const(a, 0.0):
         return b
     if _is_const(b, 0.0):
@@ -140,7 +143,7 @@ def add(a, b):
 
 def sub(a, b):
     if _is_const(a) and _is_const(b):
-        return _try_fold(Sub(a, b))
+        return _fold(Sub, a, b, operator.sub)
     if _is_const(b, 0.0):
         return a
     if _is_const(a, 0.0):
@@ -150,7 +153,7 @@ def sub(a, b):
 
 def mul(a, b):
     if _is_const(a) and _is_const(b):
-        return _try_fold(Mul(a, b))
+        return _fold(Mul, a, b, operator.mul)
     if _is_const(a, 0.0) or _is_const(b, 0.0):
         return Const(0.0)
     if _is_const(a, 1.0):
@@ -162,7 +165,7 @@ def mul(a, b):
 
 def div(a, b):
     if _is_const(a) and _is_const(b):
-        return _try_fold(Div(a, b))
+        return _fold(Div, a, b, operator.truediv)
     if _is_const(a, 0.0):
         return Const(0.0)
     if _is_const(b, 1.0):
@@ -172,7 +175,7 @@ def div(a, b):
 
 def pow_(a, b):
     if _is_const(a) and _is_const(b):
-        return _try_fold(Pow(a, b))
+        return _fold(Pow, a, b, math.pow)
     if _is_const(b, 1.0):
         return a
     if _is_const(b, 0.0):

@@ -4,7 +4,8 @@ subspace classification and reduced (quotient) maps.
 All rank decisions run through one tolerance policy:
 tol_rank = max(rows, cols) * sigma_max * rank_factor, sigma_max coming from the
 SVD whose rank is decided, and image-membership decisions use
-tol_img = tol_rank * (1 + ||b||_2); no cut-off takes an SVD of its own.
+tol_img = tol_rank * (1 + ||b||_2), from the cut-off that the rank decision
+hands back; no cut-off takes an SVD of its own.
 Null-space bases come out of the SVD in a deterministic gauge (descending
 singular values, each basis vector's first non-negligible component made
 positive).
@@ -18,9 +19,7 @@ unscaled it returns exactly these factors, so the closed form is the SVD bit
 for bit. Outside it (zero, subnormal, huge, NaN or inf entries) LAPACK runs
 as for any other matrix. The IEEE operations are those of the general path:
 products summed from +0 as numpy's matmul sums them, and norms as
-sqrt(v * v). Its one rank decision also hands back the cut-off, which the
-image tolerance reuses, and a full rank shares one read-only empty kernel
-basis.
+sqrt(v * v). A full rank shares one read-only empty kernel basis.
 
 A stack of matrices, an (N, p, q) array, is factored by one stacked SVD, and
 `rank`, `kernel_basis`, `solve_affine` and `complement_projectors` then decide
@@ -69,11 +68,12 @@ class Tolerances:
             return 0.0
         return max(mat.shape[-2:]) * smax * self.rank_factor
 
-    def img_tol(self, mat, b, smax):
-        """Image-membership cut-off for `mat` x = b; for a stack, `b` holds one
-        right-hand side per row and `smax` one largest singular value per matrix."""
-        base = self.img_factor if self.img_factor is not None else self.rank_tol(mat, smax)
-        return base * (1.0 + (_row_norms(b) if isinstance(smax, np.ndarray) else _norm(b)))
+    def img_tol(self, cut, b):
+        """Image-membership cut-off for mat x = b, `cut` being the rank cut-off
+        that `_svd_rank` decided mat's rank against; for a stack, `b` holds one
+        right-hand side per row and `cut` one cut-off per matrix."""
+        base = self.img_factor if self.img_factor is not None else cut
+        return base * (1.0 + (_row_norms(b) if b.ndim == 2 else _norm(b)))
 
 
 def _norm(v):
@@ -107,14 +107,15 @@ _UNSCALED_MAX = 1.0 / _UNSCALED_MIN
 
 
 def _svd_rank(mat, tols, compute_uv=True):
-    """SVD of a matrix and its numerical rank under `tols`: ((u, s, vt), r), or
-    (s, r) without `compute_uv`. The one place a rank is decided.
+    """SVD of a matrix, its numerical rank under `tols` and the cut-off that
+    the rank was decided against: ((u, s, vt), r, cut), or (s, r, cut) without
+    `compute_uv`. The one place a rank is decided.
 
     A float d stands for the 1x1 matrix [[d]] of a scalar solve and stays on
-    floats: ((u, s, vt), r, cut), the factors as floats and the cut-off that r
-    was decided against; within LAPACK's unscaled range they are the closed
-    form, the SVD's factors bit for bit. A stack of matrices, (N, p, q), takes
-    one stacked LAPACK SVD, and r is then an (N,) array of ranks."""
+    floats: the factors are floats, and within LAPACK's unscaled range they
+    are the closed form, the SVD's factors bit for bit. A stack of matrices,
+    (N, p, q), takes one stacked LAPACK SVD, and r and cut are then (N,)
+    arrays."""
     if isinstance(mat, float):
         if _UNSCALED_MIN <= abs(mat) <= _UNSCALED_MAX:
             u, s, vt = math.copysign(1.0, mat), abs(mat), 1.0
@@ -130,12 +131,12 @@ def _svd_rank(mat, tols, compute_uv=True):
     if mat.size == 0:
         s = np.zeros(0)
         if not compute_uv:
-            return s, 0
-        return (np.zeros((mat.shape[0], 0)), s, np.zeros((0, mat.shape[1]))), 0
+            return s, 0, 0.0
+        return (np.zeros((mat.shape[0], 0)), s, np.zeros((0, mat.shape[1]))), 0, 0.0
     svd = _lapack_svd(mat, compute_uv)
     s = svd[1] if compute_uv else svd
     cut = tols.rank_tol(mat, float(s[0]))
-    return svd, sum(v > cut for v in s.tolist())
+    return svd, sum(v > cut for v in s.tolist()), cut
 
 
 def _svd_rank_stack(mat, tols, compute_uv):
@@ -143,15 +144,15 @@ def _svd_rank_stack(mat, tols, compute_uv):
     count, p, q = mat.shape
     if p == 0 or q == 0:
         s = np.zeros((count, 0))
-        ranks = np.zeros(count, dtype=int)
+        ranks, cut = np.zeros(count, dtype=int), np.zeros(count)
         if not compute_uv:
-            return s, ranks
-        return (np.zeros((count, p, 0)), s, np.zeros((count, 0, q))), ranks
+            return s, ranks, cut
+        return (np.zeros((count, p, 0)), s, np.zeros((count, 0, q))), ranks, cut
     svd = _lapack_svd(mat, compute_uv)
     s = svd[1] if compute_uv else svd
     with _float_errors():
-        cut = tols.rank_tol(mat, s[:, :1])
-    return svd, np.count_nonzero(s > cut, axis=1)
+        cut = tols.rank_tol(mat, s[:, 0])
+    return svd, np.count_nonzero(s > cut[:, None], axis=1), cut
 
 
 # what a 1x1 cut-off scales with: its shape
@@ -222,7 +223,7 @@ def kernel_basis(mat, tols=DEFAULT_TOLERANCES):
     if mat.shape[-2] == 0:
         eye = _fix_signs(np.eye(mat.shape[-1]))
         return SubspaceBasis(eye) if mat.ndim == 2 else [SubspaceBasis(eye) for _ in mat]
-    (_, _, vt), r = _svd_rank(mat, tols)
+    (_, _, vt), r, _ = _svd_rank(mat, tols)
     if mat.ndim == 2:
         return SubspaceBasis(_fix_signs(vt[r:].T))
     return _kernels(vt, r)
@@ -251,7 +252,7 @@ def cokernel_basis(mat, tols=DEFAULT_TOLERANCES):
     mat = np.asarray(mat, dtype=float)
     if mat.shape[1] == 0:
         return SubspaceBasis(_fix_signs(np.eye(mat.shape[0])))
-    (u, _, _), r = _svd_rank(mat, tols)
+    (u, _, _), r, _ = _svd_rank(mat, tols)
     return SubspaceBasis(_fix_signs(u[:, r:]))
 
 
@@ -295,8 +296,8 @@ def solve_affine(mat, b, tols=DEFAULT_TOLERANCES):
         return AffineSolutionSet(x0, SubspaceBasis(_fix_signs(np.eye(n))), 0.0, True, 0.0)
     if mat.shape == (1, 1):
         return _solve_1x1(mat.item(), b.item(), tols)
-    (u, s, vt), r = _svd_rank(mat, tols)
-    tol_img = tols.img_tol(mat, b, smax=float(s[0]) if s.size else 0.0)
+    (u, s, vt), r, cut = _svd_rank(mat, tols)
+    tol_img = tols.img_tol(cut, b)
     if not tol_img < math.inf:
         raise NonFiniteError("a linear solve has a non-finite right-hand side")
     coeff = (u[:, :r].T @ b) / s[:r] if r else np.zeros(0)
@@ -339,9 +340,9 @@ def _solve_stack(mat, b, tols):
         eye = _fix_signs(np.eye(q))
         return AffineSolutionSet(np.zeros((count, q)), [SubspaceBasis(eye) for _ in range(count)],
                                  np.zeros(count), np.ones(count, dtype=bool), np.zeros(count))
-    (u, s, vt), ranks = _svd_rank(mat, tols)
+    (u, s, vt), ranks, cut = _svd_rank(mat, tols)
     with _float_errors():
-        tol_img = tols.img_tol(mat, b, s[:, 0])
+        tol_img = tols.img_tol(cut, b)
     finite = tol_img < math.inf  # the systems that `solve_affine` goes on to solve
     x0 = np.zeros((count, q))
     residual = np.full(count, math.nan)

@@ -11,6 +11,7 @@ evaluator of the flow and of these quantities in every mode.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,8 +81,9 @@ class SubmanifoldSpec:
 
     def lift(self, x, free_indices, max_iter=50):
         """Gauss-Newton solve of phi = 0 over the listed coordinates, holding the
-        rest fixed, for one point or for each row of an (N, n) batch; returns a
-        Projection (of arrays, one entry per row, for a batch).
+        rest fixed, for one point or for each row of an (N, n) array of points;
+        returns a Projection (of arrays, one entry per row, for a batch). A
+        point given as a list of floats comes back as a list of floats.
 
         A row stops at max |phi| <= Tolerances.projection_target, at the
         rounding floor of phi there when that is larger (measured with the
@@ -91,16 +93,19 @@ class SubmanifoldSpec:
         values cut by the default `Tolerances.rank_tol`). A non-finite value of
         phi or of its Jacobian at a row that must move raises NonFiniteError.
         """
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            return Projection(*self._gauss_newton(x, free_indices, max_iter, self.phi.rows(x)))
+        as_list = isinstance(x, list)
+        if not as_list:
+            x = np.asarray(x, dtype=float)
+            if x.ndim == 2:
+                return Projection(*self._gauss_newton(x, free_indices, max_iter, self.phi.rows(x)))
         vals = self.phi._scalar_runner()(x)
         target = linalg.Tolerances.projection_target
         if all(abs(v) <= target for v in vals):  # every step of `integrate`; False on NaN
             return Projection(x.copy(), True, 0, max(map(abs, vals)))
-        vals = np.array(vals)[None]
-        point, ok, its, res = self._gauss_newton(x[None], free_indices, max_iter, vals)
-        return Projection(point[0], bool(ok[0]), int(its[0]), float(res[0]))
+        point, ok, its, res = self._gauss_newton(
+            np.asarray(x, dtype=float)[None], free_indices, max_iter, np.array(vals)[None])
+        point = point[0].tolist() if as_list else point[0]
+        return Projection(point, bool(ok[0]), int(its[0]), float(res[0]))
 
     def _gauss_newton(self, x, free_indices, max_iter, vals):
         """(points, converged, iterations, residuals) of `lift` on the rows of x,
@@ -329,8 +334,10 @@ class PointDynamics:
     once, at construction, from its entries, and its kernel emits the forces,
     f and dphi followed by Gamma = B^{-1} Delta and Y = B^{-1} g, folded in
     symbolically. The solve is then of the Schur complement D u = -dphi . Y
-    with D = dphi . Gamma, a scalar solve on floats for one constraint and one
-    force, and X = Y + Gamma u.
+    with D = dphi . Gamma, and X = Y + Gamma u. D and dphi . Y are numpy's dot
+    products; for one constraint and one force, D is 1x1 and the rest runs on
+    Python floats with numpy's rounding: the scalar solve, and X entry by
+    entry.
     Otherwise (a varying base, or a constant singular one) the kernel emits
     the bordered system's right-hand side and matrix, which the solve reads as
     fixed views of its buffer.
@@ -347,9 +354,10 @@ class PointDynamics:
     gives the minimum-norm u, with X following, once the frame's rank is
     checked; no solution, or no unique one for an explicit flow, raises
     InconsistentSystemError. Points are not checked against M: the caller
-    checks them. `analysis` reports what `solve` computes, Y included, from
-    the same kernel evaluation; every array it returns is a copy, never a
-    view of the kernel's buffer."""
+    checks them. `solve` and `field_and_multipliers` return X as a list of
+    floats, which `integrate` steps on, and u as an array. `analysis` reports
+    what `solve` computes, Y included, from the same kernel evaluation; every
+    array it returns is a copy, never a view of the kernel's buffer."""
 
     def __init__(self, system, tols=linalg.DEFAULT_TOLERANCES, second_order=False):
         gnh = system if isinstance(system, GeneralizedNonholonomicSystem) else None
@@ -375,6 +383,7 @@ class PointDynamics:
             else "no second-order solution through this point" if second_order
             else "no multiplier solves the tangency condition")
         self._last = None  # (bytes of x, field_and_multipliers(x)) of the last solve
+        self._bytes = struct.Struct(f"{base.n}d").pack  # `_memo`'s key of a point
 
     def base_errors(self, points):
         """At each row of an (N, n) array of points, the BaseNotRegularError of
@@ -518,19 +527,20 @@ class PointDynamics:
         return out
 
     def solve(self, x):
-        """(X, u, sol) at x, `sol` the solve's AffineSolutionSet (in (X, u) if
-        bordered, and in (w, u) in the second-order mode)."""
+        """(X, u, sol) at x: X as a list of floats, u as an array, and `sol`
+        the solve's AffineSolutionSet (in (X, u) if bordered, and in (w, u) in
+        the second-order mode). A list of floats goes to the kernel as it is."""
+        vals = self._evaluate(x)
         if self._b_inv is not None:
-            return self._schur(self._evaluate(x))[:3]
-        x, w = np.asarray(x, dtype=float), self._w
-        rhs, mat = self._evaluate(x)
+            return self._schur(vals)[:3]
+        (rhs, mat), w = self._views, self._w
         sol = linalg.solve_affine(mat, rhs, self.tols)
         self._check(sol, mat[:self._k, w:])
         z = sol.x0
         if sol.kernel.dim > 0:  # the minimum-norm u over z + K c, and X with it
             ker = sol.kernel.vectors
             z = z + ker @ linalg.solve_affine(ker[w:], -z[w:], self.tols).x0
-        return self._full_field(x, z[:w]), z[w:], sol
+        return self._full_field(np.asarray(x, dtype=float), z[:w]).tolist(), z[w:], sol
 
     def _full_field(self, x, w):
         """X from its solved unknowns w, at x or a batch: (v, w) if second-order."""
@@ -542,16 +552,17 @@ class PointDynamics:
         return mat[:, :k, :n], rhs[:, :k], -mat[:, :k, n:], mat[:, k:, :n]
 
     def _evaluate(self, x):
-        """The views of the kernel's buffer, filled at x; what is computed from
-        them must not keep one past the next evaluation."""
+        """The kernel's values at x, as a list of floats, also written to the
+        buffer that `self._views` view; what is computed from the views must
+        not keep one past the next evaluation."""
         if self._kernel is None:
             self._kernel = self._kernel_source().scalar()
-        vals = self._kernel(np.asarray(x, dtype=float))
+        vals = self._kernel(x if isinstance(x, list) else np.asarray(x, dtype=float))
         # a sum of finite values can overflow, so a non-finite one only screens
         if not math.isfinite(sum(vals)) and not all(map(math.isfinite, vals)):
             raise NonFiniteError("a value of the flow's fields is not finite at this point")
         self._vals[:] = vals
-        return self._views
+        return vals
 
     def _kernel_source(self):
         """The kernel's `Compiled`, built on first use: the first evaluation
@@ -567,18 +578,28 @@ class PointDynamics:
                 parts, fields[1].variables)
         return self._compiled
 
-    def _schur(self, views):
+    def _schur(self, vals):
         """(X, u, sol, D) of the Schur complement D u = -dphi . Y, D = dphi . Gamma,
-        X = Y + Gamma u, from the views of a kernel evaluation."""
-        _, _, jphi, gamma, y = views
+        X = Y + Gamma u, from the kernel's values `vals` at a point and the
+        views of its buffer; X as a list of floats."""
+        _, _, jphi, gamma, y = self._views
         # D and dphi . Y are not folded into the kernel: numpy's BLAS may fuse
         # a multiply and an add, which Python floats cannot, and every route
         # that forms D (the reference tests, `subspace_classify`) gets numpy's
         # bits. ndarray.dot gives the same bits as `@` at half the call cost.
         d = jphi.dot(gamma)
-        sol = linalg.solve_affine(d, -jphi.dot(y), self.tols)
+        if d.shape != (1, 1):
+            sol = linalg.solve_affine(d, -jphi.dot(y), self.tols)
+            self._check(sol, gamma)
+            return (y + gamma.dot(sol.x0)).tolist(), sol.x0, sol, d
+        sol = linalg._solve_1x1(d.item(), -jphi.dot(y).item(), self.tols)
         self._check(sol, gamma)
-        return y + gamma.dot(sol.x0), sol.x0, sol, d
+        # numpy adds Gamma u as a BLAS axpy onto zeros, which may fuse its
+        # multiply and add, and so may differ from g * u in the sign of a zero;
+        # Y is a sum from +0, never -0, so the sum with Y has the same bits
+        u = sol.x0.item()
+        (g0, g1, _), (y0, y1, _) = self._spans[3:]
+        return [a + g * u for a, g in zip(vals[y0:y1], vals[g0:g1])], sol.x0, sol, d
 
     def _check(self, sol, frame):
         # a dependent frame (Gamma or -Delta) forces a rank-deficient system: check it only then
@@ -646,13 +667,14 @@ class PointDynamics:
         raise_first((failed, lambda i: self._inconsistent(sol.residual[i])))
 
     def field_and_multipliers(self, x):
+        """`solve`'s (X, u) at x: X a list of floats, u an array."""
         return self.solve(x)[:2]
 
     def _memo(self, x):
         # `integrate` records u at each stored state, which is where the next
         # RK4 step evaluates k1: one solve serves both. Points are compared by
-        # value, bit for bit, which costs far less than np.array_equal.
-        key = np.asarray(x, dtype=float).tobytes()
+        # their bytes, bit for bit: == would take -0.0 for 0.0.
+        key = self._bytes(*x)
         if self._last is None or self._last[0] != key:
             self._last = (key, self.field_and_multipliers(x))
         return self._last[1]

@@ -1,9 +1,12 @@
-"""Reference differentiators that the tests check linsing against.
+"""Reference routes that the tests check linsing against.
 
 `eval_dual` differentiates by forward-mode dual numbers and `fd_jacobian` by
 central finite differences. Neither calls linsing's tree evaluator, its
 compiled runners or its symbolic `derivative`: they read the expression nodes
 and call fields, so an agreement is between independent routes.
+
+`integrate_arrays` steps RK4 on numpy arrays, where `integrate` steps on
+Python floats: the same IEEE operations, so the two agree bit for bit.
 """
 
 import math
@@ -131,3 +134,32 @@ def fd_jacobian(field, point, rel_step=1e-6):
         fm = np.atleast_1d(np.asarray(field(xm), dtype=float))
         out[:, j] = (fp - fm) / (2.0 * h)
     return out
+
+
+def rk4_step_arrays(field_fn, x, dt):
+    """One classical RK4 step on numpy arrays: the formula `integrate` stepped
+    with before it stepped on Python floats."""
+
+    def rate(y):
+        return np.asarray(field_fn(y), dtype=float)
+
+    k1 = rate(x)
+    k2 = rate(x + 0.5 * dt * k1)
+    k3 = rate(x + 0.5 * dt * k2)
+    k4 = rate(x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def integrate_arrays(field_fn, x0, dt, steps, project, multiplier_fn):
+    """(states, multipliers, drift) of `steps` steps of `rk4_step_arrays` from
+    x0, a point of M, each projected onto M; the multipliers are recorded at
+    every state. A projection that fails raises AssertionError."""
+    x = np.asarray(x0, dtype=float)
+    states, mults, drift = [x], [multiplier_fn(x)], [project.residual(x)]
+    for _ in range(steps):
+        x, ok, _ = proj = project.project(rk4_step_arrays(field_fn, x, dt))
+        assert ok
+        states.append(x)
+        mults.append(multiplier_fn(x))
+        drift.append(proj.residual)
+    return np.array(states), np.array(mults, dtype=float), np.array(drift)

@@ -196,7 +196,7 @@ def test_criterion_5_square_root_relativistic_particle(capsys):
         inconsistent_ok = inconsistent_ok and not consistency_at(spec_u.system, x).consistent
         xf, _, sol = sode.solve(x)
         unique_ok = unique_ok and sol.kernel.dim == 0
-        worst_match = max(worst_match, float(np.max(np.abs(xf - dyn_l2.field(x)))))
+        worst_match = max(worst_match, float(np.max(np.abs(np.subtract(xf, dyn_l2.field(x))))))
     ok = ranks_ok and inconsistent_ok and unique_ok and worst_match <= 1e-8
     _verdict(capsys, 5, ok, f"50 timelike points: rank 6/8 {ranks_ok}, "
                     f"U=k*q1 inconsistent {inconsistent_ok}, free solution unique "
@@ -308,7 +308,7 @@ def test_criterion_8_infrastructure(tmp_path, capsys):
 
     # integrator order: logistic equation against its closed-form solution
     def logistic(x):
-        return x * (1.0 - x)
+        return [v * (1.0 - v) for v in x]
 
     x0 = np.array([0.1])
     exact = 1.0 / (1.0 + 9.0 * np.exp(-2.0))

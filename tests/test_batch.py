@@ -132,9 +132,8 @@ def _analysis_loop(dyn, x):
     """`PointDynamics.analysis` as the point-by-point route took it."""
     gnh, tols = dyn.gnh, dyn.tols
     if dyn._b_inv is not None:
-        views = dyn._evaluate(x)
-        xf, u, sol, d = dyn._schur(views)
-        jphi, gamma, y = (v.copy() for v in views[2:])
+        xf, u, sol, d = dyn._schur(dyn._evaluate(x))
+        jphi, gamma, y = (v.copy() for v in dyn._views[2:])
     else:
         g, b = gnh.base.f(x), gnh.base.A(x)
         base = linalg.solve_affine(b, g, tols)
@@ -153,7 +152,7 @@ def _analysis_loop(dyn, x):
                               regular=regular)
     projectors = (linalg.complement_projectors(linalg.kernel_basis(jphi, tols), gamma, tols)
                   if regular else None)
-    return PointAnalysis(cls, y, xf, MultiplierResult(u, sol.kernel.dim > 0, sol.residual),
+    return PointAnalysis(cls, y, np.array(xf), MultiplierResult(u, sol.kernel.dim > 0, sol.residual),
                          projectors)
 
 
@@ -182,7 +181,7 @@ def _point_doc_loop(spec, x, tols, dyn, sode):
         except InconsistentSystemError:
             doc["sode_consistent"] = False
         else:
-            doc.update(sode_consistent=True, sode_unique=sol.kernel.dim == 0, X=xf, u=u,
+            doc.update(sode_consistent=True, sode_unique=sol.kernel.dim == 0, X=np.array(xf), u=u,
                        sode_kernel_dim=sol.kernel.dim)
         return doc
     cls, mult = pa.classification, pa.multipliers
@@ -313,7 +312,7 @@ def test_flow_samples_and_rates_are_the_loop_bit_for_bit(name):
     flows = dyn.flows(pts)
     for x, (y, xf) in zip(pts, flows):
         y1, x1 = dyn.analysis(x).y, dyn.solve(x)[0]
-        assert y.tobytes() == y1.tobytes() and xf.tobytes() == x1.tobytes()
+        assert y.tobytes() == y1.tobytes() and xf.tobytes() == np.array(x1).tobytes()
     for h in spec.constants.values():
         res = constant_descent(h, pts, flows)
         assert (res.max_Y_h, res.max_Gamma_h, res.max_X_h) == _rates_loop(h, pts, flows)
@@ -328,7 +327,7 @@ def test_second_order_solves_are_the_loop_bit_for_bit():
     assert errors == [None] * len(pts)
     for i, x in enumerate(pts):
         x1, u1, sol1 = sode.solve(x)
-        assert xf[i].tobytes() == x1.tobytes() and u[i].tobytes() == u1.tobytes()
+        assert xf[i].tobytes() == np.array(x1).tobytes() and u[i].tobytes() == u1.tobytes()
         assert sol.item(i).residual == sol1.residual
 
 

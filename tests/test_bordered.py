@@ -196,7 +196,7 @@ def test_second_order_mode_matches_the_full_bordered_solve(overrides):
                 dyn.solve(x)
             continue
         x1, u1, sol1 = dyn.solve(x)
-        assert x1.tobytes() == xf[i].tobytes() and u1.tobytes() == u[i].tobytes()
+        assert np.array(x1).tobytes() == xf[i].tobytes() and u1.tobytes() == u[i].tobytes()
         assert sol1.residual == sol.residual[i] and sol1.kernel.dim == sol.kernel[i].dim
 
 

@@ -11,12 +11,13 @@ from linsing.expressions import ExpressionField
 from linsing.nonholonomic import SubmanifoldSpec
 from linsing.nonholonomic import PointDynamics, Projection
 from linsing.specfile import loads
+from oracles import integrate_arrays
 
 
 def test_fourth_order_convergence_on_logistic_flow():
     # halving the step must shrink the endpoint error ~16x for RK4
     def field(x):
-        return x * (1.0 - x)
+        return [v * (1.0 - v) for v in x]
 
     def exact(t, x0=0.1):
         return 1.0 / (1.0 + (1.0 / x0 - 1.0) * math.exp(-t))
@@ -211,7 +212,7 @@ def test_step_that_does_not_divide_the_span_is_rejected():
 def test_a_blow_up_stops_with_a_non_finite_error_naming_the_step():
     # x' = x^3 from x = 1 blows up at t = 1/2; no inf state is ever stored
     with pytest.raises(NonFiniteError) as err:
-        integrate(lambda x: x**3, np.array([1.0]), 2.0, 0.01)
+        integrate(lambda x: [v * v * v for v in x], np.array([1.0]), 2.0, 0.01)
     assert str(err.value) == "non-finite value in step 51 from t = 0.51: the state overflowed"
     # a finite state whose entries sum past the float range is not stopped
     big = integrate(lambda x: np.zeros(2), np.array([1e308, 1e308]), 0.2, 0.1)
@@ -254,3 +255,38 @@ def test_drift_is_the_projection_residual_through_a_retry():
     assert manifold.residual_calls == 2  # the seed's on-M test and its drift
     for state, drift in zip(traj.states, traj.drift):
         assert drift == spec.constraints.residual(state)
+
+
+@pytest.mark.parametrize("name, x0, dt, steps, second_order", [
+    ("rosenberg", [0.3, -0.4, 0.1, 1.2, -0.7, -0.4 * 1.2], 1e-3, 500, False),
+    # q1' on the mass shell, as `simulate` lifts it
+    ("relparticle-L1", [0.2, -0.3, 0.5, 0.1, 1.0356157588604171, 0.1, -0.2, 0.15],
+     2e-3, 100, True),
+])
+def test_stepping_on_floats_is_stepping_on_arrays_bit_for_bit(name, x0, dt, steps, second_order):
+    spec = loads(scenario_text(name), name=name)
+    dyn = PointDynamics(spec.gnh, second_order=second_order)
+    traj = integrate(dyn.field, np.array(x0), steps * dt, dt, project=spec.constraints,
+                     multiplier_fn=dyn.multipliers)
+    states, mults, drift = integrate_arrays(dyn.field, x0, dt, steps, spec.constraints,
+                                            dyn.multipliers)
+    assert traj.states.tobytes() == states.tobytes()
+    assert traj.multipliers.tobytes() == mults.tobytes()
+    assert traj.drift.tobytes() == drift.tobytes()
+
+
+def test_the_memo_tells_a_negative_zero_from_a_positive_one():
+    spec = loads(scenario_text("rosenberg"))
+    dyn = PointDynamics(spec.gnh)
+    solve, points = dyn.field_and_multipliers, []
+
+    def counted(x):
+        points.append(list(x))
+        return solve(x)
+
+    dyn.field_and_multipliers = counted
+    plus, minus = [0.0, 1.0, 0.0, 2.0, 3.0, 2.0], [-0.0, 1.0, 0.0, 2.0, 3.0, 2.0]
+    for x in (plus, minus, minus):
+        dyn.field(x)
+        dyn.multipliers(x)
+    assert [math.copysign(1.0, p[0]) for p in points] == [1.0, -1.0]

@@ -11,7 +11,7 @@ from linsing.errors import (
     ShapeError,
     UndeclaredVariableError,
 )
-from linsing import expressions
+from linsing import cli, expressions
 from linsing.expressions import (
     Add,
     Call,
@@ -229,6 +229,45 @@ def test_constant_folding_keeps_faulting_constants_unfolded():
     assert isinstance(add(Const(1.0), Const(2.0)), Const)
     assert mul(Const(0.0), Var("x")).value == 0.0
     assert to_text(pow_(Var("x"), Const(0.0))) == "1"
+
+
+@pytest.mark.parametrize("name", ["example1", "relparticle-L1", "relparticle-L2", "rosenberg"])
+def test_folding_on_floats_generates_the_sources_of_folding_by_evaluation(name, monkeypatch,
+                                                                           capsys):
+    # the folding builders apply the float operation to two constants;
+    # folding through the tree walk `evaluate` gives the same nodes, so every
+    # command generates the same source text
+    def sources(fold):
+        texts, folds = [], [0]
+        generate = expressions._compiled_source
+
+        def counted_fold(*args):
+            folds[0] += 1
+            return fold(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(expressions, "_fold", counted_fold)
+            patch.setattr(expressions, "_compiled_source",
+                          lambda exprs, variables: texts.append(generate(exprs, variables))
+                          or texts[-1])
+            for argv in (["analyze", "--scenario", name, "--points", "20"],
+                         ["check-symmetry", "--scenario", name, "--points", "20"],
+                         ["check-constant", "--scenario", name, "--points", "20"],
+                         ["scenario", "--self-test", name]):
+                assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert folds[0] > 0 and texts
+        return texts
+
+    def by_evaluation(kind, a, b, op):
+        node = kind(a, b)
+        try:
+            value = evaluate(node, {})
+        except (DomainEvalError, OverflowError):
+            return node
+        return Const(value) if math.isfinite(value) else node
+
+    assert sources(expressions._fold) == sources(by_evaluation)
 
 
 # ------------------------------------------------------------ derivatives

@@ -146,7 +146,7 @@ def test_knife_edge_sode_route_agrees():
     sode_x, _, sol = PointDynamics(gnh, second_order=True).solve(STATE)
     assert sol.kernel.dim == 0
     x_dot = PointDynamics(gnh).field(STATE)
-    assert np.max(np.abs(sode_x - x_dot)) < 1e-10
+    assert np.max(np.abs(np.subtract(sode_x, x_dot))) < 1e-10
     with pytest.raises(NotOnManifoldError):
         phi.require_on(np.array([[0.0, 1.0, 0.0, 2.0, 3.0, 9.0]]))
 
@@ -240,7 +240,7 @@ def test_homogeneous_sode_matches_quadratic_dynamics():
         s = np.concatenate([rng.uniform(-1, 1, size=4), [v0], v_sp])
         x1, _, sol = sode.solve(s)
         assert sol.kernel.dim == 0
-        assert np.max(np.abs(x1 - dyn2.field(s))) < 1e-10
+        assert np.max(np.abs(np.subtract(x1, dyn2.field(s)))) < 1e-10
         assert np.max(np.abs(x1 - np.concatenate([s[4:], np.zeros(4)]))) < 1e-10
 
 

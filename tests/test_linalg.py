@@ -373,7 +373,7 @@ def test_tolerance_accessors():
     tols = Tolerances()
     a = np.diag([2.0, 1.0])
     assert tols.rank_tol(a, 2.0) == 2 * 2.0 * 1e-10
-    assert tols.img_tol(a, np.array([3.0, 4.0]), 2.0) == pytest.approx(
+    assert tols.img_tol(tols.rank_tol(a, 2.0), np.array([3.0, 4.0])) == pytest.approx(
         2 * 2.0 * 1e-10 * (1.0 + 5.0)
     )
     assert DEFAULT_TOLERANCES.on_manifold == 1e-8
@@ -526,8 +526,9 @@ def _lapack_solve(d, b, tols):
     if not math.isfinite(d):
         return None
     u, s, vt = np.linalg.svd(mat)
-    r = int(s[0] > tols.rank_tol(mat, float(s[0])))
-    tol_img = tols.img_tol(mat, rhs, float(s[0]))
+    cut = tols.rank_tol(mat, float(s[0]))
+    r = int(s[0] > cut)
+    tol_img = tols.img_tol(cut, rhs)
     x0 = vt[:r].T @ ((u[:, :r].T @ rhs) / s[:r])
     residual = float(np.linalg.norm(mat @ x0 - rhs))
     consistent = residual <= tol_img
@@ -558,12 +559,12 @@ def test_1x1_closed_form_matches_lapack_and_the_general_solve(d, b, tols):
                 return
             factors, r, cut = linalg._svd_rank(float(d), tols)
             sol = solve_affine(mat, np.array([b]), tols)
-        values, r_values = linalg._svd_rank(mat, tols, compute_uv=False)
+        values, r_values, cut_values = linalg._svd_rank(mat, tols, compute_uv=False)
     # the float path runs LAPACK exactly where it rescales a 1x1
     assert (svd.call_count == 0) == (_SMLNUM <= abs(d) <= _BIGNUM)
     lapack, rank_, x0, residual, consistent, tol_img, kernel = expected
     assert all(_same_bits(f, g.item()) for f, g in zip(factors, lapack))
-    assert _same_bits(cut, tols.rank_tol(mat, lapack[1].item()))
+    assert _same_bits(cut, tols.rank_tol(mat, lapack[1].item())) and _same_bits(cut_values, cut)
     assert _same_bits(values, lapack[1]) and r == r_values == rank_
     assert _same_bits(sol.x0, x0) and _same_bits(sol.residual, residual)
     assert sol.consistent == consistent and _same_bits(sol.tol_used, tol_img)

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import importlib.util
 import types
 from pathlib import Path
 
@@ -110,3 +112,16 @@ def test_the_readme_library_example_runs(tmp_path, monkeypatch):
     exec(compile(block, "README.md", "exec"), scope)
     assert scope["cls"].regular and scope["P"].shape == (2, 2)
     assert np.allclose(scope["P"] @ scope["pa"].y, scope["X"], rtol=0.0, atol=1e-15)
+
+
+def test_every_method_the_benchmark_traces_exists():
+    # bench/spans.py wraps these methods by name and records nothing for a
+    # missing one, so a renamed hot path would read as zero field evaluations
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.METHODS
+    missing = [f"{module}.{cls}.{method}" for module, cls, method in spans.METHODS
+               if method not in vars(getattr(importlib.import_module(module), cls))]
+    assert missing == []
