@@ -36,7 +36,7 @@ from .errors import (
     SpecFileError,
 )
 from .nonholonomic import PointDynamics
-from .specfile import constant_value, load, loads, parse_box, parse_param_overrides
+from .specfile import constant_value, load, loads, parse_box
 from .symmetry import (
     check_descent,
     check_inf_symmetry,
@@ -65,8 +65,26 @@ def scenario_text(name):
     ).read_text(encoding="utf-8")
 
 
+def _assignments(items, flag):
+    """{name: value text} of the comma-separated ``name=value`` lists `items`
+    of `flag`; a piece that is not name=value, or a name given twice, is a
+    usage error."""
+    out = {}
+    for item in items or ():
+        for piece in item.split(","):
+            key, eq, value = (p.strip() for p in piece.partition("="))
+            if not (key or eq or value):
+                continue
+            if not (key and eq and value):
+                raise _UsageError(f"bad {flag} entry {piece.strip()!r} (expected name=value)")
+            if key in out:
+                raise _UsageError(f"{key!r} assigned twice in {flag}")
+            out[key] = value
+    return out
+
+
 def _load_spec(args):
-    overrides = parse_param_overrides(getattr(args, "param", None))
+    overrides = _assignments(getattr(args, "param", None), "--param")
     if getattr(args, "scenario", None):
         return loads(scenario_text(args.scenario), name=args.scenario,
                      param_overrides=overrides)
@@ -95,22 +113,12 @@ def _tolerances(args):
     return linalg.Tolerances(**kwargs)
 
 
-def _parse_assignments(text, spec):
+def _parse_assignments(text, spec, flag):
     """``x=0,y'=2`` -> {name: value}; values may be constant expressions."""
     out = {}
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        if "=" not in piece:
-            raise _UsageError(f"bad assignment {piece!r} (expected name=value)")
-        key, value = piece.split("=", 1)
-        key = key.strip()
-        value = value.strip()
+    for key, value in _assignments([text], flag).items():
         if key not in spec.variables:
-            raise _UsageError(f"unknown variable {key!r} in assignment")
-        if key in out:
-            raise _UsageError(f"variable {key!r} assigned twice")
+            raise _UsageError(f"unknown variable {key!r} in {flag}")
         try:
             out[key] = float(value)
         except ValueError:
@@ -229,7 +237,7 @@ def cmd_analyze(args):
     spec = _load_spec(args)
     tols = _tolerances(args)
     if args.at:
-        points = [_build_point(spec, _parse_assignments(a, spec)) for a in args.at]
+        points = [_build_point(spec, _parse_assignments(a, spec, "--at")) for a in args.at]
     else:
         points = _default_points(spec, args.points)
     dyns = {}
@@ -319,7 +327,7 @@ def cmd_simulate(args):
             raise _UsageError(f"--{flag} must be positive and finite")
     if not args.x0:
         raise _UsageError("--x0 is required")
-    x0 = _build_point(spec, _parse_assignments(args.x0, spec))
+    x0 = _build_point(spec, _parse_assignments(args.x0, spec, "--x0"))
     doc, _ = simulate_report(spec, x0, args.t1, args.dt, tols, out=args.out,
                              timed=not args.quiet_time)
     sys.stdout.write(report.render(doc))

@@ -27,7 +27,6 @@ __all__ = ["Trajectory", "integrate", "monitor", "MonitorResult"]
 class Trajectory:
     """Integration output: states on a uniform grid plus per-state diagnostics."""
 
-    t0: float
     dt: float
     times: np.ndarray
     states: np.ndarray       # (steps+1, n)
@@ -76,10 +75,10 @@ def _rk4_step(field_fn, x, dt):
     return [a + c * (((p + 2.0 * q) + 2.0 * r) + s) for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
 
 
-def integrate(field_fn, x0, t1, dt, project=None, t0=0.0, multiplier_fn=None):
-    """Integrate x' = field_fn(x) from t0 to t1 on a uniform grid of step dt.
+def integrate(field_fn, x0, t1, dt, project=None, multiplier_fn=None):
+    """Integrate x' = field_fn(x) from 0 to t1 on a uniform grid of step dt.
 
-    `t0`, `t1` and `dt` must be finite and `dt` must divide `t1 - t0` (to a
+    `t1` and `dt` must be finite and `dt` must divide `t1` (to a
     relative 1e-9); otherwise ValueError, so the grid always ends at t1. No
     non-finite state is stored: a step that overflows, or a field that raises
     NonFiniteError, raises NonFiniteError naming the step and its start time.
@@ -99,19 +98,16 @@ def integrate(field_fn, x0, t1, dt, project=None, t0=0.0, multiplier_fn=None):
     multiplier_fn : callable(list of float) -> sequence of float, optional
         Recorded at every stored state (so u(t) can be inspected afterwards).
     """
-    if not (math.isfinite(t0) and math.isfinite(t1) and math.isfinite(dt)):
-        raise ValueError("t0, t1 and dt must be finite")
+    if not (math.isfinite(t1) and math.isfinite(dt)):
+        raise ValueError("t1 and dt must be finite")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if t1 <= t0:
-        raise ValueError("t1 must exceed t0")
     x = np.asarray(x0, dtype=float).tolist()
-    span = t1 - t0
-    steps = int(round(span / dt))
+    steps = int(round(t1 / dt))
     if steps < 1:
-        raise ValueError("time span shorter than one step")
-    if abs(steps * dt - span) > 1e-9 * span:
-        raise ValueError(f"dt = {dt!r} does not divide the time span {span!r}")
+        raise ValueError("t1 must span at least one step")
+    if abs(steps * dt - t1) > 1e-9 * t1:
+        raise ValueError(f"dt = {dt!r} does not divide the time span {t1!r}")
 
     if project is not None and not project.is_on(x):
         x, ok, _ = project.project(x)
@@ -129,7 +125,7 @@ def integrate(field_fn, x0, t1, dt, project=None, t0=0.0, multiplier_fn=None):
                 raise NonFiniteError("the state overflowed")
         except NonFiniteError as exc:
             raise NonFiniteError(
-                f"non-finite value in step {i} from t = {t0 + i * dt:.6g}: {exc}"
+                f"non-finite value in step {i} from t = {i * dt:.6g}: {exc}"
             ) from exc
         if project is None:
             return y, True, 0.0
@@ -161,8 +157,8 @@ def integrate(field_fn, x0, t1, dt, project=None, t0=0.0, multiplier_fn=None):
             if multiplier_fn is not None:
                 mults[i + 1] = multiplier_fn(x)
 
-    times = t0 + dt * np.arange(steps + 1)
-    return Trajectory(t0, dt, times, states, mults, drift)
+    times = dt * np.arange(steps + 1)
+    return Trajectory(dt, times, states, mults, drift)
 
 
 @dataclass

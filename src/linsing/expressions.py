@@ -241,10 +241,11 @@ def tokenize(text):
 # -------------------------------------------------------------------- parser
 
 class _Parser:
-    def __init__(self, tokens, variables):
+    def __init__(self, tokens, variables, params):
         self.tokens = tokens
         self.pos = 0
         self.variables = set(variables) if variables is not None else None
+        self.params = params
 
     def peek(self):
         return self.tokens[self.pos]
@@ -296,6 +297,8 @@ class _Parser:
                 raise ExprSyntaxError(f"number {tok.text} is out of range", tok.offset)
             return Const(value)
         if tok.kind == "IDENT":
+            if tok.text in self.params:
+                return self.params[tok.text]
             nxt = self.peek()
             if nxt.kind == "OP" and nxt.text == "(":
                 if tok.text not in FUNCTIONS:
@@ -317,7 +320,7 @@ class _Parser:
         )
 
 
-def parse(text, variables=None):
+def parse(text, variables=None, params=None):
     """Parse `text` into an Expr.
 
     Parameters
@@ -327,8 +330,11 @@ def parse(text, variables=None):
     variables : sequence of str, optional
         Declared variable names. When given, any other identifier raises
         UndeclaredVariableError. When omitted, all identifiers are accepted.
+    params : mapping of str to Expr, optional
+        An identifier that is `in` it stands for its node (``params[name]``),
+        as if the node's text were written there in parentheses.
     """
-    parser = _Parser(tokenize(text), variables)
+    parser = _Parser(tokenize(text), variables, {} if params is None else params)
     node = parser.parse_expr()
     tok = parser.peek()
     if tok.kind != "EOF":

@@ -5,9 +5,11 @@ A file is a sequence of ``[section]`` headers with ``name = value`` entries;
 ``#`` starts a comment. Recognized sections:
 
 ``[params]``
-    Named constants. Values are expression text, substituted token-wise into
-    every other entry (and into each other) before parsing, so a parameter
-    may reference other parameters.
+    Named constants. Each value is an expression, parsed once in the state
+    variables and the other parameters; an entry that names a parameter holds
+    that parameter's expression, as if its text were written there in
+    parentheses. Overrides (``loads``' `param_overrides`, the CLI's
+    ``--param``) replace values or add parameters that an entry uses.
 ``[vars]``
     ``names = x, y`` declares state variables directly, or ``q = x, y``
     declares configuration variables for a Lagrangian (velocities are the
@@ -37,24 +39,25 @@ Exactly one of [system] / [lagrangian] must be present.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
 from .errors import (
     ExprSyntaxError,
     LinsingError,
+    NonFiniteError,
     ShapeError,
     SpecFileError,
     UndeclaredVariableError,
 )
-from .expressions import FUNCTIONS, ExpressionField, evaluate, parse, tokenize
+from .expressions import FUNCTIONS, ExpressionField, evaluate, parse
 from .lagrangian import LagrangianModel, build_lagrangian_model, build_lagrangian_system, chetaev_frame
 from .nonholonomic import GeneralizedNonholonomicSystem, SubmanifoldSpec
 from .symmetry import SymmetryCandidate, finite_candidate, infinitesimal_candidate
 from .systems import LinearlySingularSystem, identity_system
 
-__all__ = ["SpecFile", "constant_value", "load", "loads", "parse_box",
-           "parse_param_overrides"]
+__all__ = ["SpecFile", "constant_value", "load", "loads", "parse_box"]
 
 _SECTIONS = (
     "params",
@@ -83,7 +86,7 @@ class SpecFile:
 
     kind: str                       # "system" | "lagrangian"
     variables: list
-    params: dict
+    params: dict                    # name -> value text as written, overrides applied
     system: LinearlySingularSystem = None
     model: LagrangianModel = None
     constraints: SubmanifoldSpec = None
@@ -130,51 +133,6 @@ def _split_sections(text):
     return sections
 
 
-def _substitute_tokens(text, mapping):
-    """Replace identifier tokens found in `mapping` with their parenthesized
-    values; everything else is copied verbatim (numbers, operators, other names)."""
-    try:
-        tokens = tokenize(text)
-    except ExprSyntaxError:
-        return text  # leave it; the real parse reports the error with context
-    parts = []
-    for tok in tokens:
-        if tok.kind == "EOF":
-            break
-        if tok.kind == "IDENT" and tok.text in mapping:
-            parts.append("(" + mapping[tok.text] + ")")
-        else:
-            parts.append(tok.text)
-    return " ".join(parts)
-
-
-def _substitute_entry(text, mapping):
-    """Parameter substitution for entry values that may be ','/';' lists."""
-    pieces = re.split(r"([;,])", text)
-    return "".join(
-        p if p in (";", ",") else _substitute_tokens(p, mapping) for p in pieces
-    )
-
-
-def _resolve_params(raw, section_line):
-    """Fixed-point expansion of parameter values against each other."""
-    resolved = dict(raw)
-    for _ in range(len(resolved) + 1):
-        changed = False
-        for name, value in resolved.items():
-            expanded = _substitute_tokens(value, {k: v for k, v in resolved.items() if k != name})
-            if expanded != value:
-                resolved[name] = expanded
-                changed = True
-        if not changed:
-            return resolved
-    raise SpecFileError("params", section_line, "cyclic parameter definitions")
-
-
-# an identifier token of entry text: a name not glued to a number's digits
-_IDENT_RE = re.compile(r"(?<![\w.])[A-Za-z_]\w*")
-
-
 def _reject_unknown(name, sec, known):
     """Raise SpecFileError at the first entry, by name, of section `name` not in `known`."""
     extra = sorted(set(sec) - known)
@@ -182,56 +140,67 @@ def _reject_unknown(name, sec, known):
         raise SpecFileError(name, sec[extra[0]].line, f"unknown entry {extra[0]!r}")
 
 
-def parse_param_overrides(items):
-    """Parse repeated ``--param name=expr[,name=expr...]`` flag values."""
-    out = {}
-    for item in items or []:
-        for piece in item.split(","):
-            piece = piece.strip()
-            if not piece:
-                continue
-            if "=" not in piece:
-                raise SpecFileError("params", 0, f"bad --param entry {piece!r}")
-            key, value = piece.split("=", 1)
-            key = key.strip()
-            value = value.strip()
-            if not _NAME_RE.match(key) or key.endswith("'"):
-                raise SpecFileError("params", 0, f"bad parameter name {key!r}")
-            if not value:
-                raise SpecFileError("params", 0, f"empty value for parameter {key!r}")
-            out[key] = value
-    return out
-
-
-def _parse_entry(section, entry, text, variables):
+def _parse_entry(section, line, text, variables, params, name=None):
+    """parse(text, variables, params), with an error raised as a SpecFileError
+    at `line` that quotes `text` and, for a parameter's text, names it `name`."""
+    where = repr(text) if name is None else f"parameter {name!r} = {text!r}"
     try:
-        return parse(text, variables)
+        return parse(text, variables, params)
     except UndeclaredVariableError as exc:
-        raise SpecFileError(
-            section, entry.line,
-            f"undeclared variable {exc.name!r} in {text!r}",
-        ) from exc
+        raise SpecFileError(section, line,
+                            f"undeclared variable {exc.name!r} in {where}") from exc
     except ExprSyntaxError as exc:
-        raise SpecFileError(section, entry.line, f"{exc} in {text!r}") from exc
+        raise SpecFileError(section, line, f"{exc} in {where}") from exc
 
 
-def _vector_field(section, entry, variables):
+class _Params:
+    """The parameters as the parser looks them up: name -> expression node.
+
+    Each of `texts` is parsed once, on its first lookup, in `variables` and the
+    other parameters; a lookup of it during that parse is a cycle. `used` holds
+    the names looked up. Errors are at the parameter's line in `lines` (0 for
+    an override)."""
+
+    def __init__(self, texts, variables, lines):
+        self.texts, self.variables, self.lines = texts, variables, lines
+        self.nodes, self.used = {}, set()
+
+    def __contains__(self, name):
+        return name in self.texts
+
+    def __getitem__(self, name):
+        self.used.add(name)
+        return self.node(name)
+
+    def node(self, name):
+        line = self.lines.get(name, 0)
+        if name not in self.nodes:
+            self.nodes[name] = None  # being parsed: a lookup of `name` now is a cycle
+            self.nodes[name] = _parse_entry("params", line, self.texts[name],
+                                            self.variables, self, name)
+        elif self.nodes[name] is None:
+            raise SpecFileError("params", line,
+                                f"cyclic parameter definitions through {name!r}")
+        return self.nodes[name]
+
+
+def _vector_field(section, entry, variables, params):
     parts = [p.strip() for p in entry.value.split(",")]
     if any(not p for p in parts):
         raise SpecFileError(section, entry.line, "empty component in list")
     return ExpressionField.vector(
-        [_parse_entry(section, entry, p, variables) for p in parts], variables
+        [_parse_entry(section, entry.line, p, variables, params) for p in parts], variables
     )
 
 
-def _matrix_field(section, entry, variables, expect_cols=None):
+def _matrix_field(section, entry, variables, params, expect_cols=None):
     rows = [r.strip() for r in entry.value.split(";")]
     table = []
     for r in rows:
         parts = [p.strip() for p in r.split(",")]
         if any(not p for p in parts):
             raise SpecFileError(section, entry.line, "empty component in matrix row")
-        table.append([_parse_entry(section, entry, p, variables) for p in parts])
+        table.append([_parse_entry(section, entry.line, p, variables, params) for p in parts])
     width = len(table[0])
     if any(len(r) != width for r in table):
         raise SpecFileError(section, entry.line, "ragged matrix rows")
@@ -252,33 +221,43 @@ def _assembled(section, line, build, *args):
         raise SpecFileError(section, line, str(exc)) from exc
 
 
-def _names_list(section, entry):
+def _check_name(section, line, name, kind):
+    """A variable's or parameter's name is an identifier without a prime, and
+    not a function's."""
+    if not _NAME_RE.match(name) or name.endswith("'"):
+        raise SpecFileError(section, line, f"bad {kind} name {name!r}")
+    if name in FUNCTIONS:
+        raise SpecFileError(section, line, f"{kind} name {name!r} shadows a function")
+
+
+def _names_list(section, entry, params):
     names = [n.strip() for n in entry.value.split(",")]
     for n in names:
-        if not _NAME_RE.match(n) or n.endswith("'"):
-            raise SpecFileError(section, entry.line, f"bad variable name {n!r}")
+        _check_name(section, entry.line, n, "variable")
+        if n in params:
+            raise SpecFileError(section, entry.line,
+                                f"variable name {n!r} collides with a parameter")
     if len(set(names)) != len(names):
         raise SpecFileError(section, entry.line, "duplicate variable names")
     return names
 
 
-def _check_reserved(section, entry, names, params):
-    for n in names:
-        if n in FUNCTIONS:
-            raise SpecFileError(section, entry.line,
-                                f"variable name {n!r} shadows a function")
-        if n in params:
-            raise SpecFileError(section, entry.line,
-                                f"variable name {n!r} collides with a parameter")
+def _constant(text, params):
+    value = float(evaluate(parse(text, [], params), {}))
+    if not math.isfinite(value):
+        raise NonFiniteError(f"{text} is not finite")
+    return value
 
 
 def constant_value(text, params):
-    """Value of a constant expression such as ``2*a`` after substituting `params`.
+    """Value of a constant expression such as ``2*a``, whose names are the
+    parameters `params` (name -> value text, as `SpecFile.params` holds them),
+    each resolved as `loads` resolves it.
 
-    Raises LinsingError (syntax, a name that is not a parameter, a domain fault)
-    when the text is not a constant number.
+    Raises LinsingError (syntax, a name that is not a parameter, a domain
+    fault, a value that is not finite) when the text is not a finite number.
     """
-    return float(evaluate(parse(_substitute_tokens(text, params), []), {}))
+    return _constant(text, _Params(params, None, {}))
 
 
 def parse_box(text, variables, label="box", section="", line=0):
@@ -294,6 +273,8 @@ def parse_box(text, variables, label="box", section="", line=0):
         if name not in variables:
             raise SpecFileError(section, line,
                                 f"{label} names unknown variable {name!r}")
+        if name in box:
+            raise SpecFileError(section, line, f"{label} names {name!r} twice")
         try:
             lo, hi = float(parts[1]), float(parts[2])
         except ValueError as exc:
@@ -307,7 +288,12 @@ def parse_box(text, variables, label="box", section="", line=0):
 
 
 def loads(text, name="", param_overrides=None):
-    """Parse spec text into a validated :class:`SpecFile`."""
+    """Parse spec text into a validated :class:`SpecFile`.
+
+    `param_overrides` maps parameter names to value texts. Each replaces the
+    ``[params]`` value of its name, or adds a parameter that an entry or
+    another parameter uses; any other name is a SpecFileError.
+    """
     sections = _split_sections(text)
 
     has_system = "system" in sections
@@ -321,22 +307,12 @@ def loads(text, name="", param_overrides=None):
     if "vars" not in sections:
         raise SpecFileError("vars", 0, "missing [vars] section")
 
-    raw_params = {k: v.value for k, v in sections.get("params", {}).items()}
-    # an override must replace a [params] entry or be used as a name by an
-    # entry or an override; any other would be ignored
+    params_sec = sections.get("params", {})
     overrides = param_overrides or {}
-    texts = [e.value for sec in sections.values() for e in sec.values()] + list(overrides.values())
-    used = {name for text in texts for name in _IDENT_RE.findall(text)}
-    unknown = [key for key in overrides if key not in raw_params and key not in used]
-    if unknown:
-        raise SpecFileError("params", 0, f"override of unknown parameter {unknown[0]!r}: "
-                                         "no [params] entry has that name and no entry uses it")
-    raw_params.update(overrides)
-    first_param_line = min((v.line for v in sections.get("params", {}).values()), default=0)
-    params = _resolve_params(raw_params, first_param_line)
-
-    def expand(entry):
-        return _Entry(_substitute_entry(entry.value, params), entry.line)
+    texts = {key: entry.value for key, entry in params_sec.items()} | overrides
+    lines = {key: entry.line for key, entry in params_sec.items() if key not in overrides}
+    for key in texts:
+        _check_name("params", lines.get(key, 0), key, "parameter")
 
     vars_sec = sections["vars"]
     if has_system:
@@ -345,8 +321,7 @@ def loads(text, name="", param_overrides=None):
         if "q" in vars_sec:
             raise SpecFileError("vars", vars_sec["q"].line,
                                 "'q' is only for [lagrangian] files")
-        variables = _names_list("vars", vars_sec["names"])
-        _check_reserved("vars", vars_sec["names"], variables, params)
+        variables = _names_list("vars", vars_sec["names"], texts)
         q_names = None
     else:
         if "q" not in vars_sec:
@@ -354,14 +329,17 @@ def loads(text, name="", param_overrides=None):
         if "names" in vars_sec:
             raise SpecFileError("vars", vars_sec["names"].line,
                                 "'names' is only for [system] files")
-        q_names = _names_list("vars", vars_sec["q"])
-        _check_reserved("vars", vars_sec["q"], q_names, params)
+        q_names = _names_list("vars", vars_sec["q"], texts)
         variables = q_names + [n + "'" for n in q_names]
+
+    params = _Params(texts, variables, lines)
+    for key in texts:  # every parameter parses, whether an entry uses it or not
+        params.node(key)
 
     spec = SpecFile(
         kind="system" if has_system else "lagrangian",
         variables=variables,
-        params=params,
+        params=texts,
         name=name,
     )
 
@@ -369,9 +347,9 @@ def loads(text, name="", param_overrides=None):
         sec = sections["system"]
         if "f" not in sec:
             raise SpecFileError("system", 0, "missing 'f = ...'")
-        f = _vector_field("system", expand(sec["f"]), variables)
+        f = _vector_field("system", sec["f"], variables, params)
         if "A" in sec:
-            a = _matrix_field("system", expand(sec["A"]), variables,
+            a = _matrix_field("system", sec["A"], variables, params,
                               expect_cols=len(variables))
             spec.system = _assembled("system", sec["A"].line, LinearlySingularSystem, a, f)
         else:
@@ -382,8 +360,8 @@ def loads(text, name="", param_overrides=None):
         if "L" not in sec:
             raise SpecFileError("lagrangian", 0, "missing 'L = ...'")
         _reject_unknown("lagrangian", sec, {"L"})
-        entry = expand(sec["L"])
-        lexpr = _parse_entry("lagrangian", entry, entry.value, variables)
+        entry = sec["L"]
+        lexpr = _parse_entry("lagrangian", entry.line, entry.value, variables, params)
         spec.model = build_lagrangian_model(lexpr, q_names)
         spec.system = build_lagrangian_system(spec.model)
 
@@ -391,12 +369,12 @@ def loads(text, name="", param_overrides=None):
         sec = sections["constraints"]
         if "phi" not in sec:
             raise SpecFileError("constraints", 0, "missing 'phi = ...'")
-        phi = _vector_field("constraints", expand(sec["phi"]), variables)
+        phi = _vector_field("constraints", sec["phi"], variables, params)
         spec.constraints = SubmanifoldSpec(phi)
         if "report_scale" in sec:
             entry = sec["report_scale"]
             try:
-                spec.report_scale = constant_value(entry.value, params)
+                spec.report_scale = _constant(entry.value, params)
             except LinsingError as exc:
                 raise SpecFileError("constraints", entry.line,
                                     f"expected a constant number: {exc}") from exc
@@ -410,7 +388,7 @@ def loads(text, name="", param_overrides=None):
             raise SpecFileError("forces", sec["Delta"].line,
                                 "[forces] requires [constraints]")
         # one row per section, transposed: each section is a column of the frame
-        by_section = _matrix_field("forces", expand(sec["Delta"]), variables)
+        by_section = _matrix_field("forces", sec["Delta"], variables, params)
         width = by_section.shape[1]
         spec.forces = ExpressionField.matrix(
             [by_section.entries[i::width] for i in range(width)], variables)
@@ -435,7 +413,7 @@ def loads(text, name="", param_overrides=None):
             raise SpecFileError("symmetry", 0,
                                 "give either V/Lambda or psi/Phi, not both")
         if "V" in sec:
-            v = _vector_field("symmetry", expand(sec["V"]), variables)
+            v = _vector_field("symmetry", sec["V"], variables, params)
             if v.shape[0] != len(variables):
                 raise SpecFileError("symmetry", sec["V"].line,
                                     "V must have one component per variable")
@@ -446,7 +424,7 @@ def loads(text, name="", param_overrides=None):
                                     f"V without Lambda needs k = n: the default Lambda = DV "
                                     f"is {n}x{n}, the fibre has k = {spec.system.k}; give Lambda")
             if "Lambda" in sec:
-                lam = _matrix_field("symmetry", expand(sec["Lambda"]), variables,
+                lam = _matrix_field("symmetry", sec["Lambda"], variables, params,
                                     expect_cols=spec.system.k)
                 if lam.shape[0] != spec.system.k:
                     raise SpecFileError("symmetry", sec["Lambda"].line,
@@ -456,11 +434,11 @@ def loads(text, name="", param_overrides=None):
             if "Phi" not in sec:
                 raise SpecFileError("symmetry", sec["psi"].line,
                                     "finite candidate needs both psi and Phi")
-            psi = _vector_field("symmetry", expand(sec["psi"]), variables)
+            psi = _vector_field("symmetry", sec["psi"], variables, params)
             if psi.shape[0] != len(variables):
                 raise SpecFileError("symmetry", sec["psi"].line,
                                     "psi must have one component per variable")
-            phi_m = _matrix_field("symmetry", expand(sec["Phi"]), variables,
+            phi_m = _matrix_field("symmetry", sec["Phi"], variables, params,
                                   expect_cols=spec.system.k)
             spec.symmetry = _assembled("symmetry", sec["Phi"].line, finite_candidate,
                                        psi, phi_m)
@@ -475,10 +453,15 @@ def loads(text, name="", param_overrides=None):
         _reject_unknown("symmetry", sec, {"V", "Lambda", "psi", "Phi", "box"})
 
     for cname, entry in sections.get("constant", {}).items():
-        e = expand(entry)
-        expr = _parse_entry("constant", e, e.value, variables)
+        expr = _parse_entry("constant", entry.line, entry.value, variables, params)
         spec.constants[cname] = ExpressionField.scalar(expr, variables)
 
+    # an override must replace a [params] entry or be looked up by an entry
+    # or a parameter; any other would be ignored
+    unknown = [key for key in overrides if key not in params_sec and key not in params.used]
+    if unknown:
+        raise SpecFileError("params", 0, f"override of unknown parameter {unknown[0]!r}: "
+                                         "no [params] entry has that name and no entry uses it")
     return spec
 
 

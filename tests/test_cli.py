@@ -258,6 +258,36 @@ def test_check_symmetry_fails_when_candidate_does_not_descend(tmp_path, capsys):
     assert "passed: false" in out
 
 
+@pytest.mark.parametrize("argv, err_text", [
+    (["analyze", "--at", "x=1", "--param", "a=1,a=3"], "'a' assigned twice in --param"),
+    (["analyze", "--at", "x=1", "--param", "a=1", "--param", "a=3"],
+     "'a' assigned twice in --param"),
+    (["analyze", "--at", "x=1, x=2"], "'x' assigned twice in --at"),
+    (["simulate", "--x0", "x=1,x=2", "--t1", "1", "--dt", "0.1"], "'x' assigned twice in --x0"),
+    (["check-symmetry", "--box", "x:0:1,x:2:3"], "--box names 'x' twice"),
+    (["analyze", "--at", "x=1", "--param", "noequals"], "bad --param entry 'noequals'"),
+    (["analyze", "--at", "x=1", "--param", "a="], "bad --param entry 'a='"),
+    (["analyze", "--at", "=1"], "bad --at entry '=1'"),
+    (["analyze", "--at", "x=1", "--param", "2bad=1"], "bad parameter name '2bad'"),
+    (["analyze", "--at", "x=1", "--param", "sin=2"], "parameter name 'sin' shadows a function"),
+], ids=["param", "two-params", "at", "x0", "box", "no-equals", "no-value", "no-name",
+        "bad-name", "function-name"])
+def test_name_lists_refuse_a_repeat_and_a_piece_that_is_not_an_assignment(argv, err_text,
+                                                                           capsys):
+    code, out, err = _run(capsys, argv[0], "--scenario", "example1", *argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err_text in err
+
+
+def test_name_lists_split_on_commas_and_skip_empty_pieces(capsys):
+    _, want, _ = _run(capsys, "analyze", "--scenario", "example1", "--at", "x=1",
+                      "--param", "a=3", "--param", "k=2*a")
+    code, out, _ = _run(capsys, "analyze", "--scenario", "example1", "--at", " x = 1 ,",
+                        "--param", "a = 3, ,k=2*a,")
+    assert code == 0 and out == want
+    assert "  k: 2*a\n" in out  # a parameter prints as it was written
+
+
 def test_check_symmetry_box_override(capsys):
     code, out, _ = _run(
         capsys, "check-symmetry", "--scenario", "example1", "--points", "40",
@@ -372,6 +402,14 @@ def test_overflowing_constants_are_reported_not_crashed_on(tmp_path, capsys):
     for value in ("1e400", "1e308*10", "nan"):
         code, _, err = _run(capsys, "analyze", "--scenario", "example1", "--at", f"x={value}")
         assert code == 2 and f"bad value for 'x': {value} is not finite" in err
+    # a report_scale that overflows is a spec error, not a report of -inf multipliers
+    path = tmp_path / "scale.lss"
+    path.write_text("[vars]\nnames = x, y\n[system]\nf = 1, y\n[constraints]\n"
+                    "phi = y - 2\nreport_scale = 1e308*10\n[forces]\nDelta = x, 1\n")
+    code, out, err = _run(capsys, "analyze", "--spec", str(path), "--at", "x=0.5")
+    assert code == 2 and out == ""
+    assert err == ("error: expected a constant number: 1e308*10 is not finite "
+                   "[section constraints] (line 7)\n")
 
 
 def test_a_singular_base_is_refused_with_its_rank(tmp_path, capsys):

@@ -50,11 +50,11 @@ def test_step_validation():
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-@pytest.mark.parametrize("which", ["t0", "t1", "dt"])
+@pytest.mark.parametrize("which", ["t1", "dt"])
 def test_non_finite_times_are_rejected(which, bad):
-    times = {"t0": 0.0, "t1": 1.0, "dt": 0.1, which: bad}
+    times = {"t1": 1.0, "dt": 0.1, which: bad}
     with pytest.raises(ValueError, match="must be finite"):
-        integrate(lambda x: x, np.array([1.0]), times["t1"], times["dt"], t0=times["t0"])
+        integrate(lambda x: x, np.array([1.0]), times["t1"], times["dt"])
 
 
 def test_projection_keeps_states_on_circle():
@@ -135,7 +135,7 @@ def test_csv_rows_are_the_per_value_format_bit_for_bit():
     rng = np.random.default_rng(9)
     states = rng.standard_normal((3000, 3)) * 10.0 ** rng.integers(-300, 300, (3000, 3))
     states[0] = [-0.0, 5e-324, 1.0 / 3.0]
-    traj = Trajectory(0.0, 0.1, 0.1 * np.arange(3000), states, states[:, :1] * 7.0,
+    traj = Trajectory(0.1, 0.1 * np.arange(3000), states, states[:, :1] * 7.0,
                       np.abs(states[:, 2]))
     buf = io.StringIO()
     traj.write_csv(buf)
@@ -194,7 +194,6 @@ def test_monitor_series_is_the_value_at_each_state_bit_for_bit():
 
 def test_trajectory_steps_property():
     t = Trajectory(
-        0.0,
         0.5,
         np.array([0.0, 0.5, 1.0]),
         np.zeros((3, 1)),

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from linsing.errors import SpecFileError
-from linsing.specfile import load, loads, parse_param_overrides
+from linsing.expressions import _compiled_source
+from linsing.specfile import load, loads
 
 MINIMAL = """
 [vars]
@@ -162,19 +163,107 @@ def test_an_override_must_be_declared_or_used():
             loads(text, param_overrides={"a": "1", "k2": "1", name: "2"})
 
 
-def test_parse_param_overrides():
-    assert parse_param_overrides(["a=1", "b=2*a, c = 3"]) == {
-        "a": "1",
-        "b": "2*a",
-        "c": "3",
-    }
-    assert parse_param_overrides(None) == {}
-    with pytest.raises(SpecFileError):
-        parse_param_overrides(["noequals"])
-    with pytest.raises(SpecFileError):
-        parse_param_overrides(["2bad=1"])
-    with pytest.raises(SpecFileError):
-        parse_param_overrides(["a="])
+CHAINED = """
+[params]
+a = 2
+b = a + 1
+c = 2*b
+unused = c^a
+
+[vars]
+q = x, y
+
+[lagrangian]
+L = m*(x'^2 + y'^2)/2 - c*U - -b*x
+
+[constraints]
+phi = y' - k*x'
+report_scale = c/a
+
+[symmetry]
+V = 0, 1, 0, 0
+box = x:-1:1, y:-1:1, x':-1:1, y':-1:1
+
+[constant]
+h = b*y' - c*x'^a
+"""
+
+# CHAINED with each parameter, and the overrides below, written inline in parentheses
+INLINE = """
+[vars]
+q = x, y
+
+[lagrangian]
+L = (0.5)*(x'^2 + y'^2)/2 - (2*(2 + 1))*(x) - -(2 + 1)*x
+
+[constraints]
+phi = y' - (-(2 + 1))*x'
+report_scale = (2*(2 + 1))/(2)
+
+[symmetry]
+V = 0, 1, 0, 0
+box = x:-1:1, y:-1:1, x':-1:1, y':-1:1
+
+[constant]
+h = (2 + 1)*y' - (2*(2 + 1))*x'^(2)
+"""
+
+
+def _fields(spec):
+    return [spec.system.A, spec.system.f, spec.constraints.phi, spec.forces,
+            spec.symmetry.base, *spec.constants.values()]
+
+
+def test_parameters_are_the_nodes_of_their_texts_in_parentheses():
+    spec = loads(CHAINED, param_overrides={"m": "1/2", "k": "-b", "U": "x"})
+    inline = loads(INLINE)
+    assert spec.params == {"a": "2", "b": "a + 1", "c": "2*b", "unused": "c^a",
+                           "m": "1/2", "k": "-b", "U": "x"}
+    assert spec.report_scale == inline.report_scale == 3.0
+    for got, want in zip(_fields(spec), _fields(inline), strict=True):
+        assert got.entries == want.entries
+        assert _compiled_source(got.entries, got.variables) == \
+            _compiled_source(want.entries, want.variables)
+
+
+def test_an_unparsable_override_is_reported_in_its_own_text():
+    text = "[params]\na = 2\nk = 1\n[vars]\nnames = x\n[system]\nf = k*x\n"
+    with pytest.raises(SpecFileError) as err:
+        loads(text, param_overrides={"k": "a +"})
+    assert str(err.value) == ("unexpected end of input (byte offset 3) in parameter 'k' = 'a +'"
+                              " [section params]")
+    assert (err.value.section, err.value.line) == ("params", 0)
+
+
+@pytest.mark.parametrize("params, line, message", [
+    ("a = 1\nbad = 1 +\n", 3, "unexpected end of input (byte offset 3) in parameter 'bad'"),
+    ("a = 1\nbad = zz\n", 3, "undeclared variable 'zz' in parameter 'bad' = 'zz'"),
+    ("a = b\nb = 2*a\n", 2, "cyclic parameter definitions through 'a'"),
+    ("a = 1\nb = b\n", 3, "cyclic parameter definitions through 'b'"),
+    ("a = 1\nsin = 2\n", 3, "parameter name 'sin' shadows a function"),
+], ids=["syntax", "undeclared", "cycle", "self", "function"])
+def test_a_parameter_that_nothing_uses_is_still_checked_at_its_line(params, line, message):
+    with pytest.raises(SpecFileError) as err:
+        loads(f"[params]\n{params}[vars]\nnames = x\n[system]\nf = a*x\n")
+    assert message in str(err.value)
+    assert (err.value.section, err.value.line) == ("params", line)
+
+
+def test_an_override_named_like_a_function_or_badly_is_a_spec_error():
+    text = "[vars]\nnames = x\n[system]\nf = sin(x)\n"
+    with pytest.raises(SpecFileError, match="parameter name 'sin' shadows a function"):
+        loads(text, param_overrides={"sin": "2"})
+    for name in ("2bad", "a'"):
+        with pytest.raises(SpecFileError, match="bad parameter name"):
+            loads(text, param_overrides={name: "2"})
+
+
+def test_a_box_that_names_a_variable_twice_is_a_spec_error():
+    with pytest.raises(SpecFileError) as err:
+        loads("[vars]\nnames = x\n[system]\nf = 1\n[symmetry]\nV = 1\n"
+              "box = x:0:1, x:2:3\n")
+    assert "box names 'x' twice" in str(err.value)
+    assert (err.value.section, err.value.line) == ("symmetry", 7)
 
 
 def test_substitution_reaches_every_list_slot():
