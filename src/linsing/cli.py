@@ -114,20 +114,16 @@ def _tolerances(args):
 
 
 def _parse_assignments(text, spec, flag):
-    """``x=0,y'=2`` -> {name: value}; values may be constant expressions."""
+    """``x=0,y'=2`` -> {name: value}; each value is a finite constant
+    expression, read by `constant_value` as a spec's `report_scale` is."""
     out = {}
     for key, value in _assignments([text], flag).items():
         if key not in spec.variables:
             raise _UsageError(f"unknown variable {key!r} in {flag}")
         try:
-            out[key] = float(value)
-        except ValueError:
-            try:
-                out[key] = constant_value(value, spec.params)
-            except LinsingError as exc:
-                raise _UsageError(f"bad value for {key!r}: {exc}") from exc
-        if not math.isfinite(out[key]):
-            raise _UsageError(f"bad value for {key!r}: {value} is not finite")
+            out[key] = constant_value(value, spec.params)
+        except LinsingError as exc:
+            raise _UsageError(f"bad value for {key!r}: {exc}") from exc
     return out
 
 

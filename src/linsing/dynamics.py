@@ -14,7 +14,6 @@ vectors of a few entries. The field receives that list.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,16 +22,16 @@ from .errors import NonFiniteError, ProjectionDivergenceError, ShapeError
 __all__ = ["Trajectory", "integrate", "monitor", "MonitorResult"]
 
 
-@dataclass
 class Trajectory:
     """Integration output: states on a uniform grid plus per-state diagnostics."""
 
-    dt: float
-    times: np.ndarray
-    states: np.ndarray       # (steps+1, n)
-    multipliers: np.ndarray  # (steps+1, m); m = 0 when unconstrained
-    drift: np.ndarray        # (steps+1,) max |phi| per stored state
-    monitors: dict = field(default_factory=dict)
+    def __init__(self, dt, times, states, multipliers, drift, monitors=None):
+        self.dt = dt
+        self.times = times
+        self.states = states              # (steps+1, n)
+        self.multipliers = multipliers    # (steps+1, m); m = 0 when unconstrained
+        self.drift = drift                # (steps+1,) max |phi| per stored state
+        self.monitors = {} if monitors is None else monitors
 
     @property
     def steps(self):
@@ -161,11 +160,11 @@ def integrate(field_fn, x0, t1, dt, project=None, multiplier_fn=None):
     return Trajectory(dt, times, states, mults, drift)
 
 
-@dataclass
 class MonitorResult:
-    name: str
-    series: np.ndarray
-    max_abs_deviation: float
+    def __init__(self, name, series, max_abs_deviation):
+        self.name = name
+        self.series = series
+        self.max_abs_deviation = max_abs_deviation
 
 
 def monitor(traj, h, name=None):

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +30,10 @@ from .errors import (
 # --------------------------------------------------------------------------- AST
 
 class Expr:
-    """Base class for expression nodes. Nodes are immutable and hashable."""
+    """Base class for expression nodes. Nodes are immutable by contract (no
+    code assigns a field after construction) and are compared and hashed by
+    identity; structurally equal subtrees are found by value numbering
+    (`_compiled_source`), not by `==`."""
 
     __slots__ = ()
 
@@ -39,55 +41,65 @@ class Expr:
         return to_text(self)
 
 
-@dataclass(frozen=True)
 class Const(Expr):
-    value: float
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
 
 
-@dataclass(frozen=True)
-class Add(Expr):
-    a: Expr
-    b: Expr
+class _Binary(Expr):
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        self.a = a
+        self.b = b
 
 
-@dataclass(frozen=True)
-class Sub(Expr):
-    a: Expr
-    b: Expr
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Mul(Expr):
-    a: Expr
-    b: Expr
+class Sub(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Div(Expr):
-    a: Expr
-    b: Expr
+class Mul(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+class Div(_Binary):
+    __slots__ = ()
+
+
 class Pow(Expr):
-    base: Expr
-    exponent: Expr
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base, exponent):
+        self.base = base
+        self.exponent = exponent
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    a: Expr
+    __slots__ = ("a",)
+
+    def __init__(self, a):
+        self.a = a
 
 
-@dataclass(frozen=True)
 class Call(Expr):
-    fn: str
-    arg: Expr
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn, arg):
+        self.fn = fn
+        self.arg = arg
 
 
 def _sign(x):
@@ -203,11 +215,13 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # NUM | IDENT | OP | EOF
-    text: str
-    offset: int  # byte offset into the original text
+    __slots__ = ("kind", "text", "offset")
+
+    def __init__(self, kind, text, offset):
+        self.kind = kind  # NUM | IDENT | OP | EOF
+        self.text = text
+        self.offset = offset  # byte offset into the original text
 
 
 def tokenize(text):

@@ -12,8 +12,6 @@ The dynamics is A(x) X = dE(x); L is regular exactly where W is invertible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import MaxRankViolatedError, ShapeError
 from .expressions import (Const, ExpressionField, Var, add, derivative, derivatives, mul, neg,
                           parse, sub)
@@ -28,17 +26,13 @@ __all__ = [
 ]
 
 
-@dataclass
 class LagrangianModel:
-    q_names: tuple
-    v_names: tuple
-    L: object  # Expr
-
-    def __post_init__(self):
-        if len(self.q_names) != len(self.v_names):
+    def __init__(self, q_names, v_names, L):
+        if len(q_names) != len(v_names):
             raise ShapeError("need one velocity name per position name")
-        self.q_names = tuple(self.q_names)
-        self.v_names = tuple(self.v_names)
+        self.q_names = tuple(q_names)
+        self.v_names = tuple(v_names)
+        self.L = L  # Expr
         self.variables = self.q_names + self.v_names
         self.momenta = [derivative(self.L, v) for v in self.v_names]
         energy = Const(0.0)

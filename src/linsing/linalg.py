@@ -32,8 +32,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -42,9 +40,9 @@ from .errors import NonFiniteError, NotComplementaryError, ShapeError, raise_fir
 RANK_FACTOR_DEFAULT = 1e-10
 
 
-@dataclass(frozen=True)
 class Tolerances:
-    """Global tolerance policy; CLI flags override the two factors.
+    """Global tolerance policy; CLI flags override the two factors. An
+    instance is immutable: assigning an attribute raises AttributeError.
 
     The on-manifold test (max |phi| <= on_manifold), the Gauss-Newton
     projection target, its rounding floor and the iteration cap of a
@@ -53,12 +51,21 @@ class Tolerances:
     the rounding error in phi(x) itself.
     """
 
-    rank_factor: float = RANK_FACTOR_DEFAULT
-    img_factor: float | None = None  # None: derive from the matrix at hand
-    on_manifold: ClassVar[float] = 1e-8
-    projection_target: ClassVar[float] = 1e-10
-    projection_rounding: ClassVar[float] = 8.0
-    projection_iterations: ClassVar[int] = 20
+    on_manifold = 1e-8
+    projection_target = 1e-10
+    projection_rounding = 8.0
+    projection_iterations = 20
+
+    def __init__(self, rank_factor=RANK_FACTOR_DEFAULT, img_factor=None):
+        object.__setattr__(self, "rank_factor", rank_factor)
+        # None: derive from the matrix at hand
+        object.__setattr__(self, "img_factor", img_factor)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: Tolerances is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: Tolerances is immutable")
 
     def rank_tol(self, mat, smax):
         """Singular-value cut-off of an array `mat` whose largest singular value
@@ -196,14 +203,11 @@ def rank(mat, tols=DEFAULT_TOLERANCES):
     return _svd_rank(mat, tols, compute_uv=False)[1]
 
 
-@dataclass
 class SubspaceBasis:
     """Orthonormal basis of a subspace: columns of `vectors` (ambient_dim x dim)."""
 
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        self.vectors = np.asarray(self.vectors, dtype=float)
+    def __init__(self, vectors):
+        self.vectors = np.asarray(vectors, dtype=float)
         if self.vectors.ndim != 2:
             raise ShapeError("basis must be a 2-d array of column vectors")
 
@@ -256,15 +260,15 @@ def cokernel_basis(mat, tols=DEFAULT_TOLERANCES):
     return SubspaceBasis(_fix_signs(u[:, r:]))
 
 
-@dataclass
 class AffineSolutionSet:
     """Solution set {x0 + K c} of a linear problem, or its least-squares stand-in."""
 
-    x0: np.ndarray
-    kernel: SubspaceBasis
-    residual: float
-    consistent: bool
-    tol_used: float
+    def __init__(self, x0, kernel, residual, consistent, tol_used):
+        self.x0 = x0
+        self.kernel = kernel
+        self.residual = residual
+        self.consistent = consistent
+        self.tol_used = tol_used
 
     def item(self, i):
         """The solution of system i of a stacked solve, as `solve_affine` of that
@@ -423,15 +427,15 @@ def complement_projectors(first, second, tols=DEFAULT_TOLERANCES):
     return p, q
 
 
-@dataclass
 class SubspaceClassification:
     """Verdict of the rank tests on D_ij = <alpha_i, v_j>."""
 
-    d_matrix: np.ndarray
-    rank_d: int
-    sum_full: bool          # span(annihilated subspace) + span(frame) = ambient
-    intersection_zero: bool
-    direct_sum: bool
+    def __init__(self, d_matrix, rank_d, sum_full, intersection_zero, direct_sum):
+        self.d_matrix = d_matrix
+        self.rank_d = rank_d
+        self.sum_full = sum_full  # span(annihilated subspace) + span(frame) = ambient
+        self.intersection_zero = intersection_zero
+        self.direct_sum = direct_sum
 
 
 def subspace_classify(annihilator, frame, tols=DEFAULT_TOLERANCES):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +25,8 @@ from .errors import (
     ShapeError,
     raise_first,
 )
-from .expressions import Add, Compiled, Const, ExpressionField, Var, add, mul, neg, sub
-from .systems import ConsistencyResult, LinearlySingularSystem
+from .expressions import Add, Compiled, Const, Var, add, mul, neg, sub
+from .systems import ConsistencyResult
 
 __all__ = [
     "SubmanifoldSpec",
@@ -37,13 +36,11 @@ __all__ = [
 ]
 
 
-@dataclass
 class SubmanifoldSpec:
     """Level set M = {phi = 0} of a vector of scalar constraint expressions."""
 
-    phi: ExpressionField  # shape (a,)
-
-    def __post_init__(self):
+    def __init__(self, phi):
+        self.phi = phi  # shape (a,)
         if len(self.phi.shape) != 1:
             raise ShapeError("phi must be a vector field of scalars")
 
@@ -171,13 +168,11 @@ def _max_abs(values):
     return float(np.max(np.abs(values)))
 
 
-@dataclass
 class GeneralizedNonholonomicSystem:
-    base: LinearlySingularSystem
-    constraints: SubmanifoldSpec
-    forces: ExpressionField  # shape (k, m): column mu is the force direction Delta_mu
-
-    def __post_init__(self):
+    def __init__(self, base, constraints, forces):
+        self.base = base  # a LinearlySingularSystem
+        self.constraints = constraints  # a SubmanifoldSpec
+        self.forces = forces  # shape (k, m): column mu is the force direction Delta_mu
         if self.constraints.phi.variables != self.base.variables:
             raise ShapeError("constraints must use the base system's variables")
         if self.forces.variables != self.base.variables:
@@ -214,31 +209,31 @@ def _dims(kernels):
     return np.array([kern.dim for kern in kernels], dtype=int)
 
 
-@dataclass
 class PointClassification:
-    d_matrix: np.ndarray
-    rank_d: int
-    surjective: bool  # the projected-restricted morphism is onto
-    injective: bool
-    regular: bool
+    def __init__(self, d_matrix, rank_d, surjective, injective, regular):
+        self.d_matrix = d_matrix
+        self.rank_d = rank_d
+        self.surjective = surjective  # the projected-restricted morphism is onto
+        self.injective = injective
+        self.regular = regular
 
 
-@dataclass
 class MultiplierResult:
-    u: np.ndarray
-    gauged: bool  # True when the solution is the minimum-norm representative
-    residual: float
+    def __init__(self, u, gauged, residual):
+        self.u = u
+        self.gauged = gauged  # True when the solution is the minimum-norm representative
+        self.residual = residual
 
 
-@dataclass
 class PointAnalysis:
     """What `PointDynamics.analysis` finds at a point of M with a regular base."""
 
-    classification: PointClassification
-    y: np.ndarray  # Y = B^{-1} g
-    field: np.ndarray  # X = Y + Gamma u
-    multipliers: MultiplierResult
-    projectors: tuple  # (P onto T_xM along H_x, Q = I - P); None unless regular
+    def __init__(self, classification, y, field, multipliers, projectors):
+        self.classification = classification  # a PointClassification
+        self.y = y  # Y = B^{-1} g
+        self.field = field  # X = Y + Gamma u
+        self.multipliers = multipliers  # a MultiplierResult
+        self.projectors = projectors  # (P onto T_xM along H_x, Q = I - P); None unless regular
 
 
 def _fused_kernel(parts, variables):

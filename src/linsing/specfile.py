@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 
 from .errors import (
     ExprSyntaxError,
@@ -52,9 +51,9 @@ from .errors import (
     UndeclaredVariableError,
 )
 from .expressions import FUNCTIONS, ExpressionField, evaluate, parse
-from .lagrangian import LagrangianModel, build_lagrangian_model, build_lagrangian_system, chetaev_frame
+from .lagrangian import build_lagrangian_model, build_lagrangian_system, chetaev_frame
 from .nonholonomic import GeneralizedNonholonomicSystem, SubmanifoldSpec
-from .symmetry import SymmetryCandidate, finite_candidate, infinitesimal_candidate
+from .symmetry import finite_candidate, infinitesimal_candidate
 from .systems import LinearlySingularSystem, identity_system
 
 __all__ = ["SpecFile", "constant_value", "load", "loads", "parse_box"]
@@ -74,29 +73,31 @@ _HEADER_RE = re.compile(r"^\[([A-Za-z][A-Za-z0-9_-]*)\]$")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*'?$")
 
 
-@dataclass
 class _Entry:
-    value: str
-    line: int
+    def __init__(self, value, line):
+        self.value = value
+        self.line = line
 
 
-@dataclass
 class SpecFile:
     """A loaded and validated system description."""
 
-    kind: str                       # "system" | "lagrangian"
-    variables: list
-    params: dict                    # name -> value text as written, overrides applied
-    system: LinearlySingularSystem = None
-    model: LagrangianModel = None
-    constraints: SubmanifoldSpec = None
-    forces: ExpressionField = None  # (k, m), one column per force section
-    gnh: GeneralizedNonholonomicSystem = None
-    symmetry: SymmetryCandidate = None
-    box: dict = None
-    constants: dict = field(default_factory=dict)
-    report_scale: float = 1.0
-    name: str = ""
+    def __init__(self, kind, variables, params, system=None, model=None, constraints=None,
+                 forces=None, gnh=None, symmetry=None, box=None, constants=None,
+                 report_scale=1.0, name=""):
+        self.kind = kind                # "system" | "lagrangian"
+        self.variables = variables
+        self.params = params            # name -> value text as written, overrides applied
+        self.system = system            # a LinearlySingularSystem
+        self.model = model              # a LagrangianModel
+        self.constraints = constraints  # a SubmanifoldSpec
+        self.forces = forces            # ExpressionField (k, m), one column per force section
+        self.gnh = gnh                  # a GeneralizedNonholonomicSystem
+        self.symmetry = symmetry        # a SymmetryCandidate
+        self.box = box
+        self.constants = {} if constants is None else constants
+        self.report_scale = report_scale
+        self.name = name
 
 
 def _split_sections(text):

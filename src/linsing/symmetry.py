@@ -11,8 +11,6 @@ field lifts to the tangent bundle by the complete lift (V, DV.u)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg
@@ -31,13 +29,11 @@ __all__ = [
 ]
 
 
-@dataclass
 class SymmetryCandidate:
-    kind: str                 # "finite" | "infinitesimal"
-    base: ExpressionField     # psi (n -> n) or V (n,)
-    fibre: ExpressionField    # Phi or Lambda, (k, k)
-
-    def __post_init__(self):
+    def __init__(self, kind, base, fibre):
+        self.kind = kind    # "finite" | "infinitesimal"
+        self.base = base    # psi (n -> n) or V (n,)
+        self.fibre = fibre  # Phi or Lambda, (k, k)
         if self.kind not in ("finite", "infinitesimal"):
             raise ShapeError("kind must be 'finite' or 'infinitesimal'")
         if len(self.base.shape) != 1:
@@ -79,12 +75,12 @@ def _dots(a, b):
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-@dataclass
 class SymmetryCheck:
-    r_f: float
-    r_A: float
-    passed: bool
-    tol: float
+    def __init__(self, r_f, r_A, passed, tol):
+        self.r_f = r_f
+        self.r_A = r_A
+        self.passed = passed
+        self.tol = tol
 
 
 def check_symmetry(sys, cand, points, tol=1e-8, tols=linalg.DEFAULT_TOLERANCES):
@@ -145,14 +141,15 @@ def check_inf_symmetry(sys, cand, points, tol=1e-8):
     return SymmetryCheck(r_f, r_a, r_f <= tol and r_a <= tol, tol)
 
 
-@dataclass
 class DescentCheck:
-    tangent_to_M: bool
-    preserves_forces: bool
-    descends: bool
-    tangency_residual: float
-    force_residual: float
-    tol: float
+    def __init__(self, tangent_to_M, preserves_forces, descends, tangency_residual,
+                 force_residual, tol):
+        self.tangent_to_M = tangent_to_M
+        self.preserves_forces = preserves_forces
+        self.descends = descends
+        self.tangency_residual = tangency_residual
+        self.force_residual = force_residual
+        self.tol = tol
 
 
 def check_descent(gnh, cand, points_on_m, tol=1e-8, tols=linalg.DEFAULT_TOLERANCES):
@@ -191,16 +188,18 @@ def check_descent(gnh, cand, points_on_m, tol=1e-8, tols=linalg.DEFAULT_TOLERANC
     return DescentCheck(tangent, preserves, tangent and preserves, tang, force, tol)
 
 
-@dataclass
 class ConstantDescentCheck:
-    base_conserved: bool
-    gamma_derivative_small: bool
-    constrained_conserved: bool
-    max_Y_h: float
-    max_Gamma_h: float
-    max_X_h: float
-    consistent: bool  # conditional equivalence: given base_conserved, the rest agree
-    tol: float
+    def __init__(self, base_conserved, gamma_derivative_small, constrained_conserved,
+                 max_Y_h, max_Gamma_h, max_X_h, consistent, tol):
+        self.base_conserved = base_conserved
+        self.gamma_derivative_small = gamma_derivative_small
+        self.constrained_conserved = constrained_conserved
+        self.max_Y_h = max_Y_h
+        self.max_Gamma_h = max_Gamma_h
+        self.max_X_h = max_X_h
+        # conditional equivalence: given base_conserved, the rest agree
+        self.consistent = consistent
+        self.tol = tol
 
 
 def constant_descent(h, points_on_m, flows, tol=1e-8):

@@ -12,8 +12,6 @@ which decides the base's regularity and Y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg
@@ -28,14 +26,12 @@ __all__ = [
 ]
 
 
-@dataclass
 class LinearlySingularSystem:
     """The pair (A, f): a bundle morphism matrix and a forcing section."""
 
-    A: ExpressionField  # shape (k, n)
-    f: ExpressionField  # shape (k,)
-
-    def __post_init__(self):
+    def __init__(self, A, f):
+        self.A = A  # shape (k, n)
+        self.f = f  # shape (k,)
         if len(self.A.shape) != 2:
             raise ShapeError("A must be a matrix field")
         if len(self.f.shape) != 1:
@@ -67,12 +63,12 @@ def identity_system(f):
     return LinearlySingularSystem(ExpressionField.matrix(rows, f.variables), f)
 
 
-@dataclass
 class ConsistencyResult:
-    consistent: bool
-    residual: float
-    rank_A: int
-    solution: linalg.AffineSolutionSet
+    def __init__(self, consistent, residual, rank_A, solution):
+        self.consistent = consistent
+        self.residual = residual
+        self.rank_A = rank_A
+        self.solution = solution  # the linalg.AffineSolutionSet of A v = f
 
 
 def consistency_at(sys, x, tols=linalg.DEFAULT_TOLERANCES):
@@ -85,23 +81,23 @@ def consistency_at(sys, x, tols=linalg.DEFAULT_TOLERANCES):
 
 # ------------------------------------------ derivative-array constraint algorithm
 
-@dataclass
 class SeedClassification:
-    seed: np.ndarray
-    survives: bool
-    failure_level: int | None
-    levels_run: int
-    rank_A: int
-    index: int | None  # smallest level whose array fixes x'; None if none run did
-    velocity: np.ndarray | None  # an x' solving the last level run; None on failure
+    def __init__(self, seed, survives, failure_level, levels_run, rank_A, index, velocity):
+        self.seed = seed
+        self.survives = survives
+        self.failure_level = failure_level  # None if the seed survives
+        self.levels_run = levels_run
+        self.rank_A = rank_A
+        self.index = index  # smallest level whose array fixes x'; None if none run did
+        self.velocity = velocity  # an x' solving the last level run; None on failure
 
 
-@dataclass
 class ConstraintAlgorithmResult:
-    seeds: list
-    warnings: list
-    converged: bool
-    max_levels: int
+    def __init__(self, seeds, warnings, converged, max_levels):
+        self.seeds = seeds
+        self.warnings = warnings
+        self.converged = converged
+        self.max_levels = max_levels
 
 
 def _dot(exprs, names):

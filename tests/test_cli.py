@@ -2,9 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from linsing import cli
 from linsing.cli import main
+from linsing.specfile import loads
 
 BAD_SYMMETRY_SPEC = """
 # same flow as example1, but the candidate V = f fails to descend
@@ -386,6 +389,19 @@ def test_simulate_rejects_a_step_that_does_not_divide_t1(tmp_path, capsys):
     assert "does not divide" in err
 
 
+_ROSENBERG = loads(cli.scenario_text("rosenberg"))
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=6, max_size=6))
+@example([-0.7306471193089544, 6.02214076e23, -0.0, 5e-324, -2.5e-310, 1.5e-300])
+def test_repr_written_values_parse_to_the_bits_of_float(values):
+    # as the benchmark writes --x0: name=repr(value), joined by commas
+    names = _ROSENBERG.variables
+    text = ",".join(f"{k}={v!r}" for k, v in zip(names, values))
+    got = cli._parse_assignments(text, _ROSENBERG, "--x0")
+    assert [got[k].hex() for k in names] == [float(repr(v)).hex() for v in values]
+
+
 def test_overflowing_constants_are_reported_not_crashed_on(tmp_path, capsys):
     # a literal that overflows is a spec error; a product that overflows is
     # an evaluation error; neither may end in a traceback
@@ -399,9 +415,15 @@ def test_overflowing_constants_are_reported_not_crashed_on(tmp_path, capsys):
         assert code == want_code and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert want_msg in err
-    for value in ("1e400", "1e308*10", "nan"):
-        code, _, err = _run(capsys, "analyze", "--scenario", "example1", "--at", f"x={value}")
-        assert code == 2 and f"bad value for 'x': {value} is not finite" in err
+    # --at values are read by the spec's constant grammar, as report_scale is
+    for value, msg in (("1e400", "number 1e400 is out of range (byte offset 0)"),
+                       ("1e308*10", "1e308*10 is not finite"),
+                       ("nan", "undeclared variable 'nan' (byte offset 0)"),
+                       ("-inf", "undeclared variable 'inf' (byte offset 1)"),
+                       ("1_0", "unexpected '_0' (byte offset 1)")):
+        code, out, err = _run(capsys, "analyze", "--scenario", "example1", "--at", f"x={value}")
+        assert code == 2 and out == ""
+        assert err == f"error: bad value for 'x': {msg}\n"
     # a report_scale that overflows is a spec error, not a report of -inf multipliers
     path = tmp_path / "scale.lss"
     path.write_text("[vars]\nnames = x, y\n[system]\nf = 1, y\n[constraints]\n"

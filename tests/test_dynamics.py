@@ -203,6 +203,13 @@ def test_trajectory_steps_property():
     assert t.steps == 2
 
 
+def test_trajectories_do_not_share_their_monitors():
+    first, second = (integrate(lambda x: [-v for v in x], np.array([1.0]), 0.2, 0.1)
+                     for _ in range(2))
+    monitor(first, ExpressionField.scalar("x", ("x",)), "x")
+    assert list(first.monitors) == ["x"] and second.monitors == {}
+
+
 def test_step_that_does_not_divide_the_span_is_rejected():
     with pytest.raises(ValueError, match="does not divide"):
         integrate(lambda x: -x, np.array([1.0]), 1.0, 0.3)

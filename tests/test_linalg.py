@@ -7,7 +7,6 @@ Degenerate configurations are constructed exactly (integer bases, literal
 column copies) so both rank routes sit far from their thresholds.
 """
 
-import dataclasses
 import inspect
 import math
 from unittest import mock
@@ -380,11 +379,22 @@ def test_tolerance_accessors():
 
 
 def test_tolerance_knobs_are_the_two_factors():
-    assert [f.name for f in dataclasses.fields(Tolerances)] == ["rank_factor", "img_factor"]
+    assert list(inspect.signature(Tolerances).parameters) == ["rank_factor", "img_factor"]
     assert Tolerances.projection_target == 1e-10
     for method in (SubmanifoldSpec.is_on, SubmanifoldSpec.require_on, SubmanifoldSpec.project):
         assert list(inspect.signature(method).parameters) == ["self", "x"]
     assert list(inspect.signature(halton_box).parameters) == ["variables", "box", "count"]
+
+
+@pytest.mark.parametrize("tols, rank_factor", [(DEFAULT_TOLERANCES, 1e-10),
+                                                (Tolerances(1e-6, 1e-9), 1e-6)])
+def test_tolerances_refuse_assignment(tols, rank_factor):
+    for name in ("rank_factor", "img_factor", "on_manifold"):
+        with pytest.raises(AttributeError):
+            setattr(tols, name, 1.0)
+        with pytest.raises(AttributeError):
+            delattr(tols, name)
+    assert tols.rank_factor == rank_factor and tols.on_manifold == 1e-8
 
 
 # Singular values are planted log-uniformly in [1e-8, 1e8]; none lies within

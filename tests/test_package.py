@@ -1,6 +1,9 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -18,6 +21,25 @@ def test_public_names_resolve_and_are_not_modules():
     for name in ("DEFAULT_TOLERANCES", "NonFiniteError", "integrate", "solve_affine"):
         assert name in linsing.__all__
     assert "errors" not in linsing.__all__ and "__version__" not in linsing.__all__
+
+
+def test_cli_import_builds_no_dataclass_and_nodes_have_no_dict():
+    # start-up is most of a short CLI run: the records and expression nodes are
+    # plain classes, so `dataclasses` never loads and no class body execs
+    # generated code; nodes keep their fields in slots
+    env = dict(os.environ, PYTHONPATH=str(Path(linsing.__file__).parents[1]))
+    code = ("import linsing.cli, sys\n"
+            "from linsing import expressions as ex\n"
+            "assert 'dataclasses' not in sys.modules\n"
+            "e = ex.parse('-(x + 1)*y/z - sqrt(x)^y')\n"
+            "nodes = [e, e.a, e.b, e.a.a, e.a.a.a, e.a.a.a.a, e.a.a.a.a.b, e.a.b, e.b.base,"
+            " ex.Token('OP', '+', 0)]\n"
+            "kinds = ['Sub', 'Div', 'Pow', 'Mul', 'Neg', 'Add', 'Const', 'Var', 'Call', 'Token']\n"
+            "assert [type(n).__name__ for n in nodes] == kinds, nodes\n"
+            "assert not [n for n in nodes if hasattr(n, '__dict__')]\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_no_module_imports_a_private_name_from_a_sibling():

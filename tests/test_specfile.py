@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from linsing.errors import SpecFileError
-from linsing.expressions import _compiled_source
+from linsing.expressions import Call, Const, Neg, Pow, Var, _compiled_source
 from linsing.specfile import load, loads
 
 MINIMAL = """
@@ -23,6 +23,13 @@ def test_minimal_system_file():
     assert spec.constraints is None and spec.gnh is None, "nothing else declared"
     assert np.allclose(spec.system.A(np.zeros(2)), np.eye(2))
     assert np.allclose(spec.system.f(np.array([0.0, 3.0])), [1.0, 3.0])
+
+
+def test_spec_files_do_not_share_their_constants():
+    text = "[vars]\nnames = x\n[system]\nf = x\n"
+    first, second = loads(text), loads(text)
+    first.constants["h"] = first.system.f
+    assert second.constants == {} and loads(text).constants == {}
 
 
 def test_full_system_file():
@@ -214,6 +221,22 @@ def _fields(spec):
             spec.symmetry.base, *spec.constants.values()]
 
 
+def _structure(e):
+    """A node as nested tuples of its type and fields, equal for equal trees:
+    nodes themselves compare by identity."""
+    if isinstance(e, Const):
+        return ("Const", e.value)
+    if isinstance(e, Var):
+        return ("Var", e.name)
+    if isinstance(e, Call):
+        return ("Call", e.fn, _structure(e.arg))
+    if isinstance(e, Neg):
+        return ("Neg", _structure(e.a))
+    if isinstance(e, Pow):
+        return ("Pow", _structure(e.base), _structure(e.exponent))
+    return (type(e).__name__, _structure(e.a), _structure(e.b))
+
+
 def test_parameters_are_the_nodes_of_their_texts_in_parentheses():
     spec = loads(CHAINED, param_overrides={"m": "1/2", "k": "-b", "U": "x"})
     inline = loads(INLINE)
@@ -221,7 +244,7 @@ def test_parameters_are_the_nodes_of_their_texts_in_parentheses():
                            "m": "1/2", "k": "-b", "U": "x"}
     assert spec.report_scale == inline.report_scale == 3.0
     for got, want in zip(_fields(spec), _fields(inline), strict=True):
-        assert got.entries == want.entries
+        assert [_structure(e) for e in got.entries] == [_structure(e) for e in want.entries]
         assert _compiled_source(got.entries, got.variables) == \
             _compiled_source(want.entries, want.variables)
 
