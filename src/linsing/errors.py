@@ -47,7 +47,8 @@ class BaseNotRegularError(LinsingError):
 
     `consistency` is the ConsistencyResult of A(x) v = f(x) at the point, from
     the solve of the flow evaluator's base rows that found the base singular
-    (`PointDynamics.base_errors`); the message states the base's rank.
+    (`PointDynamics.analyses` gives it in place of the point's analysis;
+    `analysis` and `flows` raise it); the message states the base's rank.
     """
 
     def __init__(self, message, consistency):

@@ -293,9 +293,10 @@ class _Parser:
 
     def parse_factor(self):
         tok = self.peek()
-        if tok.kind == "OP" and tok.text == "-":
+        if tok.kind == "OP" and tok.text in ("-", "+"):  # +x is x, -0.0 included
             self.advance()
-            return neg(self.parse_factor())
+            operand = self.parse_factor()
+            return neg(operand) if tok.text == "-" else operand
         base = self.parse_base()
         tok = self.peek()
         if tok.kind == "OP" and tok.text == "^":
@@ -633,7 +634,7 @@ def _define(src, namespace):
     return namespace["_compiled"]
 
 
-def _scalar_runner(exprs, variables, src):
+def _scalar_target(exprs, variables, src):
     """A fast callable, seq -> list[float], of `exprs` from their generated
     source `src`. Every operation stays the same IEEE operation on the same
     operands, so results are bit-identical to computing each tree in full. On
@@ -681,7 +682,7 @@ def _row_namespace():
     return ns
 
 
-def _row_runner(src, scalar):
+def _row_target(src, scalar):
     """The vectorised target of the generated source `src`: an (N, n) array of
     points -> an (N, m) array whose row i is bit for bit the scalar runner's
     values at points[i]; `scalar()` returns that runner.
@@ -726,20 +727,20 @@ class Compiled:
         self._src = self._scalar = self._rows = None
 
     def scalar(self):
-        """The scalar runner: a point -> the list of values (see `_scalar_runner`)."""
+        """The scalar runner: a point -> the list of values (see `_scalar_target`)."""
         if self._scalar is None:
-            self._scalar = _scalar_runner(self.exprs, self.variables, self._source())
+            self._scalar = _scalar_target(self.exprs, self.variables, self._source())
         return self._scalar
 
     def rows(self, points):
         """(N, len(exprs)) values at the rows of an (N, n) array of points, row i
-        bit for bit `scalar()(points[i])` (see `_row_runner`). A batch of one
+        bit for bit `scalar()(points[i])` (see `_row_target`). A batch of one
         row takes the scalar runner, and compiles no vectorised target."""
         points = np.asarray(points, dtype=float)
         if len(points) == 1:
             return np.array(self.scalar()(points[0]), dtype=float)[None]
         if self._rows is None:
-            self._rows = _row_runner(self._source(), self.scalar)
+            self._rows = _row_target(self._source(), self.scalar)
         return self._rows(points).reshape(len(points), len(self.exprs))
 
     def _source(self):
@@ -771,7 +772,6 @@ class ExpressionField:
             first = next(e for e in self.entries if free_variables(e) & extra)
             raise UndeclaredVariableError(sorted(free_variables(first) & extra)[0])
         self._compiled = Compiled(self.entries, self.variables)
-        self._runner = None
         self._jac = None
         self._grad = None
 
@@ -804,13 +804,8 @@ class ExpressionField:
     def is_constant(self):
         return all(isinstance(e, Const) for e in self.entries)
 
-    def _scalar_runner(self):
-        if self._runner is None:
-            self._runner = self._compiled.scalar()
-        return self._runner
-
     def __call__(self, point):
-        vals = (self._runner or self._scalar_runner())(point)
+        vals = self._compiled.scalar()(point)
         if self.shape == ():
             return vals[0]
         out = np.array(vals, dtype=float)

@@ -67,20 +67,21 @@ class Tolerances:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete {name!r}: Tolerances is immutable")
 
-    def rank_tol(self, mat, smax):
-        """Singular-value cut-off of an array `mat` whose largest singular value
-        is `smax`, or of each matrix of a stack (`smax` then holds each
-        matrix's largest singular value)."""
-        if mat.size == 0:
-            return 0.0
-        return max(mat.shape[-2:]) * smax * self.rank_factor
+    def rank_tol(self, dim, smax):
+        """Singular-value cut-off of a matrix whose larger dimension is `dim` and
+        whose largest singular value is `smax`, or of each matrix of a stack
+        (`smax` then holds each matrix's largest singular value)."""
+        return dim * smax * self.rank_factor
 
     def img_tol(self, cut, b):
         """Image-membership cut-off for mat x = b, `cut` being the rank cut-off
         that `_svd_rank` decided mat's rank against; for a stack, `b` holds one
-        right-hand side per row and `cut` one cut-off per matrix."""
+        right-hand side per row and `cut` one cut-off per matrix. A float `b`
+        is the right-hand side of a 1x1 system, its norm sqrt(b * b)."""
         base = self.img_factor if self.img_factor is not None else cut
-        return base * (1.0 + (_row_norms(b) if b.ndim == 2 else _norm(b)))
+        norm = (math.sqrt(b * b) if isinstance(b, float)
+                else _row_norms(b) if b.ndim == 2 else _norm(b))
+        return base * (1.0 + norm)
 
 
 def _norm(v):
@@ -128,7 +129,7 @@ def _svd_rank(mat, tols, compute_uv=True):
             u, s, vt = math.copysign(1.0, mat), abs(mat), 1.0
         else:
             u, s, vt = (f.item() for f in _lapack_svd(np.array([[mat]]), True))
-        cut = tols.rank_tol(_ONE_BY_ONE, s)
+        cut = tols.rank_tol(1, s)
         return (u, s, vt), int(s > cut), cut
     mat = np.asarray(mat, dtype=float)
     if mat.ndim == 3:
@@ -142,7 +143,7 @@ def _svd_rank(mat, tols, compute_uv=True):
         return (np.zeros((mat.shape[0], 0)), s, np.zeros((0, mat.shape[1]))), 0, 0.0
     svd = _lapack_svd(mat, compute_uv)
     s = svd[1] if compute_uv else svd
-    cut = tols.rank_tol(mat, float(s[0]))
+    cut = tols.rank_tol(max(mat.shape), float(s[0]))
     return svd, sum(v > cut for v in s.tolist()), cut
 
 
@@ -158,12 +159,8 @@ def _svd_rank_stack(mat, tols, compute_uv):
     svd = _lapack_svd(mat, compute_uv)
     s = svd[1] if compute_uv else svd
     with _float_errors():
-        cut = tols.rank_tol(mat, s[:, 0])
+        cut = tols.rank_tol(max(p, q), s[:, 0])
     return svd, np.count_nonzero(s > cut[:, None], axis=1), cut
-
-
-# what a 1x1 cut-off scales with: its shape
-_ONE_BY_ONE = np.empty((1, 1))
 
 
 def _lapack_svd(mat, compute_uv):
@@ -322,8 +319,7 @@ def _solve_1x1(d, b, tols):
     added to +0 as matmul does (so u * b = -0 gives +0), and the norms stay
     sqrt(v * v), which differs from |v| where v * v underflows."""
     (u, s, vt), r, cut = _svd_rank(d, tols)
-    base = tols.img_factor if tols.img_factor is not None else cut
-    tol_img = base * (1.0 + math.sqrt(b * b))
+    tol_img = tols.img_tol(cut, b)
     if not tol_img < math.inf:
         raise NonFiniteError("a linear solve has a non-finite right-hand side")
     x = 0.0 + vt * ((0.0 + u * b) / s) if r else 0.0
@@ -390,13 +386,13 @@ def min_norm_rows(mats, rhs, tols=DEFAULT_TOLERANCES):
         # reflector I - tau w w^T with w = (1, h[1:]), and r = h[0]
         h, tau = np.linalg.qr(np.swapaxes(mats, 1, 2), mode="raw")
         r, w, tau = h[:, 0, 0], h[:, 0, 1:], tau[:, 0]
-        keep = np.abs(r) > tols.rank_tol(mats, np.abs(r))
+        keep = np.abs(r) > tols.rank_tol(max(mats.shape[1:]), np.abs(r))
         coeff = np.zeros(len(r))
         coeff[keep] = rhs[keep, 0] * (1.0 / r[keep])
         scaled = -tau * coeff
         return np.column_stack([coeff + scaled, scaled[:, None] * w])
     u, s, vt = np.linalg.svd(mats, full_matrices=False)
-    keep = s > tols.rank_tol(mats, s[:, :1])
+    keep = s > tols.rank_tol(max(mats.shape[1:]), s[:, :1])
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
     coeff = np.einsum("kir,ki->kr", u, rhs) * inv
     return np.einsum("krj,kr->kj", vt, coeff)

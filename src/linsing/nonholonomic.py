@@ -95,7 +95,7 @@ class SubmanifoldSpec:
             x = np.asarray(x, dtype=float)
             if x.ndim == 2:
                 return Projection(*self._gauss_newton(x, free_indices, max_iter, self.phi.rows(x)))
-        vals = self.phi._scalar_runner()(x)
+        vals = self.phi._compiled.scalar()(x)
         target = linalg.Tolerances.projection_target
         if all(abs(v) <= target for v in vals):  # every step of `integrate`; False on NaN
             return Projection(x.copy(), True, 0, max(map(abs, vals)))
@@ -319,6 +319,9 @@ class PointDynamics:
     of a GeneralizedNonholonomicSystem, or the base rows alone of a
     LinearlySingularSystem (an explicit flow). Each evaluation is one call of a
     compiled kernel over every entry it reads and one `linalg.solve_affine`.
+    Construction builds the kernel's entries; its scalar runner is compiled at
+    the first evaluation at one point, its vectorised target at the first
+    batch (`expressions.Compiled`).
 
     With `second_order`, X = (X_q, w) also has X_q = v, the last n/2
     variables, substituted, not solved for: the system is
@@ -341,9 +344,10 @@ class PointDynamics:
     whether such a base is regular: one stacked solve of them gives the
     verdict and Y = B^{-1} g where B is regular (`_base_solve`, which builds
     every BaseNotRegularError). The first-order batches (`analyses`, `flows`)
-    take the verdict, Y and the flow from one kernel evaluation. `solve`
-    decides nothing: on a singular base it solves the bordered system as it
-    stands.
+    take the verdict, Y and the flow from one kernel evaluation: `analyses`
+    puts a singular point's error in place of its analysis, and `flows`
+    raises the first. `solve` decides nothing: on a singular base it solves
+    the bordered system as it stands.
 
     A non-finite kernel value raises NonFiniteError. A rank-deficient system
     gives the minimum-norm u, with X following, once the frame's rank is
@@ -368,11 +372,15 @@ class PointDynamics:
             if base.k == base.n and linalg.rank(b, tols) == base.n:
                 self._b_inv = np.linalg.inv(b)
         jphi = None if gnh is None else gnh.constraints.phi.jacobian_field()
-        # what the first evaluation builds the kernel from: forces, f, dphi
-        # (Gamma and Y folded in), or the bordered system's A, f, forces, dphi
-        self._fields = ((gnh.forces, base.f, jphi) if self._b_inv is not None
-                        else (base.A, base.f, None if gnh is None else gnh.forces, jphi))
-        self._compiled = self._kernel = None
+        if self._b_inv is not None:  # forces, f, dphi, then Gamma and Y folded in
+            parts = [(fld.entries, fld.shape) for fld in (gnh.forces, base.f, jphi)]
+            parts += _schur_fold(self._b_inv, gnh.forces, base.f)
+        else:
+            parts = _bordered_system(base.A, base.f, None if gnh is None else gnh.forces,
+                                     jphi, s)
+        self._compiled, self._vals, self._views, self._spans = _fused_kernel(
+            parts, base.variables)
+        self._kernel = None  # the scalar runner, compiled at the first `_evaluate`
         self._no_solution = (
             "A(x) v = f(x) has no unique solution" if gnh is None
             else "no second-order solution through this point" if second_order
@@ -380,25 +388,14 @@ class PointDynamics:
         self._last = None  # (bytes of x, field_and_multipliers(x)) of the last solve
         self._bytes = struct.Struct(f"{base.n}d").pack  # `_memo`'s key of a point
 
-    def base_errors(self, points):
-        """At each row of an (N, n) array of points, the BaseNotRegularError of
-        a base that is not regular there, carrying the ConsistencyResult of
-        A v = f at the point as its `consistency`, or None where it is regular.
-        A constant base inverted at construction is regular everywhere, and
-        nothing is evaluated; any other is decided by `_base_solve` from the
-        kernel evaluated over the points. The second-order system holds no
-        base rows, and raises TypeError."""
-        pts = np.asarray(points, dtype=float)
-        if self._b_inv is not None:
-            return [None] * len(pts)
-        return self._base_solve(self._evaluate_rows(pts))[0]
-
     def _base_solve(self, views):
-        """(errors, Y) from the kernel's row views: `base_errors`'s list and
-        Y = B^{-1} g at each regular row. A constant base inverted at
-        construction gives no errors and the folded Y. Otherwise one stacked
-        solve of the base rows B v = g gives both, each error built from its
-        row's solution: the one place a BaseNotRegularError is built."""
+        """(errors, Y) from the kernel's row views: at each row a
+        BaseNotRegularError (its `consistency` the ConsistencyResult of
+        A v = f there), or None where the base is regular, and Y = B^{-1} g at
+        each regular row. A constant base inverted at construction gives no
+        errors and the folded Y; otherwise one stacked solve of the base rows
+        B v = g gives both: the one place a BaseNotRegularError is built. The
+        second-order system holds no base rows, and raises TypeError."""
         if self._b_inv is not None:
             return [None] * len(views[4]), views[4]
         if self._s:
@@ -419,7 +416,7 @@ class PointDynamics:
     def analysis(self, x):
         """PointAnalysis at x, which the caller has checked lies on M: `analyses`
         of a batch of one point. A base that is singular at x raises its
-        `base_errors` entry."""
+        BaseNotRegularError."""
         out = self.analyses(np.asarray(x, dtype=float)[None])[0]
         if isinstance(out, BaseNotRegularError):
             raise out
@@ -428,7 +425,8 @@ class PointDynamics:
     def analyses(self, points):
         """PointAnalysis at each row of an (N, n) array of points of M, as one
         batch; at a point where the base is not regular, the entry is its
-        `base_errors` entry.
+        BaseNotRegularError, whose `consistency` holds the solve of A v = f
+        there.
 
         One kernel evaluation over the points gives the fields; the rest runs
         on the rows with a regular base. For a constant base the kernel gives
@@ -482,7 +480,7 @@ class PointDynamics:
         array: Y = B^{-1} g as `analyses` gives it and `solve`'s X, from one
         kernel evaluation over the batch and one stacked solve. A non-finite
         kernel value raises first, for its first row; then the first point at
-        which the base is not regular raises its `base_errors` entry; any other
+        which the base is not regular raises its BaseNotRegularError; any other
         error raises for the first point at which its step fails."""
         pts = np.asarray(points, dtype=float)
         views = self._evaluate_rows(pts)
@@ -551,27 +549,13 @@ class PointDynamics:
         buffer that `self._views` view; what is computed from the views must
         not keep one past the next evaluation."""
         if self._kernel is None:
-            self._kernel = self._kernel_source().scalar()
+            self._kernel = self._compiled.scalar()
         vals = self._kernel(x if isinstance(x, list) else np.asarray(x, dtype=float))
         # a sum of finite values can overflow, so a non-finite one only screens
         if not math.isfinite(sum(vals)) and not all(map(math.isfinite, vals)):
             raise NonFiniteError("a value of the flow's fields is not finite at this point")
         self._vals[:] = vals
         return vals
-
-    def _kernel_source(self):
-        """The kernel's `Compiled`, built on first use: the first evaluation
-        folds Gamma and Y, or builds the bordered system, and generates it."""
-        if self._compiled is None:
-            fields = self._fields
-            if self._b_inv is not None:
-                parts = [(fld.entries, fld.shape) for fld in fields]
-                parts += _schur_fold(self._b_inv, *fields[:2])
-            else:
-                parts = _bordered_system(*fields, self._s)
-            self._compiled, self._vals, self._views, self._spans = _fused_kernel(
-                parts, fields[1].variables)
-        return self._compiled
 
     def _schur(self, vals):
         """(X, u, sol, D) of the Schur complement D u = -dphi . Y, D = dphi . Gamma,
@@ -611,7 +595,7 @@ class PointDynamics:
         """The kernel's values at the rows of an (N, n) array of points, as one
         (N, *shape) array per field; a batch of one takes the scalar runner. A
         non-finite value raises NonFiniteError for the first row that has one."""
-        vals = self._kernel_source().rows(points)
+        vals = self._compiled.rows(points)
         raise_first((~np.isfinite(vals).all(axis=1), lambda i: NonFiniteError(
             "a value of the flow's fields is not finite at this point")))
         return [vals[:, start:stop].reshape((len(vals),) + shape)

@@ -341,14 +341,7 @@ ANALYZE_SPECS["varying-base"] = loads(VARYING_BASE_SPEC, name="varying")
 def test_analyze_reports_each_point_as_the_loop_did(spec):
     tols = DEFAULT_TOLERANCES
     pts = _varying_base_points(12) if spec.name == "varying" else _sample(spec, 12)
-    dyns = {}
-
-    def evaluator(second_order):
-        if second_order not in dyns:
-            dyns[second_order] = PointDynamics(spec.gnh, tols, second_order=second_order)
-        return dyns[second_order]
-
-    docs = cli._point_docs(spec, np.asarray(pts), tols, evaluator)
+    docs = cli._point_docs(spec, np.asarray(pts), tols)
     for x, doc in zip(pts, docs):
         want = _point_doc_loop(spec, x, tols, PointDynamics(spec.gnh, tols),
                                PointDynamics(spec.gnh, tols, second_order=True))
@@ -383,7 +376,7 @@ def test_explicit_analyze_reports_the_solve_of_a_and_f_bit_for_bit(
     for i, x in enumerate(pts):
         want[f"point_{i:03d}"] = _point_doc_loop(spec, x, DEFAULT_TOLERANCES, None, None)
     assert out == report.render(want)
-    docs = cli._point_docs(spec, pts, DEFAULT_TOLERANCES, None)
+    docs = cli._point_docs(spec, pts, DEFAULT_TOLERANCES)
     for i, doc in enumerate(docs):
         assert {k: _bits(v) for k, v in doc.items()} == \
             {k: _bits(v) for k, v in want[f"point_{i:03d}"].items()}

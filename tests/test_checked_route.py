@@ -364,16 +364,14 @@ def test_a_varying_base_is_decided_from_a_and_f_at_each_row():
     singular = [2, 4]
     want = [consistency_at(spec.system, x) for x in pts]
     dyn = PointDynamics(spec.gnh)
-    errors = dyn.base_errors(pts)
     out = dyn.analyses(pts)
     for i, x in enumerate(pts):
         if i in singular:
             assert not want[i].consistent and want[i].rank_A == 1
-            for err in (errors[i], out[i]):
-                assert isinstance(err, BaseNotRegularError)
-                _same_consistency(err.consistency, want[i])
+            assert isinstance(out[i], BaseNotRegularError)
+            _same_consistency(out[i].consistency, want[i])
         else:
-            assert errors[i] is None and isinstance(out[i], PointAnalysis)
+            assert isinstance(out[i], PointAnalysis)
             xf, u, _ = dyn.solve(x)
             assert np.array_equal(out[i].field, xf) and np.array_equal(out[i].multipliers.u, u)
     with pytest.raises(BaseNotRegularError) as err:

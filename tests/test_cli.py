@@ -402,6 +402,13 @@ def test_repr_written_values_parse_to_the_bits_of_float(values):
     assert [got[k].hex() for k in names] == [float(repr(v)).hex() for v in values]
 
 
+def test_a_value_may_carry_a_unary_plus(capsys):
+    # +1 is 1, as some tools write a positive number
+    plain = _run(capsys, "analyze", "--scenario", "example1", "--at", "x=1")
+    signed = _run(capsys, "analyze", "--scenario", "example1", "--at", "x=+1")
+    assert plain[0] == 0 and signed == plain
+
+
 def test_overflowing_constants_are_reported_not_crashed_on(tmp_path, capsys):
     # a literal that overflows is a spec error; a product that overflows is
     # an evaluation error; neither may end in a traceback

@@ -57,6 +57,12 @@ def test_unary_minus_binds_looser_than_power():
     assert evaluate(parse("-x^2"), {"x": 3.0}) == -9.0
     assert evaluate(parse("(-x)^2"), {"x": 3.0}) == 9.0
     assert evaluate(parse("--x"), {"x": 5.0}) == 5.0
+    # unary plus binds as unary minus and returns its operand: +x is x
+    assert evaluate(parse("+x^2"), {"x": 3.0}) == 9.0
+    assert evaluate(parse("-+x"), {"x": 5.0}) == -5.0
+    assert evaluate(parse("2*+3"), {}) == 6.0
+    assert evaluate(parse("x^+2"), {"x": 3.0}) == 9.0
+    assert math.copysign(1.0, evaluate(parse("+x"), {"x": -0.0})) == -1.0
 
 
 def test_function_calls_and_primed_names():

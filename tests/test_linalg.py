@@ -370,9 +370,8 @@ def test_reduced_solve_matches_membership_oracle():
 
 def test_tolerance_accessors():
     tols = Tolerances()
-    a = np.diag([2.0, 1.0])
-    assert tols.rank_tol(a, 2.0) == 2 * 2.0 * 1e-10
-    assert tols.img_tol(tols.rank_tol(a, 2.0), np.array([3.0, 4.0])) == pytest.approx(
+    assert tols.rank_tol(2, 2.0) == 2 * 2.0 * 1e-10  # a 2x2 matrix, sigma_max 2
+    assert tols.img_tol(tols.rank_tol(2, 2.0), np.array([3.0, 4.0])) == pytest.approx(
         2 * 2.0 * 1e-10 * (1.0 + 5.0)
     )
     assert DEFAULT_TOLERANCES.on_manifold == 1e-8
@@ -430,7 +429,8 @@ def test_every_route_decides_the_planted_rank(problem):
     # the norms are sqrt(v . v), bit for bit numpy's linalg.norm
     smax = np.linalg.svd(a, full_matrices=True)[1][0]
     assert sol.residual == float(np.linalg.norm(a @ sol.x0 - b))
-    assert sol.tol_used == DEFAULT_TOLERANCES.rank_tol(a, smax) * (1.0 + float(np.linalg.norm(b)))
+    assert sol.tol_used == \
+        DEFAULT_TOLERANCES.rank_tol(max(a.shape), smax) * (1.0 + float(np.linalg.norm(b)))
     if r == n:
         assert sol.kernel.vectors.shape == (n, 0)
     names = tuple(f"x{i}" for i in range(n))
@@ -536,7 +536,7 @@ def _lapack_solve(d, b, tols):
     if not math.isfinite(d):
         return None
     u, s, vt = np.linalg.svd(mat)
-    cut = tols.rank_tol(mat, float(s[0]))
+    cut = tols.rank_tol(1, float(s[0]))
     r = int(s[0] > cut)
     tol_img = tols.img_tol(cut, rhs)
     x0 = vt[:r].T @ ((u[:, :r].T @ rhs) / s[:r])
@@ -574,7 +574,7 @@ def test_1x1_closed_form_matches_lapack_and_the_general_solve(d, b, tols):
     assert (svd.call_count == 0) == (_SMLNUM <= abs(d) <= _BIGNUM)
     lapack, rank_, x0, residual, consistent, tol_img, kernel = expected
     assert all(_same_bits(f, g.item()) for f, g in zip(factors, lapack))
-    assert _same_bits(cut, tols.rank_tol(mat, lapack[1].item())) and _same_bits(cut_values, cut)
+    assert _same_bits(cut, tols.rank_tol(1, lapack[1].item())) and _same_bits(cut_values, cut)
     assert _same_bits(values, lapack[1]) and r == r_values == rank_
     assert _same_bits(sol.x0, x0) and _same_bits(sol.residual, residual)
     assert sol.consistent == consistent and _same_bits(sol.tol_used, tol_img)

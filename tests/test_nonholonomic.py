@@ -332,7 +332,7 @@ def test_singular_base_raises():
     dyn = PointDynamics(gnh)  # a constant singular base is decided per point, not refused
     pts = np.array([[0.5, 2.0], [-1.0, 2.0], [3.0, 2.0]])
     want = [consistency_at(gnh.base, x) for x in pts]
-    errors = dyn.base_errors(pts)
+    errors = dyn.analyses(pts)
     for err, res in zip(errors, want):
         assert isinstance(err, BaseNotRegularError) and res.rank_A == 1
         _same_consistency(err.consistency, res)
@@ -349,7 +349,7 @@ def test_singular_base_raises():
     assert abs(u[0]) <= 1e-15
     # the second-order system solves without base rows, so it has none to check
     with pytest.raises(TypeError, match="no base rows"):
-        PointDynamics(gnh, second_order=True).base_errors(np.array([[0.0, 2.0]]))
+        PointDynamics(gnh, second_order=True).analyses(np.array([[0.0, 2.0]]))
 
 
 def test_degenerate_force_frame_raises():
