@@ -32,20 +32,14 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     SubspaceBasis,
     Tolerances,
-    cokernel_basis,
     complement_projectors,
-    induced_quotient_matrix,
     kernel_basis,
-    orthonormal_complement,
     rank,
-    reduced_solve,
     solve_affine,
-    subspace_classify,
 )
 from .systems import (
     ConstraintAlgorithmResult,
     LinearlySingularSystem,
-    consistency_at,
     constraint_algorithm_sample,
     identity_system,
 )

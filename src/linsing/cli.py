@@ -193,9 +193,9 @@ def _point_docs(spec, points, tols):
     singular = []
     for i, (doc, pa) in enumerate(zip(docs, PointDynamics(spec.gnh, tols).analyses(points))):
         if isinstance(pa, BaseNotRegularError):
-            res = pa.consistency
-            doc.update(base_regular=False, rank_base=res.rank_A,
-                       base_kernel_dim=spec.system.n - res.rank_A,
+            res = pa.solution
+            doc.update(base_regular=False, rank_base=spec.system.n - res.kernel.dim,
+                       base_kernel_dim=res.kernel.dim,
                        consistent=res.consistent, consistency_residual=res.residual)
             singular.append(i)
             continue

@@ -45,15 +45,17 @@ class NotComplementaryError(LinsingError):
 class BaseNotRegularError(LinsingError):
     """The base morphism is not a pointwise isomorphism where one is required.
 
-    `consistency` is the ConsistencyResult of A(x) v = f(x) at the point, from
-    the solve of the flow evaluator's base rows that found the base singular
-    (`PointDynamics.analyses` gives it in place of the point's analysis;
+    `solution` is the linalg.AffineSolutionSet of A(x) v = f(x) at the point,
+    from the solve of the flow evaluator's base rows that found the base
+    singular: its `consistent` and `residual` say whether f(x) lies in the
+    image of A(x), and the base's rank is n - solution.kernel.dim
+    (`PointDynamics.analyses` gives the error in place of the point's analysis;
     `analysis` and `flows` raise it); the message states the base's rank.
     """
 
-    def __init__(self, message, consistency):
+    def __init__(self, message, solution):
         super().__init__(message)
-        self.consistency = consistency
+        self.solution = solution
 
 
 class FrameDegenerateError(LinsingError):

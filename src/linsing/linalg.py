@@ -1,5 +1,5 @@
-"""Pointwise dense linear algebra: ranks, null spaces, oblique projectors,
-subspace classification and reduced (quotient) maps.
+"""Pointwise dense linear algebra: ranks, null spaces, affine solves and
+oblique projectors.
 
 All rank decisions run through one tolerance policy:
 tol_rank = max(rows, cols) * sigma_max * rank_factor, sigma_max coming from the
@@ -201,16 +201,12 @@ def rank(mat, tols=DEFAULT_TOLERANCES):
 
 
 class SubspaceBasis:
-    """Orthonormal basis of a subspace: columns of `vectors` (ambient_dim x dim)."""
+    """Orthonormal basis of a subspace: columns of `vectors` (n x dim)."""
 
     def __init__(self, vectors):
         self.vectors = np.asarray(vectors, dtype=float)
         if self.vectors.ndim != 2:
             raise ShapeError("basis must be a 2-d array of column vectors")
-
-    @property
-    def ambient_dim(self):
-        return self.vectors.shape[0]
 
     @property
     def dim(self):
@@ -246,15 +242,6 @@ def _kernels(vt, ranks):
         for i, basis in zip(idx.tolist(), _fix_signs(np.swapaxes(vt[idx, r:], 1, 2))):
             out[i] = SubspaceBasis(basis)
     return out
-
-
-def cokernel_basis(mat, tols=DEFAULT_TOLERANCES):
-    """Left null space of `mat` (complement of the image) in the same gauge."""
-    mat = np.asarray(mat, dtype=float)
-    if mat.shape[1] == 0:
-        return SubspaceBasis(_fix_signs(np.eye(mat.shape[0])))
-    (u, _, _), r, _ = _svd_rank(mat, tols)
-    return SubspaceBasis(_fix_signs(u[:, r:]))
 
 
 class AffineSolutionSet:
@@ -421,84 +408,3 @@ def complement_projectors(first, second, tols=DEFAULT_TOLERANCES):
     p = e @ inv[..., : e.shape[-1], :]
     q = np.eye(n) - p
     return p, q
-
-
-class SubspaceClassification:
-    """Verdict of the rank tests on D_ij = <alpha_i, v_j>."""
-
-    def __init__(self, d_matrix, rank_d, sum_full, intersection_zero, direct_sum):
-        self.d_matrix = d_matrix
-        self.rank_d = rank_d
-        self.sum_full = sum_full  # span(annihilated subspace) + span(frame) = ambient
-        self.intersection_zero = intersection_zero
-        self.direct_sum = direct_sum
-
-
-def subspace_classify(annihilator, frame, tols=DEFAULT_TOLERANCES):
-    """Classify the relative position of ker(annihilator) and span(frame).
-
-    Parameters
-    ----------
-    annihilator : (n, p) array
-        Columns are covectors alpha^i cutting out the first subspace E = ker alpha.
-    frame : (n, q) array
-        Columns span the second subspace F.
-
-    The pairing matrix D_ij = <alpha^i, v_j> decides everything:
-    E + F full iff rank D = p; E ∩ F = 0 iff rank D = q; direct sum iff both
-    (square invertible D).
-    """
-    alpha = annihilator.vectors if isinstance(annihilator, SubspaceBasis) else np.asarray(annihilator, dtype=float)
-    v = frame.vectors if isinstance(frame, SubspaceBasis) else np.asarray(frame, dtype=float)
-    if alpha.shape[0] != v.shape[0]:
-        raise ShapeError("ambient dimensions differ")
-    d = alpha.T @ v
-    p, q = alpha.shape[1], v.shape[1]
-    r = rank(d, tols)
-    return SubspaceClassification(
-        d_matrix=d,
-        rank_d=r,
-        sum_full=(r == p),
-        intersection_zero=(r == q),
-        direct_sum=(p == q and r == p),
-    )
-
-
-def orthonormal_complement(basis, ambient_dim=None, tols=DEFAULT_TOLERANCES):
-    """Orthonormal basis of the orthogonal complement of span(columns)."""
-    b = basis.vectors if isinstance(basis, SubspaceBasis) else np.asarray(basis, dtype=float)
-    if b.ndim == 1:
-        b = b.reshape(-1, 1)
-    if b.shape[1] == 0:
-        n = b.shape[0] if ambient_dim is None else ambient_dim
-        return SubspaceBasis(np.eye(n))
-    return cokernel_basis(b, tols)
-
-
-def induced_quotient_matrix(f_mat, domain_basis, mod_basis, tols=DEFAULT_TOLERANCES):
-    """Matrix of the induced map E0 -> F/F0, x + F0-classes represented on an
-    orthonormal complement of F0 (the quotient is never materialized).
-
-    Parameters
-    ----------
-    f_mat : (dimF, dimE) array
-    domain_basis : (dimE, e) array — basis of the restricted domain E0
-    mod_basis : (dimF, s) array — basis of the subspace F0 being quotiented out
-    """
-    f_mat = np.asarray(f_mat, dtype=float)
-    j = domain_basis.vectors if isinstance(domain_basis, SubspaceBasis) else np.asarray(domain_basis, dtype=float)
-    w = orthonormal_complement(mod_basis, ambient_dim=f_mat.shape[0], tols=tols)
-    return w.vectors.T @ f_mat @ j
-
-
-def reduced_solve(f_mat, domain_basis, mod_basis, b, tols=DEFAULT_TOLERANCES):
-    """Solve the induced equation f0(x) = [b] on the quotient representation.
-
-    Returns the AffineSolutionSet in E0-coordinates (coefficients against the
-    columns of domain_basis).
-    """
-    f_mat = np.asarray(f_mat, dtype=float)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    j = domain_basis.vectors if isinstance(domain_basis, SubspaceBasis) else np.asarray(domain_basis, dtype=float)
-    w = orthonormal_complement(mod_basis, ambient_dim=f_mat.shape[0], tols=tols)
-    return solve_affine(w.vectors.T @ f_mat @ j, w.vectors.T @ b, tols)

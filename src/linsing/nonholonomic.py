@@ -26,7 +26,6 @@ from .errors import (
     raise_first,
 )
 from .expressions import Add, Compiled, Const, Var, add, mul, neg, sub
-from .systems import ConsistencyResult
 
 __all__ = [
     "SubmanifoldSpec",
@@ -390,8 +389,8 @@ class PointDynamics:
 
     def _base_solve(self, views):
         """(errors, Y) from the kernel's row views: at each row a
-        BaseNotRegularError (its `consistency` the ConsistencyResult of
-        A v = f there), or None where the base is regular, and Y = B^{-1} g at
+        BaseNotRegularError (its `solution` the AffineSolutionSet of A v = f
+        there), or None where the base is regular, and Y = B^{-1} g at
         each regular row. A constant base inverted at construction gives no
         errors and the folded Y; otherwise one stacked solve of the base rows
         B v = g gives both: the one place a BaseNotRegularError is built. The
@@ -406,11 +405,9 @@ class PointDynamics:
         ranks = n - _dims(sol.kernel)
         errors = [None] * len(b)
         for i in np.flatnonzero((ranks < n) | (k != n)).tolist():
-            one, rank = sol.item(i), int(ranks[i])
             errors[i] = BaseNotRegularError(
                 f"base morphism A(x) is not invertible at this point "
-                f"(rank {rank} of {n if k == n else f'{k}x{n}'})",
-                ConsistencyResult(one.consistent, one.residual, rank, one))
+                f"(rank {ranks[i]} of {n if k == n else f'{k}x{n}'})", sol.item(i))
         return errors, sol.x0
 
     def analysis(self, x):
@@ -425,8 +422,7 @@ class PointDynamics:
     def analyses(self, points):
         """PointAnalysis at each row of an (N, n) array of points of M, as one
         batch; at a point where the base is not regular, the entry is its
-        BaseNotRegularError, whose `consistency` holds the solve of A v = f
-        there.
+        BaseNotRegularError, whose `solution` is the solve of A v = f there.
 
         One kernel evaluation over the points gives the fields; the rest runs
         on the rows with a regular base. For a constant base the kernel gives
@@ -564,8 +560,9 @@ class PointDynamics:
         _, _, jphi, gamma, y = self._views
         # D and dphi . Y are not folded into the kernel: numpy's BLAS may fuse
         # a multiply and an add, which Python floats cannot, and every route
-        # that forms D (the reference tests, `subspace_classify`) gets numpy's
-        # bits. ndarray.dot gives the same bits as `@` at half the call cost.
+        # that forms D (the reference tests, among them the `subspace_classify`
+        # oracle) gets numpy's bits. ndarray.dot gives the same bits as `@` at
+        # half the call cost.
         d = jphi.dot(gamma)
         if d.shape != (1, 1):
             sol = linalg.solve_affine(d, -jphi.dot(y), self.tols)

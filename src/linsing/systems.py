@@ -5,9 +5,8 @@ Consistency at a point means f(x) lies in the image of A(x). The constraint
 algorithm differentiates A(x) x' - f(x) along solutions into a derivative array
 and, at each seed point, reports the level at which it has no solution, or the
 differentiation index and a consistent x' once it adds no more constraints.
-`consistency_at` solves A v = f at one point; the flow evaluator
-(`nonholonomic.PointDynamics`) solves the same rows as its kernel's base rows,
-which decides the base's regularity and Y.
+The flow evaluator (`nonholonomic.PointDynamics`) solves A v = f as its
+kernel's base rows, which decides the base's regularity and Y.
 """
 
 from __future__ import annotations
@@ -17,11 +16,11 @@ import numpy as np
 from . import linalg
 from .errors import ShapeError
 from .expressions import Const, ExpressionField, Var, add, mul, sub
+from .nonholonomic import SubmanifoldSpec
 
 __all__ = [
     "LinearlySingularSystem",
     "identity_system",
-    "consistency_at",
     "constraint_algorithm_sample",
 ]
 
@@ -61,22 +60,6 @@ def identity_system(f):
     n = f.shape[0]
     rows = [[Const(1.0) if i == j else Const(0.0) for j in range(n)] for i in range(n)]
     return LinearlySingularSystem(ExpressionField.matrix(rows, f.variables), f)
-
-
-class ConsistencyResult:
-    def __init__(self, consistent, residual, rank_A, solution):
-        self.consistent = consistent
-        self.residual = residual
-        self.rank_A = rank_A
-        self.solution = solution  # the linalg.AffineSolutionSet of A v = f
-
-
-def consistency_at(sys, x, tols=linalg.DEFAULT_TOLERANCES):
-    """Does f(x) lie in the image of A(x)? The ConsistencyResult of one
-    `linalg.solve_affine` of A v = f at x; rank_A comes from the same solve."""
-    x = np.asarray(x, dtype=float)
-    sol = linalg.solve_affine(sys.A(x), sys.f(x), tols)
-    return ConsistencyResult(sol.consistent, sol.residual, sys.n - sol.kernel.dim, sol)
 
 
 # ------------------------------------------ derivative-array constraint algorithm
@@ -122,7 +105,6 @@ class _DerivativeArray:
 
     def level(self, k):
         """SubmanifoldSpec of G_0..G_k = 0."""
-        from .nonholonomic import SubmanifoldSpec  # nonholonomic imports this module
         while len(self.levels) <= k:
             if self.levels:
                 # D_t of the last block sums the rows of the previous Jacobian
@@ -140,13 +122,14 @@ class _DerivativeArray:
 def _classify_seed(sys, array, seed, max_levels, tols):
     """SeedClassification of one seed, and whether its constraints settled."""
     seed = np.asarray(seed, dtype=float)
-    n, level0 = sys.n, consistency_at(sys, seed, tols)
-    z, found, index = level0.solution.x0, 0, None  # found: constraints on x (c_k)
+    n, level0 = sys.n, linalg.solve_affine(sys.A(seed), sys.f(seed), tols)
+    rank_a = n - level0.kernel.dim
+    z, found, index = level0.x0, 0, None  # found: constraints on x (c_k)
     for k in range(max_levels + 1):
         spec = array.level(k)
         point, ok, _ = spec.lift(np.concatenate([seed, z]), range(n, n + len(z)))
         if not ok:
-            return SeedClassification(seed, False, k, k, level0.rank_A, index, None), True
+            return SeedClassification(seed, False, k, k, rank_a, index, None), True
         jac = spec.jacobian(point)
         rank_deriv = linalg.rank(jac[:, n:], tols)
         if index is None and rank_deriv - linalg.rank(jac[:, 2 * n:], tols) == n:
@@ -155,7 +138,7 @@ def _classify_seed(sys, array, seed, max_levels, tols):
         if found <= before:
             break
         z = np.concatenate([point[n:], np.zeros(n)])
-    verdict = SeedClassification(seed, True, None, k, level0.rank_A, index, point[n:2 * n])
+    verdict = SeedClassification(seed, True, None, k, rank_a, index, point[n:2 * n])
     return verdict, found <= before
 
 

@@ -45,7 +45,6 @@ from linsing.symmetry import (
     constant_descent,
     max_rate,
 )
-from linsing.systems import ConsistencyResult, consistency_at
 
 SCENARIOS = cli.SCENARIOS
 
@@ -139,8 +138,7 @@ def _analysis_loop(dyn, x):
         base = linalg.solve_affine(b, g, tols)
         rank_b = gnh.base.n - base.kernel.dim
         if gnh.base.k != gnh.base.n or rank_b < gnh.base.n:
-            raise BaseNotRegularError("singular", ConsistencyResult(
-                base.consistent, base.residual, rank_b, base))
+            raise BaseNotRegularError("singular", base)
         gamma = np.linalg.solve(b, gnh.forces(x))
         jphi = gnh.constraints.jacobian(x)
         d = jphi @ gamma
@@ -162,19 +160,19 @@ def _point_doc_loop(spec, x, tols, dyn, sode):
     if spec.constraints is not None:
         doc["phi_residual"] = spec.constraints.residual(x)
     if spec.gnh is None:
-        res = consistency_at(spec.system, x, tols)
-        doc.update(rank_A=res.rank_A, consistent=res.consistent,
+        res = linalg.solve_affine(spec.system.A(x), spec.system.f(x), tols)
+        doc.update(rank_A=spec.system.n - res.kernel.dim, consistent=res.consistent,
                    consistency_residual=res.residual)
         if res.consistent:
-            doc["X0"] = res.solution.x0
-            doc["solution_kernel_dim"] = res.solution.kernel.dim
+            doc["X0"] = res.x0
+            doc["solution_kernel_dim"] = res.kernel.dim
         return doc
     try:
         pa = _analysis_loop(dyn, x)
     except BaseNotRegularError as exc:
-        res = exc.consistency
-        doc.update(base_regular=False, rank_base=res.rank_A,
-                   base_kernel_dim=spec.system.n - res.rank_A,
+        res = exc.solution
+        doc.update(base_regular=False, rank_base=spec.system.n - res.kernel.dim,
+                   base_kernel_dim=res.kernel.dim,
                    consistent=res.consistent, consistency_residual=res.residual)
         try:
             xf, u, sol = sode.solve(x)

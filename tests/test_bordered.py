@@ -11,6 +11,8 @@ The reference routes, which the package itself does not use:
   * `_full_bordered_oracle`: the second-order solve of the whole bordered
     system, the rows X_q = v solved along with the rest rather than
     substituted.
+Whether the first-order flow is unique is checked against the paper's induced
+quotient map T_xM -> R^k / span Delta (`oracles.induced_quotient_matrix`).
 """
 
 import collections
@@ -19,6 +21,7 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import cokernel_basis, induced_quotient_matrix
 from test_acceptance import _knife_edge_points, _mass_shell_points, _scenario
 
 from linsing import linalg
@@ -66,7 +69,7 @@ def _cokernel_oracle(spec, x):
     a_mat = spec.system.A(x)
     g = spec.system.f(x)
     delta = spec.forces(x)
-    comp = linalg.cokernel_basis(delta).vectors
+    comp = cokernel_basis(delta).vectors
     stacked = np.vstack([comp.T @ a_mat, spec.constraints.jacobian(x),
                          np.hstack([np.eye(n), np.zeros((n, n))])])
     rhs = np.concatenate([comp.T @ g, np.zeros(spec.constraints.codim), x[n:]])
@@ -149,6 +152,73 @@ def test_bordered_solve_of_a_varying_base_matches_the_schur_route():
         sode.analysis(x)
     with pytest.raises(TypeError, match="no base rows"):
         sode.flows(np.array([x, x]))
+
+
+def _first_order_spec(a_rows, f, phi, delta_columns):
+    """A [system] spec over x, y or x, y, z from the rows of A, the entries of
+    f and phi, and the columns of Delta, each given as text or numbers."""
+    def join(row):
+        return ", ".join(map(str, row))
+
+    names = ("x", "y", "z")[:len(f)]
+    return loads(f"[vars]\nnames = {', '.join(names)}\n\n[system]\n"
+                 f"A = {'; '.join(map(join, a_rows))}\nf = {join(f)}\n\n"
+                 f"[constraints]\nphi = {join(phi)}\n\n"
+                 f"[forces]\nDelta = {'; '.join(map(join, delta_columns))}\n")
+
+
+def _integer_matrix(rng, rows, cols, rank):
+    """A random rows x cols matrix of small integers of exactly this rank."""
+    while True:
+        mat = rng.integers(-1, 2, size=(rows, rank)) @ rng.integers(-1, 2, size=(rank, cols))
+        if np.linalg.matrix_rank(mat) == rank:
+            return mat
+
+
+def _random_constant_cases(count, rng):
+    """(spec, x, None) of constant first-order specs over x, y, z with k = 3,
+    rank A cycling through 1, 2 and 3, and one or two independent constraints
+    and forces, all small integers, so that no rank lies near its cut-off. x
+    lies on M, and f = A X0 - Delta u0 with dphi X0 = 0, so the bordered
+    system has a solution."""
+    for i in range(count):
+        a = _integer_matrix(rng, 3, 3, 1 + i % 3)
+        constraints = int(rng.integers(1, 3))
+        dphi = _integer_matrix(rng, constraints, 3, constraints)
+        forces = int(rng.integers(1, 3))
+        delta = _integer_matrix(rng, 3, forces, forces)
+        x = rng.integers(-2, 3, size=3)
+        x0 = np.cross(dphi[0], dphi[1] if constraints == 2 else rng.integers(-1, 2, size=3))
+        f = a @ x0 - delta @ rng.integers(-1, 2, size=forces)
+        phi = [f"{r[0]}*x + {r[1]}*y + {r[2]}*z - ({r @ x})" for r in dphi]
+        yield _first_order_spec(a.tolist(), f.tolist(), phi, delta.T.tolist()), x, None
+
+
+def test_the_bordered_decision_is_the_injectivity_of_the_induced_quotient_map():
+    # In the linearly singular framework the constrained flow is unique iff the
+    # induced map T_xM -> R^k / span Delta is injective. With an independent
+    # frame that is a trivial kernel of [A, -Delta; dphi, 0], or of D for a
+    # regular constant base. The oracle decides it on explicit bases. The hand
+    # points, of singular bases, give the kernel dimension too.
+    sing = ([[1, 0], [0, 0]], [1, 0], ["y - 2"])
+    cases = [(_first_order_spec(*sing, [["x", 1]]), [x, 2.0], 0) for x in (0.5, 0.0, -3.0)]
+    cases += [(_first_order_spec([[1, 0], [0, "x"]], *sing[1:], [["x", 1]]), [x, 2.0], 0)
+              for x in (0.5, 0.0, -0.5)]
+    cases += [(_first_order_spec(*sing, [[1, 0]]), [x, 2.0], 1) for x in (0.5, 0.0)]
+    cases += _random_constant_cases(30, np.random.default_rng(2604))
+    verdicts = collections.Counter()
+    for spec, x, want in cases:
+        x = np.array(x, dtype=float)
+        tangent = linalg.kernel_basis(spec.constraints.jacobian(x))
+        quotient = induced_quotient_matrix(spec.system.A(x), tangent, spec.forces(x))
+        # an absolute cut-off: the data are small integers, and a quotient map
+        # that is zero holds rounding noise, which a relative one counts as rank
+        injective = np.linalg.matrix_rank(quotient, tol=1e-8) == tangent.dim
+        dim = PointDynamics(spec.gnh).solve(x)[2].kernel.dim
+        assert (dim == 0) == injective
+        assert want is None or dim == want
+        verdicts[injective] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 @pytest.mark.parametrize("overrides", [{}, {"U": "q1"}])

@@ -24,7 +24,6 @@ from linsing.nonholonomic import PointAnalysis, PointDynamics
 from linsing.sampling import on_manifold_sample
 from linsing.specfile import loads
 from linsing.symmetry import constant_descent
-from linsing.systems import consistency_at
 
 
 # a constant base whose inverse is inexact in binary: routes through B^-1 and
@@ -136,7 +135,7 @@ def test_constant_report_equals_the_descent_check_bit_for_bit(spec):
 
 def _base_solution(spec, x):
     """Y of a varying base: the minimum-norm solve of A(x) v = f(x) at x."""
-    return consistency_at(spec.system, x).solution.x0
+    return linalg.solve_affine(spec.system.A(x), spec.system.f(x)).x0
 
 
 def test_descent_check_of_a_varying_base_equals_the_per_call_routes():
@@ -352,31 +351,33 @@ Delta = 1, 1
 
 
 def _same_consistency(got, want):
-    assert (got.consistent, got.residual, got.rank_A) == \
-        (want.consistent, want.residual, want.rank_A)
-    assert got.solution.x0.tobytes() == want.solution.x0.tobytes()
-    assert got.solution.kernel.vectors.tobytes() == want.solution.kernel.vectors.tobytes()
+    """Two solves of A v = f agree bit for bit: verdict, residual, rank
+    (n - kernel.dim), x0 and kernel basis."""
+    assert (got.consistent, got.residual, got.kernel.dim) == \
+        (want.consistent, want.residual, want.kernel.dim)
+    assert got.x0.tobytes() == want.x0.tobytes()
+    assert got.kernel.vectors.tobytes() == want.kernel.vectors.tobytes()
 
 
 def test_a_varying_base_is_decided_from_a_and_f_at_each_row():
     spec = loads(MIXED_BASE_SPEC)
     pts = np.array([[-1.0, -1.0], [0.5, 0.5], [0.0, 0.0], [2.0, 2.0], [0.0, 0.0]])
     singular = [2, 4]
-    want = [consistency_at(spec.system, x) for x in pts]
+    want = [linalg.solve_affine(spec.system.A(x), spec.system.f(x)) for x in pts]
     dyn = PointDynamics(spec.gnh)
     out = dyn.analyses(pts)
     for i, x in enumerate(pts):
         if i in singular:
-            assert not want[i].consistent and want[i].rank_A == 1
+            assert not want[i].consistent and spec.system.n - want[i].kernel.dim == 1
             assert isinstance(out[i], BaseNotRegularError)
-            _same_consistency(out[i].consistency, want[i])
+            _same_consistency(out[i].solution, want[i])
         else:
             assert isinstance(out[i], PointAnalysis)
             xf, u, _ = dyn.solve(x)
             assert np.array_equal(out[i].field, xf) and np.array_equal(out[i].multipliers.u, u)
     with pytest.raises(BaseNotRegularError) as err:
         dyn.flows(pts)
-    _same_consistency(err.value.consistency, want[singular[0]])
+    _same_consistency(err.value.solution, want[singular[0]])
     regular = np.delete(pts, singular, axis=0)
     assert np.array_equal(dyn.flows(regular)[:, 0],
                           [pa.y for i, pa in enumerate(out) if i not in singular])

@@ -22,7 +22,7 @@ from linsing.linalg import Tolerances, complement_projectors, kernel_basis
 from linsing.nonholonomic import GeneralizedNonholonomicSystem, PointDynamics, SubmanifoldSpec
 from linsing.sampling import halton_box, on_manifold_sample
 from linsing.specfile import loads
-from linsing.systems import consistency_at, identity_system
+from linsing.systems import identity_system
 
 V = ("x", "y")
 
@@ -331,18 +331,18 @@ def test_singular_base_raises():
     gnh = loads(CONSTANT_SINGULAR_SPEC).gnh
     dyn = PointDynamics(gnh)  # a constant singular base is decided per point, not refused
     pts = np.array([[0.5, 2.0], [-1.0, 2.0], [3.0, 2.0]])
-    want = [consistency_at(gnh.base, x) for x in pts]
+    want = [linalg.solve_affine(gnh.base.A(x), gnh.base.f(x)) for x in pts]
     errors = dyn.analyses(pts)
     for err, res in zip(errors, want):
-        assert isinstance(err, BaseNotRegularError) and res.rank_A == 1
-        _same_consistency(err.consistency, res)
+        assert isinstance(err, BaseNotRegularError) and gnh.base.n - res.kernel.dim == 1
+        _same_consistency(err.solution, res)
     for x, res in zip(pts, want):
         with pytest.raises(BaseNotRegularError) as err:
             dyn.analysis(x)
-        _same_consistency(err.value.consistency, res)
+        _same_consistency(err.value.solution, res)
     with pytest.raises(BaseNotRegularError) as err:
         dyn.flows(pts)
-    _same_consistency(err.value.consistency, want[0])
+    _same_consistency(err.value.solution, want[0])
     # singular base, regular constrained system: the bordered solve finds X
     xf, u, _ = dyn.solve(pts[0])
     assert np.allclose(xf, [1.0, 0.0], rtol=0.0, atol=1e-15)
