@@ -13,7 +13,6 @@ from .errors import (
     LinsingError,
     MaxRankViolatedError,
     NonFiniteError,
-    NotComplementaryError,
     NotOnManifoldError,
     ProjectionDivergenceError,
     ShapeError,
@@ -32,8 +31,6 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     SubspaceBasis,
     Tolerances,
-    complement_projectors,
-    kernel_basis,
     rank,
     solve_affine,
 )

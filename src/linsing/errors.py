@@ -38,10 +38,6 @@ class ShapeError(LinsingError):
     """Dimension/shape mismatch between fields, matrices or points."""
 
 
-class NotComplementaryError(LinsingError):
-    """The two subspaces do not span the ambient space as a direct sum."""
-
-
 class BaseNotRegularError(LinsingError):
     """The base morphism is not a pointwise isomorphism where one is required.
 

@@ -1,5 +1,5 @@
-"""Pointwise dense linear algebra: ranks, null spaces, affine solves and
-oblique projectors.
+"""Pointwise dense linear algebra: ranks, affine solves with their null
+spaces, and minimum-norm least-squares steps.
 
 All rank decisions run through one tolerance policy:
 tol_rank = max(rows, cols) * sigma_max * rank_factor, sigma_max coming from the
@@ -22,10 +22,9 @@ products summed from +0 as numpy's matmul sums them, and norms as
 sqrt(v * v). A full rank shares one read-only empty kernel basis.
 
 A stack of matrices, an (N, p, q) array, is factored by one stacked SVD, and
-`rank`, `kernel_basis`, `solve_affine` and `complement_projectors` then decide
-each matrix's rank, gauge and solution as they would for it alone: numpy's
-stacked SVD, inverse and matrix products run the same LAPACK and BLAS routine
-on each matrix as on the matrix alone.
+`rank` and `solve_affine` then decide each matrix's rank, gauge and solution
+as they would for it alone: numpy's stacked SVD and matrix products run the
+same LAPACK and BLAS routine on each matrix as on the matrix alone.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import sys
 
 import numpy as np
 
-from .errors import NonFiniteError, NotComplementaryError, ShapeError, raise_first
+from .errors import NonFiniteError, ShapeError, raise_first
 
 RANK_FACTOR_DEFAULT = 1e-10
 
@@ -213,19 +212,6 @@ class SubspaceBasis:
         return self.vectors.shape[1]
 
 
-def kernel_basis(mat, tols=DEFAULT_TOLERANCES):
-    """Right null space of `mat` in the deterministic gauge; for a stack of
-    matrices, the list of their null spaces."""
-    mat = np.asarray(mat, dtype=float)
-    if mat.shape[-2] == 0:
-        eye = _fix_signs(np.eye(mat.shape[-1]))
-        return SubspaceBasis(eye) if mat.ndim == 2 else [SubspaceBasis(eye) for _ in mat]
-    (_, _, vt), r, _ = _svd_rank(mat, tols)
-    if mat.ndim == 2:
-        return SubspaceBasis(_fix_signs(vt[r:].T))
-    return _kernels(vt, r)
-
-
 def _kernels(vt, ranks):
     """[SubspaceBasis of vt_i[r_i:].T in the gauge] over a stack of right
     singular vectors, one stacked `_fix_signs` per rank; a kernel of full rank
@@ -383,28 +369,3 @@ def min_norm_rows(mats, rhs, tols=DEFAULT_TOLERANCES):
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
     coeff = np.einsum("kir,ki->kr", u, rhs) * inv
     return np.einsum("krj,kr->kj", vt, coeff)
-
-
-def complement_projectors(first, second, tols=DEFAULT_TOLERANCES):
-    """Projectors (P, Q) onto `first` along `second` and vice versa.
-
-    Raises NotComplementaryError unless the two column families are jointly a
-    basis of the ambient space. Stacks of families, (N, n, .) arrays, give
-    stacks of projectors, and the error names the first pair that fails.
-    """
-    e = first.vectors if isinstance(first, SubspaceBasis) else np.asarray(first, dtype=float)
-    f = second.vectors if isinstance(second, SubspaceBasis) else np.asarray(second, dtype=float)
-    if e.shape[-2] != f.shape[-2]:
-        raise ShapeError("ambient dimensions differ")
-    n = e.shape[-2]
-    if e.shape[-1] + f.shape[-1] != n:
-        raise NotComplementaryError(
-            f"dimensions {e.shape[-1]} + {f.shape[-1]} != ambient {n}"
-        )
-    stacked = np.concatenate([e, f], axis=-1)
-    raise_first((np.atleast_1d(rank(stacked, tols) < n),
-                 lambda i: NotComplementaryError("subspaces overlap or are degenerate")))
-    inv = np.linalg.inv(stacked)
-    p = e @ inv[..., : e.shape[-1], :]
-    q = np.eye(n) - p
-    return p, q

@@ -66,9 +66,9 @@ class SubmanifoldSpec:
 
     def require_on(self, x):
         """Raise NotOnManifoldError unless x lies on M; for a batch of points,
-        naming the first point off M."""
+        naming the first point off M. A NaN residual is off M."""
         worst = np.atleast_1d(self.residual(x))
-        raise_first((worst > linalg.Tolerances.on_manifold, lambda i: NotOnManifoldError(
+        raise_first((~(worst <= linalg.Tolerances.on_manifold), lambda i: NotOnManifoldError(
             f"point violates the constraints: max |phi| = {worst[i]:.3e}")))
 
     def project(self, x):
@@ -232,7 +232,8 @@ class PointAnalysis:
         self.y = y  # Y = B^{-1} g
         self.field = field  # X = Y + Gamma u
         self.multipliers = multipliers  # a MultiplierResult
-        self.projectors = projectors  # (P onto T_xM along H_x, Q = I - P); None unless regular
+        # (P onto T_xM along H_x, Q = Gamma D^{-1} dphi = I - P); None unless regular
+        self.projectors = projectors
 
 
 def _fused_kernel(parts, variables):
@@ -434,10 +435,11 @@ class PointDynamics:
         the bordered matrix, which a regular base and an independent frame make
         the same); the frame is checked only where that kernel is not trivial,
         since a D of full column rank proves it independent. The projectors
-        are built only where D is square and invertible, the one case T_xM and
-        H_x split the space. Each rank is decided as for its point alone; any
-        other error raises for the first point at which its step of the batch
-        fails."""
+        are built only where that solve finds D square and invertible, the one
+        case T_xM = ker dphi and H_x = span Gamma split the space, from the
+        same D: Q = Gamma D^{-1} dphi, one stacked LU solve, and P = I - Q.
+        Each rank is decided once, as for its point alone; any other error
+        raises for the first point at which its step of the batch fails."""
         gnh = self.gnh
         pts = np.asarray(points, dtype=float)
         views = self._evaluate_rows(pts)
@@ -459,10 +461,13 @@ class PointDynamics:
         rank = gnh.m - dims
         regular = (gnh.a == gnh.m) & (rank == gnh.a)
         projectors = [None] * len(live)
-        if regular.any():
-            reg = np.flatnonzero(regular)
-            for i, pq in zip(reg.tolist(), self._projector_rows(jphi[reg], gamma[reg])):
-                projectors[i] = pq
+        reg = np.flatnonzero(regular)
+        if reg.size:
+            # Q = Gamma D^{-1} dphi projects onto H_x along T_xM, P = I - Q
+            q = gamma[reg] @ np.linalg.solve(d[reg], jphi[reg])
+            p = np.eye(gnh.n) - q
+            for j, i in enumerate(reg.tolist()):
+                projectors[i] = (p[j], q[j])
         for j, i in enumerate(live.tolist()):
             r = int(rank[j])
             cls = PointClassification(d[j], r, surjective=r == gnh.a, injective=r == gnh.m,
@@ -500,20 +505,6 @@ class PointDynamics:
         for i in np.flatnonzero(failed).tolist():
             errors[i] = self._inconsistent(sol.residual[i])
         return xf, u, sol, errors
-
-    def _projector_rows(self, jphi, gamma):
-        """(P, Q) of `linalg.complement_projectors` onto ker dphi along Gamma at
-        each point of a stack, stacked per dimension of ker dphi."""
-        kernels = linalg.kernel_basis(jphi, self.tols)
-        dims = _dims(kernels)
-        out = [None] * len(kernels)
-        for dim in sorted(set(dims.tolist())):
-            idx = np.flatnonzero(dims == dim)
-            first = np.stack([kernels[i].vectors for i in idx.tolist()])
-            p, q = linalg.complement_projectors(first, gamma[idx], self.tols)
-            for j, i in enumerate(idx.tolist()):
-                out[i] = (p[j], q[j])
-        return out
 
     def solve(self, x):
         """(X, u, sol) at x: X as a list of floats, u as an array, and `sol`

@@ -262,7 +262,8 @@ def constant_value(text, params):
 
 
 def parse_box(text, variables, label="box", section="", line=0):
-    """``name:lo:hi,...`` -> {name: (lo, hi)}; messages call the input `label`."""
+    """``name:lo:hi,...`` -> {name: (lo, hi)}, each range finite, non-empty and
+    of finite width; messages call the input `label`."""
     box = {}
     for piece in text.split(","):
         piece = piece.strip()
@@ -281,9 +282,15 @@ def parse_box(text, variables, label="box", section="", line=0):
         except ValueError as exc:
             raise SpecFileError(section, line,
                                 f"bad {label} bounds in {piece!r}") from exc
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise SpecFileError(section, line,
+                                f"{label} bounds in {piece!r} are not finite")
         if not lo < hi:
             raise SpecFileError(section, line,
                                 f"empty {label} range in {piece!r}")
+        if not math.isfinite(hi - lo):
+            raise SpecFileError(section, line,
+                                f"{label} range in {piece!r} is too wide: hi - lo overflows")
         box[name] = (lo, hi)
     return box
 

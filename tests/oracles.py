@@ -14,18 +14,25 @@ D_ij = <alpha^i, v_j>, and the induced map E0 -> F/F0 represented on an
 orthonormal complement of F0. The flow evaluator never forms the quotient; it
 solves one bordered or Schur-complement system, so these are an independent
 route to the same rank decisions.
+
+`complement_projectors(kernel_basis(dphi), Gamma)` is the geometric
+construction of the projectors onto T_xM = ker dphi along H_x = span Gamma:
+a basis of each subspace from an SVD, and the inverse of the two side by
+side. `PointDynamics.analyses` forms P = I - Gamma D^{-1} dphi from the D its
+multiplier solve decided regular, so the two are independent routes to P.
 """
 
 import math
 
 import numpy as np
 
-from linsing.errors import DomainEvalError, ShapeError
+from linsing.errors import DomainEvalError, ShapeError, raise_first
 from linsing.expressions import Add, Call, Const, Div, Mul, Neg, Pow, Sub, Var, to_text
 from linsing.linalg import (
     DEFAULT_TOLERANCES,
     SubspaceBasis,
     _fix_signs,
+    _kernels,
     _svd_rank,
     rank,
     solve_affine,
@@ -178,6 +185,48 @@ def integrate_arrays(field_fn, x0, dt, steps, project, multiplier_fn):
         mults.append(multiplier_fn(x))
         drift.append(proj.residual)
     return np.array(states), np.array(mults, dtype=float), np.array(drift)
+
+
+def kernel_basis(mat, tols=DEFAULT_TOLERANCES):
+    """Right null space of `mat` in the deterministic gauge; for a stack of
+    matrices, the list of their null spaces."""
+    mat = np.asarray(mat, dtype=float)
+    if mat.shape[-2] == 0:
+        eye = _fix_signs(np.eye(mat.shape[-1]))
+        return SubspaceBasis(eye) if mat.ndim == 2 else [SubspaceBasis(eye) for _ in mat]
+    (_, _, vt), r, _ = _svd_rank(mat, tols)
+    if mat.ndim == 2:
+        return SubspaceBasis(_fix_signs(vt[r:].T))
+    return _kernels(vt, r)
+
+
+class NotComplementaryError(Exception):
+    """The two subspaces do not span the ambient space as a direct sum."""
+
+
+def complement_projectors(first, second, tols=DEFAULT_TOLERANCES):
+    """Projectors (P, Q) onto `first` along `second` and vice versa.
+
+    Raises NotComplementaryError unless the two column families are jointly a
+    basis of the ambient space. Stacks of families, (N, n, .) arrays, give
+    stacks of projectors, and the error names the first pair that fails.
+    """
+    e = first.vectors if isinstance(first, SubspaceBasis) else np.asarray(first, dtype=float)
+    f = second.vectors if isinstance(second, SubspaceBasis) else np.asarray(second, dtype=float)
+    if e.shape[-2] != f.shape[-2]:
+        raise ShapeError("ambient dimensions differ")
+    n = e.shape[-2]
+    if e.shape[-1] + f.shape[-1] != n:
+        raise NotComplementaryError(
+            f"dimensions {e.shape[-1]} + {f.shape[-1]} != ambient {n}"
+        )
+    stacked = np.concatenate([e, f], axis=-1)
+    raise_first((np.atleast_1d(rank(stacked, tols) < n),
+                 lambda i: NotComplementaryError("subspaces overlap or are degenerate")))
+    inv = np.linalg.inv(stacked)
+    p = e @ inv[..., : e.shape[-1], :]
+    q = np.eye(n) - p
+    return p, q
 
 
 def cokernel_basis(mat, tols=DEFAULT_TOLERANCES):

@@ -11,7 +11,14 @@ import numpy as np
 from scipy.stats import qmc
 
 from conftest import expression_corpus
-from oracles import eval_dual, induced_quotient_matrix, reduced_solve, subspace_classify
+from oracles import (
+    complement_projectors,
+    eval_dual,
+    induced_quotient_matrix,
+    kernel_basis,
+    reduced_solve,
+    subspace_classify,
+)
 from test_linalg import _random_restriction_triple, _random_subspace_pair
 
 from linsing import linalg, report
@@ -256,7 +263,8 @@ def test_criterion_6_subspace_and_quotient_oracles(capsys):
 
 
 def test_criterion_7_projector_route_agreement(capsys):
-    # every regular scenario point: P Y equals the multiplier-path field, and
+    # every regular scenario point: P Y equals the multiplier-path field, P
+    # agrees with the geometric projector onto ker dphi along span Gamma, and
     # the pointwise classification agrees with the generic subspace test
     cases = []
     spec = _scenario("example1")
@@ -266,7 +274,7 @@ def test_criterion_7_projector_route_agreement(capsys):
     for overrides in ({}, {"U": "q1"}):
         l2 = _scenario("relparticle-L2", **overrides)
         cases += [(l2, s) for s in _mass_shell_points(20)]
-    worst = 0.0
+    worst = worst_p = 0.0
     agree = True
     dyns = {}
     for spec_i, x in cases:
@@ -275,17 +283,24 @@ def test_criterion_7_projector_route_agreement(capsys):
         worst = max(worst, float(np.max(np.abs(pa.projectors[0] @ pa.y - pa.field))))
         cls = pa.classification
         gamma = np.linalg.solve(spec_i.system.A(x), spec_i.forces(x))
-        sub = subspace_classify(spec_i.constraints.jacobian(x).T, gamma)
+        jphi = spec_i.constraints.jacobian(x)
+        want, _ = complement_projectors(kernel_basis(jphi), gamma)
+        # the gap relative to 1e-12 cond(D) |P|
+        bound = 1e-12 * np.linalg.cond(cls.d_matrix) * max(1.0, np.max(np.abs(want)))
+        worst_p = max(worst_p, float(np.max(np.abs(pa.projectors[0] - want))) / bound)
+        sub = subspace_classify(jphi.T, gamma)
         agree = agree and (
             cls.surjective == sub.sum_full
             and cls.injective == sub.intersection_zero
             and cls.regular == sub.direct_sum
             and np.array_equal(cls.d_matrix, sub.d_matrix)
         )
-    ok = worst <= 1e-10 and agree
+    ok = worst <= 1e-10 and worst_p <= 1.0 and agree
     _verdict(capsys, 7, ok, f"{len(cases)} regular points: |P Y - X| {worst:.2e}, "
+                    f"|P - P_geometric| / (1e-12 cond(D) |P|) {worst_p:.2e}, "
                     f"classification agreement {agree}")
     assert worst <= 1e-10
+    assert worst_p <= 1.0
     assert agree
 
 

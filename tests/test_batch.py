@@ -16,7 +16,8 @@ import pytest
 from test_acceptance import _scenario
 from conftest import euler_step_candidate
 from test_bordered import VARYING_BASE_SPEC, _varying_base_points
-from test_checked_route import _count_sources
+from oracles import kernel_basis
+from test_checked_route import DENSE_INVERSE_SPEC, _count_sources
 
 from linsing import cli, linalg, report
 from linsing.errors import (
@@ -148,8 +149,10 @@ def _analysis_loop(dyn, x):
     regular = gnh.a == gnh.m and rank == gnh.a
     cls = PointClassification(d, rank, surjective=rank == gnh.a, injective=rank == gnh.m,
                               regular=regular)
-    projectors = (linalg.complement_projectors(linalg.kernel_basis(jphi, tols), gamma, tols)
-                  if regular else None)
+    projectors = None
+    if regular:
+        q = gamma @ np.linalg.solve(d, jphi)
+        projectors = (np.eye(gnh.n) - q, q)
     return PointAnalysis(cls, y, np.array(xf), MultiplierResult(u, sol.kernel.dim > 0, sol.residual),
                          projectors)
 
@@ -260,17 +263,19 @@ def test_stacked_solves_and_ranks_are_each_matrix_alone(shape):
         assert got.kernel.vectors.tobytes() == one.kernel.vectors.tobytes()
         assert (got.residual, got.consistent, got.tol_used) == (
             one.residual, one.consistent, one.tol_used)
-        assert linalg.kernel_basis(mats)[i].vectors.tobytes() == \
-            linalg.kernel_basis(mat).vectors.tobytes()
+        assert kernel_basis(mats)[i].vectors.tobytes() == kernel_basis(mat).vectors.tobytes()
 
 
 def test_stacked_projectors_are_each_pair_alone():
-    rng = np.random.default_rng(4)
-    first, second = rng.standard_normal((6, 8, 7)), rng.standard_normal((6, 8, 1))
-    p, q = linalg.complement_projectors(first, second)
-    for i in range(6):
-        p1, q1 = linalg.complement_projectors(first[i], second[i])
-        assert p[i].tobytes() == p1.tobytes() and q[i].tobytes() == q1.tobytes()
+    # one stacked LU solve of D against dphi gives each point's projectors as
+    # the point's analysis alone does, on a constant and on a varying base
+    dense, varying = loads(DENSE_INVERSE_SPEC), loads(VARYING_BASE_SPEC)
+    for spec, pts in ((dense, _sample(dense, 8)), (varying, _varying_base_points(8))):
+        pts = np.asarray(pts)
+        dyn = PointDynamics(spec.gnh)
+        for x, pa in zip(pts, dyn.analyses(pts)):
+            (p, q), (p1, q1) = pa.projectors, dyn.analysis(x).projectors
+            assert p.tobytes() == p1.tobytes() and q.tobytes() == q1.tobytes()
 
 
 # ------------------------------------------------- route agreement

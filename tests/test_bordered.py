@@ -21,7 +21,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import cokernel_basis, induced_quotient_matrix
+from oracles import cokernel_basis, induced_quotient_matrix, kernel_basis
 from test_acceptance import _knife_edge_points, _mass_shell_points, _scenario
 
 from linsing import linalg
@@ -209,7 +209,7 @@ def test_the_bordered_decision_is_the_injectivity_of_the_induced_quotient_map():
     verdicts = collections.Counter()
     for spec, x, want in cases:
         x = np.array(x, dtype=float)
-        tangent = linalg.kernel_basis(spec.constraints.jacobian(x))
+        tangent = kernel_basis(spec.constraints.jacobian(x))
         quotient = induced_quotient_matrix(spec.system.A(x), tangent, spec.forces(x))
         # an absolute cut-off: the data are small integers, and a quotient map
         # that is zero holds rounding noise, which a relative one counts as rank

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from linsing import cli
 from linsing.cli import main
+from linsing.linalg import DEFAULT_TOLERANCES
+from linsing.nonholonomic import PointDynamics
 from linsing.specfile import loads
 
 BAD_SYMMETRY_SPEC = """
@@ -130,6 +132,19 @@ def test_analyze_off_manifold_point_is_an_evaluation_error(capsys):
     )
     assert code == 3
     assert "violates the constraints" in err
+
+
+def test_a_point_whose_constraint_residual_is_nan_is_off_the_manifold(tmp_path, capsys):
+    # x*x - y*y is inf - inf = nan at x = y = 1e200, where every field of the
+    # flow is finite: the point is refused, not analysed as regular
+    path = tmp_path / "cone.lss"
+    path.write_text("[vars]\nnames = x, y\n\n[system]\nf = 1, 1\n\n"
+                    "[constraints]\nphi = x*x - y*y\n\n[forces]\nDelta = 1, -1\n")
+    for at in (["x=1e200,y=1e200"], ["x=1,y=1", "x=1e200,y=1e200"]):
+        argv = [arg for a in at for arg in ("--at", a)]
+        code, out, err = _run(capsys, "analyze", "--spec", str(path), *argv)
+        assert code == 3 and out == ""
+        assert "violates the constraints: max |phi| = nan" in err
 
 
 def test_analyze_spec_file_from_disk(tmp_path, capsys):
@@ -305,6 +320,28 @@ def test_check_symmetry_box_override(capsys):
         capsys, "check-symmetry", "--scenario", "example1", "--box", "w:0:1"
     )
     assert code == 2 and "unknown variable" in err
+
+
+@pytest.mark.parametrize("box, message", [
+    ("x:-inf:inf", "--box bounds in 'x:-inf:inf' are not finite"),
+    ("y:1:nan", "--box bounds in 'y:1:nan' are not finite"),
+    ("x:-1e308:1e308", "--box range in 'x:-1e308:1e308' is too wide: hi - lo overflows"),
+])
+def test_a_box_override_must_be_finite_and_of_finite_width(box, message, capsys):
+    # such a box would draw NaN or inf sample points
+    code, out, err = _run(capsys, "check-symmetry", "--scenario", "example1", "--box", box)
+    assert code == 2 and out == "" and message in err
+
+
+def test_a_spec_box_of_infinite_width_is_a_spec_error(tmp_path, capsys):
+    path = tmp_path / "wide.lss"
+    path.write_text("[vars]\nnames = x, y\n\n[system]\nf = 1, y\n\n"
+                    "[symmetry]\nV = 1, 0\nbox = x:-1e308:1e308\n")
+    for cmd in ("analyze", "check-symmetry"):
+        code, out, err = _run(capsys, cmd, "--spec", str(path), "--points", "3")
+        assert code == 2 and out == ""
+        assert "box range in 'x:-1e308:1e308' is too wide" in err
+        assert "[section symmetry] (line 9)" in err
 
 
 def test_check_constant(capsys):
@@ -646,6 +683,22 @@ def test_a_varying_base_decides_rank_d_once_by_its_solve(tmp_path, capsys):
     assert _report_fields(out, "rank_D", "multiplier_gauged", "regular") == \
         ("1", "false", "true")
     assert "projector_residual" in out
+
+
+def test_a_tiny_regular_d_gives_projectors_from_the_same_d(tmp_path, capsys):
+    # at x = 1e-12 the 1x1 D = 1e-12 is regular by its own cut-off: the
+    # projectors come from that D, where a second rank decision on
+    # [ker dphi, Gamma] once called the same split degenerate (exit 3)
+    text = NEAR_SINGULAR_D_SPEC.replace("1 + 1e-6*y^2", "1")
+    path = tmp_path / "tiny.lss"
+    path.write_text(text)
+    code, out, err = _run(capsys, "analyze", "--spec", str(path), "--at", "x=1e-12,y=0")
+    assert code == 0 and err == ""
+    assert _report_fields(out, "rank_D", "regular", "projector_residual") == ("1", "true", "0")
+    spec, x = loads(text), np.array([1e-12, 0.0])
+    doc = cli._point_docs(spec, x[None], DEFAULT_TOLERANCES)[0]
+    xf, u, _ = PointDynamics(spec.gnh).solve(x)
+    assert doc["X"].tobytes() == np.array(xf).tobytes() and doc["u"].tobytes() == u.tobytes()
 
 
 @pytest.mark.parametrize("text, section, line, message", [

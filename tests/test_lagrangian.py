@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from oracles import kernel_basis
+
 from linsing.errors import (
     InconsistentSystemError,
     MaxRankViolatedError,
@@ -12,7 +14,7 @@ from linsing.lagrangian import (
     build_lagrangian_system,
     chetaev_frame,
 )
-from linsing.linalg import kernel_basis, rank, solve_affine
+from linsing.linalg import rank, solve_affine
 from linsing.nonholonomic import GeneralizedNonholonomicSystem, PointDynamics, SubmanifoldSpec
 
 

@@ -18,22 +18,23 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    NotComplementaryError,
     cokernel_basis,
+    complement_projectors,
     induced_quotient_matrix,
+    kernel_basis,
     orthonormal_complement,
     reduced_solve,
     subspace_classify,
 )
 
 from linsing import linalg
-from linsing.errors import NonFiniteError, NotComplementaryError, ShapeError
+from linsing.errors import NonFiniteError, ShapeError
 from linsing.expressions import ExpressionField
 from linsing.linalg import (
     DEFAULT_TOLERANCES,
     SubspaceBasis,
     Tolerances,
-    complement_projectors,
-    kernel_basis,
     rank,
     solve_affine,
 )

@@ -3,6 +3,7 @@ import collections
 import numpy as np
 import pytest
 
+from oracles import NotComplementaryError, complement_projectors, kernel_basis
 from test_checked_route import _same_consistency
 
 from linsing import cli
@@ -11,18 +12,17 @@ from linsing.errors import (
     FrameDegenerateError,
     InconsistentSystemError,
     NonFiniteError,
-    NotComplementaryError,
     NotOnManifoldError,
     ShapeError,
 )
 from linsing.dynamics import integrate
 from linsing.expressions import ExpressionField
 from linsing import linalg
-from linsing.linalg import Tolerances, complement_projectors, kernel_basis
+from linsing.linalg import Tolerances
 from linsing.nonholonomic import GeneralizedNonholonomicSystem, PointDynamics, SubmanifoldSpec
 from linsing.sampling import halton_box, on_manifold_sample
 from linsing.specfile import loads
-from linsing.systems import identity_system
+from linsing.systems import LinearlySingularSystem, identity_system
 
 V = ("x", "y")
 
@@ -314,6 +314,17 @@ def test_off_manifold_points_are_rejected():
         gnh.constraints.require_on(np.array([[0.0, 2.0], [0.0, 2.5]]))
 
 
+def test_a_nan_constraint_residual_is_off_the_manifold():
+    # x*x - y*y overflows to inf - inf = nan at x = y = 1e200: a point whose
+    # residual cannot be measured is not on M
+    constraints = SubmanifoldSpec(ExpressionField.vector(["x*x - y*y"], V))
+    with pytest.raises(NotOnManifoldError, match=r"max \|phi\| = nan"):
+        constraints.require_on(np.array([1e200, 1e200]))
+    with pytest.raises(NotOnManifoldError, match=r"max \|phi\| = nan"):
+        constraints.require_on(np.array([[1.0, 1.0], [1e200, 1e200]]))
+    assert not constraints.is_on(np.array([1e200, 1e200]))
+
+
 CONSTANT_SINGULAR_SPEC = """
 [vars]
 names = x, y
@@ -482,3 +493,63 @@ def test_constrained_field_is_tangent_and_projected():
         x_dot = pa.field
         assert abs(phi.jacobian(pt) @ x_dot) < 1e-10
         assert np.max(np.abs(pa.projectors[0] @ pa.y - x_dot)) < 1e-10
+
+
+def _random_projector_case(rng):
+    """(gnh, points) of a random system over n <= 4 variables with a constant
+    base A, a = m in {1, 2} linear constraints and forces affine in the first
+    variable, and points of M spread along ker dphi."""
+    while True:
+        a = int(rng.integers(1, 3))
+        n = int(rng.integers(a, 5))
+        names = tuple("xyzw"[:n])
+        base_mat = rng.normal(size=(n, n)) + 2.0 * np.eye(n)
+        if np.linalg.cond(base_mat) < 1e3:
+            break
+    dphi, x0 = rng.normal(size=(a, n)), rng.normal(size=n)
+    delta0, delta1 = rng.normal(size=(n, a)), rng.normal(size=(n, a))
+
+    def text(v):
+        return repr(float(v))
+
+    base = LinearlySingularSystem(
+        ExpressionField.matrix([[text(v) for v in row] for row in base_mat], names),
+        ExpressionField.vector([text(v) for v in rng.normal(size=n)], names))
+    phi = ExpressionField.vector(
+        [" + ".join(f"{text(c)}*{v}" for c, v in zip(row, names)) + f" - {text(row @ x0)}"
+         for row in dphi], names)
+    forces = ExpressionField.matrix(
+        [[f"{text(c0)} + {text(c1)}*x" for c0, c1 in zip(r0, r1)]
+         for r0, r1 in zip(delta0, delta1)], names)
+    tangent = np.linalg.svd(dphi)[2][a:].T
+    points = x0 + rng.normal(size=(6, n - a)) @ tangent.T
+    return GeneralizedNonholonomicSystem(base, SubmanifoldSpec(phi), forces), points
+
+
+def test_projectors_split_the_space_and_agree_with_the_geometric_oracle():
+    # P = I - Gamma D^-1 dphi, from the D that decided regularity, is the
+    # projector onto T_xM = ker dphi along H_x = span Gamma: P^2 = P, P Gamma
+    # = 0, dphi P = 0, P + Q = I, and it agrees with the oracle built from a
+    # kernel basis of dphi and the inverse of [ker dphi, Gamma]
+    rng = np.random.default_rng(2705)
+    checked = 0
+    for _ in range(60):
+        gnh, points = _random_projector_case(rng)
+        for x, pa in zip(points, PointDynamics(gnh).analyses(points)):
+            if not pa.classification.regular:
+                continue
+            p, q = pa.projectors
+            jphi = gnh.constraints.jacobian(x)
+            gamma = np.linalg.solve(gnh.base.A(x), gnh.forces(x))
+            scale = max(1.0, np.max(np.abs(p)), np.max(np.abs(q)))
+            eps = 1e-12 * scale * max(1.0, np.max(np.abs(gamma)), np.max(np.abs(jphi)))
+            assert np.max(np.abs(p @ p - p)) <= 1e-12 * scale ** 2
+            assert np.max(np.abs(p @ gamma)) <= eps
+            assert np.max(np.abs(jphi @ p)) <= eps
+            assert np.max(np.abs(p + q - np.eye(len(x)))) <= 1e-15 * scale
+            want, _ = complement_projectors(kernel_basis(jphi), gamma)
+            cond = np.linalg.cond(pa.classification.d_matrix)
+            assert np.max(np.abs(p - want)) <= 1e-12 * cond * scale
+            checked += 1
+    assert checked >= 300
+

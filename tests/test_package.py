@@ -124,6 +124,21 @@ def test_every_public_function_is_called_from_the_package():
     assert uncalled == []
 
 
+def test_every_error_class_is_raised_by_the_package():
+    # an error class that no module outside errors.py constructs is dead: the
+    # caller that catches it waits for an error the package never raises
+    package = Path(linsing.__file__).parent
+    tree = ast.parse((package / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    built = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name != "errors.py":
+            built |= {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                      if isinstance(node, ast.Call)}
+    assert sorted(classes - built - {"LinsingError"}) == []
+
+
 def test_the_readme_library_example_runs(tmp_path, monkeypatch):
     # the README's "Library use" block, run as written on example1's file
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -388,6 +388,17 @@ def test_constraint_force_pairing_rules():
     assert "constant number" in str(e)
 
 
+@pytest.mark.parametrize("box, message", [
+    ("x:-inf:1", "box bounds in 'x:-inf:1' are not finite"),
+    ("x:0:nan", "box bounds in 'x:0:nan' are not finite"),
+    ("x:-1e308:1e308", "box range in 'x:-1e308:1e308' is too wide: hi - lo overflows"),
+])
+def test_a_box_range_must_be_finite_and_of_finite_width(box, message):
+    e = _err(f"[vars]\nnames = x, y\n[system]\nf = 1, y\n[symmetry]\nV = 1, 0\nbox = {box}\n")
+    assert message in str(e)
+    assert (e.section, e.line) == ("symmetry", 7)
+
+
 def test_symmetry_section_errors():
     base = "[vars]\nnames = x, y\n[system]\nf = 1, y\n[symmetry]\n"
     e = _err(base + "V = x\n")
