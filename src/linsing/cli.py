@@ -250,14 +250,15 @@ def cmd_analyze(args):
 
 
 def _make_field(spec, x0, tols):
-    """(evaluator, mode) of a command's flow. The flow at x0, computed once,
-    names the mode: a base singular there, with a Lagrangian, adds the
+    """(evaluator, mode) of a command's flow. A base that construction did not
+    invert is probed at x0: singular there, with a Lagrangian, it adds the
     second-order rows; any other error of the flow at x0 raises here."""
     if spec.gnh is None:
         return PointDynamics(spec.system, tols), "explicit"
     dyn = PointDynamics(spec.gnh, tols)
     try:
-        dyn.flows(np.asarray(x0, dtype=float)[None])
+        if dyn.base_inverse is None:  # an inverted base is regular everywhere
+            dyn.flows(np.asarray(x0, dtype=float)[None])
         return dyn, "constrained"
     except BaseNotRegularError:
         if spec.model is None:

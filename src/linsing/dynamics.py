@@ -77,12 +77,12 @@ def _rk4_step(field_fn, x, dt):
 def integrate(field_fn, x0, t1, dt, project=None, multiplier_fn=None):
     """Integrate x' = field_fn(x) from 0 to t1 on a uniform grid of step dt.
 
-    `t1` and `dt` must be finite and `dt` must divide `t1` (to a
-    relative 1e-9); otherwise ValueError, so the grid always ends at t1. No
-    non-finite state is stored: a step that overflows, or a field that raises
-    NonFiniteError, raises NonFiniteError naming the step and its start time.
-    numpy's floating-point warnings are off while stepping, since that check
-    reports what they would.
+    `t1`, `dt` and the step count t1 / dt must be finite and `dt` must divide
+    `t1` (to a relative 1e-9); otherwise ValueError, so the grid always ends
+    at t1. No non-finite state is stored: a step that overflows, or a field
+    that raises NonFiniteError, raises NonFiniteError naming the step and its
+    start time. numpy's floating-point warnings are off while stepping, since
+    that check reports what they would.
 
     Parameters
     ----------
@@ -101,6 +101,8 @@ def integrate(field_fn, x0, t1, dt, project=None, multiplier_fn=None):
         raise ValueError("t1 and dt must be finite")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    if not math.isfinite(t1 / dt):
+        raise ValueError(f"t1 = {t1!r} over dt = {dt!r} is not a finite number of steps")
     x = np.asarray(x0, dtype=float).tolist()
     steps = int(round(t1 / dt))
     if steps < 1:

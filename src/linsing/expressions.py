@@ -559,19 +559,25 @@ def free_variables(*exprs):
 
 _BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 
+# the deepest parenthesis nesting an inlined value may reach before it is held
+# in a local: CPython's tokenizer refuses a line nested 200 levels deep
+_MAX_NESTING = 100
+
 
 def _compiled_source(exprs, variables):
     """Source of `def _compiled(_x)`, returning the list of the expressions' values.
 
     The expressions are numbered as one DAG: structurally equal subtrees get one
     value number, and a non-leaf one used more than once is computed once per
-    call into a local. `_x[i]` is the value of variable i; the operators and the
+    call into a local, as is one whose text would nest more than _MAX_NESTING
+    parentheses deep. `_x[i]` is the value of variable i; the operators and the
     `_fn_*` and `_pow` names are bound by the namespace the source runs in.
     """
     idx = {name: i for i, name in enumerate(variables)}
     number_of = {}  # id(node) -> value number; keys are nodes kept alive by `exprs`
     number_by_key = {}  # (type, payload, child numbers) -> value number
     texts = []  # value number -> source text, or the `_tN` local holding it
+    depths = []  # value number -> parenthesis nesting of its text
     uses = []  # value number -> references from parents and top-level entries
     lines = []
 
@@ -621,10 +627,12 @@ def _compiled_source(exprs, variables):
             text = f"_pow({args[0]}, {args[1]})"
         else:
             text = f"({args[0]} {_BINARY_OPS[kind]} {args[1]})"
-        if kids and uses[k] > 1:
+        depth = 1 + max((depths[c] for c in kids), default=-1)  # a leaf nests 0
+        if kids and (uses[k] > 1 or depth > _MAX_NESTING):
             lines.append(f"    _t{k} = {text}\n")
-            text = f"_t{k}"
+            text, depth = f"_t{k}", 0
         texts.append(text)
+        depths.append(depth)
     body = ", ".join(texts[k] for k in roots)
     return "def _compiled(_x):\n" + "".join(lines) + f"    return [{body}]\n"
 

@@ -243,7 +243,7 @@ def _fused_kernel(parts, variables):
     row-major view of the buffer per part, and the (start, stop, shape) of each
     part's values in a row of the kernel. Entries shared between parts are
     computed once, and a DomainEvalError names the first faulting entry in this
-    order, as separate field calls would."""
+    order (dphi, Gamma, Y on the Schur route; rhs, matrix on the bordered)."""
     entries = [e for part, _ in parts for e in part]
     buf = np.empty(len(entries))
     views, spans, start = [], [], 0
@@ -329,13 +329,13 @@ class PointDynamics:
     With X_q fixed, the minimum-norm (w, u) is the minimum-norm (X, u).
 
     A constant base B in the first-order modes that is regular is inverted
-    once, at construction, from its entries, and its kernel emits the forces,
-    f and dphi followed by Gamma = B^{-1} Delta and Y = B^{-1} g, folded in
-    symbolically. The solve is then of the Schur complement D u = -dphi . Y
-    with D = dphi . Gamma, and X = Y + Gamma u. D and dphi . Y are numpy's dot
-    products; for one constraint and one force, D is 1x1 and the rest runs on
-    Python floats with numpy's rounding: the scalar solve, and X entry by
-    entry.
+    once, at construction, from its entries, into `base_inverse` (None for
+    any other base), and its kernel emits dphi, Gamma = B^{-1} Delta and
+    Y = B^{-1} g, the last two folded in symbolically. The solve is then of
+    the Schur complement D u = -dphi . Y with D = dphi . Gamma, and
+    X = Y + Gamma u. D and dphi . Y are numpy's dot products; for one
+    constraint and one force, D is 1x1 and the rest runs on Python floats with
+    numpy's rounding: the scalar solve, and X entry by entry.
     Otherwise (a varying base, or a constant singular one) the kernel emits
     the bordered system's right-hand side and matrix, which the solve reads as
     fixed views of its buffer.
@@ -365,16 +365,16 @@ class PointDynamics:
         s = base.n // 2 if second_order else 0
         # base rows, the velocities X_q = v and the unknowns of X solved for
         self._k, self._s, self._w = base.k, s, base.n - s
-        self._b_inv = None
+        self.base_inverse = None
         if gnh is not None and not second_order and base.A.is_constant:
             # the entries' own bits, as the generated runner returns them
             b = np.array([e.value for e in base.A.entries], dtype=float).reshape(base.A.shape)
             if base.k == base.n and linalg.rank(b, tols) == base.n:
-                self._b_inv = np.linalg.inv(b)
+                self.base_inverse = np.linalg.inv(b)
         jphi = None if gnh is None else gnh.constraints.phi.jacobian_field()
-        if self._b_inv is not None:  # forces, f, dphi, then Gamma and Y folded in
-            parts = [(fld.entries, fld.shape) for fld in (gnh.forces, base.f, jphi)]
-            parts += _schur_fold(self._b_inv, gnh.forces, base.f)
+        if self.base_inverse is not None:  # dphi, then Gamma and Y folded in
+            parts = [(jphi.entries, jphi.shape)]
+            parts += _schur_fold(self.base_inverse, gnh.forces, base.f)
         else:
             parts = _bordered_system(base.A, base.f, None if gnh is None else gnh.forces,
                                      jphi, s)
@@ -396,8 +396,8 @@ class PointDynamics:
         errors and the folded Y; otherwise one stacked solve of the base rows
         B v = g gives both: the one place a BaseNotRegularError is built. The
         second-order system holds no base rows, and raises TypeError."""
-        if self._b_inv is not None:
-            return [None] * len(views[4]), views[4]
+        if self.base_inverse is not None:
+            return [None] * len(views[2]), views[2]
         if self._s:
             raise TypeError("the second-order system holds no base rows")
         b, g, _, _ = self._base_rows(views)
@@ -448,8 +448,8 @@ class PointDynamics:
         if not live.size:
             return out
         views, y = [v[live] for v in views], y[live]
-        if self._b_inv is not None:
-            jphi, gamma = views[2:4]
+        if self.base_inverse is not None:
+            jphi, gamma = views[:2]
         else:
             b, _, frame, jphi = self._base_rows(views)
             gamma = np.linalg.solve(b, frame)
@@ -511,16 +511,18 @@ class PointDynamics:
         the solve's AffineSolutionSet (in (X, u) if bordered, and in (w, u) in
         the second-order mode). A list of floats goes to the kernel as it is."""
         vals = self._evaluate(x)
-        if self._b_inv is not None:
+        if self.base_inverse is not None:
             return self._schur(vals)[:3]
         (rhs, mat), w = self._views, self._w
         sol = linalg.solve_affine(mat, rhs, self.tols)
         self._check(sol, mat[:self._k, w:])
-        z = sol.x0
-        if sol.kernel.dim > 0:  # the minimum-norm u over z + K c, and X with it
-            ker = sol.kernel.vectors
-            z = z + ker @ linalg.solve_affine(ker[w:], -z[w:], self.tols).x0
+        z = sol.x0 if sol.kernel.dim == 0 else self._min_norm(sol.x0, sol.kernel.vectors)
         return self._full_field(np.asarray(x, dtype=float), z[:w]).tolist(), z[w:], sol
+
+    def _min_norm(self, z, ker):
+        """z + K c with the minimum-norm u over the solution set z + K c of the
+        bordered system, K its kernel basis; X follows u."""
+        return z + ker @ linalg.solve_affine(ker[self._w:], -z[self._w:], self.tols).x0
 
     def _full_field(self, x, w):
         """X from its solved unknowns w, at x or a batch: (v, w) if second-order."""
@@ -548,7 +550,7 @@ class PointDynamics:
         """(X, u, sol, D) of the Schur complement D u = -dphi . Y, D = dphi . Gamma,
         X = Y + Gamma u, from the kernel's values `vals` at a point and the
         views of its buffer; X as a list of floats."""
-        _, _, jphi, gamma, y = self._views
+        jphi, gamma, y = self._views
         # D and dphi . Y are not folded into the kernel: numpy's BLAS may fuse
         # a multiply and an add, which Python floats cannot, and every route
         # that forms D (the reference tests, among them the `subspace_classify`
@@ -565,7 +567,7 @@ class PointDynamics:
         # multiply and add, and so may differ from g * u in the sign of a zero;
         # Y is a sum from +0, never -0, so the sum with Y has the same bits
         u = sol.x0.item()
-        (g0, g1, _), (y0, y1, _) = self._spans[3:]
+        (g0, g1, _), (y0, y1, _) = self._spans[1:]
         return [a + g * u for a, g in zip(vals[y0:y1], vals[g0:g1])], sol.x0, sol, d
 
     def _check(self, sol, frame):
@@ -593,11 +595,11 @@ class PointDynamics:
         """`solve` at each point of a batch, from the kernel's row views, as one
         stacked solve: (X, u, sol, failed), `failed` marking the rows at which
         `solve` raises InconsistentSystemError. The Schur complement route
-        forms `_schur`'s products stacked; the bordered route then takes the
-        minimum-norm u over each point's solution set, stacked per kernel
-        dimension."""
-        if self._b_inv is not None:
-            _, _, jphi, gamma, y = views
+        forms `_schur`'s products stacked; the bordered route then takes
+        `solve`'s `_min_norm` step at each consistent row with a non-trivial
+        kernel, so that row i is `solve` at point i."""
+        if self.base_inverse is not None:
+            jphi, gamma, y = views
             with linalg._float_errors():  # `_schur`'s dot products do not warn
                 d, c = jphi @ gamma, (jphi @ y[..., None])[..., 0]
             sol = linalg.solve_affine(d, -c, self.tols)
@@ -609,13 +611,8 @@ class PointDynamics:
         sol = linalg.solve_affine(mat, rhs, self.tols)
         failed = self._check_rows(sol, mat[:, :self._k, w:])
         z = sol.x0.copy()
-        dims = _dims(sol.kernel)
-        dims[failed] = 0
-        for dim in sorted(set(dims[dims > 0].tolist())):
-            idx = np.flatnonzero(dims == dim)
-            ker = np.stack([sol.kernel[i].vectors for i in idx.tolist()])
-            inner = linalg.solve_affine(ker[:, w:], -z[idx, w:], self.tols)
-            z[idx] = z[idx] + (ker @ inner.x0[..., None])[..., 0]
+        for i in np.flatnonzero((_dims(sol.kernel) > 0) & ~failed).tolist():
+            z[i] = self._min_norm(z[i], sol.kernel[i].vectors)
         return self._full_field(points, z[:, :w]), z[:, w:], sol, failed
 
     def _check_rows(self, sol, frame):

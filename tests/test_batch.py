@@ -131,9 +131,9 @@ def _rates_loop(h, points, flows):
 def _analysis_loop(dyn, x):
     """`PointDynamics.analysis` as the point-by-point route took it."""
     gnh, tols = dyn.gnh, dyn.tols
-    if dyn._b_inv is not None:
+    if dyn.base_inverse is not None:
         xf, u, sol, d = dyn._schur(dyn._evaluate(x))
-        jphi, gamma, y = (v.copy() for v in dyn._views[2:])
+        jphi, gamma, y = (v.copy() for v in dyn._views)
     else:
         g, b = gnh.base.f(x), gnh.base.A(x)
         base = linalg.solve_affine(b, g, tols)

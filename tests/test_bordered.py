@@ -296,6 +296,42 @@ def test_gauged_multipliers_are_the_minimum_norm_representative(a_text):
         assert np.array_equal(PointDynamics(gnh).multipliers(p), u)
 
 
+def _mixed_gauge_system(a_text):
+    # D = diag(x, x (x - 0.5)): kernel dimension 2 at x = 0, 1 at x = 0.5 and
+    # 0 elsewhere, and f keeps -dphi . Y in the image of D at every point
+    v = ("x", "y", "z", "w")
+    base = LinearlySingularSystem(ExpressionField.matrix(a_text, v),
+                                  ExpressionField.vector(["1", "y", "x", "2*x*(x - 0.5)"], v))
+    forces = ExpressionField.matrix([["1", "0"], ["0", "1"], ["x", "0"], ["0", "x*(x - 0.5)"]], v)
+    phi = ExpressionField.vector(["z - 2", "w - 1"], v)
+    return GeneralizedNonholonomicSystem(base, SubmanifoldSpec(phi), forces)
+
+
+@pytest.mark.parametrize("a_text", [
+    [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+    [["1", "0", "0", "0"], ["0", "1 + x^2", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+])
+def test_a_batch_of_gauged_and_ungauged_rows_is_solve_at_each_point_bit_for_bit(a_text):
+    gnh = _mixed_gauge_system(a_text)
+    dyn = PointDynamics(gnh)
+    pts = np.array([[x1, 0.3, 2.0, 1.0] for x1 in (0.0, 0.5, 1.3, -0.7, 0.0, 0.5, 2.0)])
+    xf, u, sol, errors = dyn.solves(pts)
+    analyses = dyn.analyses(pts)
+    assert errors == [None] * len(pts)
+    assert [k.dim for k in sol.kernel] == [2, 1, 0, 0, 2, 1, 0]
+    for i, p in enumerate(pts):
+        x1, u1, sol1 = dyn.solve(p)
+        assert sol1.kernel.dim == sol.kernel[i].dim
+        assert np.array(x1).tobytes() == xf[i].tobytes() and u1.tobytes() == u[i].tobytes()
+        pa = analyses[i]
+        assert pa.field.tobytes() == xf[i].tobytes()
+        assert pa.multipliers.u.tobytes() == u[i].tobytes()
+        assert pa.multipliers.gauged == (sol1.kernel.dim > 0)
+        want_x, want_u = _schur_oracle(gnh, p)
+        _assert_close(u1, want_u)
+        _assert_close(x1, want_x)
+
+
 def test_schur_path_is_the_arithmetic_of_separate_field_calls_bit_for_bit():
     # two force columns: the kernel's frame is a row-major view of its buffer
     gnh = _two_force_system([["2", "0.3"], ["0.1", "1.7"]])
@@ -380,6 +416,16 @@ def test_a_second_order_evaluation_factors_the_reduced_system(monkeypatch):
         assert shapes == [(gnh.base.k + gnh.a, gnh.n // 2 + gnh.m)] == [(9, 5)]
 
 
+def _sum_from_zero(coeffs, values):
+    """sum_l coeffs[l] * values[l] on Python floats, from +0, left to right,
+    leaving out the terms whose coefficient is 0 and multiplying by no 1."""
+    total = 0.0
+    for c, v in zip(coeffs.tolist(), values.tolist()):
+        if c != 0.0:
+            total += v if c == 1.0 else c * v
+    return total
+
+
 @pytest.mark.parametrize("mode", KERNEL_MODES)
 def test_one_kernel_call_and_no_field_call_per_evaluation(mode, monkeypatch):
     dyn, system, points = _mode(mode)
@@ -408,20 +454,26 @@ def test_one_kernel_call_and_no_field_call_per_evaluation(mode, monkeypatch):
         if gnh is not None:
             forces, dphi = gnh.forces(x), gnh.constraints.jacobian(x)
         if schur:
-            # the kernel holds bit for bit each field's values, row-major, in
-            # the path's read order: forces, f, dphi
-            want = np.concatenate([forces.ravel(), base.f(x), dphi.ravel()])
+            # the kernel holds dphi bit for bit, row-major, and nothing of the
+            # forces or f but what Gamma and Y are folded from
+            want = dphi.ravel()
             assert dyn._vals[:len(want)].tobytes() == want.tobytes()
-            # then Gamma = B^-1 Delta and Y = B^-1 f, folded in: numpy's
-            # products bit for bit where B^-1 is a signed permutation
-            # (rosenberg), to rounding elsewhere
+            # then Gamma = B^-1 Delta and Y = B^-1 f, folded in: each entry
+            # the sum from +0, left to right, of its products with the nonzero
+            # entries of B^-1, bit for bit; numpy's products too where B^-1 is
+            # a signed permutation (rosenberg)
             b_inv = np.linalg.inv(base.A(np.zeros(base.n)))
-            folded = np.concatenate([(b_inv @ forces).ravel(), b_inv @ base.f(x)])
+            assert dyn.base_inverse.tobytes() == b_inv.tobytes()
+            gamma_y = np.column_stack([forces, base.f(x)])
+            summed = np.array([[_sum_from_zero(row, col) for col in gamma_y.T] for row in b_inv])
+            folded = np.concatenate([summed[:, :-1].ravel(), summed[:, -1]])
             rest = dyn._vals[len(want):]
+            assert rest.tobytes() == folded.tobytes()
             if mode == "constrained":
-                assert rest.tobytes() == folded.tobytes()
-            else:
-                _assert_close(rest, folded, rel=1e-13)
+                numpy_products = np.concatenate([(b_inv @ forces).ravel(), b_inv @ base.f(x)])
+                assert rest.tobytes() == numpy_products.tobytes()
+            # the views the solve reads are dphi, Gamma and Y, in that order
+            assert [v.shape for v in dyn._views] == [dphi.shape, forces.shape, (base.n,)]
         else:
             # the bordered system, its right-hand side and then its matrix
             # row-major: [A_v, -Delta; dphi_v, 0] and (g - A_q v, -dphi_q v),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from linsing import cli
+from linsing import cli, linalg
 from linsing.cli import main
 from linsing.linalg import DEFAULT_TOLERANCES
 from linsing.nonholonomic import PointDynamics
@@ -252,6 +252,13 @@ def test_simulate_times_must_be_finite(capsys, flag, value):
                           *(arg for pair in times.items() for arg in pair))
     assert code == 2 and out == ""
     assert err == f"error: {flag} must be positive and finite\n"
+
+
+def test_simulate_refuses_a_step_count_that_is_not_finite(capsys):
+    code, out, err = _run(capsys, "simulate", "--scenario", "rosenberg",
+                          "--x0", "x=0,y=0,z=0,x'=1,y'=1", "--t1", "1e300", "--dt", "1e-300")
+    assert code == 2 and out == ""
+    assert err == "error: t1 = 1e+300 over dt = 1e-300 is not a finite number of steps\n"
 
 
 def test_check_symmetry_passes_on_example1(capsys):
@@ -543,6 +550,61 @@ def test_a_non_finite_kernel_value_fails_the_evaluation(argv, tmp_path, capsys):
     assert code == 3 and out == ""
     assert err == "error: a value of the flow's fields is not finite at this point\n"
 
+
+# A = I is inverted at construction: `simulate` takes no probe at x0, and an
+# error there comes from the run's first evaluation, as `analyze` reports it
+DEGENERATE_AT_X0_SPEC = """
+[vars]
+names = x, y
+
+[system]
+A = 1, 0; 0, 1
+f = {f}
+
+[constraints]
+phi = y
+
+[forces]
+Delta = {delta}
+"""
+
+
+@pytest.mark.parametrize("command, point_flag", [
+    (["simulate", "--t1", "0.1", "--dt", "0.01"], "--x0"),
+    (["analyze"], "--at"),
+])
+@pytest.mark.parametrize("f, delta, x0, message", [
+    # D = dphi . Gamma = 0 at x = 1, and -dphi . Y = -1 is not in its image
+    ("1, 1", "x, 0", "x=1,y=0",
+     "no multiplier solves the tangency condition (residual 1.000e+00)"),
+    ("1, 1", "x, 0", "x=0,y=0", "transported force frame is linearly dependent"),
+    # the kernel's first faulting value, Y = B^-1 f, is folded from f
+    ("sqrt(x), 1", "1, x", "x=-1,y=0", "sqrt of a negative number in subexpression 'sqrt(x)'"),
+])
+def test_an_error_at_x0_of_an_inverted_base_exits_3(command, point_flag, f, delta, x0, message,
+                                                    tmp_path, capsys):
+    path = tmp_path / "x0.lss"
+    path.write_text(DEGENERATE_AT_X0_SPEC.format(f=f, delta=delta))
+    code, out, err = _run(capsys, command[0], "--spec", str(path), point_flag, x0, *command[1:])
+    assert code == 3 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("scenario", ["rosenberg", "relparticle-L2", "example1"])
+def test_an_inverted_base_takes_no_stacked_solve_to_name_its_mode(scenario, monkeypatch):
+    spec = loads(cli.scenario_text(scenario))
+    x0 = cli._default_points(spec, 1)[0]
+    calls = []
+    stacked = linalg._solve_stack
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return stacked(*args)
+
+    monkeypatch.setattr(linalg, "_solve_stack", counted)
+    dyn, mode = cli._make_field(spec, x0, DEFAULT_TOLERANCES)
+    assert mode == "constrained" and dyn.base_inverse is not None
+    assert calls == []
 
 
 def test_a_non_finite_symmetry_residual_fails_the_check(tmp_path, capsys):

@@ -57,6 +57,13 @@ def test_non_finite_times_are_rejected(which, bad):
         integrate(lambda x: x, np.array([1.0]), times["t1"], times["dt"])
 
 
+@pytest.mark.parametrize("t1, dt", [(1e300, 1e-300), (1.0, 5e-324)])
+def test_a_step_count_that_is_not_finite_is_rejected(t1, dt):
+    # int(round(inf)) raised OverflowError; the grid is never allocated
+    with pytest.raises(ValueError, match=r"t1 = .* over dt = .* is not a finite number of steps"):
+        integrate(lambda x: x, np.array([1.0]), t1, dt)
+
+
 def test_projection_keeps_states_on_circle():
     circle = SubmanifoldSpec(
         ExpressionField.vector(["x^2 + y^2 - 1"], ("x", "y"))

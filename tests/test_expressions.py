@@ -237,15 +237,33 @@ def test_constant_folding_keeps_faulting_constants_unfolded():
     assert to_text(pow_(Var("x"), Const(0.0))) == "1"
 
 
-@pytest.mark.parametrize("name", ["example1", "relparticle-L1", "relparticle-L2", "rosenberg"])
+BUNDLED_SCENARIOS = ["example1", "relparticle-L1", "relparticle-L2", "rosenberg"]
+
+
+def _bundled_sources(name, patch, capsys):
+    """The `_compiled_source` texts that the bundled commands generate on one
+    scenario, in the order they are generated."""
+    texts = []
+    generate = expressions._compiled_source
+    patch.setattr(expressions, "_compiled_source",
+                  lambda exprs, variables: texts.append(generate(exprs, variables)) or texts[-1])
+    for argv in (["analyze", "--scenario", name, "--points", "20"],
+                 ["check-symmetry", "--scenario", name, "--points", "20"],
+                 ["check-constant", "--scenario", name, "--points", "20"],
+                 ["scenario", "--self-test", name]):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    return texts
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
 def test_folding_on_floats_generates_the_sources_of_folding_by_evaluation(name, monkeypatch,
                                                                            capsys):
     # the folding builders apply the float operation to two constants;
     # folding through the tree walk `evaluate` gives the same nodes, so every
     # command generates the same source text
     def sources(fold):
-        texts, folds = [], [0]
-        generate = expressions._compiled_source
+        folds = [0]
 
         def counted_fold(*args):
             folds[0] += 1
@@ -253,15 +271,7 @@ def test_folding_on_floats_generates_the_sources_of_folding_by_evaluation(name, 
 
         with monkeypatch.context() as patch:
             patch.setattr(expressions, "_fold", counted_fold)
-            patch.setattr(expressions, "_compiled_source",
-                          lambda exprs, variables: texts.append(generate(exprs, variables))
-                          or texts[-1])
-            for argv in (["analyze", "--scenario", name, "--points", "20"],
-                         ["check-symmetry", "--scenario", name, "--points", "20"],
-                         ["check-constant", "--scenario", name, "--points", "20"],
-                         ["scenario", "--self-test", name]):
-                assert cli.main(argv) == 0
-        capsys.readouterr()
+            texts = _bundled_sources(name, patch, capsys)
         assert folds[0] > 0 and texts
         return texts
 
@@ -460,6 +470,35 @@ def test_fault_in_a_shared_subtree_names_it():
     with pytest.raises(DomainEvalError) as err:
         ExpressionField.vector(["1/x"], ("x",))(np.array([0.0]))
     assert "division by zero in subexpression '1/x'" in str(err.value)
+
+
+@pytest.mark.parametrize("terms", [200, 250, 900])
+def test_a_deep_sum_is_held_in_locals_and_keeps_its_bits(terms):
+    # a left-deep sum inlined whole nests one parenthesis per term, and
+    # CPython's tokenizer refuses a line nested 200 levels deep
+    variables = ("x", "y")
+    fld = ExpressionField.vector([" + ".join(["x*y"] * terms), "1"], variables)
+    point = np.array([0.1, 0.3])
+    total = 0.1 * 0.3
+    for _ in range(terms - 1):
+        total += 0.1 * 0.3
+    assert fld(point).tobytes() == np.array([total, 1.0]).tobytes()
+    assert fld.rows(np.array([point, point])).tobytes() == np.array([[total, 1.0]] * 2).tobytes()
+    depth = worst = 0
+    for ch in expressions._compiled_source(fld.entries, variables):
+        depth += (ch in "([") - (ch in ")]")
+        worst = max(worst, depth)
+    assert worst <= expressions._MAX_NESTING + 2  # the list and a variable's index
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_the_nesting_bound_changes_no_bundled_source(name, monkeypatch, capsys):
+    with monkeypatch.context() as patch:
+        bounded = _bundled_sources(name, patch, capsys)
+    with monkeypatch.context() as patch:
+        patch.setattr(expressions, "_MAX_NESTING", math.inf)
+        unbounded = _bundled_sources(name, patch, capsys)
+    assert bounded == unbounded
 
 
 # ------------------------------------------------------------ vectorised target

@@ -55,6 +55,28 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     assert offenders == []
 
 
+# the private attributes a module reads off another object today: the float
+# error context and the scalar solve that the Schur route shares with linalg,
+# and the compiled constraints that the projection's early return runs
+PRIVATE_READS = {"linalg._float_errors", "linalg._solve_1x1", "self.phi._compiled"}
+
+
+def test_no_module_reads_a_private_attribute_of_another_object():
+    # x._name is another object's internals, unless x is self or cls: what a
+    # caller needs is a public attribute of its own
+    offenders = []
+    for path in sorted(Path(linsing.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Attribute) and node.attr.startswith("_")):
+                continue
+            owner = ast.unparse(node.value)
+            read = f"{owner}.{node.attr}"
+            dunder = node.attr.startswith("__") and node.attr.endswith("__")
+            if not (dunder or owner in ("self", "cls") or read in PRIVATE_READS):
+                offenders.append(f"{path.name}:{node.lineno}: {read}")
+    assert offenders == []
+
+
 def test_every_rank_cut_off_comes_from_the_tolerance_policy():
     # numpy's lstsq, pinv and matrix_rank each pick their own singular-value
     # cut-off; linsing's ranks are decided by `Tolerances.rank_tol` alone
