@@ -8,7 +8,9 @@ defined to be 0 at 0.
 Expressions are DAGs: derivatives share nodes with their source. `derivative` and
 `free_variables` visit each shared node once per call, and `Compiled` computes
 each structurally equal subtree once per evaluation, with bit-identical arithmetic,
-at one point or over a batch of points.
+at one point or over a batch of points. These walks keep their own stacks, so a
+sum of any length is differentiated and compiled; the parser, which recurses,
+refuses nesting deeper than `_MAX_PARSE_DEPTH`.
 """
 
 from __future__ import annotations
@@ -254,10 +256,16 @@ def tokenize(text):
 
 # -------------------------------------------------------------------- parser
 
+# the deepest a factor may sit inside parentheses, function calls, unary
+# signs and exponents: each level costs the recursive parser up to four frames
+_MAX_PARSE_DEPTH = 200
+
+
 class _Parser:
     def __init__(self, tokens, variables, params):
         self.tokens = tokens
         self.pos = 0
+        self.depth = -1  # of the factor being parsed: 0 at the top level
         self.variables = set(variables) if variables is not None else None
         self.params = params
 
@@ -293,16 +301,22 @@ class _Parser:
 
     def parse_factor(self):
         tok = self.peek()
+        self.depth += 1
+        if self.depth > _MAX_PARSE_DEPTH:
+            raise ExprSyntaxError(f"expression is nested more than {_MAX_PARSE_DEPTH} levels deep",
+                                  tok.offset)
         if tok.kind == "OP" and tok.text in ("-", "+"):  # +x is x, -0.0 included
             self.advance()
             operand = self.parse_factor()
-            return neg(operand) if tok.text == "-" else operand
-        base = self.parse_base()
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == "^":
-            self.advance()
-            return pow_(base, self.parse_factor())
-        return base
+            node = neg(operand) if tok.text == "-" else operand
+        else:
+            node = self.parse_base()
+            tok = self.peek()
+            if tok.kind == "OP" and tok.text == "^":
+                self.advance()
+                node = pow_(node, self.parse_factor())
+        self.depth -= 1
+        return node
 
     def parse_base(self):
         tok = self.advance()
@@ -465,19 +479,25 @@ def derivatives(exprs, var):
     """`derivative` of each expression with respect to `var`, with one memo for
     them all: a subtree shared between the expressions (the entries of a field)
     is differentiated once."""
-    memo = {}  # id(node) -> derivative; every key is a node kept alive by `exprs`
+    return derivative_columns(exprs, [var])[0]
 
-    def d(node):
-        out = memo.get(id(node))
-        if out is None:
-            out = memo[id(node)] = _derivative_node(node, var, d)
-        return out
 
-    return [d(e) for e in exprs]
+def derivative_columns(exprs, variables):
+    """`derivatives` of the expressions with respect to each of `variables` in
+    turn, one list per variable, from one walk of their DAG."""
+    order = _post_order(exprs)  # children first, so each node finds theirs
+    columns = []
+    for var in variables:
+        memo = {}  # node -> derivative; nodes hash by identity
+        d = memo.__getitem__
+        for node in order:
+            memo[node] = _derivative_node(node, var, d)
+        columns.append([memo[e] for e in exprs])
+    return columns
 
 
 def _derivative_node(e, var, d):
-    """Derivative of one node; `d` differentiates its children."""
+    """Derivative of one node; `d` gives the derivatives of its children."""
     if isinstance(e, Const):
         return Const(0.0)
     if isinstance(e, Var):
@@ -530,6 +550,44 @@ def _derivative_node(e, var, d):
     raise TypeError(f"not an expression node: {e!r}")
 
 
+# the operands, left to right, of the inner nodes that are not binary
+_OPERANDS = {Neg: lambda node: (node.a,), Pow: lambda node: (node.base, node.exponent),
+             Call: lambda node: (node.arg,)}
+_FINISH = object()  # on `_post_order`'s stack, above a node whose operands are done
+
+
+def _post_order(exprs):
+    """Each node of the DAG of `exprs` once, children before parents, as a
+    list: the order in which a recursive walk of the expressions in turn, each
+    node's operands left to right, would finish them. The walk keeps its own
+    stack, so an expression of any depth is walked."""
+    done, order = set(), []  # the finished nodes, which hash by identity
+    stack = list(reversed(exprs))
+    while stack:
+        node = stack.pop()
+        if node is _FINISH:
+            node = stack.pop()
+        elif node in done:
+            continue
+        elif isinstance(node, _Binary):  # most nodes; finished operands are not pushed
+            stack += (node, _FINISH)
+            if node.b not in done:
+                stack.append(node.b)
+            if node.a not in done:
+                stack.append(node.a)
+            continue
+        elif not isinstance(node, (Const, Var)):
+            operands = _OPERANDS.get(type(node))
+            if operands is None:
+                raise TypeError(f"not an expression node: {node!r}")
+            stack += (node, _FINISH)
+            stack += operands(node)[::-1]
+            continue
+        done.add(node)
+        order.append(node)
+    return order
+
+
 def free_variables(*exprs):
     """Set of variable names in the expressions, one DAG (each shared node visited once)."""
     out = set()
@@ -574,42 +632,37 @@ def _compiled_source(exprs, variables):
     `_fn_*` and `_pow` names are bound by the namespace the source runs in.
     """
     idx = {name: i for i, name in enumerate(variables)}
-    number_of = {}  # id(node) -> value number; keys are nodes kept alive by `exprs`
+    number_of = {}  # node -> value number; nodes hash by identity
     number_by_key = {}  # (type, payload, child numbers) -> value number
     texts = []  # value number -> source text, or the `_tN` local holding it
     depths = []  # value number -> parenthesis nesting of its text
     uses = []  # value number -> references from parents and top-level entries
     lines = []
 
-    def number(node):
-        k = number_of.get(id(node))
-        if k is not None:
-            return k
-        if isinstance(node, Const):
+    for node in _post_order(exprs):
+        kind = type(node)
+        if kind is Const:
             # repr, not the float: 0.0 == -0.0 and they hash equal
             key = (Const, repr(node.value), ())
-        elif isinstance(node, Var):
+        elif kind is Var:
             key = (Var, node.name, ())
-        elif isinstance(node, Call):
-            key = (Call, node.fn, (number(node.arg),))
-        elif isinstance(node, Neg):
-            key = (Neg, None, (number(node.a),))
-        elif isinstance(node, Pow):
-            key = (Pow, None, (number(node.base), number(node.exponent)))
-        elif type(node) in _BINARY_OPS:
-            key = (type(node), None, (number(node.a), number(node.b)))
+        elif kind is Call:
+            key = (Call, node.fn, (number_of[node.arg],))
+        elif kind is Neg:
+            key = (Neg, None, (number_of[node.a],))
+        elif kind is Pow:
+            key = (Pow, None, (number_of[node.base], number_of[node.exponent]))
         else:
-            raise TypeError(f"not an expression node: {node!r}")
+            key = (kind, None, (number_of[node.a], number_of[node.b]))
         k = number_by_key.get(key)
         if k is None:
             k = number_by_key[key] = len(uses)
             uses.append(0)
             for child in key[2]:
                 uses[child] += 1
-        number_of[id(node)] = k
-        return k
+        number_of[node] = k
 
-    roots = [number(e) for e in exprs]
+    roots = [number_of[e] for e in exprs]
     for k in roots:
         uses[k] += 1
     # numbers are allocated in post-order, so each local precedes its first use
@@ -832,7 +885,7 @@ class ExpressionField:
             raise ShapeError("gradient needs a scalar field")
         if self._grad is None:
             self._grad = ExpressionField.vector(
-                [derivative(self.entries[0], v) for v in self.variables],
+                [col[0] for col in derivative_columns(self.entries, self.variables)],
                 self.variables,
             )
         return self._grad
@@ -841,7 +894,7 @@ class ExpressionField:
         if len(self.shape) != 1:
             raise ShapeError("jacobian needs a vector field")
         if self._jac is None:
-            columns = [derivatives(self.entries, v) for v in self.variables]
+            columns = derivative_columns(self.entries, self.variables)
             self._jac = ExpressionField.matrix(list(zip(*columns)), self.variables)
         return self._jac
 

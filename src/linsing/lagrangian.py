@@ -13,8 +13,8 @@ The dynamics is A(x) X = dE(x); L is regular exactly where W is invertible.
 from __future__ import annotations
 
 from .errors import MaxRankViolatedError, ShapeError
-from .expressions import (Const, ExpressionField, Var, add, derivative, derivatives, mul, neg,
-                          parse, sub)
+from .expressions import (Const, ExpressionField, Var, add, derivative, derivative_columns, mul,
+                          neg, parse, sub)
 from .nonholonomic import SubmanifoldSpec
 from .systems import LinearlySingularSystem
 
@@ -41,8 +41,8 @@ class LagrangianModel:
         self.energy = sub(energy, self.L)
         self.energy_field = ExpressionField([self.energy], self.variables, ())
         # row i of W (of N) holds the momenta differentiated by v_i (by q_i)
-        self._w = [derivatives(self.momenta, v) for v in self.v_names]
-        self._n_qv = [derivatives(self.momenta, q) for q in self.q_names]
+        columns = derivative_columns(self.momenta, self.v_names + self.q_names)
+        self._w, self._n_qv = columns[:len(self.v_names)], columns[len(self.v_names):]
         self._omega = None
 
     @property
@@ -99,7 +99,7 @@ def chetaev_frame(model, phi):
     if isinstance(phi, SubmanifoldSpec):
         phi = phi.phi
     a, n = phi.shape[0], model.nq
-    columns = [derivatives(phi.entries, v) for v in model.v_names]
+    columns = derivative_columns(phi.entries, model.v_names)
     vjac = ExpressionField.matrix(list(zip(*columns)), model.variables)
     if all(isinstance(d, Const) and d.value == 0.0 for d in vjac.entries):
         raise MaxRankViolatedError(

@@ -243,7 +243,8 @@ def _fused_kernel(parts, variables):
     row-major view of the buffer per part, and the (start, stop, shape) of each
     part's values in a row of the kernel. Entries shared between parts are
     computed once, and a DomainEvalError names the first faulting entry in this
-    order (dphi, Gamma, Y on the Schur route; rhs, matrix on the bordered)."""
+    order (dphi, Gamma, Y, D, c on the Schur route; rhs, matrix on the
+    bordered)."""
     entries = [e for part, _ in parts for e in part]
     buf = np.empty(len(entries))
     views, spans, start = [], [], 0
@@ -281,32 +282,43 @@ def _bordered_system(a_fld, f, forces, jphi, s):
     return [(rhs, (len(rows),)), (mat, (len(rows), n - s + m))]
 
 
-def _schur_fold(b_inv, frame, f):
-    """(Gamma, Y) = (B^{-1} Delta, B^{-1} f), each (entries, shape), over the
-    entries of the frame and of f, for a constant B^{-1}.
+def _fold_dot(row, col):
+    """sum_i row_i * col_i as one expression: the products added to +0, left
+    to right, as numpy's matrix products start their sums. A product with a
+    zero constant adds nothing and is left out, and the folding `mul` drops a
+    factor 1. So the entry is bit for bit the left-to-right float sum of the
+    nonzero products, on every BLAS build."""
+    total = Const(0.0)
+    for term in map(mul, row, col):
+        if isinstance(term, Const) and isinstance(total, Const):
+            total = add(total, term)
+        elif not (isinstance(term, Const) and term.value == 0.0):
+            total = Add(total, term)
+    return total
 
-    Each entry adds the products Const(b_il) * entry to +0, left to right, as
-    numpy's matrix products do. A product with a zero constant adds nothing and
-    is left out, and the folding `mul` drops a factor 1, so a sparse B^{-1} costs
-    only its nonzero entries; a signed permutation (a Lagrangian base) gives
-    numpy's bits, signed zeros included."""
+
+def _times(rows, entries, shape):
+    """(entries, shape) of the product of a matrix, given as its rows of
+    entries, with the matrix or vector of `entries` of `shape`, each entry
+    folded by `_fold_dot`."""
+    cols = shape[1] if len(shape) == 2 else 1
+    columns = [entries[j::cols] for j in range(cols)]
+    return [_fold_dot(row, col) for row in rows for col in columns], (len(rows),) + shape[1:]
+
+
+def _schur_fold(b_inv, jphi, frame, f):
+    """[dphi, Gamma, Y, D, c], each (entries, shape), for a constant B^{-1}:
+    Gamma = B^{-1} Delta and Y = B^{-1} f over the entries of the frame and
+    of f, then the Schur complement's D = dphi . Gamma and c = dphi . Y over
+    those of dphi, Gamma and Y, every entry folded by `_fold_dot`. A sparse
+    B^{-1} costs only its nonzero entries, and where it is a signed
+    permutation (a Lagrangian base) Gamma and Y are numpy's products bit for
+    bit, signed zeros included."""
     consts = [[Const(float(v)) for v in row] for row in b_inv]
-
-    def dot(row, col):
-        total = Const(0.0)
-        for term in map(mul, row, col):
-            if isinstance(term, Const) and isinstance(total, Const):
-                total = add(total, term)
-            elif not (isinstance(term, Const) and term.value == 0.0):
-                total = Add(total, term)
-        return total
-
-    def times(fld):
-        cols = fld.shape[1] if len(fld.shape) == 2 else 1
-        columns = [fld.entries[j::cols] for j in range(cols)]
-        return [dot(row, col) for row in consts for col in columns], fld.shape
-
-    return [times(frame), times(f)]
+    n = jphi.shape[1]
+    dphi = [jphi.entries[r * n:(r + 1) * n] for r in range(jphi.shape[0])]
+    gamma, y = _times(consts, frame.entries, frame.shape), _times(consts, f.entries, f.shape)
+    return [(jphi.entries, jphi.shape), gamma, y, _times(dphi, *gamma), _times(dphi, *y)]
 
 
 class PointDynamics:
@@ -330,12 +342,12 @@ class PointDynamics:
 
     A constant base B in the first-order modes that is regular is inverted
     once, at construction, from its entries, into `base_inverse` (None for
-    any other base), and its kernel emits dphi, Gamma = B^{-1} Delta and
-    Y = B^{-1} g, the last two folded in symbolically. The solve is then of
-    the Schur complement D u = -dphi . Y with D = dphi . Gamma, and
-    X = Y + Gamma u. D and dphi . Y are numpy's dot products; for one
-    constraint and one force, D is 1x1 and the rest runs on Python floats with
-    numpy's rounding: the scalar solve, and X entry by entry.
+    any other base), and its kernel emits dphi, Gamma = B^{-1} Delta,
+    Y = B^{-1} g, D = dphi . Gamma and c = dphi . Y, the last four folded in
+    symbolically (`_schur_fold`). The solve is then of the Schur complement
+    D u = -c, and X = Y + Gamma u. For one constraint and one force, D is 1x1
+    and the solve runs on the runner's Python floats from start to end: the
+    scalar solve, and X entry by entry.
     Otherwise (a varying base, or a constant singular one) the kernel emits
     the bordered system's right-hand side and matrix, which the solve reads as
     fixed views of its buffer.
@@ -372,14 +384,19 @@ class PointDynamics:
             if base.k == base.n and linalg.rank(b, tols) == base.n:
                 self.base_inverse = np.linalg.inv(b)
         jphi = None if gnh is None else gnh.constraints.phi.jacobian_field()
-        if self.base_inverse is not None:  # dphi, then Gamma and Y folded in
-            parts = [(jphi.entries, jphi.shape)]
-            parts += _schur_fold(self.base_inverse, gnh.forces, base.f)
+        if self.base_inverse is not None:  # dphi, then Gamma, Y, D and c folded in
+            parts = _schur_fold(self.base_inverse, jphi, gnh.forces, base.f)
         else:
             parts = _bordered_system(base.A, base.f, None if gnh is None else gnh.forces,
                                      jphi, s)
         self._compiled, self._vals, self._views, self._spans = _fused_kernel(
             parts, base.variables)
+        # one constraint and one force: `_schur` reads Gamma, Y, D and c at
+        # these positions of the kernel's list of floats
+        self._floats = None
+        if self.base_inverse is not None and gnh.a == gnh.m == 1:
+            (g0, g1, _), (y0, y1, _), (at_d, _, _), (at_c, _, _) = self._spans[1:]
+            self._floats = (g0, g1, y0, y1, at_d, at_c)
         self._kernel = None  # the scalar runner, compiled at the first `_evaluate`
         self._no_solution = (
             "A(x) v = f(x) has no unique solution" if gnh is None
@@ -449,12 +466,12 @@ class PointDynamics:
             return out
         views, y = [v[live] for v in views], y[live]
         if self.base_inverse is not None:
-            jphi, gamma = views[:2]
+            jphi, gamma, _, d, _ = views
         else:
             b, _, frame, jphi = self._base_rows(views)
             gamma = np.linalg.solve(b, frame)
-        with linalg._float_errors():  # as `_schur`'s dot product
-            d = jphi @ gamma
+            with linalg._float_errors():  # an overflow gives inf, as on floats
+                d = jphi @ gamma
         xf, u, sol, failed = self._solve_batch(pts[live], views)
         self._raise_failed(sol, failed)
         dims = _dims(sol.kernel)
@@ -512,7 +529,7 @@ class PointDynamics:
         the second-order mode). A list of floats goes to the kernel as it is."""
         vals = self._evaluate(x)
         if self.base_inverse is not None:
-            return self._schur(vals)[:3]
+            return self._schur(vals)
         (rhs, mat), w = self._views, self._w
         sol = linalg.solve_affine(mat, rhs, self.tols)
         self._check(sol, mat[:self._k, w:])
@@ -535,40 +552,40 @@ class PointDynamics:
 
     def _evaluate(self, x):
         """The kernel's values at x, as a list of floats, also written to the
-        buffer that `self._views` view; what is computed from the views must
-        not keep one past the next evaluation."""
+        buffer that `self._views` view, but for one constraint and one force on
+        a constant base, where `_schur` reads the list and writes the buffer
+        only for its check; what is computed from the views must not keep one
+        past the next evaluation."""
         if self._kernel is None:
             self._kernel = self._compiled.scalar()
         vals = self._kernel(x if isinstance(x, list) else np.asarray(x, dtype=float))
         # a sum of finite values can overflow, so a non-finite one only screens
         if not math.isfinite(sum(vals)) and not all(map(math.isfinite, vals)):
             raise NonFiniteError("a value of the flow's fields is not finite at this point")
-        self._vals[:] = vals
+        if self._floats is None:
+            self._vals[:] = vals
         return vals
 
     def _schur(self, vals):
-        """(X, u, sol, D) of the Schur complement D u = -dphi . Y, D = dphi . Gamma,
-        X = Y + Gamma u, from the kernel's values `vals` at a point and the
-        views of its buffer; X as a list of floats."""
-        jphi, gamma, y = self._views
-        # D and dphi . Y are not folded into the kernel: numpy's BLAS may fuse
-        # a multiply and an add, which Python floats cannot, and every route
-        # that forms D (the reference tests, among them the `subspace_classify`
-        # oracle) gets numpy's bits. ndarray.dot gives the same bits as `@` at
-        # half the call cost.
-        d = jphi.dot(gamma)
-        if d.shape != (1, 1):
-            sol = linalg.solve_affine(d, -jphi.dot(y), self.tols)
+        """(X, u, sol) of the Schur complement D u = -c, X = Y + Gamma u, from
+        the kernel's values `vals` at a point, which hold D = dphi . Gamma and
+        c = dphi . Y; X as a list of floats. The solve reads the views of the
+        buffer, or for one constraint and one force the floats of `vals`."""
+        if self._floats is None:
+            _, gamma, y, d, c = self._views
+            sol = linalg.solve_affine(d, -c, self.tols)
             self._check(sol, gamma)
-            return (y + gamma.dot(sol.x0)).tolist(), sol.x0, sol, d
-        sol = linalg._solve_1x1(d.item(), -jphi.dot(y).item(), self.tols)
-        self._check(sol, gamma)
+            return (y + gamma.dot(sol.x0)).tolist(), sol.x0, sol
+        g0, g1, y0, y1, at_d, at_c = self._floats
+        sol = linalg._solve_1x1(vals[at_d], -vals[at_c], self.tols)
+        if sol.kernel.dim > 0 or not sol.consistent:  # `_check` reads the Gamma view
+            self._vals[:] = vals
+            self._check(sol, self._views[1])
         # numpy adds Gamma u as a BLAS axpy onto zeros, which may fuse its
         # multiply and add, and so may differ from g * u in the sign of a zero;
         # Y is a sum from +0, never -0, so the sum with Y has the same bits
         u = sol.x0.item()
-        (g0, g1, _), (y0, y1, _) = self._spans[1:]
-        return [a + g * u for a, g in zip(vals[y0:y1], vals[g0:g1])], sol.x0, sol, d
+        return [a + g * u for a, g in zip(vals[y0:y1], vals[g0:g1])], sol.x0, sol
 
     def _check(self, sol, frame):
         # a dependent frame (Gamma or -Delta) forces a rank-deficient system: check it only then
@@ -595,13 +612,12 @@ class PointDynamics:
         """`solve` at each point of a batch, from the kernel's row views, as one
         stacked solve: (X, u, sol, failed), `failed` marking the rows at which
         `solve` raises InconsistentSystemError. The Schur complement route
-        forms `_schur`'s products stacked; the bordered route then takes
-        `solve`'s `_min_norm` step at each consistent row with a non-trivial
-        kernel, so that row i is `solve` at point i."""
+        solves the kernel's D u = -c stacked and forms Gamma u stacked; the
+        bordered route then takes `solve`'s `_min_norm` step at each
+        consistent row with a non-trivial kernel, so that row i is `solve` at
+        point i."""
         if self.base_inverse is not None:
-            jphi, gamma, y = views
-            with linalg._float_errors():  # `_schur`'s dot products do not warn
-                d, c = jphi @ gamma, (jphi @ y[..., None])[..., 0]
+            _, gamma, y, d, c = views
             sol = linalg.solve_affine(d, -c, self.tols)
             failed = self._check_rows(sol, gamma)
             with linalg._float_errors():

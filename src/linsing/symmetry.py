@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NonFiniteError, ShapeError, raise_first
-from .expressions import Const, ExpressionField, add, derivatives, mul
+from .expressions import Const, ExpressionField, add, derivative_columns, mul
 
 __all__ = [
     "SymmetryCandidate",
@@ -110,12 +110,14 @@ def _directional_field(mat_field, v_field):
     """D_V of a matrix field as one matrix field: each entry is the sum over the
     variables, in order, of d(entry)/dx_j * V_j, with each V_j that is the
     constant 0 left out (its terms are exact zeros). The entries are
-    differentiated together, one variable at a time (`derivatives`)."""
+    differentiated together, by each of these variables in turn
+    (`derivative_columns`)."""
+    terms = [(name, ve) for name, ve in zip(mat_field.variables, v_field.entries)
+             if not (isinstance(ve, Const) and ve.value == 0.0)]
+    columns = derivative_columns(mat_field.entries, [name for name, _ in terms])
     entries = [Const(0.0)] * len(mat_field.entries)
-    for name, ve in zip(mat_field.variables, v_field.entries):
-        if not (isinstance(ve, Const) and ve.value == 0.0):
-            entries = [add(acc, mul(de, ve))
-                       for acc, de in zip(entries, derivatives(mat_field.entries, name))]
+    for (_, ve), column in zip(terms, columns):
+        entries = [add(acc, mul(de, ve)) for acc, de in zip(entries, column)]
     return ExpressionField(entries, mat_field.variables, mat_field.shape)
 
 

@@ -132,8 +132,9 @@ def _analysis_loop(dyn, x):
     """`PointDynamics.analysis` as the point-by-point route took it."""
     gnh, tols = dyn.gnh, dyn.tols
     if dyn.base_inverse is not None:
-        xf, u, sol, d = dyn._schur(dyn._evaluate(x))
-        jphi, gamma, y = (v.copy() for v in dyn._views)
+        # the kernel's dphi, Gamma, Y and D at x, as the solve reads them
+        jphi, gamma, y, d, _ = (v[0] for v in dyn._evaluate_rows(np.asarray(x, dtype=float)[None]))
+        xf, u, sol = dyn.solve(x)
     else:
         g, b = gnh.base.f(x), gnh.base.A(x)
         base = linalg.solve_affine(b, g, tols)

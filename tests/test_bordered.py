@@ -24,8 +24,9 @@ import pytest
 from oracles import cokernel_basis, induced_quotient_matrix, kernel_basis
 from test_acceptance import _knife_edge_points, _mass_shell_points, _scenario
 
-from linsing import linalg
-from linsing.errors import DomainEvalError, InconsistentSystemError, NonFiniteError
+from linsing import linalg, nonholonomic
+from linsing.errors import (DomainEvalError, FrameDegenerateError, InconsistentSystemError,
+                            NonFiniteError)
 from linsing.expressions import ExpressionField
 from linsing.nonholonomic import GeneralizedNonholonomicSystem, PointDynamics, SubmanifoldSpec
 from linsing.sampling import on_manifold_sample
@@ -342,7 +343,14 @@ def test_schur_path_is_the_arithmetic_of_separate_field_calls_bit_for_bit():
         gamma = b_inv @ gnh.forces(p)
         y = b_inv @ gnh.base.f(p)
         jphi = gnh.constraints.jacobian(p)
-        sol = linalg.solve_affine(jphi @ gamma, -(jphi @ y))
+        # D and dphi . Y summed left to right, as the kernel folds them, are
+        # numpy's products to rounding
+        d = np.array([[_sum_from_zero(row, col) for col in gamma.T] for row in jphi])
+        c = np.array([_sum_from_zero(row, y) for row in jphi])
+        rounding = 4 * np.finfo(float).eps * (np.abs(jphi) @ np.abs(np.column_stack([gamma, y])))
+        assert np.all(np.abs(np.column_stack([d, c]) - jphi @ np.column_stack([gamma, y]))
+                      <= rounding)
+        sol = linalg.solve_affine(d, -c)
         xf, u, _ = dyn.solve(p)
         assert np.array_equal(xf, y + gamma @ sol.x0) and np.array_equal(u, sol.x0)
 
@@ -435,10 +443,12 @@ def test_one_kernel_call_and_no_field_call_per_evaluation(mode, monkeypatch):
     calls = collections.Counter()
     dyn.solve(points[0])  # compiles the kernel
     kernel = dyn._kernel
+    seen = []
 
     def counted_kernel(point):
         calls["kernel"] += 1
-        return kernel(point)
+        seen.append(kernel(point))
+        return seen[-1]
 
     def no_field_call(field, point):
         raise AssertionError("a field was evaluated outside the kernel")
@@ -450,6 +460,9 @@ def test_one_kernel_call_and_no_field_call_per_evaluation(mode, monkeypatch):
             calls.clear()
             xf, u, _ = dyn.solve(x)
         assert calls == {"kernel": 1}
+        vals = np.array(seen[-1])
+        if mode != "constrained":  # every route but the 1x1 Schur solve reads the buffer
+            assert dyn._vals.tobytes() == vals.tobytes()
         forces = dphi = None
         if gnh is not None:
             forces, dphi = gnh.forces(x), gnh.constraints.jacobian(x)
@@ -457,7 +470,7 @@ def test_one_kernel_call_and_no_field_call_per_evaluation(mode, monkeypatch):
             # the kernel holds dphi bit for bit, row-major, and nothing of the
             # forces or f but what Gamma and Y are folded from
             want = dphi.ravel()
-            assert dyn._vals[:len(want)].tobytes() == want.tobytes()
+            assert vals[:len(want)].tobytes() == want.tobytes()
             # then Gamma = B^-1 Delta and Y = B^-1 f, folded in: each entry
             # the sum from +0, left to right, of its products with the nonzero
             # entries of B^-1, bit for bit; numpy's products too where B^-1 is
@@ -467,13 +480,19 @@ def test_one_kernel_call_and_no_field_call_per_evaluation(mode, monkeypatch):
             gamma_y = np.column_stack([forces, base.f(x)])
             summed = np.array([[_sum_from_zero(row, col) for col in gamma_y.T] for row in b_inv])
             folded = np.concatenate([summed[:, :-1].ravel(), summed[:, -1]])
-            rest = dyn._vals[len(want):]
+            rest = vals[len(want):len(want) + folded.size]
             assert rest.tobytes() == folded.tobytes()
             if mode == "constrained":
                 numpy_products = np.concatenate([(b_inv @ forces).ravel(), b_inv @ base.f(x)])
                 assert rest.tobytes() == numpy_products.tobytes()
-            # the views the solve reads are dphi, Gamma and Y, in that order
-            assert [v.shape for v in dyn._views] == [dphi.shape, forces.shape, (base.n,)]
+            # then D = dphi . Gamma and c = dphi . Y, folded alike from the
+            # kernel's own dphi, Gamma and Y
+            d_c = np.array([[_sum_from_zero(row, col) for col in summed.T] for row in dphi])
+            d_then_c = np.concatenate([d_c[:, :-1].ravel(), d_c[:, -1]])
+            assert vals[len(want) + folded.size:].tobytes() == d_then_c.tobytes()
+            # the views the solve reads are dphi, Gamma, Y, D and c, in that order
+            assert [v.shape for v in dyn._views] == [dphi.shape, forces.shape, (base.n,),
+                                                     (gnh.a, gnh.m), (gnh.a,)]
         else:
             # the bordered system, its right-hand side and then its matrix
             # row-major: [A_v, -Delta; dphi_v, 0] and (g - A_q v, -dphi_q v),
@@ -485,14 +504,104 @@ def test_one_kernel_call_and_no_field_call_per_evaluation(mode, monkeypatch):
             if gnh is not None:
                 mat = np.block([[mat, -forces], [dphi[:, s:], np.zeros((gnh.a, gnh.m))]])
                 rhs = np.concatenate([rhs, -(dphi[:, :s] @ v) if s else np.zeros(gnh.a)])
-            assert len(dyn._vals) == len(rhs) + mat.size
-            assert dyn._vals[len(rhs):].tobytes() == mat.tobytes()
+            assert len(vals) == len(rhs) + mat.size
+            assert vals[len(rhs):].tobytes() == mat.tobytes()
             if s:  # the products are summed in another order than numpy's
-                _assert_close(dyn._vals[:len(rhs)], rhs, rel=1e-13)
+                _assert_close(vals[:len(rhs)], rhs, rel=1e-13)
             else:
-                assert dyn._vals[:len(rhs)].tobytes() == rhs.tobytes()
+                assert vals[:len(rhs)].tobytes() == rhs.tobytes()
         # nothing returned aliases the kernel's buffer
         assert not np.shares_memory(xf, dyn._vals) and not np.shares_memory(u, dyn._vals)
+
+
+# the constant-base specs the Schur kernel runs on: the bundled ones, and one
+# with a dense inverse, two constraints and two forces
+FOLD_CASES = [("example1", {}), ("rosenberg", {}), ("relparticle-L2", {}),
+              ("relparticle-L2", {"U": "q1"}), ("two-constraints", {})]
+
+
+def _fold_case(name, overrides):
+    """(evaluator, points of M) of a constant-base spec of FOLD_CASES."""
+    if name == "two-constraints":
+        spec = _first_order_spec([[2, 0.3, 0], [0.1, 1.7, 0.2], [0, 0.4, 1.1]],
+                                 ["x*y", "sin(z)", "1 + x"], ["z - x*y", "y - 1"],
+                                 [[1, "x", 0], [0, 1, "y"]])
+        pts = [np.array([t, 1.0, t]) for t in np.linspace(-1.5, 1.5, 7)]
+    else:
+        spec = _scenario(name, **overrides)
+        pts = _sample(spec)
+    dyn = PointDynamics(spec.gnh)
+    assert dyn.base_inverse is not None
+    return dyn, np.array(pts)
+
+
+@pytest.mark.parametrize("name,overrides", FOLD_CASES)
+def test_the_kernel_folds_d_and_c_left_to_right(name, overrides):
+    # D = dphi . Gamma and c = dphi . Y are the same bits on every BLAS
+    # build, and numpy's products to the rounding of the sum
+    dyn, pts = _fold_case(name, overrides)
+    eps = np.finfo(float).eps
+    for jphi, gamma, y, d, c in zip(*dyn._evaluate_rows(pts)):
+        want_d = np.array([[_sum_from_zero(row, col) for col in gamma.T] for row in jphi])
+        want_c = np.array([_sum_from_zero(row, y) for row in jphi])
+        assert d.tobytes() == want_d.tobytes() and c.tobytes() == want_c.tobytes()
+        assert np.all(np.abs(d - jphi @ gamma) <= 4 * eps * (np.abs(jphi) @ np.abs(gamma)))
+        assert np.all(np.abs(c - jphi @ y) <= 4 * eps * (np.abs(jphi) @ np.abs(y)))
+
+
+@pytest.mark.parametrize("name,overrides", FOLD_CASES)
+def test_solve_solves_and_analyses_read_one_d_bit_for_bit(name, overrides, monkeypatch):
+    dyn, pts = _fold_case(name, overrides)
+    solved = []  # the matrix of each linear solve, in call order
+    for fn in ("solve_affine", "_solve_1x1"):
+        def recorded(mat, *args, _orig=getattr(linalg, fn)):
+            solved.append(np.array(mat, dtype=float))
+            return _orig(mat, *args)
+
+        monkeypatch.setattr(linalg, fn, recorded)
+    xs, us, _, errors = dyn.solves(pts)
+    assert errors == [None] * len(pts)
+    d_stack = solved[0]
+    analyses = dyn.analyses(pts)
+    for i, p in enumerate(pts):
+        solved.clear()
+        xf, u, _ = dyn.solve(p)
+        pa = analyses[i]
+        d = solved[0].reshape(d_stack[i].shape)
+        assert d.tobytes() == d_stack[i].tobytes() == pa.classification.d_matrix.tobytes()
+        assert np.array(xf).tobytes() == xs[i].tobytes() == pa.field.tobytes()
+        assert u.tobytes() == us[i].tobytes() == pa.multipliers.u.tobytes()
+
+
+def test_a_regular_one_by_one_solve_leaves_the_buffer_unwritten():
+    # rosenberg's 1x1 Schur solve runs on the runner's list of floats
+    dyn = PointDynamics(_scenario("rosenberg").gnh)
+    x = _knife_edge_points(1)[0]
+    want = dyn.solve(x)
+    dyn._vals[:] = np.nan
+    xf, u, sol = dyn.solve(x)
+    assert sol.kernel.dim == 0 and sol.consistent
+    assert np.isnan(dyn._vals).all()
+    assert xf == want[0] and u.tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("delta, error", [
+    (["1", "x"], InconsistentSystemError),  # D = x and dphi . Y = 1: no multiplier
+    (["x", "x"], FrameDegenerateError),     # Gamma = (x, x) vanishes with D = x
+])
+def test_a_vanishing_one_by_one_d_is_checked_through_the_gamma_view(delta, error, monkeypatch):
+    dyn = PointDynamics(_first_order_spec([[1, 0], [0, 1]], [1, 1], ["y"], [delta]).gnh)
+    frames = []
+    check = nonholonomic._require_independent
+    monkeypatch.setattr(nonholonomic, "_require_independent",
+                        lambda frame, *args: frames.append(frame.copy()) or check(frame, *args))
+    dyn.solve(np.array([1.0, 0.0]))  # D = 1: regular, nothing checked
+    dyn._vals[:] = np.nan
+    with pytest.raises(error):
+        dyn.solve(np.array([0.0, 0.0]))
+    gamma = np.array([[1.0], [0.0]]) if delta[0] == "1" else np.zeros((2, 1))
+    assert len(frames) == 1 and frames[0].tobytes() == gamma.tobytes()
+    assert not np.isnan(dyn._vals).any()
 
 
 def _faulting_system(a_text, forces_text, f_text):

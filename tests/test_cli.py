@@ -551,6 +551,22 @@ def test_a_non_finite_kernel_value_fails_the_evaluation(argv, tmp_path, capsys):
     assert err == "error: a value of the flow's fields is not finite at this point\n"
 
 
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--at", "x=10,y=0"],
+    ["simulate", "--x0", "x=10,y=0", "--t1", "0.01", "--dt", "0.001"],
+])
+def test_a_d_that_overflows_from_finite_entries_fails_the_kernel_screen(argv, tmp_path,
+                                                                         capsys):
+    # dphi = (0, 1e200) and Gamma = (1, 1e200) are finite; the kernel's
+    # D = 1e200 * 1e200 is not
+    path = tmp_path / "overflow.lss"
+    path.write_text(NON_FINITE_FORCE_SPEC.replace("phi = y", "phi = 1e200*y")
+                    .replace("1e308*x*x, 1", "1, 1e200"))
+    code, out, err = _run(capsys, argv[0], "--spec", str(path), *argv[1:])
+    assert code == 3 and out == ""
+    assert err == "error: a value of the flow's fields is not finite at this point\n"
+
 # A = I is inverted at construction: `simulate` takes no probe at x0, and an
 # error there comes from the run's first evaluation, as `analyze` reports it
 DEGENERATE_AT_X0_SPEC = """
@@ -782,3 +798,56 @@ def test_spec_parts_that_do_not_fit_are_usage_errors(text, section, line, messag
         code, out, err = _run(capsys, argv[0], "--spec", str(path), *argv[1:])
         assert code == 2 and out == ""
         assert message in err and f"[section {section}] (line {line})" in err
+
+
+DEEP_SPEC = """[vars]
+names = x, y
+
+[system]
+A = 1, 0; 0, 1
+f = {f}, 1
+
+[constraints]
+phi = {phi}
+
+[forces]
+Delta = 1, x
+"""
+
+
+def test_a_sum_of_two_thousand_terms_is_analysed(tmp_path, capsys):
+    # the codegen numbering and the derivative walk keep their own stacks
+    path = tmp_path / "deep.lss"
+    path.write_text(DEEP_SPEC.format(f=" + ".join(["x"] * 2000),
+                                     phi="y + " + " + ".join(["x*y"] * 2000)))
+    code, out, err = _run(capsys, "analyze", "--spec", str(path), "--at", "x=1,y=0")
+    assert code == 0 and err == ""
+    assert "regular: true" in out
+
+
+def _nested(depth):
+    return "(" * depth + "x" + ")" * depth
+
+
+def test_nesting_up_to_the_parser_bound_runs(tmp_path, capsys):
+    path = tmp_path / "nested.lss"
+    path.write_text(DEEP_SPEC.format(f=_nested(200), phi="y"))
+    code, out, err = _run(capsys, "analyze", "--spec", str(path), "--at", "x=1,y=0")
+    assert code == 0 and err == ""
+
+
+def test_deeper_nesting_is_a_spec_error(tmp_path, capsys):
+    message = "expression is nested more than 200 levels deep"
+    path = tmp_path / "nested.lss"
+    path.write_text(DEEP_SPEC.format(f=_nested(250), phi="y"))
+    code, out, err = _run(capsys, "analyze", "--spec", str(path), "--at", "x=1,y=0")
+    assert code == 2 and out == ""
+    assert message in err and "[section system] (line 6)" in err
+    # the same bound reads --at, --x0 and --param values
+    deep = _nested(250).replace("x", "1")
+    for argv in (("analyze", "--scenario", "example1", "--at", f"x={deep}"),
+                 ("simulate", "--scenario", "rosenberg", "--x0", f"x={deep}",
+                  "--t1", "0.01", "--dt", "0.001"),
+                 ("analyze", "--scenario", "example1", "--param", f"a={deep}")):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2 and out == "" and message in err

@@ -34,6 +34,7 @@ from linsing.expressions import (
     to_text,
     tokenize,
 )
+from linsing.specfile import loads
 from conftest import call, expression_corpus
 from oracles import eval_dual, fd_jacobian
 
@@ -134,6 +135,19 @@ def test_trailing_garbage_rejected():
         parse("x + 1 )")
     with pytest.raises(ExprSyntaxError):
         parse("1 2")
+
+
+@pytest.mark.parametrize("nest", [
+    lambda d: "(" * d + "x" + ")" * d,         # parentheses
+    lambda d: "sin(" * d + "x" + ")" * d,      # function calls
+    lambda d: "-" * d + "x",                   # signs
+    lambda d: "^".join(["x"] * (d + 1)),       # exponents, right-associative
+])
+def test_nesting_beyond_the_bound_is_a_syntax_error(nest):
+    depth = expressions._MAX_PARSE_DEPTH
+    parse(nest(depth))
+    with pytest.raises(ExprSyntaxError, match=f"nested more than {depth} levels deep"):
+        parse(nest(depth + 1))
 
 
 # ------------------------------------------------------------ printing
@@ -312,6 +326,85 @@ def test_derivative_variable_exponent():
     x = 1.7
     expect = math.pow(x, x) * (math.log(x) + 1.0)
     assert abs(evaluate(d, {"x": x}) - expect) < 1e-13
+
+
+def _operands(node):
+    """The operands of an expression node, left to right."""
+    if isinstance(node, (Const, Var)):
+        return ()
+    if isinstance(node, Call):
+        return (node.arg,)
+    if isinstance(node, expressions.Neg):
+        return (node.a,)
+    if isinstance(node, expressions.Pow):
+        return (node.base, node.exponent)
+    return (node.a, node.b)
+
+
+def _recursive_post_order(exprs):
+    """The nodes of the DAG of `exprs` as a recursive walk finishes them,
+    children left to right: the reference for the walk with its own stack."""
+    done, out = set(), []
+
+    def walk(node):
+        if id(node) not in done:
+            for child in _operands(node):
+                walk(child)
+            done.add(id(node))
+            out.append(node)
+
+    for e in exprs:
+        walk(e)
+    return out
+
+
+def _recursive_derivatives(exprs, var):
+    """`derivatives` as a recursive walk with one memo."""
+    memo = {}
+
+    def d(node):
+        if id(node) not in memo:
+            memo[id(node)] = expressions._derivative_node(node, var, d)
+        return memo[id(node)]
+
+    return [d(e) for e in exprs]
+
+
+def _graph(exprs):
+    """The node graph of `exprs`, shared nodes included, as plain data: per
+    node its type, payload and children's positions, then the roots'."""
+    nodes = _recursive_post_order(exprs)
+    at = {id(node): i for i, node in enumerate(nodes)}
+    payload = {Const: lambda n: repr(n.value), Var: lambda n: n.name, Call: lambda n: n.fn}
+    return ([(type(n).__name__, payload.get(type(n), lambda n: None)(n),
+              [at[id(c)] for c in _operands(n)]) for n in nodes],
+            [at[id(e)] for e in exprs])
+
+
+def _shared_corpus(seed):
+    """Lists of corpus expressions with subtrees shared within and between them."""
+    for e, variables, _ in expression_corpus(100, seed=seed):
+        yield [e, Add(e, e), Mul(e, Call("sin", e)), Const(2.5), Var(variables[0])], variables
+
+
+def test_the_walk_with_its_own_stack_finishes_nodes_as_a_recursive_walk():
+    for exprs, _ in _shared_corpus(37):
+        assert list(map(id, expressions._post_order(exprs))) == \
+            list(map(id, _recursive_post_order(exprs)))
+
+
+@pytest.mark.parametrize("name", [None] + BUNDLED_SCENARIOS)
+def test_derivatives_build_the_nodes_of_a_recursive_walk(name):
+    if name is None:
+        cases = list(_shared_corpus(41))
+    else:  # every field of a bundled scenario, as one list
+        spec = loads(cli.scenario_text(name))
+        fields = [spec.system.A, spec.system.f, spec.constraints.phi, spec.forces]
+        cases = [([e for fld in fields for e in fld.entries], spec.variables)]
+    for exprs, variables in cases:
+        for var in variables:
+            assert _graph(expressions.derivatives(exprs, var)) == \
+                _graph(_recursive_derivatives(exprs, var))
 
 
 def test_symbolic_derivative_matches_dual_numbers():
