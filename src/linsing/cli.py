@@ -301,7 +301,10 @@ def simulate_report(spec, x0, t1, dt, tols, out=None, timed=False):
             ok = ok and res.max_abs_deviation <= _MONITOR_BOUND
         doc["monitor_deviation"] = mons
     if out:
-        traj.write_csv(out)
+        try:
+            traj.write_csv(out)
+        except OSError as exc:
+            raise _UsageError(f"cannot write --out {out}: {exc}") from exc
         doc["out"] = out
     if timed:
         doc["wall_seconds"] = round(elapsed, 3)
@@ -370,7 +373,8 @@ def cmd_check_symmetry(args):
     tols = _tolerances(args)
     box = None
     if args.box:
-        box = {**(spec.box or {}), **parse_box(args.box, spec.variables, label="--box")}
+        override = parse_box(args.box, spec.variables, spec.params, label="--box")
+        box = {**(spec.box or {}), **override}
     doc, ok = symmetry_report(spec, tols, args.points, tol=args.tol, box=box)
     sys.stdout.write(report.render(doc))
     return 0 if ok else 1

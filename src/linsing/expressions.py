@@ -5,12 +5,15 @@ identifiers allow trailing apostrophes so velocity coordinates can be written x'
 Differentiation is closed over the node set; `abs` differentiates to `sign`, which is
 defined to be 0 at 0.
 
-Expressions are DAGs: derivatives share nodes with their source. `derivative` and
-`free_variables` visit each shared node once per call, and `Compiled` computes
-each structurally equal subtree once per evaluation, with bit-identical arithmetic,
-at one point or over a batch of points. These walks keep their own stacks, so a
-sum of any length is differentiated and compiled; the parser, which recurses,
-refuses nesting deeper than `_MAX_PARSE_DEPTH`.
+Expressions are DAGs: derivatives share nodes with their source. Every walk of
+an expression goes through `_post_order`, which visits each shared node once,
+children before parents, and keeps its own stack: `evaluate`, `to_text`,
+`free_variables` and `derivative_columns` fold one rule per node over it, and
+`Compiled` numbers its nodes on it, computing each structurally equal subtree
+once per evaluation, with bit-identical arithmetic, at one point or over a
+batch of points. So a sum of any length is evaluated, printed, differentiated
+and compiled; only the parser recurses, and it refuses nesting deeper than
+`_MAX_PARSE_DEPTH`.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from collections import Counter
 
 import numpy as np
 
@@ -374,55 +378,77 @@ def parse(text, variables=None, params=None):
 # ------------------------------------------------------------ pretty-printer
 
 # precedence levels: +,- : 1   *,/ : 2   unary- : 3   ^ : 4   atoms : 5
+_INFIX = {Add: (" + ", 1), Sub: (" - ", 1), Mul: ("*", 2), Div: ("/", 2)}
+
 
 def _fmt_number(v):
-    if v != v or v in (float("inf"), float("-inf")):
+    if not math.isfinite(v):
         raise ValueError(f"cannot print non-finite constant {v}")
-    if v < 0:
-        return "-" + _fmt_number(-v)
-    if v == int(v) and abs(v) < 1e16:
-        return repr(int(v))
-    return repr(v)
+    return repr(int(v)) if v == int(v) and abs(v) < 1e16 else repr(v)
 
 
-def _print(e, level):
+def _text_node(e, text):
+    """(text, precedence) of one node; `text(child, level)` gives a child's
+    text, parenthesised where its precedence is below `level`."""
     if isinstance(e, Const):
         s = _fmt_number(e.value)
-        return f"({s})" if (s.startswith("-") and level > 3) else s
+        return s, 3 if s.startswith("-") else 5
     if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Add):
-        s = f"{_print(e.a, 1)} + {_print(e.b, 2)}"
-        return f"({s})" if level > 1 else s
-    if isinstance(e, Sub):
-        s = f"{_print(e.a, 1)} - {_print(e.b, 2)}"
-        return f"({s})" if level > 1 else s
-    if isinstance(e, Mul):
-        s = f"{_print(e.a, 2)}*{_print(e.b, 3)}"
-        return f"({s})" if level > 2 else s
-    if isinstance(e, Div):
-        s = f"{_print(e.a, 2)}/{_print(e.b, 3)}"
-        return f"({s})" if level > 2 else s
+        return e.name, 5
     if isinstance(e, Neg):
-        s = f"-{_print(e.a, 3)}"
-        return f"({s})" if level > 3 else s
+        return "-" + text(e.a, 3), 3
     if isinstance(e, Pow):
-        s = f"{_print(e.base, 5)}^{_print(e.exponent, 3)}"
-        return f"({s})" if level > 4 else s
+        return f"{text(e.base, 5)}^{text(e.exponent, 3)}", 4
     if isinstance(e, Call):
-        return f"{e.fn}({_print(e.arg, 0)})"
-    raise TypeError(f"not an expression node: {e!r}")
+        return f"{e.fn}({text(e.arg, 0)})", 5
+    op, level = _INFIX[type(e)]  # the right operand binds one level tighter
+    return text(e.a, level) + op + text(e.b, level + 1), level
 
 
 def to_text(e):
-    """Render an Expr to canonical text; parse(to_text(e)) prints identically."""
-    return _print(e, 0)
+    """Render an Expr to canonical text; parse(to_text(e)) prints identically.
+
+    A (text, precedence) pair per node is folded over `_post_order`, so an
+    expression of any depth prints; a node's text is dropped once its last
+    parent has read it, so a long sum does not hold the text of every prefix.
+    """
+    order = _post_order([e])
+    readers = Counter(child for node in order for child in _OPERANDS[type(node)](node))
+    texts = {}  # node -> (text, precedence); nodes hash by identity
+
+    def text(child, level):
+        readers[child] -= 1
+        s, precedence = texts[child] if readers[child] else texts.pop(child)
+        return f"({s})" if level > precedence else s
+
+    for node in order:
+        texts[node] = _text_node(node, text)
+    return texts[e][0]
 
 
 # -------------------------------------------------------------- tree evaluate
 
 def evaluate(e, env):
-    """Evaluate with a name -> value binding; raises DomainEvalError on faults."""
+    """Evaluate with a name -> value binding; raises DomainEvalError on faults.
+
+    One rule per node is folded over `_post_order`: each shared node is
+    computed once, an expression of any depth is evaluated, and the fault
+    raised is the first that a recursive walk, operands left to right, meets.
+    """
+    return _evaluate_all([e], env)[0]
+
+
+def _evaluate_all(exprs, env):
+    """`evaluate` of each expression, from one walk of their DAG."""
+    values = {}  # node -> value; nodes hash by identity
+    v = values.__getitem__
+    for node in _post_order(exprs):
+        values[node] = _value_node(node, v, env)
+    return [values[e] for e in exprs]
+
+
+def _value_node(e, v, env):
+    """Value of one node; `v` gives the values of its children."""
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
@@ -431,28 +457,25 @@ def evaluate(e, env):
         except KeyError:
             raise UndeclaredVariableError(e.name) from None
     if isinstance(e, Add):
-        return evaluate(e.a, env) + evaluate(e.b, env)
+        return v(e.a) + v(e.b)
     if isinstance(e, Sub):
-        return evaluate(e.a, env) - evaluate(e.b, env)
+        return v(e.a) - v(e.b)
     if isinstance(e, Mul):
-        return evaluate(e.a, env) * evaluate(e.b, env)
+        return v(e.a) * v(e.b)
     if isinstance(e, Div):
-        num = evaluate(e.a, env)
-        den = evaluate(e.b, env)
+        den = v(e.b)
         if den == 0.0:
             raise DomainEvalError("division by zero", to_text(e))
-        return num / den
+        return v(e.a) / den
     if isinstance(e, Neg):
-        return -evaluate(e.a, env)
+        return -v(e.a)
     if isinstance(e, Pow):
-        b = evaluate(e.base, env)
-        x = evaluate(e.exponent, env)
         try:
-            return math.pow(b, x)
+            return math.pow(v(e.base), v(e.exponent))
         except (ValueError, OverflowError) as exc:
             raise DomainEvalError(f"invalid power ({exc})", to_text(e)) from None
     if isinstance(e, Call):
-        u = evaluate(e.arg, env)
+        u = v(e.arg)
         if e.fn == "sqrt" and u < 0.0:
             raise DomainEvalError("sqrt of a negative number", to_text(e))
         if e.fn == "log" and u <= 0.0:
@@ -472,19 +495,14 @@ def derivative(e, var):
     `e` is walked as a DAG: a node shared by several parents is differentiated
     once per call, and its derivative is shared the same way.
     """
-    return derivatives([e], var)[0]
-
-
-def derivatives(exprs, var):
-    """`derivative` of each expression with respect to `var`, with one memo for
-    them all: a subtree shared between the expressions (the entries of a field)
-    is differentiated once."""
-    return derivative_columns(exprs, [var])[0]
+    return derivative_columns([e], [var])[0][0]
 
 
 def derivative_columns(exprs, variables):
-    """`derivatives` of the expressions with respect to each of `variables` in
-    turn, one list per variable, from one walk of their DAG."""
+    """The `derivative` of each expression with respect to each of `variables`
+    in turn, one list per variable, from one walk of their DAG: a subtree
+    shared between the expressions (the entries of a field) is differentiated
+    once per variable."""
     order = _post_order(exprs)  # children first, so each node finds theirs
     columns = []
     for var in variables:
@@ -550,9 +568,10 @@ def _derivative_node(e, var, d):
     raise TypeError(f"not an expression node: {e!r}")
 
 
-# the operands, left to right, of the inner nodes that are not binary
-_OPERANDS = {Neg: lambda node: (node.a,), Pow: lambda node: (node.base, node.exponent),
-             Call: lambda node: (node.arg,)}
+# the operands of each kind of node, left to right
+_OPERANDS = {Const: lambda node: (), Var: lambda node: (), Neg: lambda node: (node.a,),
+             Pow: lambda node: (node.base, node.exponent), Call: lambda node: (node.arg,),
+             **dict.fromkeys((Add, Sub, Mul, Div), lambda node: (node.a, node.b))}
 _FINISH = object()  # on `_post_order`'s stack, above a node whose operands are done
 
 
@@ -589,28 +608,9 @@ def _post_order(exprs):
 
 
 def free_variables(*exprs):
-    """Set of variable names in the expressions, one DAG (each shared node visited once)."""
-    out = set()
-    seen = set()  # ids of visited nodes, all kept alive by `exprs`
-    stack = list(exprs)
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, Var):
-            out.add(node.name)
-        elif isinstance(node, (Add, Sub, Mul, Div)):
-            stack.append(node.a)
-            stack.append(node.b)
-        elif isinstance(node, Neg):
-            stack.append(node.a)
-        elif isinstance(node, Pow):
-            stack.append(node.base)
-            stack.append(node.exponent)
-        elif isinstance(node, Call):
-            stack.append(node.arg)
-    return out
+    """Set of variable names in the expressions: the `Var` nodes of their
+    `_post_order` walk."""
+    return {node.name for node in _post_order(exprs) if isinstance(node, Var)}
 
 
 # ------------------------------------------------------------------- codegen
@@ -716,8 +716,7 @@ def _scalar_target(exprs, variables, src):
             return fast(point)
         except (ValueError, ZeroDivisionError, OverflowError):
             # the tree walk re-runs the fault and raises DomainEvalError naming it
-            env = dict(zip(names, point))
-            return [evaluate(e, env) for e in exprs]
+            return _evaluate_all(exprs, dict(zip(names, point)))
 
     return runner
 
@@ -902,13 +901,9 @@ class ExpressionField:
         return self.jacobian_field()(point)
 
     def pretty(self):
-        if self.shape == ():
-            return to_text(self.entries[0])
-        if len(self.shape) == 1:
-            return "[" + ", ".join(to_text(e) for e in self.entries) + "]"
+        texts = [to_text(e) for e in self.entries]
+        if len(self.shape) < 2:
+            return texts[0] if self.shape == () else "[" + ", ".join(texts) + "]"
         r, c = self.shape
-        rows = []
-        for i in range(r):
-            rows.append(", ".join(to_text(e) for e in self.entries[i * c : (i + 1) * c]))
-        return "[" + "; ".join(rows) + "]"
+        return "[" + "; ".join(", ".join(texts[i * c:(i + 1) * c]) for i in range(r)) + "]"
 

@@ -19,7 +19,8 @@ unscaled it returns exactly these factors, so the closed form is the SVD bit
 for bit. Outside it (zero, subnormal, huge, NaN or inf entries) LAPACK runs
 as for any other matrix. The IEEE operations are those of the general path:
 products summed from +0 as numpy's matmul sums them, and norms as
-sqrt(v * v). A full rank shares one read-only empty kernel basis.
+sqrt(v * v), scaled by max|v| only where v * v overflows from finite entries.
+A full rank shares one read-only empty kernel basis.
 
 A stack of matrices, an (N, p, q) array, is factored by one stacked SVD, and
 `rank` and `solve_affine` then decide each matrix's rank, gauge and solution
@@ -76,25 +77,47 @@ class Tolerances:
         """Image-membership cut-off for mat x = b, `cut` being the rank cut-off
         that `_svd_rank` decided mat's rank against; for a stack, `b` holds one
         right-hand side per row and `cut` one cut-off per matrix. A float `b`
-        is the right-hand side of a 1x1 system, its norm sqrt(b * b)."""
+        is the right-hand side of a 1x1 system (see `_float_norm`)."""
         base = self.img_factor if self.img_factor is not None else cut
-        norm = (math.sqrt(b * b) if isinstance(b, float)
+        norm = (_float_norm(b) if isinstance(b, float)
                 else _row_norms(b) if b.ndim == 2 else _norm(b))
         return base * (1.0 + norm)
 
 
+def _float_norm(v):
+    """|v| of a float as the array norms take it: sqrt(v * v), which differs
+    from |v| where v * v underflows, and |v| where v * v overflows."""
+    norm = math.sqrt(v * v)
+    return abs(v) if norm == math.inf else norm
+
+
 def _norm(v):
-    """Euclidean norm of an array's entries: numpy's `linalg.norm` computes
-    exactly sqrt(v . v) for real input, so the two agree bit for bit."""
+    """Euclidean norm of an array's entries: sqrt(v . v), as numpy's
+    `linalg.norm` computes it for real input, bit for bit (`vdot` is the same
+    BLAS dot on the contiguous entries, and silent on overflow). Where v . v
+    overflows from finite entries, the scaled norm max|v| * ||v / max|v|||."""
     v = np.asarray(v, dtype=float).ravel()
-    return math.sqrt(v.dot(v))
+    norm = math.sqrt(np.vdot(v, v))
+    if norm == math.inf:
+        top = float(np.abs(v).max())
+        if top < math.inf:
+            v = v / top
+            norm = top * math.sqrt(np.vdot(v, v))
+    return norm
 
 
 def _row_norms(v):
     """`_norm` of each row of an (N, k) array, each v . v the same dot product
-    (and, as numpy's dot, silent on overflow)."""
+    and each overflowing one scaled the same way."""
     with _float_errors():
-        return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+        norms = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+        over = norms == math.inf
+        if over.any():
+            top = np.abs(v).max(axis=1)
+            over &= top < math.inf
+            w = v[over] / top[over, None]
+            norms[over] = top[over] * np.sqrt((w[:, None, :] @ w[:, :, None])[:, 0, 0])
+        return norms
 
 
 def _float_errors():
@@ -289,8 +312,8 @@ _NO_KERNEL_1X1.vectors.flags.writeable = False
 
 def _solve_1x1(d, b, tols):
     """`solve_affine` of [[d]] x = [b] on Python floats. Each product of x0 is
-    added to +0 as matmul does (so u * b = -0 gives +0), and the norms stay
-    sqrt(v * v), which differs from |v| where v * v underflows."""
+    added to +0 as matmul does (so u * b = -0 gives +0), and the norms are
+    the array routes' (`_float_norm`)."""
     (u, s, vt), r, cut = _svd_rank(d, tols)
     tol_img = tols.img_tol(cut, b)
     if not tol_img < math.inf:
@@ -298,7 +321,7 @@ def _solve_1x1(d, b, tols):
     x = 0.0 + vt * ((0.0 + u * b) / s) if r else 0.0
     res = d * x - b
     kern = _NO_KERNEL_1X1 if r else SubspaceBasis(np.ones((1, 1)))
-    return _solution(np.array([x]), kern, math.sqrt(res * res), tol_img)
+    return _solution(np.array([x]), kern, _float_norm(res), tol_img)
 
 
 def _solve_stack(mat, b, tols):

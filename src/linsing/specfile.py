@@ -261,9 +261,14 @@ def constant_value(text, params):
     return _constant(text, _Params(params, None, {}))
 
 
-def parse_box(text, variables, label="box", section="", line=0):
+def parse_box(text, variables, params, label="box"):
     """``name:lo:hi,...`` -> {name: (lo, hi)}, each range finite, non-empty and
-    of finite width; messages call the input `label`."""
+    of finite width, each bound a constant expression read as `constant_value`
+    reads it in the parameters `params`; messages call the input `label`."""
+    return _box(text, variables, _Params(params, None, {}), label, "", 0)
+
+
+def _box(text, variables, params, label, section, line):
     box = {}
     for piece in text.split(","):
         piece = piece.strip()
@@ -277,14 +282,12 @@ def parse_box(text, variables, label="box", section="", line=0):
                                 f"{label} names unknown variable {name!r}")
         if name in box:
             raise SpecFileError(section, line, f"{label} names {name!r} twice")
-        try:
-            lo, hi = float(parts[1]), float(parts[2])
-        except ValueError as exc:
+        try:  # each bound is finite, or `_constant` raises
+            lo, hi = _constant(parts[1], params), _constant(parts[2], params)
+        except LinsingError as exc:
             raise SpecFileError(section, line,
-                                f"bad {label} bounds in {piece!r}") from exc
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise SpecFileError(section, line,
-                                f"{label} bounds in {piece!r} are not finite")
+                                f"{label} bounds in {piece!r} are not finite numbers: {exc}"
+                                ) from exc
         if not lo < hi:
             raise SpecFileError(section, line,
                                 f"empty {label} range in {piece!r}")
@@ -456,8 +459,8 @@ def loads(text, name="", param_overrides=None):
         else:
             raise SpecFileError("symmetry", 0, "missing V or psi/Phi")
         if "box" in sec:
-            spec.box = parse_box(sec["box"].value, variables,
-                                 section="symmetry", line=sec["box"].line)
+            spec.box = _box(sec["box"].value, variables, params, "box", "symmetry",
+                            sec["box"].line)
         _reject_unknown("symmetry", sec, {"V", "Lambda", "psi", "Phi", "box"})
 
     for cname, entry in sections.get("constant", {}).items():

@@ -5,6 +5,10 @@ central finite differences. Neither calls linsing's tree evaluator, its
 compiled runners or its symbolic `derivative`: they read the expression nodes
 and call fields, so an agreement is between independent routes.
 
+`recursive_evaluate` and `recursive_text` are the tree evaluator and printer
+as recursive walks, one call per node visit: the references for linsing's
+`evaluate` and `to_text`, which fold one rule per node over the DAG's walk.
+
 `integrate_arrays` steps RK4 on numpy arrays, where `integrate` steps on
 Python floats: the same IEEE operations, so the two agree bit for bit.
 
@@ -26,8 +30,20 @@ import math
 
 import numpy as np
 
-from linsing.errors import DomainEvalError, ShapeError, raise_first
-from linsing.expressions import Add, Call, Const, Div, Mul, Neg, Pow, Sub, Var, to_text
+from linsing.errors import DomainEvalError, ShapeError, UndeclaredVariableError, raise_first
+from linsing.expressions import (
+    FUNCTIONS,
+    Add,
+    Call,
+    Const,
+    Div,
+    Mul,
+    Neg,
+    Pow,
+    Sub,
+    Var,
+    to_text,
+)
 from linsing.linalg import (
     DEFAULT_TOLERANCES,
     SubspaceBasis,
@@ -138,6 +154,95 @@ def eval_dual(e, variables, point):
         raise TypeError(f"not an expression node: {node!r}")
 
     return rec(e)
+
+
+# precedence levels: +,- : 1   *,/ : 2   unary- : 3   ^ : 4   atoms : 5
+
+def _fmt_number(v):
+    if v != v or v in (float("inf"), float("-inf")):
+        raise ValueError(f"cannot print non-finite constant {v}")
+    if v < 0:
+        return "-" + _fmt_number(-v)
+    if v == int(v) and abs(v) < 1e16:
+        return repr(int(v))
+    return repr(v)
+
+
+def _print(e, level):
+    if isinstance(e, Const):
+        s = _fmt_number(e.value)
+        return f"({s})" if (s.startswith("-") and level > 3) else s
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, Add):
+        s = f"{_print(e.a, 1)} + {_print(e.b, 2)}"
+        return f"({s})" if level > 1 else s
+    if isinstance(e, Sub):
+        s = f"{_print(e.a, 1)} - {_print(e.b, 2)}"
+        return f"({s})" if level > 1 else s
+    if isinstance(e, Mul):
+        s = f"{_print(e.a, 2)}*{_print(e.b, 3)}"
+        return f"({s})" if level > 2 else s
+    if isinstance(e, Div):
+        s = f"{_print(e.a, 2)}/{_print(e.b, 3)}"
+        return f"({s})" if level > 2 else s
+    if isinstance(e, Neg):
+        s = f"-{_print(e.a, 3)}"
+        return f"({s})" if level > 3 else s
+    if isinstance(e, Pow):
+        s = f"{_print(e.base, 5)}^{_print(e.exponent, 3)}"
+        return f"({s})" if level > 4 else s
+    if isinstance(e, Call):
+        return f"{e.fn}({_print(e.arg, 0)})"
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def recursive_text(e):
+    """`to_text` as a recursive walk: each node printed at the level its parent needs."""
+    return _print(e, 0)
+
+
+def recursive_evaluate(e, env):
+    """`evaluate` as a recursive walk: a shared node is evaluated once per path to it."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        try:
+            return float(env[e.name])
+        except KeyError:
+            raise UndeclaredVariableError(e.name) from None
+    if isinstance(e, Add):
+        return recursive_evaluate(e.a, env) + recursive_evaluate(e.b, env)
+    if isinstance(e, Sub):
+        return recursive_evaluate(e.a, env) - recursive_evaluate(e.b, env)
+    if isinstance(e, Mul):
+        return recursive_evaluate(e.a, env) * recursive_evaluate(e.b, env)
+    if isinstance(e, Div):
+        num = recursive_evaluate(e.a, env)
+        den = recursive_evaluate(e.b, env)
+        if den == 0.0:
+            raise DomainEvalError("division by zero", recursive_text(e))
+        return num / den
+    if isinstance(e, Neg):
+        return -recursive_evaluate(e.a, env)
+    if isinstance(e, Pow):
+        b = recursive_evaluate(e.base, env)
+        x = recursive_evaluate(e.exponent, env)
+        try:
+            return math.pow(b, x)
+        except (ValueError, OverflowError) as exc:
+            raise DomainEvalError(f"invalid power ({exc})", recursive_text(e)) from None
+    if isinstance(e, Call):
+        u = recursive_evaluate(e.arg, env)
+        if e.fn == "sqrt" and u < 0.0:
+            raise DomainEvalError("sqrt of a negative number", recursive_text(e))
+        if e.fn == "log" and u <= 0.0:
+            raise DomainEvalError("log of a non-positive number", recursive_text(e))
+        try:
+            return FUNCTIONS[e.fn](u)
+        except (ValueError, OverflowError) as exc:
+            raise DomainEvalError(f"{e.fn} domain fault ({exc})", recursive_text(e)) from None
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 def fd_jacobian(field, point, rel_step=1e-6):

@@ -27,7 +27,15 @@ from linsing.errors import (
     ShapeError,
     raise_first,
 )
-from linsing.expressions import Const, ExpressionField, add, derivative, derivatives, mul, to_text
+from linsing.expressions import (
+    Const,
+    ExpressionField,
+    add,
+    derivative,
+    derivative_columns,
+    mul,
+    to_text,
+)
 from linsing.lagrangian import chetaev_frame
 from linsing.linalg import DEFAULT_TOLERANCES
 from linsing.nonholonomic import (
@@ -516,7 +524,7 @@ def test_shared_memo_derivatives_print_as_entry_by_entry_ones(name):
                     want = add(want, mul(derivative(e, var), ve))
             assert to_text(got) == to_text(want)
         for var in fld.variables:
-            assert [to_text(e) for e in derivatives(fld.entries, var)] == \
+            assert [to_text(e) for e in derivative_columns(fld.entries, [var])[0]] == \
                 [to_text(derivative(e, var)) for e in fld.entries]
         if len(fld.shape) == 1:
             jac = fld.jacobian_field()

@@ -177,6 +177,29 @@ def test_simulate_writes_csv(tmp_path, capsys):
     assert np.allclose(first[1:7], [0.0, 1.0, 0.0, 2.0, 3.0, 2.0])
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+def test_an_out_path_that_cannot_be_written_is_a_usage_error(where, tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "x.csv" if where == "missing-dir" else tmp_path
+    code, out, err = _run(
+        capsys, "simulate", "--scenario", "rosenberg", "--x0", "x=0,y=1,z=0,x'=2,y'=3",
+        "--t1", "0.1", "--dt", "0.01", "--out", str(target), "--quiet-time",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write --out {target}: ") and err.count("\n") == 1
+
+
+def test_a_huge_finite_state_is_not_a_non_finite_right_hand_side(tmp_path, capsys):
+    # y' = y from y = 1 passes 1.3e154, where y*y overflows, at step 355
+    path = tmp_path / "growth.lss"
+    path.write_text("[vars]\nnames = x, y\n\n[system]\nf = 1, y\n")
+    out_csv = tmp_path / "traj.csv"
+    code, out, err = _run(capsys, "simulate", "--spec", str(path), "--x0", "x=0,y=1",
+                          "--t1", "700", "--dt", "1", "--out", str(out_csv), "--quiet-time")
+    assert code == 0 and err == "" and "steps: 700" in out
+    last = [float(v) for v in out_csv.read_text().splitlines()[-1].split(",")]
+    assert last[:2] == [700.0, 700.0] and 7e302 < last[2] < 8e302
+
+
 def test_simulate_second_order_mode(tmp_path, capsys):
     # relparticle-L1 has a singular Lagrangian: the run goes through the
     # stacked second-order solve, and with U = 0 the motion is a straight line
@@ -340,6 +363,23 @@ def test_a_box_override_must_be_finite_and_of_finite_width(box, message, capsys)
     assert code == 2 and out == "" and message in err
 
 
+@pytest.mark.parametrize("bound", ["1_0", "nan", "inf", "1e400"])
+def test_box_bounds_are_read_as_at_values_are(bound, capsys):
+    # float() would read each of these; --at x=1_0 is a usage error too
+    code, out, err = _run(capsys, "check-symmetry", "--scenario", "example1",
+                          "--box", f"x:-1:{bound}")
+    assert code == 2 and out == ""
+    assert f"--box bounds in 'x:-1:{bound}' are not finite numbers: " in err
+
+
+def test_box_bounds_are_constant_expressions_in_the_parameters(capsys):
+    _, want, _ = _run(capsys, "check-symmetry", "--scenario", "example1", "--points", "30",
+                      "--box", "x:-3:3,y:1:3")
+    code, out, _ = _run(capsys, "check-symmetry", "--scenario", "example1", "--points", "30",
+                        "--box", "x:-(a + 1):a + 1,y:a - 1:a + 1")
+    assert code == 0 and out == want
+
+
 def test_a_spec_box_of_infinite_width_is_a_spec_error(tmp_path, capsys):
     path = tmp_path / "wide.lss"
     path.write_text("[vars]\nnames = x, y\n\n[system]\nf = 1, y\n\n"
@@ -420,6 +460,19 @@ def test_analyze_names_a_division_by_zero(tmp_path, capsys):
         code, out, err = _run(capsys, "analyze", "--spec", str(path), "--at", "x=0")
     assert code == 3 and out == ""
     assert err == "error: division by zero in subexpression '1/x'\n"
+
+
+@pytest.mark.parametrize("terms", [2000, 10_000])
+def test_a_fault_in_a_sum_of_any_length_is_named(terms, tmp_path, capsys):
+    path = tmp_path / "long.lss"
+    xs = " + ".join(["x"] * terms)
+    for f, named in ((f"{xs} + 1/(x - 1)", "division by zero in subexpression '1/(x - 1)'"),
+                     (f"sqrt({xs} - {5 * terms})",
+                      f"sqrt of a negative number in subexpression 'sqrt({xs} - {5 * terms})'")):
+        path.write_text(f"[vars]\nnames = x, y\n\n[system]\nf = {f}, 1\n")
+        code, out, err = _run(capsys, "analyze", "--spec", str(path), "--at", "x=1,y=0")
+        assert code == 3 and out == ""
+        assert err == f"error: {named}\n"
 
 
 def test_simulate_rejects_a_step_that_does_not_divide_t1(tmp_path, capsys):

@@ -17,6 +17,7 @@ from linsing.expressions import (
     Call,
     Compiled,
     Const,
+    Div,
     ExpressionField,
     Mul,
     Sub,
@@ -36,7 +37,7 @@ from linsing.expressions import (
 )
 from linsing.specfile import loads
 from conftest import call, expression_corpus
-from oracles import eval_dual, fd_jacobian
+from oracles import eval_dual, fd_jacobian, recursive_evaluate, recursive_text
 
 
 # ------------------------------------------------------------------- parsing
@@ -254,20 +255,31 @@ def test_constant_folding_keeps_faulting_constants_unfolded():
 BUNDLED_SCENARIOS = ["example1", "relparticle-L1", "relparticle-L2", "rosenberg"]
 
 
-def _bundled_sources(name, patch, capsys):
-    """The `_compiled_source` texts that the bundled commands generate on one
-    scenario, in the order they are generated."""
-    texts = []
+def _bundled_compiles(name, patch, capsys):
+    """(exprs, variables, source) of each `_compiled_source` call that the
+    bundled commands make on one scenario, in the order they make them: the
+    spec fields, the first-order and the second-order kernels."""
+    compiles = []
     generate = expressions._compiled_source
-    patch.setattr(expressions, "_compiled_source",
-                  lambda exprs, variables: texts.append(generate(exprs, variables)) or texts[-1])
+
+    def recorded(exprs, variables):
+        compiles.append((exprs, variables, generate(exprs, variables)))
+        return compiles[-1][2]
+
+    patch.setattr(expressions, "_compiled_source", recorded)
     for argv in (["analyze", "--scenario", name, "--points", "20"],
                  ["check-symmetry", "--scenario", name, "--points", "20"],
                  ["check-constant", "--scenario", name, "--points", "20"],
                  ["scenario", "--self-test", name]):
         assert cli.main(argv) == 0
     capsys.readouterr()
-    return texts
+    return compiles
+
+
+def _bundled_sources(name, patch, capsys):
+    """The `_compiled_source` texts that the bundled commands generate on one
+    scenario, in the order they are generated."""
+    return [src for _, _, src in _bundled_compiles(name, patch, capsys)]
 
 
 @pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
@@ -403,8 +415,89 @@ def test_derivatives_build_the_nodes_of_a_recursive_walk(name):
         cases = [([e for fld in fields for e in fld.entries], spec.variables)]
     for exprs, variables in cases:
         for var in variables:
-            assert _graph(expressions.derivatives(exprs, var)) == \
+            assert _graph(expressions.derivative_columns(exprs, [var])[0]) == \
                 _graph(_recursive_derivatives(exprs, var))
+
+
+# ------------------------------------------- the walks against recursive ones
+
+def _outcome(run, exprs, env):
+    """The values of `run(exprs, env)` as hex strings, or the text of the
+    DomainEvalError it raises."""
+    try:
+        return [v.hex() for v in run(exprs, env)]
+    except DomainEvalError as exc:
+        return str(exc)
+
+
+def _in_turn(exprs, env):
+    """The reference: each expression by the recursive walk, in turn."""
+    return [recursive_evaluate(e, env) for e in exprs]
+
+
+def _assert_walks_match_references(exprs, env):
+    assert [to_text(e) for e in exprs] == [recursive_text(e) for e in exprs]
+    want = _outcome(_in_turn, exprs, env)
+    assert _outcome(expressions._evaluate_all, exprs, env) == want
+    assert [_outcome(lambda es, env: [evaluate(es[0], env)], [e], env) for e in exprs] == \
+        [_outcome(_in_turn, [e], env) for e in exprs]
+    return want
+
+
+def test_walks_match_the_recursive_references_on_the_corpus():
+    for exprs, variables in _shared_corpus(43):
+        _assert_walks_match_references(exprs, dict(zip(variables, (1.5, -0.5, 0.25))))
+    for e, variables, point in expression_corpus(200, seed=47):
+        _assert_walks_match_references([e], dict(zip(variables, point)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_exprs(), st.floats(-3, 3), st.floats(-3, 3))
+def test_walks_match_the_recursive_references_on_small_expressions(e, x, y):
+    _assert_walks_match_references([e, Add(e, e)], {"x": x, "y": y})
+
+
+def test_a_faulting_shared_subtree_is_named_as_the_recursive_walk_names_it():
+    s = Call("log", Sub(Var("x"), Const(2.0)))
+    exprs = [Add(Var("y"), Const(1.0)), Mul(s, Call("sqrt", s)), Div(Const(1.0), Var("y")), s]
+    run = Compiled(exprs, ("x", "y")).scalar()
+    for point in ([3.0, 0.0], [2.5, 1.0], [2.0, 0.0], [4.0, -1.0]):
+        want = _assert_walks_match_references(exprs, dict(zip("xy", point)))
+        assert _outcome(lambda es, env: run(point), exprs, None) == want
+    assert _outcome(_in_turn, exprs, {"x": 2.5, "y": 1.0}) == \
+        "sqrt of a negative number in subexpression 'sqrt(log(x - 2))'"
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_walks_match_the_recursive_references_on_the_bundled_kernels(name, monkeypatch, capsys):
+    # every list the bundled commands compile, at points inside and outside
+    # its domain, and with a division by zero after each entry
+    rng = np.random.default_rng(53)
+    with monkeypatch.context() as patch:
+        compiles = _bundled_compiles(name, patch, capsys)
+    for exprs, variables, _ in compiles:
+        for point in rng.uniform(-1.5, 1.5, (3, len(variables))):
+            env = dict(zip(variables, point))
+            _assert_walks_match_references(exprs, env)
+            pole = Div(Const(1.0), Sub(Var(variables[0]), Const(float(point[0]))))
+            faulted = _assert_walks_match_references([Add(e, pole) for e in exprs], env)
+            assert isinstance(faulted, str)  # the pole's fault, or an entry's before it
+
+
+@pytest.mark.parametrize("terms", [2000, 10_000])
+def test_a_sum_of_any_length_evaluates_prints_and_names_its_fault(terms):
+    total = Var("x")
+    for _ in range(terms - 1):
+        total = Add(total, Var("x"))
+    assert to_text(total) == " + ".join(["x"] * terms)
+    assert evaluate(total, {"x": 0.5}) == terms / 2
+    run = ExpressionField.vector([Add(total, parse("1/(x - 1)")), Const(1.0)], ("x", "y"))
+    with pytest.raises(DomainEvalError, match=r"division by zero in subexpression '1/\(x - 1\)'$"):
+        run(np.array([1.0, 0.0]))
+    root = Call("sqrt", Sub(total, Const(5.0 * terms)))
+    with pytest.raises(DomainEvalError) as err:
+        evaluate(root, {"x": 1.0})
+    assert str(err.value).endswith(f"'sqrt({to_text(total)} - {5 * terms})'")
 
 
 def test_symbolic_derivative_matches_dual_numbers():

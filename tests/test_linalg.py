@@ -9,6 +9,7 @@ column copies) so both rank routes sit far from their thresholds.
 
 import inspect
 import math
+import warnings
 from unittest import mock
 
 import mpmath
@@ -497,8 +498,56 @@ def test_non_finite_input_is_a_non_finite_error():
     with pytest.raises(NonFiniteError):
         solve_affine(np.eye(2), np.array([np.nan, 0.0]))
     # a right-hand side whose norm overflows cannot be judged against tol_img
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
-        solve_affine(np.eye(2), np.array([1e300, 1e300]))
+    with pytest.raises(NonFiniteError):
+        solve_affine(np.eye(2), np.array([1.7e308, 1.7e308]))
+
+
+def test_a_finite_right_hand_side_whose_square_overflows_is_solved():
+    # 1e200 * 1e200 overflows; the norms scale by max|v| there, on every route
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = solve_affine(np.array([[1.0]]), np.array([1e200]))
+        two = solve_affine(np.eye(2), np.array([1e200, 0.0]))
+        rhs = np.array([[1e200, 0.0], [1.0, 2.0], [0.0, -1e200]])
+        stack = solve_affine(np.stack([np.eye(2)] * 3), rhs)
+        ones = solve_affine(np.array([[[1.0]], [[-2.0]]]), np.array([[1e200], [-3e300]]))
+    assert one.x0.tolist() == [1e200] and one.residual == 0.0 and one.consistent
+    assert one.tol_used == 1e-10 * (1.0 + 1e200)
+    assert two.x0.tolist() == [1e200, 0.0] and two.tol_used == 2e-10 * (1.0 + 1e200)
+    for i, b in enumerate(rhs):
+        alone = solve_affine(np.eye(2), b)
+        got = stack.item(i)
+        assert got.x0.tobytes() == alone.x0.tobytes() and got.consistent
+        assert (got.residual, got.tol_used) == (alone.residual, alone.tol_used)
+    for i, (d, b) in enumerate([(1.0, 1e200), (-2.0, -3e300)]):
+        alone = solve_affine(np.array([[d]]), np.array([b]))
+        got = ones.item(i)
+        assert got.x0.tobytes() == alone.x0.tobytes() and got.consistent
+        assert (got.residual, got.tol_used) == (alone.residual, alone.tol_used)
+    # a 1x1 of rank 0 leaves all of b in its residual: |b|, not inf
+    cut = solve_affine(np.array([[1.0]]), np.array([-1e200]), Tolerances(rank_factor=2.0))
+    assert cut.residual == 1e200 and cut.consistent
+
+
+def test_the_norms_change_only_where_a_square_overflows_from_finite_entries():
+    rng = np.random.default_rng(61)
+    for v in rng.standard_normal((200, 5)) * 10.0 ** rng.uniform(-150, 150, (200, 1)):
+        assert linalg._norm(v) == float(np.linalg.norm(v))
+        assert linalg._row_norms(v[None])[0] == linalg._norm(v)
+        assert linalg._float_norm(v[0]) == math.sqrt(v[0] * v[0])
+    big = np.array([[3e200, -4e200], [1e308, 1e308], [1.7e308, 1.7e308], [np.inf, 1.0],
+                    [np.nan, 1e200]])
+    # max|v| * ||v / max|v|||, each operation rounded as numpy rounds it
+    want = [4e200 * math.sqrt((3e200 / 4e200) ** 2 + 1.0), 1e308 * math.sqrt(2.0),
+            math.inf, math.inf, math.nan]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = linalg._row_norms(big)
+        norms = [linalg._norm(v) for v in big]
+    assert np.array_equal(rows, want, equal_nan=True)
+    assert np.array_equal(norms, want, equal_nan=True)
+    assert linalg._float_norm(-1e200) == 1e200 and linalg._float_norm(-math.inf) == math.inf
+    assert math.isnan(linalg._float_norm(math.nan))
 
 
 # ------------------------------------------------------ 1x1 closed form
@@ -545,6 +594,8 @@ def _lapack_solve(d, b, tols):
     tol_img = tols.img_tol(cut, rhs)
     x0 = vt[:r].T @ ((u[:, :r].T @ rhs) / s[:r])
     residual = float(np.linalg.norm(mat @ x0 - rhs))
+    if residual == math.inf and math.isfinite((mat @ x0 - rhs).item()):
+        residual = abs((mat @ x0 - rhs).item())  # where its square overflows
     consistent = residual <= tol_img
     if not tol_img < math.inf or not (consistent or math.isfinite(residual)):
         return None

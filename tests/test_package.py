@@ -146,6 +146,56 @@ def test_every_public_function_is_called_from_the_package():
     assert uncalled == []
 
 
+# the functions of the package that call themselves, each with what bounds
+# the depth of its recursion
+SELF_CALLING = {
+    # one call per level of a factor's nesting, refused past _MAX_PARSE_DEPTH
+    "expressions._Parser.parse_factor",
+    # one call per level of a report's nesting: the package's reports nest a
+    # few dictionaries and lists deep
+    "report._render_into",
+    "report._format_value",
+}
+
+
+def _self_calling(module, tree):
+    """The qualified names of the functions and methods of a module tree that
+    call themselves: a function by its name, a method through self or cls."""
+    found = []
+
+    def visit(node, scope, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{scope}.{child.name}", True)
+            elif isinstance(child, ast.FunctionDef):
+                for call in ast.walk(child):
+                    if not isinstance(call, ast.Call):
+                        continue
+                    func = call.func
+                    if (not in_class and isinstance(func, ast.Name) and func.id == child.name
+                            or in_class and isinstance(func, ast.Attribute)
+                            and func.attr == child.name and isinstance(func.value, ast.Name)
+                            and func.value.id in ("self", "cls")):
+                        found.append(f"{scope}.{child.name}")
+                        break
+                visit(child, f"{scope}.{child.name}", False)
+            else:
+                visit(child, scope, in_class)
+
+    visit(tree, module, False)
+    return found
+
+
+def test_no_function_of_the_package_calls_itself_unbounded():
+    # a recursive walk of an expression fails with RecursionError on a long
+    # sum; every walk of the DAG goes through `expressions._post_order`
+    found = []
+    for path in sorted(Path(linsing.__file__).parent.glob("*.py")):
+        found += _self_calling(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+    assert sorted(set(found) - SELF_CALLING) == []
+    assert SELF_CALLING <= set(found)  # an entry that no longer recurses leaves the list
+
+
 def test_every_error_class_is_raised_by_the_package():
     # an error class that no module outside errors.py constructs is dead: the
     # caller that catches it waits for an error the package never raises

@@ -1,8 +1,10 @@
+import math
 from importlib import resources
 
 import numpy as np
 import pytest
 
+from linsing import cli
 from linsing.errors import SpecFileError
 from linsing.expressions import Call, Const, Neg, Pow, Var, _compiled_source
 from linsing.specfile import load, loads
@@ -397,6 +399,36 @@ def test_a_box_range_must_be_finite_and_of_finite_width(box, message):
     e = _err(f"[vars]\nnames = x, y\n[system]\nf = 1, y\n[symmetry]\nV = 1, 0\nbox = {box}\n")
     assert message in str(e)
     assert (e.section, e.line) == ("symmetry", 7)
+
+
+@pytest.mark.parametrize("bound", ["1_0", "nan", "inf", "-inf", "1e400", "1e300*1e300", "b"])
+def test_a_box_bound_is_a_finite_constant_of_the_grammar(bound):
+    # `float()` reads 1_0, nan, inf and -inf; the expression grammar does not
+    e = _err("[vars]\nnames = x, y\n[system]\nf = 1, y\n[symmetry]\nV = 1, 0\n"
+             f"box = x:0:{bound}\n")
+    assert f"box bounds in 'x:0:{bound}' are not finite numbers: " in str(e)
+    assert (e.section, e.line) == ("symmetry", 7)
+
+
+def test_box_bounds_are_constant_expressions_in_the_parameters():
+    text = ("[params]\na = 2\n[vars]\nnames = x, y\n[system]\nf = 1, y\n"
+            "[symmetry]\nV = 1, 0\nbox = x:-a:a, y:a/4:2*a + 1e-3\n")
+    assert loads(text).box == {"x": (-2.0, 2.0), "y": (0.5, 4.001)}
+    assert loads(text, param_overrides={"a": "3"}).box == {"x": (-3.0, 3.0), "y": (0.75, 6.001)}
+    # an override that only the box uses is used
+    only = text.replace("[params]\na = 2\n", "")
+    assert loads(only, param_overrides={"a": "1"}).box["x"] == (-1.0, 1.0)
+
+
+@pytest.mark.parametrize("name", ["example1", "relparticle-L1", "relparticle-L2", "rosenberg"])
+def test_bundled_boxes_parse_to_the_floats_of_their_numbers(name):
+    text = cli.scenario_text(name)
+    entry = next(line for line in text.splitlines() if line.startswith("box = "))
+    pieces = [piece.strip().split(":") for piece in entry[len("box = "):].split("#")[0].split(",")]
+    want = {var: (float(lo), float(hi)) for var, lo, hi in pieces}
+    got = loads(text).box
+    assert got == want and all(math.copysign(1.0, g) == math.copysign(1.0, w)
+                               for var in want for g, w in zip(got[var], want[var]))
 
 
 def test_symmetry_section_errors():
