@@ -19,7 +19,9 @@ Exit codes: 0 success, 1 a check failed, 2 usage error, 3 evaluation or numerica
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
 import sys
 import time
 from importlib import resources
@@ -275,37 +277,64 @@ def _make_field(spec, x0, tols):
 _MONITOR_BOUND = 1e-6
 
 
+@contextlib.contextmanager
+def _out_file(path):
+    """The CSV file that --out names, opened for writing, or None without
+    --out. A path that cannot be opened is a usage error; a run that fails
+    removes the file if it created it."""
+    if not path:
+        yield None
+        return
+    created = not os.path.lexists(path)
+    try:
+        fh = open(path, "w", newline="\n")
+    except OSError as exc:
+        raise _UsageError(f"cannot write --out {path}: {exc}") from exc
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if created:
+            with contextlib.suppress(OSError):  # the run's own error is the one to report
+                os.remove(path)
+        raise
+
+
 def simulate_report(spec, x0, t1, dt, tols, out=None, timed=False):
-    """(doc, ok) of one run; ok when drift and monitors are within the bounds above."""
+    """(doc, ok) of one run; ok when drift and monitors are within the bounds
+    above. `out` is opened before the run, so that a path that cannot be
+    written costs no integration."""
     dyn, mode = _make_field(spec, x0, tols)
-    t_start = time.perf_counter()
-    traj = integrate(dyn.field, x0, t1, dt, project=spec.constraints,
-                     multiplier_fn=dyn.multipliers)
-    elapsed = time.perf_counter() - t_start
-    doc = {
-        "command": "simulate",
-        "input": spec.name,
-        "mode": mode,
-        "x0": x0,
-        "t1": float(t1),
-        "dt": float(dt),
-        "steps": traj.steps,
-        "drift_max": float(np.max(traj.drift)) if spec.constraints else 0.0,
-    }
-    ok = doc["drift_max"] <= tols.on_manifold
-    if spec.constants:
-        mons = {}
-        for name in sorted(spec.constants):
-            res = monitor(traj, spec.constants[name], name)
-            mons[name] = res.max_abs_deviation
-            ok = ok and res.max_abs_deviation <= _MONITOR_BOUND
-        doc["monitor_deviation"] = mons
-    if out:
-        try:
-            traj.write_csv(out)
-        except OSError as exc:
-            raise _UsageError(f"cannot write --out {out}: {exc}") from exc
-        doc["out"] = out
+    with _out_file(out) as fh:
+        t_start = time.perf_counter()
+        traj = integrate(dyn.field, x0, t1, dt, project=spec.constraints,
+                         multiplier_fn=dyn.multipliers)
+        elapsed = time.perf_counter() - t_start
+        doc = {
+            "command": "simulate",
+            "input": spec.name,
+            "mode": mode,
+            "x0": x0,
+            "t1": float(t1),
+            "dt": float(dt),
+            "steps": traj.steps,
+            "drift_max": float(np.max(traj.drift)) if spec.constraints else 0.0,
+        }
+        ok = doc["drift_max"] <= tols.on_manifold
+        if spec.constants:
+            mons = {}
+            for name in sorted(spec.constants):
+                res = monitor(traj, spec.constants[name], name)
+                mons[name] = res.max_abs_deviation
+                ok = ok and res.max_abs_deviation <= _MONITOR_BOUND
+            doc["monitor_deviation"] = mons
+        if fh is not None:
+            try:
+                traj.write_csv(fh)
+                fh.flush()
+            except OSError as exc:
+                raise _UsageError(f"cannot write --out {out}: {exc}") from exc
+            doc["out"] = out
     if timed:
         doc["wall_seconds"] = round(elapsed, 3)
     return doc, ok

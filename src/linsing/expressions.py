@@ -6,14 +6,15 @@ Differentiation is closed over the node set; `abs` differentiates to `sign`, whi
 defined to be 0 at 0.
 
 Expressions are DAGs: derivatives share nodes with their source. Every walk of
-an expression goes through `_post_order`, which visits each shared node once,
-children before parents, and keeps its own stack: `evaluate`, `to_text`,
-`free_variables` and `derivative_columns` fold one rule per node over it, and
-`Compiled` numbers its nodes on it, computing each structurally equal subtree
-once per evaluation, with bit-identical arithmetic, at one point or over a
-batch of points. So a sum of any length is evaluated, printed, differentiated
-and compiled; only the parser recurses, and it refuses nesting deeper than
-`_MAX_PARSE_DEPTH`.
+an expression but printing goes through `_post_order`, which visits each
+shared node once, children before parents, and keeps its own stack:
+`evaluate`, `free_variables` and `derivative_columns` fold one rule per node
+over it, and `Compiled` numbers its nodes on it, computing each structurally
+equal subtree once per evaluation, with bit-identical arithmetic, at one point
+or over a batch of points. `to_text` keeps a stack of its own, in print order,
+since its text repeats a shared node once per path to it. So a sum of any
+length is evaluated, printed, differentiated and compiled; only the parser
+recurses, and it refuses nesting deeper than `_MAX_PARSE_DEPTH`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from collections import Counter
 
 import numpy as np
 
@@ -387,43 +387,48 @@ def _fmt_number(v):
     return repr(int(v)) if v == int(v) and abs(v) < 1e16 else repr(v)
 
 
-def _text_node(e, text):
-    """(text, precedence) of one node; `text(child, level)` gives a child's
-    text, parenthesised where its precedence is below `level`."""
+def _layout(e):
+    """(pieces, precedence) of one node: its text as a tuple of strings and
+    (child, level) pairs, each child printed in parentheses where its
+    precedence is below `level`."""
     if isinstance(e, Const):
         s = _fmt_number(e.value)
-        return s, 3 if s.startswith("-") else 5
+        return (s,), 3 if s.startswith("-") else 5
     if isinstance(e, Var):
-        return e.name, 5
+        return (e.name,), 5
     if isinstance(e, Neg):
-        return "-" + text(e.a, 3), 3
+        return ("-", (e.a, 3)), 3
     if isinstance(e, Pow):
-        return f"{text(e.base, 5)}^{text(e.exponent, 3)}", 4
+        return ((e.base, 5), "^", (e.exponent, 3)), 4
     if isinstance(e, Call):
-        return f"{e.fn}({text(e.arg, 0)})", 5
-    op, level = _INFIX[type(e)]  # the right operand binds one level tighter
-    return text(e.a, level) + op + text(e.b, level + 1), level
+        return (f"{e.fn}(", (e.arg, 0), ")"), 5
+    infix = _INFIX.get(type(e))
+    if infix is None:
+        raise TypeError(f"not an expression node: {e!r}")
+    op, level = infix  # the right operand binds one level tighter
+    return ((e.a, level), op, (e.b, level + 1)), level
 
 
 def to_text(e):
     """Render an Expr to canonical text; parse(to_text(e)) prints identically.
 
-    A (text, precedence) pair per node is folded over `_post_order`, so an
-    expression of any depth prints; a node's text is dropped once its last
-    parent has read it, so a long sum does not hold the text of every prefix.
+    The text is joined once from its parts, left to right: a stack holds what
+    is left to print, each node is laid out where it is printed (`_layout`),
+    and a shared node is laid out once per path to it, as its text repeats.
+    So an expression of any depth prints, in time linear in its text.
     """
-    order = _post_order([e])
-    readers = Counter(child for node in order for child in _OPERANDS[type(node)](node))
-    texts = {}  # node -> (text, precedence); nodes hash by identity
-
-    def text(child, level):
-        readers[child] -= 1
-        s, precedence = texts[child] if readers[child] else texts.pop(child)
-        return f"({s})" if level > precedence else s
-
-    for node in order:
-        texts[node] = _text_node(node, text)
-    return texts[e][0]
+    parts, stack = [], [(e, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        node, level = item
+        pieces, precedence = _layout(node)
+        if level > precedence:
+            pieces = ("(", *pieces, ")")
+        stack += reversed(pieces)
+    return "".join(parts)
 
 
 # -------------------------------------------------------------- tree evaluate

@@ -3,16 +3,20 @@ spaces, and minimum-norm least-squares steps.
 
 All rank decisions run through one tolerance policy:
 tol_rank = max(rows, cols) * sigma_max * rank_factor, sigma_max coming from the
-SVD whose rank is decided, and image-membership decisions use
-tol_img = tol_rank * (1 + ||b||_2), from the cut-off that the rank decision
-hands back; no cut-off takes an SVD of its own.
+SVD whose rank is decided; no cut-off takes an SVD of its own. Consistency
+follows from the rank: a system of full row rank (r = rows) has every b in its
+image, so its verdict compares nothing and its `tol_used` is inf; only a
+rank-deficient one takes the image test, residual <= tol_img =
+tol_rank * (1 + ||b||_2), from the cut-off that the rank decision hands back.
+A norm of b, a cut-off or a residual that is not finite raises NonFiniteError.
 Null-space bases come out of the SVD in a deterministic gauge (descending
 singular values, each basis vector's first non-negligible component made
 positive).
 
 `solve_affine` solves a 1x1 system [[d]] (the Schur complement D of a system
-with one constraint) on Python floats from start to end. It factors d in
-closed form, u = sign(d), s = |d|, vt = 1, when
+with one constraint) on Python floats from start to end (`_scalar_solve`,
+whose floats `_scalar_solution` packages). It factors d in closed form,
+u = sign(d), s = |d|, vt = 1, when
 sqrt(tiny)/eps <= |d| <= eps/sqrt(tiny), about 6.7e-139 to 1.5e138. That is
 the range in which LAPACK's SVD (gesdd) does not rescale the matrix, and
 unscaled it returns exactly these factors, so the closed form is the SVD bit
@@ -292,11 +296,13 @@ def solve_affine(mat, b, tols=DEFAULT_TOLERANCES):
         x0 = np.zeros(n)
         return AffineSolutionSet(x0, SubspaceBasis(_fix_signs(np.eye(n))), 0.0, True, 0.0)
     if mat.shape == (1, 1):
-        return _solve_1x1(mat.item(), b.item(), tols)
+        d, b = mat.item(), b.item()
+        return _scalar_solution(*_scalar_solve(d, b, tols), b, tols)
     (u, s, vt), r, cut = _svd_rank(mat, tols)
-    tol_img = tols.img_tol(cut, b)
-    if not tol_img < math.inf:
-        raise NonFiniteError("a linear solve has a non-finite right-hand side")
+    full = r == mat.shape[0]
+    tol_img = math.inf if full else tols.img_tol(cut, b)
+    if not (_norm(b) if full else tol_img) < math.inf:
+        raise NonFiniteError(_NON_FINITE_RHS)
     coeff = (u[:, :r].T @ b) / s[:r] if r else np.zeros(0)
     x0 = vt[:r].T @ coeff
     residual = _norm(mat @ x0 - b)
@@ -309,27 +315,40 @@ def solve_affine(mat, b, tols=DEFAULT_TOLERANCES):
 _NO_KERNEL_1X1 = SubspaceBasis(np.zeros((1, 0)))
 _NO_KERNEL_1X1.vectors.flags.writeable = False
 
+_NON_FINITE_RHS = "a linear solve has a non-finite right-hand side"
 
-def _solve_1x1(d, b, tols):
-    """`solve_affine` of [[d]] x = [b] on Python floats. Each product of x0 is
-    added to +0 as matmul does (so u * b = -0 gives +0), and the norms are
-    the array routes' (`_float_norm`)."""
+
+def _scalar_solve(d, b, tols):
+    """[[d]] x = [b] on Python floats: (x, r, residual, cut), r and cut being
+    `_svd_rank`'s decision on d. Each product of x is added to +0 as matmul
+    does (so u * b = -0 gives +0), and the residual is the array routes' norm
+    (`_float_norm`). At full rank only a non-finite residual fails."""
     (u, s, vt), r, cut = _svd_rank(d, tols)
+    x = 0.0 + vt * ((0.0 + u * b) / s) if r else 0.0
+    residual = _float_norm(d * x - b)
+    if r and not residual < math.inf:
+        raise NonFiniteError(_NON_FINITE_RHS if not math.isfinite(b) else
+                             f"a linear solve has a non-finite residual ({residual})")
+    return x, r, residual, cut
+
+
+def _scalar_solution(x, r, residual, cut, b, tols):
+    """`solve_affine`'s AffineSolutionSet of [[d]] x = [b] from `_scalar_solve`'s
+    floats; only rank 0 takes the image test."""
+    if r:
+        return AffineSolutionSet(np.array([x]), _NO_KERNEL_1X1, residual, True, math.inf)
     tol_img = tols.img_tol(cut, b)
     if not tol_img < math.inf:
-        raise NonFiniteError("a linear solve has a non-finite right-hand side")
-    x = 0.0 + vt * ((0.0 + u * b) / s) if r else 0.0
-    res = d * x - b
-    kern = _NO_KERNEL_1X1 if r else SubspaceBasis(np.ones((1, 1)))
-    return _solution(np.array([x]), kern, _float_norm(res), tol_img)
+        raise NonFiniteError(_NON_FINITE_RHS)
+    return _solution(np.array([x]), SubspaceBasis(np.ones((1, 1))), residual, tol_img)
 
 
 def _solve_stack(mat, b, tols):
     """`solve_affine` of each system of a stack: one stacked SVD, then the
     products of the general path, stacked per rank. A 1x1 system takes the
-    same IEEE operations here as on `_solve_1x1`'s floats, since a product of
-    one term is summed from +0 as `_solve_1x1` sums it. NonFiniteError names
-    the first system at which `solve_affine` would raise."""
+    same IEEE operations here as on `_scalar_solve`'s floats, since a product
+    of one term is summed from +0 as `_scalar_solve` sums it. NonFiniteError
+    names the first system at which `solve_affine` would raise."""
     count, p, q = mat.shape
     b = b.reshape(count, p)
     if p == 0:
@@ -337,9 +356,11 @@ def _solve_stack(mat, b, tols):
         return AffineSolutionSet(np.zeros((count, q)), [SubspaceBasis(eye) for _ in range(count)],
                                  np.zeros(count), np.ones(count, dtype=bool), np.zeros(count))
     (u, s, vt), ranks, cut = _svd_rank(mat, tols)
+    full = ranks == p
     with _float_errors():
-        tol_img = tols.img_tol(cut, b)
-    finite = tol_img < math.inf  # the systems that `solve_affine` goes on to solve
+        tol_img = np.where(full, math.inf, tols.img_tol(cut, b))
+        # the systems that `solve_affine` goes on to solve
+        finite = np.where(full, _row_norms(b), tol_img) < math.inf
     x0 = np.zeros((count, q))
     residual = np.full(count, math.nan)
     for r in sorted(set(ranks[finite].tolist())):
@@ -351,19 +372,18 @@ def _solve_stack(mat, b, tols):
             coeff = (np.swapaxes(u[idx][:, :, :r], 1, 2) @ b[idx, :, None])[..., 0] / s[idx, :r]
             x0[idx] = (np.swapaxes(vt[idx][:, :r], 1, 2) @ coeff[..., None])[..., 0]
         residual[idx] = _row_norms((mat[idx] @ x0[idx, :, None])[..., 0] - b[idx])
-    consistent = residual <= tol_img
     raise_first(
-        (~finite, lambda i: NonFiniteError("a linear solve has a non-finite right-hand side")),
-        (finite & ~(consistent | np.isfinite(residual)),
+        (~finite, lambda i: NonFiniteError(_NON_FINITE_RHS)),
+        (finite & ~np.isfinite(residual),
          lambda i: NonFiniteError(f"a linear solve has a non-finite residual ({residual[i]})")))
-    return AffineSolutionSet(x0, _kernels(vt, ranks), residual, consistent, tol_img)
+    return AffineSolutionSet(x0, _kernels(vt, ranks), residual, residual <= tol_img, tol_img)
 
 
 def _solution(x0, kernel, residual, tol_img):
-    consistent = residual <= tol_img
-    if not (consistent or math.isfinite(residual)):
+    """AffineSolutionSet of a solve; `tol_img` is inf at full row rank."""
+    if not math.isfinite(residual):
         raise NonFiniteError(f"a linear solve has a non-finite residual ({residual})")
-    return AffineSolutionSet(x0, kernel, residual, consistent, tol_img)
+    return AffineSolutionSet(x0, kernel, residual, residual <= tol_img, tol_img)
 
 
 def min_norm_rows(mats, rhs, tols=DEFAULT_TOLERANCES):

@@ -347,7 +347,8 @@ class PointDynamics:
     symbolically (`_schur_fold`). The solve is then of the Schur complement
     D u = -c, and X = Y + Gamma u. For one constraint and one force, D is 1x1
     and the solve runs on the runner's Python floats from start to end: the
-    scalar solve, and X entry by entry.
+    scalar solve, and X entry by entry (`_scalar_flow`); only `solve` packages
+    its floats into an AffineSolutionSet.
     Otherwise (a varying base, or a constant singular one) the kernel emits
     the bordered system's right-hand side and matrix, which the solve reads as
     fixed views of its buffer.
@@ -366,7 +367,8 @@ class PointDynamics:
     checked; no solution, or no unique one for an explicit flow, raises
     InconsistentSystemError. Points are not checked against M: the caller
     checks them. `solve` and `field_and_multipliers` return X as a list of
-    floats, which `integrate` steps on, and u as an array. `analysis` reports
+    floats, which `integrate` steps on, and u as an array (a list of one float
+    from `field_and_multipliers` on the scalar route). `analysis` reports
     what `solve` computes, Y included, from the same kernel evaluation; every
     array it returns is a copy, never a view of the kernel's buffer."""
 
@@ -391,7 +393,7 @@ class PointDynamics:
                                      jphi, s)
         self._compiled, self._vals, self._views, self._spans = _fused_kernel(
             parts, base.variables)
-        # one constraint and one force: `_schur` reads Gamma, Y, D and c at
+        # one constraint and one force: `_scalar_flow` reads Gamma, Y, D and c at
         # these positions of the kernel's list of floats
         self._floats = None
         if self.base_inverse is not None and gnh.a == gnh.m == 1:
@@ -528,8 +530,15 @@ class PointDynamics:
         the solve's AffineSolutionSet (in (X, u) if bordered, and in (w, u) in
         the second-order mode). A list of floats goes to the kernel as it is."""
         vals = self._evaluate(x)
-        if self.base_inverse is not None:
-            return self._schur(vals)
+        if self._floats is not None:
+            xf, solved = self._scalar_flow(vals)
+            sol = linalg._scalar_solution(*solved, self.tols)
+            return xf, sol.x0, sol
+        if self.base_inverse is not None:  # D u = -c, X = Y + Gamma u
+            _, gamma, y, d, c = self._views
+            sol = linalg.solve_affine(d, -c, self.tols)
+            self._check(sol, gamma)
+            return (y + gamma.dot(sol.x0)).tolist(), sol.x0, sol
         (rhs, mat), w = self._views, self._w
         sol = linalg.solve_affine(mat, rhs, self.tols)
         self._check(sol, mat[:self._k, w:])
@@ -553,9 +562,9 @@ class PointDynamics:
     def _evaluate(self, x):
         """The kernel's values at x, as a list of floats, also written to the
         buffer that `self._views` view, but for one constraint and one force on
-        a constant base, where `_schur` reads the list and writes the buffer
-        only for its check; what is computed from the views must not keep one
-        past the next evaluation."""
+        a constant base, where `_scalar_flow` reads the list and writes the
+        buffer only for its check; what is computed from the views must not
+        keep one past the next evaluation."""
         if self._kernel is None:
             self._kernel = self._compiled.scalar()
         vals = self._kernel(x if isinstance(x, list) else np.asarray(x, dtype=float))
@@ -566,26 +575,22 @@ class PointDynamics:
             self._vals[:] = vals
         return vals
 
-    def _schur(self, vals):
-        """(X, u, sol) of the Schur complement D u = -c, X = Y + Gamma u, from
-        the kernel's values `vals` at a point, which hold D = dphi . Gamma and
-        c = dphi . Y; X as a list of floats. The solve reads the views of the
-        buffer, or for one constraint and one force the floats of `vals`."""
-        if self._floats is None:
-            _, gamma, y, d, c = self._views
-            sol = linalg.solve_affine(d, -c, self.tols)
-            self._check(sol, gamma)
-            return (y + gamma.dot(sol.x0)).tolist(), sol.x0, sol
+    def _scalar_flow(self, vals):
+        """(X, (u, r, residual, cut, b)) for one constraint and one force,
+        from the kernel's list `vals`: `linalg._scalar_solve` of D u = b = -c,
+        and X = Y + Gamma u entry by entry. A D of full rank is solvable by
+        construction; one of rank 0 is checked by `_check`, on the Gamma view."""
         g0, g1, y0, y1, at_d, at_c = self._floats
-        sol = linalg._solve_1x1(vals[at_d], -vals[at_c], self.tols)
-        if sol.kernel.dim > 0 or not sol.consistent:  # `_check` reads the Gamma view
+        b = -vals[at_c]
+        solved = linalg._scalar_solve(vals[at_d], b, self.tols) + (b,)
+        if not solved[1]:
             self._vals[:] = vals
-            self._check(sol, self._views[1])
+            self._check(linalg._scalar_solution(*solved, self.tols), self._views[1])
         # numpy adds Gamma u as a BLAS axpy onto zeros, which may fuse its
         # multiply and add, and so may differ from g * u in the sign of a zero;
         # Y is a sum from +0, never -0, so the sum with Y has the same bits
-        u = sol.x0.item()
-        return [a + g * u for a, g in zip(vals[y0:y1], vals[g0:g1])], sol.x0, sol
+        u = solved[0]
+        return [a + g * u for a, g in zip(vals[y0:y1], vals[g0:g1])], solved
 
     def _check(self, sol, frame):
         # a dependent frame (Gamma or -Delta) forces a rank-deficient system: check it only then
@@ -647,8 +652,12 @@ class PointDynamics:
         raise_first((failed, lambda i: self._inconsistent(sol.residual[i])))
 
     def field_and_multipliers(self, x):
-        """`solve`'s (X, u) at x: X a list of floats, u an array."""
-        return self.solve(x)[:2]
+        """`solve`'s (X, u) at x: X a list of floats, u an array, or on the
+        scalar route a list of its float, with no AffineSolutionSet built."""
+        if self._floats is None:
+            return self.solve(x)[:2]
+        xf, solved = self._scalar_flow(self._evaluate(x))
+        return xf, [solved[0]]
 
     def _memo(self, x):
         # `integrate` records u at each stored state, which is where the next
@@ -663,4 +672,5 @@ class PointDynamics:
         return self._memo(x)[0]
 
     def multipliers(self, x):
-        return self._memo(x)[1]
+        """u at x, as an array."""
+        return np.array(self._memo(x)[1])

@@ -553,7 +553,7 @@ def test_the_kernel_folds_d_and_c_left_to_right(name, overrides):
 def test_solve_solves_and_analyses_read_one_d_bit_for_bit(name, overrides, monkeypatch):
     dyn, pts = _fold_case(name, overrides)
     solved = []  # the matrix of each linear solve, in call order
-    for fn in ("solve_affine", "_solve_1x1"):
+    for fn in ("solve_affine", "_scalar_solve"):
         def recorded(mat, *args, _orig=getattr(linalg, fn)):
             solved.append(np.array(mat, dtype=float))
             return _orig(mat, *args)
@@ -583,6 +583,25 @@ def test_a_regular_one_by_one_solve_leaves_the_buffer_unwritten():
     assert sol.kernel.dim == 0 and sol.consistent
     assert np.isnan(dyn._vals).all()
     assert xf == want[0] and u.tobytes() == want[1].tobytes()
+
+
+def test_the_scalar_route_builds_no_solution_set_at_full_rank(monkeypatch):
+    # X and u come from the scalar solve's floats; only `solve` packages them
+    dyn = PointDynamics(_scenario("rosenberg").gnh)
+    points = _knife_edge_points(20)
+    built = []
+    init = linalg.AffineSolutionSet.__init__
+    monkeypatch.setattr(linalg.AffineSolutionSet, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    pairs = [dyn.field_and_multipliers(x) for x in points]
+    memo = [(dyn.field(x), dyn.multipliers(x)) for x in points]
+    assert built == []
+    for x, (xf, u), (mx, mu) in zip(points, pairs, memo):
+        want_x, want_u, sol = dyn.solve(x)
+        assert sol.kernel.dim == 0 and sol.consistent
+        assert np.array(xf).tobytes() == np.array(mx).tobytes() == np.array(want_x).tobytes()
+        assert np.array(u).tobytes() == mu.tobytes() == want_u.tobytes()
+    assert len(built) == len(points)
 
 
 @pytest.mark.parametrize("delta, error", [

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from linsing import cli, linalg
 from linsing.cli import main
+from linsing.errors import NonFiniteError
 from linsing.linalg import DEFAULT_TOLERANCES
 from linsing.nonholonomic import PointDynamics
 from linsing.specfile import loads
@@ -188,6 +189,39 @@ def test_an_out_path_that_cannot_be_written_is_a_usage_error(where, tmp_path, ca
     assert err.startswith(f"error: cannot write --out {target}: ") and err.count("\n") == 1
 
 
+def test_an_out_path_that_cannot_be_written_is_refused_before_the_run(tmp_path, capsys,
+                                                                      monkeypatch):
+    def run(*args, **kwargs):
+        raise AssertionError("integrate ran before --out was opened")
+
+    monkeypatch.setattr(cli, "integrate", run)
+    target = tmp_path / "no" / "such" / "x.csv"
+    code, out, err = _run(
+        capsys, "simulate", "--scenario", "rosenberg", "--x0", "x=0,y=1,z=0,x'=2,y'=3",
+        "--t1", "10", "--dt", "1e-3", "--out", str(target), "--quiet-time",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write --out {target}: ")
+
+
+def test_a_failed_run_removes_the_out_file_it_created(tmp_path, capsys, monkeypatch):
+    def run(*args, **kwargs):
+        raise NonFiniteError("the state overflowed")
+
+    monkeypatch.setattr(cli, "integrate", run)
+    argv = ("simulate", "--scenario", "rosenberg", "--x0", "x=0,y=1,z=0,x'=2,y'=3",
+            "--t1", "0.1", "--dt", "0.01", "--quiet-time", "--out")
+    fresh = tmp_path / "fresh.csv"
+    code, out, err = _run(capsys, *argv, str(fresh))
+    assert code == 3 and out == "" and "the state overflowed" in err
+    assert not fresh.exists()
+    # a path that was there before the run is emptied, not removed
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old\n")
+    assert _run(capsys, *argv, str(kept))[0] == 3
+    assert kept.read_text() == ""
+
+
 def test_a_huge_finite_state_is_not_a_non_finite_right_hand_side(tmp_path, capsys):
     # y' = y from y = 1 passes 1.3e154, where y*y overflows, at step 355
     path = tmp_path / "growth.lss"
@@ -198,6 +232,54 @@ def test_a_huge_finite_state_is_not_a_non_finite_right_hand_side(tmp_path, capsy
     assert code == 0 and err == "" and "steps: 700" in out
     last = [float(v) for v in out_csv.read_text().splitlines()[-1].split(",")]
     assert last[:2] == [700.0, 700.0] and 7e302 < last[2] < 8e302
+
+
+# one constraint on a regular base: A = I takes the Schur route, whose D = x
+# is 1x1, and the bordered twin's varying A takes the bordered 3x3 solve
+TINY_D_SPEC = """[vars]
+names = x, y
+
+[system]
+A = {A}
+f = 1, 1
+
+[constraints]
+phi = y
+
+[forces]
+Delta = 1, x
+"""
+
+
+def _tiny_d_spec(tmp_path, a="1, 0; 0, 1"):
+    path = tmp_path / "tiny_d.lss"
+    path.write_text(TINY_D_SPEC.format(A=a))
+    return str(path)
+
+
+def test_a_one_by_one_d_of_full_rank_is_regular_at_every_decade(tmp_path, capsys):
+    # D = x and c = 1: the residual of x * u + 1 is 0 or 1.1e-16 by rounding,
+    # which a full rank no longer reads; the analysis is the stacked solve
+    path = _tiny_d_spec(tmp_path)
+    for k in range(1, 21):
+        code, out, err = _run(capsys, "analyze", "--spec", path, "--at", f"x=1e-{k},y=0")
+        assert (code, err) == (0, ""), k
+        assert "rank_D: 1" in out and "regular: true" in out, k
+
+
+def test_a_run_from_a_tiny_one_by_one_d_is_integrated(tmp_path, capsys):
+    # each step's D is the scalar solve's float, from x = 1e-9 on
+    code, out, err = _run(capsys, "simulate", "--spec", _tiny_d_spec(tmp_path),
+                          "--x0", "x=1e-9,y=0", "--t1", "1e-9", "--dt", "1e-10", "--quiet-time")
+    assert (code, err) == (0, "") and "steps: 10" in out
+
+
+def test_the_bordered_twin_of_full_rank_is_regular(tmp_path, capsys):
+    # its 3x3 SVD decides rank 3 of 3 at x = 1e-8: every right-hand side solves
+    path = _tiny_d_spec(tmp_path, a="1, 0; 0, 1 + 1e-6*y^2")
+    code, out, err = _run(capsys, "analyze", "--spec", path, "--at", "x=1e-8,y=0")
+    assert (code, err) == (0, "")
+    assert "base_regular: true" in out and "rank_D: 1" in out
 
 
 def test_simulate_second_order_mode(tmp_path, capsys):

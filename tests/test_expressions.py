@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -498,6 +499,18 @@ def test_a_sum_of_any_length_evaluates_prints_and_names_its_fault(terms):
     with pytest.raises(DomainEvalError) as err:
         evaluate(root, {"x": 1.0})
     assert str(err.value).endswith(f"'sqrt({to_text(total)} - {5 * terms})'")
+
+
+def test_a_long_sum_prints_in_time_linear_in_its_text():
+    # copying each prefix into its parent's text would take seconds here
+    terms = 200_000
+    total = Var("x")
+    for _ in range(terms - 1):
+        total = Add(total, Var("x"))
+    start = time.perf_counter()
+    text = to_text(total)
+    assert time.perf_counter() - start < 1.0
+    assert text == " + ".join(["x"] * terms)
 
 
 def test_symbolic_derivative_matches_dual_numbers():

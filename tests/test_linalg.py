@@ -115,6 +115,63 @@ def test_solve_affine_degenerate_shapes():
         solve_affine(np.eye(2), np.zeros(3))
 
 
+@st.composite
+def full_row_rank_systems(draw):
+    """(mat, b) with p <= q whose rank decision gives r = p: a normal matrix
+    scaled by 10^s, and any right-hand side of entries up to 1e100."""
+    p = draw(st.integers(1, 4))
+    q = draw(st.integers(p, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mat = rng.normal(size=(p, q)) * 10.0 ** draw(st.integers(-12, 12))
+    assume(rank(mat) == p)
+    entries = st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False)
+    return mat, np.array(draw(st.lists(entries, min_size=p, max_size=p)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(full_row_rank_systems(), st.floats(-200.0, 200.0), st.sampled_from([1.0, -1.0]),
+       st.floats(-1e100, 1e100, allow_nan=False))
+def test_a_system_of_full_row_rank_is_consistent_for_every_right_hand_side(
+        system, exponent, sign, b1):
+    mat, b = system
+    d = sign * 10.0 ** exponent  # a float 1x1: rank 1, and |b1 / d| <= 1e300
+    one = solve_affine(np.array([[d]]), np.array([b1]))
+    two = solve_affine(mat, b)
+    ones = solve_affine(np.array([[[d]], [[-d]]]), np.array([[b1], [-b1]]))
+    # a stack of full rank beside rank 0, which alone takes the image test
+    stack = solve_affine(np.stack([mat, np.zeros_like(mat)]), np.stack([b, b]))
+    for sol in (one, two, ones.item(0), ones.item(1), stack.item(0)):
+        assert sol.consistent and sol.tol_used == math.inf and math.isfinite(sol.residual)
+    assert stack.item(0).x0.tobytes() == two.x0.tobytes()
+    assert stack.item(0).residual == two.residual
+    zero = solve_affine(np.zeros_like(mat), b)
+    assert (stack.item(1).consistent, stack.item(1).tol_used) == (zero.consistent, zero.tol_used)
+
+
+def test_the_scaled_two_by_two_family_is_consistent_at_every_scale():
+    scales = 10.0 ** np.arange(-12, 13)
+    mats = np.array([[2.0, 1.0], [1.0, 3.0]]) * scales[:, None, None]
+    b = np.array([0.1, 0.7])
+    stack = solve_affine(mats, np.tile(b, (len(scales), 1)))
+    assert stack.consistent.all()
+    for i, mat in enumerate(mats):
+        sol = solve_affine(mat, b)
+        assert sol.consistent and sol.kernel.dim == 0 and sol.tol_used == math.inf
+        assert stack.item(i).x0.tobytes() == sol.x0.tobytes()
+
+
+def test_a_full_rank_solve_whose_x0_overflows_is_non_finite():
+    # 1e300 / 1e-100 is beyond the float range, on every route
+    with np.errstate(all="ignore"):
+        for mat, b in ((np.array([[1e-100]]), np.array([1e300])),
+                       (np.array([[1e-100, 0.0]]), np.array([1e300])),
+                       (np.array([[[1.0]], [[1e-100]]]), np.array([[1.0], [1e300]]))):
+            with pytest.raises(NonFiniteError, match="non-finite residual"):
+                solve_affine(mat, b)
+        with pytest.raises(NonFiniteError, match="non-finite residual"):
+            linalg._scalar_solve(1e-100, 1e300, DEFAULT_TOLERANCES)
+
+
 def test_solve_affine_random_consistent_property():
     rng = np.random.default_rng(8)
     for _ in range(50):
@@ -434,8 +491,9 @@ def test_every_route_decides_the_planted_rank(problem):
     # the norms are sqrt(v . v), bit for bit numpy's linalg.norm
     smax = np.linalg.svd(a, full_matrices=True)[1][0]
     assert sol.residual == float(np.linalg.norm(a @ sol.x0 - b))
-    assert sol.tol_used == \
-        DEFAULT_TOLERANCES.rank_tol(max(a.shape), smax) * (1.0 + float(np.linalg.norm(b)))
+    # the image cut-off: inf at full row rank, where every b lies in the image
+    assert sol.tol_used == (math.inf if r == k else DEFAULT_TOLERANCES.rank_tol(
+        max(a.shape), smax) * (1.0 + float(np.linalg.norm(b))))
     if r == n:
         assert sol.kernel.vectors.shape == (n, 0)
     names = tuple(f"x{i}" for i in range(n))
@@ -511,9 +569,11 @@ def test_a_finite_right_hand_side_whose_square_overflows_is_solved():
         rhs = np.array([[1e200, 0.0], [1.0, 2.0], [0.0, -1e200]])
         stack = solve_affine(np.stack([np.eye(2)] * 3), rhs)
         ones = solve_affine(np.array([[[1.0]], [[-2.0]]]), np.array([[1e200], [-3e300]]))
+        # rank 1 of 2 rows: the image test reads the scaled norm
+        deficient = solve_affine(np.diag([1.0, 0.0]), np.array([1e200, 0.0]))
     assert one.x0.tolist() == [1e200] and one.residual == 0.0 and one.consistent
-    assert one.tol_used == 1e-10 * (1.0 + 1e200)
-    assert two.x0.tolist() == [1e200, 0.0] and two.tol_used == 2e-10 * (1.0 + 1e200)
+    assert two.x0.tolist() == [1e200, 0.0] and one.tol_used == two.tol_used == math.inf
+    assert deficient.consistent and deficient.tol_used == 2e-10 * (1.0 + 1e200)
     for i, b in enumerate(rhs):
         alone = solve_affine(np.eye(2), b)
         got = stack.item(i)
@@ -591,13 +651,14 @@ def _lapack_solve(d, b, tols):
     u, s, vt = np.linalg.svd(mat)
     cut = tols.rank_tol(1, float(s[0]))
     r = int(s[0] > cut)
-    tol_img = tols.img_tol(cut, rhs)
+    # full rank puts every b in the image: no image test, and a cut-off of inf
+    tol_img = math.inf if r else tols.img_tol(cut, rhs)
     x0 = vt[:r].T @ ((u[:, :r].T @ rhs) / s[:r])
     residual = float(np.linalg.norm(mat @ x0 - rhs))
     if residual == math.inf and math.isfinite((mat @ x0 - rhs).item()):
         residual = abs((mat @ x0 - rhs).item())  # where its square overflows
     consistent = residual <= tol_img
-    if not tol_img < math.inf or not (consistent or math.isfinite(residual)):
+    if not (abs(b) if r else tol_img) < math.inf or not math.isfinite(residual):
         return None
     kernel = np.abs(vt[r:].T)  # the gauge: a 1-vector's one entry made positive
     return (u, s, vt), r, x0, residual, consistent, tol_img, kernel

@@ -56,9 +56,11 @@ def test_no_module_imports_a_private_name_from_a_sibling():
 
 
 # the private attributes a module reads off another object today: the float
-# error context and the scalar solve that the Schur route shares with linalg,
-# and the compiled constraints that the projection's early return runs
-PRIVATE_READS = {"linalg._float_errors", "linalg._solve_1x1", "self.phi._compiled"}
+# error context, and the scalar solve and its packaging into a solution set,
+# that the Schur route shares with linalg, and the compiled constraints that
+# the projection's early return runs
+PRIVATE_READS = {"linalg._float_errors", "linalg._scalar_solve", "linalg._scalar_solution",
+                 "self.phi._compiled"}
 
 
 def test_no_module_reads_a_private_attribute_of_another_object():
